@@ -18,14 +18,38 @@ import yaml
 from .costing import CostParameters
 from .emissions import ELECTRIFICATION_LEVELS, EmissionFactors
 
-SYSTEM_TYPES = (
-    "crowdsourced_exclusive",
-    "crowdsourced_shared",
-    "dedicated_darp",
-    "frt",
-    "hybrid_frt",
-    "hybrid_odt",
-)
+
+@dataclass(frozen=True)
+class SystemType:
+    """The fleets one service design runs, out of four: crowdsourced_exclusive,
+    crowdsourced_shared, dedicated and frt.
+
+    The area fleet serves the whole network on the hourly supply schedule,
+    scaled by the system's alpha; "crowdsourced" is the crowdsourced fleet
+    its crowdsourced_service names. The corridor fleet serves the corridor:
+    a fixed route, or a dedicated fleet on corridor.supply scaled by the
+    corridor's alpha. A hybrid runs both and splits its riders between them
+    with dispatch.hybrid_route in `split` mode.
+    """
+
+    area: str | None = None
+    corridor: str | None = None
+    split: str | None = None
+
+    @property
+    def surge_sensitive(self) -> bool:
+        """Crowdsourced drivers' pay follows rider-side surge pricing."""
+        return self.area is not None and self.area.startswith("crowdsourced")
+
+
+SYSTEM_TYPES = {
+    "crowdsourced_exclusive": SystemType(area="crowdsourced_exclusive"),
+    "crowdsourced_shared": SystemType(area="crowdsourced_shared"),
+    "dedicated_darp": SystemType(area="dedicated"),
+    "frt": SystemType(corridor="frt"),
+    "hybrid_frt": SystemType(area="crowdsourced", corridor="frt", split="frt_based"),
+    "hybrid_odt": SystemType(area="crowdsourced", corridor="dedicated", split="odt_based"),
+}
 ALPHA_CHOICES = (0.0, 0.5, 1.0)
 SURGE_CHOICES = (0, 20, 40, 50)
 FLAT_PROFILE = [1.0] * 24
@@ -281,11 +305,9 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
         if not isinstance(lvl, int) or not 50 <= lvl <= 500:
             errors.append(f"demand: level {lvl} outside the supported 50..500 range")
 
-    needs_supply = any(s.type in ("crowdsourced_exclusive", "crowdsourced_shared",
-                                  "dedicated_darp", "hybrid_frt", "hybrid_odt")
-                       for s in cfg.systems)
+    designs = [SYSTEM_TYPES.get(s.type, SystemType()) for s in cfg.systems]
     sup = cfg.supply
-    if needs_supply and not sup.schedule and not sup.file:
+    if any(d.area for d in designs) and not sup.schedule and not sup.file:
         errors.append("supply: schedule or file required for on-demand systems")
     if sup.schedule is not None:
         if len(sup.schedule) != 24:
@@ -316,9 +338,7 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append(f"{where}: duplicate system name '{s.name}'")
         names.add(s.name)
 
-    needs_corridor = any(s.type in ("frt", "hybrid_frt", "hybrid_odt")
-                         for s in cfg.systems)
-    if needs_corridor and cfg.corridor is None:
+    if any(d.corridor for d in designs) and cfg.corridor is None:
         errors.append("corridor: required by fixed-route and hybrid systems")
     if cfg.corridor is not None:
         cor = cfg.corridor
@@ -336,7 +356,7 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append(f"corridor: alpha {cor.alpha} not in {ALPHA_CHOICES}")
         if cor.supply is not None and len(cor.supply) != 24:
             errors.append("corridor: supply needs 24 hourly counts")
-        if any(s.type == "hybrid_odt" for s in cfg.systems) and cor.supply is None:
+        if any(d.corridor == "dedicated" for d in designs) and cor.supply is None:
             errors.append("corridor: supply required for the dedicated corridor fleet")
 
     ana = cfg.analysis

@@ -11,7 +11,7 @@ identical cents on every platform.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 
 log = logging.getLogger(__name__)
@@ -46,26 +46,14 @@ class CostParameters:
     driver_wage: Decimal = Decimal("15.00")          # fixed-route driver, per hour
     other_costs: Decimal = Decimal("200000")         # yearly administration overhead
     value_of_time: Decimal = Decimal("15.00")        # CAD per hour, for generalized cost
-    surge_levels: tuple[int, ...] = (0, 20, 40, 50)
 
     def replace(self, **overrides) -> "CostParameters":
         vals = {f.name: getattr(self, f.name) for f in fields(self)}
         for key, val in overrides.items():
             if key not in vals:
                 raise ValueError(f"unknown cost parameter '{key}'")
-            if key == "surge_levels":
-                vals[key] = tuple(int(v) for v in val)
-            else:
-                vals[key] = as_money(val)
+            vals[key] = as_money(val)
         return CostParameters(**vals)
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    capital: Decimal
-    operating: Decimal
-    net_annual: Decimal
-    per_trip: Decimal | None = None
 
 
 def capital_cost(vehicle_count: int, params: CostParameters = CostParameters()) -> Decimal:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -63,7 +63,6 @@ class SupplySchedule:
     """Hourly active-vehicle counts over the 24 hours of the service day."""
 
     hourly_counts: list[int]
-    alpha: float = 1.0  # supply response per unit of demand change
 
     def __post_init__(self):
         if len(self.hourly_counts) != 24:
@@ -138,7 +137,7 @@ def scale_supply(base: SupplySchedule, demand_change_pct: float, alpha: float) -
         if c >= 1:
             n = max(n, 1)
         scaled.append(n)
-    return SupplySchedule(scaled, alpha)
+    return SupplySchedule(scaled)
 
 
 def demand_density(requests_per_day: float, area_km2: float) -> float:
@@ -203,7 +202,7 @@ def save_requests(requests: list[RideRequest], path: str) -> None:
             fh.write(f"{r.id},{r.request_time:.3f},{r.origin},{r.destination}\n")
 
 
-def load_supply(path: str, alpha: float = 1.0) -> SupplySchedule:
+def load_supply(path: str) -> SupplySchedule:
     """Read an hourly schedule from CSV columns hour,vehicles."""
     counts = [0] * 24
     seen = set()
@@ -221,4 +220,4 @@ def load_supply(path: str, alpha: float = 1.0) -> SupplySchedule:
                 raise CsvParseError(path, line_no, f"duplicate hour {hour}")
             seen.add(hour)
             counts[hour] = vehicles
-    return SupplySchedule(counts, alpha)
+    return SupplySchedule(counts)

@@ -10,10 +10,10 @@ a feasibility prediction and the realized trip agree to the last bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from random import Random
 
+from .costing import (crowdsourced_operating_cost, dedicated_operating_cost,
+                      fixed_route_operating_cost)
 from .demand import RideRequest
 from .network import Network
 
@@ -76,10 +76,6 @@ class Vehicle:
     service_end_s: float | None = None
     passenger_seconds: float = 0.0
 
-    @property
-    def passengers_aboard(self) -> set[int]:
-        return set(self.aboard_m)
-
     def anchor(self) -> int:
         return self.inflight.to if self.inflight is not None else self.position
 
@@ -94,21 +90,56 @@ class Vehicle:
                 and not self.schedule and self.inflight is None)
 
     def assigned_requests(self) -> set[int]:
-        return self.passengers_aboard | {s.request_id for s in self.schedule}
+        return set(self.aboard_m) | {s.request_id for s in self.schedule}
 
 
 # -- dispatch policies ---------------------------------------------------------
+#
+# A policy is one of the four fleets a service design is built from: how its
+# riders are put on vehicles, how many vehicles it owns, and what it costs a
+# year. `kind` tags its trip records. The on-demand policies' `assign`
+# yields (request, vehicle, new schedule) one decision at a time, with no
+# vehicle for a rejected request; the engine applies each decision before
+# drawing the next. A reactive policy dispatches as soon as a request
+# arrives or a vehicle frees up instead of waiting for the batch; a reactive
+# shared one also when a vehicle serves a stop and drives on, since it may
+# now host a pooled rider.
+
+
+class _Crowdsourced:
+    """Hired drivers in their own cars, paid per trip plus any surge."""
+
+    reactive = True
+    shared = False
+
+    def vehicles_owned(self, supply) -> int:
+        return 0
+
+    def operating_cost(self, r, params, surge_pct: int):
+        return crowdsourced_operating_cost(r.avg_ivtt_min, r.avg_trip_km, r.served, params,
+                                           shared=self.shared, surge_pct=surge_pct)
 
 
 @dataclass(frozen=True)
-class GreedyExclusive:
+class GreedyExclusive(_Crowdsourced):
     kind: str = "greedy_exclusive"
 
+    def assign(self, net, vehicles, waiting, requests, now):
+        idle = [v for v in vehicles if v.is_idle()]
+        for req, veh in greedy_assign(net, idle, waiting):
+            yield req, veh, ride_stops(req)
+
 
 @dataclass(frozen=True)
-class SharedGreedy:
+class SharedGreedy(_Crowdsourced):
     max_detour: float = MAX_DETOUR_FACTOR
     kind: str = "shared_greedy"
+    shared = True
+
+    def assign(self, net, vehicles, waiting, requests, now):
+        for m in shared_greedy_match(net, vehicles, waiting, requests, now,
+                                     self.max_detour):
+            yield m.request, m.vehicle, list(m.new_schedule)
 
 
 @dataclass(frozen=True)
@@ -116,13 +147,40 @@ class DarpInsertion:
     max_detour: float = MAX_DETOUR_FACTOR
     max_wait_s: float = MAX_WAIT_S
     kind: str = "darp"
+    reactive = False
+
+    def assign(self, net, vehicles, waiting, requests, now):
+        for req in waiting:
+            res = darp_insert(net, vehicles, req, requests, now,
+                              self.max_detour, self.max_wait_s)
+            if not res.accepted:
+                yield req, None, None
+                continue
+            v = vehicles[res.vehicle_id]
+            schedule = list(v.schedule)
+            schedule.insert(res.pickup_index, Stop(req.origin, PICKUP, req.id))
+            schedule.insert(res.dropoff_index, Stop(req.destination, DROPOFF, req.id))
+            yield req, v, schedule
+
+    def vehicles_owned(self, supply) -> int:
+        return max(supply.hourly_counts)
+
+    def operating_cost(self, r, params, surge_pct: int):
+        return dedicated_operating_cost(r.avg_vehicles, r.operating_hours, r.served, params)
 
 
 @dataclass(frozen=True)
 class FixedRoute:
     spec: "RouteSpec" = None
     vehicles: int = 2
-    kind: str = "fixed_route"
+    kind: str = "frt"
+
+    def vehicles_owned(self, supply) -> int:
+        return self.vehicles
+
+    def operating_cost(self, r, params, surge_pct: int):
+        return fixed_route_operating_cost(self.vehicles, r.total_km, r.operating_hours,
+                                          r.served, params, km_is_per_vehicle=False)
 
 
 # -- plan tracing --------------------------------------------------------------

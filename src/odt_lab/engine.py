@@ -32,8 +32,6 @@ _PRIO = {
 
 REASON_HORIZON = "waiting_at_horizon"
 REASON_NO_SLOT = "no_feasible_insertion"
-REJECT_REASONS = (REASON_NO_SLOT, "outside_window", "walk_too_far", "same_stop",
-                  "no_departure")
 
 
 @dataclass(frozen=True)
@@ -297,13 +295,12 @@ class _Run:
             v.inflight = e
             v.next_node_time = t + e.travel_time_s
             self._push(v.next_node_time, "vehicle_arrives", v.id)
-        else:
-            if v.retiring:
-                self._finalize(v, t)
-            elif progressed and self.policy.kind in ("greedy_exclusive", "shared_greedy"):
-                self._push(t, "batch_dispatch", 0)  # vehicle freed mid-interval
-        if progressed and self.policy.kind == "shared_greedy" and v.schedule:
-            self._push(t, "batch_dispatch", 0)  # new single-occupancy host, maybe
+            if progressed and self.policy.reactive and self.policy.shared:
+                self._push(t, "batch_dispatch", 0)  # new single-occupancy host, maybe
+        elif v.retiring:
+            self._finalize(v, t)
+        elif progressed and self.policy.reactive:
+            self._push(t, "batch_dispatch", 0)  # vehicle freed mid-interval
 
     def _execute_stop(self, v: dp.Vehicle, stop: dp.Stop, t: float):
         r = self.requests[stop.request_id]
@@ -334,7 +331,7 @@ class _Run:
             return
         v.in_service = True
         self._log(t, "shift_start", vid)
-        if self.policy.kind in ("greedy_exclusive", "shared_greedy") and self.queue:
+        if self.policy.reactive and self.queue:
             self._push(t, "batch_dispatch", 0)
 
     def _on_shift_end(self, t: float, vid: int):
@@ -347,62 +344,25 @@ class _Run:
     def _on_request(self, t: float, rid: int):
         self.queue.append(rid)
         self._log(t, "request_arrival", rid)
-        if self.policy.kind in ("greedy_exclusive", "shared_greedy"):
+        if self.policy.reactive:
             self._push(t, "batch_dispatch", 0)
 
     def _on_dispatch(self, t: float, _entity: int):
         if not self.queue:
             return
         self._log(t, "batch_dispatch", 0)
-        if self.policy.kind == "greedy_exclusive":
-            self._greedy_pass(t)
-        elif self.policy.kind == "shared_greedy":
-            self._shared_pass(t)
-        elif self.policy.kind == "darp":
-            self._darp_pass(t)
-        else:
-            raise ValueError(f"policy {self.policy.kind} has no event dispatcher")
-
-    # -- dispatch passes --
-
-    def _greedy_pass(self, t: float):
-        idle = [v for v in self.vehicles if v.is_idle()]
         waiting = [self.requests[rid] for rid in self.queue]
-        for req, veh in dp.greedy_assign(self.net, idle, waiting):
-            veh.schedule = dp.ride_stops(req)
+        for req, v, schedule in self.policy.assign(self.net, self.vehicles, waiting,
+                                                   self.requests, t):
             self.queue.remove(req.id)
-            self._advance(veh, t)
-
-    def _shared_pass(self, t: float):
-        waiting = [self.requests[rid] for rid in self.queue]
-        matches = dp.shared_greedy_match(self.net, self.vehicles, waiting,
-                                         self.requests, t, self.policy.max_detour)
-        for m in matches:
-            v = m.vehicle
-            v.schedule = list(m.new_schedule)
-            self.queue.remove(m.request.id)
-            if v.inflight is None:
-                self._advance(v, t)
-
-    def _darp_pass(self, t: float):
-        for rid in list(self.queue):
-            req = self.requests[rid]
-            res = dp.darp_insert(self.net, self.vehicles, req, self.requests, t,
-                                 self.policy.max_detour, self.policy.max_wait_s)
-            self.queue.remove(rid)
-            if res.accepted:
-                v = self.vehicles[res.vehicle_id]
-                was_dwelling = v.inflight is None
-                v.schedule.insert(res.pickup_index,
-                                  dp.Stop(req.origin, dp.PICKUP, req.id))
-                v.schedule.insert(res.dropoff_index,
-                                  dp.Stop(req.destination, dp.DROPOFF, req.id))
-                if was_dwelling:
-                    self._advance(v, t)
-            else:
+            if v is None:
                 self.rejections.append(self._snapshot(req, t))
                 self.trips.append(self._trip(req, self.mode_tag, served=False,
                                              reason=REASON_NO_SLOT))
+                continue
+            v.schedule = schedule
+            if v.inflight is None:
+                self._advance(v, t)
 
     def _snapshot(self, req: RideRequest, t: float) -> RejectionSnapshot:
         involved = {req.id}
@@ -452,7 +412,7 @@ def _run_fixed_route(net: Network, demand, policy, record_events=False) -> Simul
                 for k in range(pb, pa):
                     legs[k] += 1
                 pax_s_by_vehicle[run.vehicle] += plan.ivtt_min * 60.0
-                trips.append(TripRecord(r.id, "frt", True, plan.walk_min,
+                trips.append(TripRecord(r.id, policy.kind, True, plan.walk_min,
                                         plan.wait_min, plan.ivtt_min, plan.ride_km,
                                         zone(r.origin), zone(r.destination)))
                 if record_events:
@@ -460,7 +420,7 @@ def _run_fixed_route(net: Network, demand, policy, record_events=False) -> Simul
                 break
             plan = dp.frt_board(net, r, spec, timetable, start_run=plan.run_index + 1)
         else:
-            trips.append(TripRecord(r.id, "frt", False, origin_zone=zone(r.origin),
+            trips.append(TripRecord(r.id, policy.kind, False, origin_zone=zone(r.origin),
                                     dest_zone=zone(r.destination),
                                     reject_reason=plan.reason))
     trips.sort(key=lambda t: t.request_id)
@@ -487,7 +447,7 @@ def run_scenario(net: Network, demand, supply: SupplySchedule | None, policy,
     seed only feeds vehicle spawn positions, which are drawn from the base
     demand's origin distribution by default.
     """
-    if getattr(policy, "kind", None) == "fixed_route":
+    if isinstance(policy, dp.FixedRoute):
         return _run_fixed_route(net, demand, policy, record_events)
     if supply is None:
         raise ValueError("on-demand policies need a supply schedule")

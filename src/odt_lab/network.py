@@ -291,14 +291,6 @@ class Network:
 # -- module-level operations --------------------------------------------------
 
 
-def shortest_path(net: Network, origin: int, dest: int) -> RoutePath:
-    return net.shortest_path(origin, dest)
-
-
-def zone_of(net: Network, node_id: int) -> str | None:
-    return net.zone_of(node_id)
-
-
 def _parse_row(path: str, line_no: int, row: dict, fields: dict) -> dict:
     out = {}
     for name, conv in fields.items():
@@ -372,16 +364,9 @@ def save_network(net: Network, nodes_file: str, edges_file: str,
                 fh.write(f"{z.zone_id},{z.population:g},{vals}\n")
 
 
-def generate_grid(rows: int, cols: int, spacing_m: float, speed_mps: float,
-                  seed: int = 0) -> Network:
-    """Bidirectional grid network with uniform spacing and speed.
-
-    Node id = row * cols + col, x = col * spacing, y = row * spacing.
-    Service area is rows*spacing by cols*spacing, in km^2: each node stands
-    for one spacing-by-spacing cell. Construction is fully deterministic;
-    the seed argument is accepted for interface symmetry with the demand
-    generators and does not alter the output.
-    """
+def _grid_parts(rows: int, cols: int, spacing_m: float,
+                speed_mps: float) -> tuple[list[Node], list[Edge], float]:
+    """Nodes, edges and service area (km^2) of the grid generate_grid builds."""
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2 rows and 2 columns")
     if spacing_m <= 0 or speed_mps <= 0:
@@ -404,4 +389,18 @@ def generate_grid(rows: int, cols: int, spacing_m: float, speed_mps: float,
                 edges.append(_make_edge(eid, nid, down, spacing_m, speed_mps)); eid += 1
                 edges.append(_make_edge(eid, down, nid, spacing_m, speed_mps)); eid += 1
     area_km2 = (rows * spacing_m) * (cols * spacing_m) / 1e6
+    return nodes, edges, area_km2
+
+
+def generate_grid(rows: int, cols: int, spacing_m: float, speed_mps: float,
+                  seed: int = 0) -> Network:
+    """Bidirectional grid network with uniform spacing and speed.
+
+    Node id = row * cols + col, x = col * spacing, y = row * spacing.
+    Service area is rows*spacing by cols*spacing, in km^2: each node stands
+    for one spacing-by-spacing cell. Construction is fully deterministic;
+    the seed argument is accepted for interface symmetry with the demand
+    generators and does not alter the output.
+    """
+    nodes, edges, area_km2 = _grid_parts(rows, cols, spacing_m, speed_mps)
     return Network(nodes, edges, area_km2=area_km2)

@@ -22,10 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from . import dispatch as dp
-from .config import ScenarioConfig, SystemConfig
-from .costing import (CostParameters, capital_cost, crowdsourced_operating_cost,
-                      dedicated_operating_cost, fixed_route_operating_cost,
-                      net_annual_cost)
+from .config import SYSTEM_TYPES, ScenarioConfig, SystemConfig
+from .costing import CostParameters, capital_cost, net_annual_cost
 from .demand import (DemandSet, RideRequest, SupplySchedule, demand_density,
                      generate_synthetic_demand, load_requests, load_supply,
                      scale_demand, scale_supply)
@@ -33,16 +31,9 @@ from .efficiency import InsufficientDataError, sweep, switching_points
 from .emissions import private_vehicle_baseline, per_passenger_metrics
 from .engine import SimulationResult, run_scenario, summarize
 from .equity import EQUITY_METRICS, equity_report, lorenz, zonal_outcomes
-from .network import (Network, Node, ZONE_ATTRIBUTES, Zone, generate_grid,
-                      load_network)
+from .network import Network, Node, ZONE_ATTRIBUTES, Zone, _grid_parts, load_network
 
 log = logging.getLogger(__name__)
-
-CROWDSOURCED_KINDS = ("crowdsourced_exclusive", "crowdsourced_shared")
-
-# systems whose operating cost reacts to rider-side surge pricing
-SURGE_SENSITIVE_TYPES = ("crowdsourced_exclusive", "crowdsourced_shared",
-                         "hybrid_frt", "hybrid_odt")
 
 
 # -- input construction --------------------------------------------------------
@@ -53,16 +44,13 @@ def build_network(cfg: ScenarioConfig) -> Network:
     nc = cfg.network
     if nc.grid is not None:
         g = nc.grid
-        net = generate_grid(g.rows, g.cols, g.spacing_m, g.speed_mps)
-        if g.zone_rows > 0 or nc.area_km2 is not None:
-            nodes = [net.nodes[i] for i in sorted(net.nodes)]
-            zones = None
-            if g.zone_rows > 0:
-                nodes, zones = _grid_zones(nodes, g)
-            edges = [net.edges[i] for i in sorted(net.edges)]
-            area = nc.area_km2 if nc.area_km2 is not None else net.area_km2
-            net = Network(nodes, edges, zones, area_km2=area)
-        return net
+        nodes, edges, area = _grid_parts(g.rows, g.cols, g.spacing_m, g.speed_mps)
+        zones = None
+        if g.zone_rows > 0:
+            nodes, zones = _grid_zones(nodes, g)
+        if nc.area_km2 is not None:
+            area = nc.area_km2
+        return Network(nodes, edges, zones, area_km2=area)
     return load_network(nc.nodes_file, nc.edges_file, nc.zones_file,
                         area_km2=nc.area_km2)
 
@@ -124,7 +112,7 @@ def corridor_spec(cfg: ScenarioConfig) -> dp.RouteSpec | None:
 class ComponentOutput:
     """One fleet's share of a run: its simulation and its owned vehicles."""
 
-    kind: str  # crowdsourced_exclusive | crowdsourced_shared | dedicated | frt
+    policy: object  # the fleet's dispatch policy, which also knows its costs
     result: SimulationResult
     vehicles_owned: int  # capital base; crowdsourced fleets own nothing
 
@@ -143,7 +131,7 @@ class RunOutput:
 
 
 def _merge(parts: list[SimulationResult], demand_total: int) -> SimulationResult:
-    """Combine component simulations of one hybrid run into one summary.
+    """Combine the component simulations of one run into one summary.
 
     Fleet logs get fresh sequential vehicle ids because each component
     numbered its own vehicles from zero.
@@ -158,86 +146,51 @@ def _merge(parts: list[SimulationResult], demand_total: int) -> SimulationResult
     return summarize(trips, fleet, demand_total, rejections, events)
 
 
-def _crowdsourced_policy(system: SystemConfig, style: str | None = None):
-    style = style or ("shared" if system.type == "crowdsourced_shared" else "exclusive")
-    if style == "shared":
-        return dp.SharedGreedy(max_detour=system.max_detour), "crowdsourced_shared"
-    return dp.GreedyExclusive(), "crowdsourced_exclusive"
-
-
 def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
             demand: DemandSet, base_requests: list[RideRequest]) -> RunOutput:
     """Simulate one system at one demand level, components included."""
     seed = f"{cfg.seed}/{system.name}/L{level}"
     spec = corridor_spec(cfg)
-    base_supply = build_base_supply(cfg)
-    base_origins = [r.origin for r in base_requests]
-    requests = list(demand)
+    design = SYSTEM_TYPES[system.type]
+    policies = {
+        "crowdsourced_exclusive": dp.GreedyExclusive(),
+        "crowdsourced_shared": dp.SharedGreedy(max_detour=system.max_detour),
+        "dedicated": dp.DarpInsertion(max_detour=system.max_detour,
+                                      max_wait_s=system.max_wait_min * 60.0),
+    }
+    policies["crowdsourced"] = policies[f"crowdsourced_{system.crowdsourced_service}"]
+    if spec is not None:
+        policies["frt"] = dp.FixedRoute(spec, spec.vehicle_count(level))
 
-    def scaled(base: SupplySchedule, alpha: float) -> SupplySchedule:
-        return scale_supply(base, level - 100, alpha)
+    fleets = []  # (policy, supply schedule), the corridor fleet first
+    if design.corridor:
+        cor = cfg.corridor
+        fleets.append((policies[design.corridor], None if cor.supply is None else
+                       scale_supply(SupplySchedule(list(cor.supply)), level - 100, cor.alpha)))
+    if design.area:
+        fleets.append((policies[design.area],
+                       scale_supply(build_base_supply(cfg), level - 100, system.alpha)))
 
-    if system.type in CROWDSOURCED_KINDS:
-        policy, kind = _crowdsourced_policy(system)
-        supply = scaled(base_supply, system.alpha)
-        res = run_scenario(net, demand, supply, policy, seed, base_origins)
-        return RunOutput(system.name, system.type, level, res,
-                         [ComponentOutput(kind, res, 0)])
+    # each fleet's riders, the base requests its vehicles spawn among, its seed
+    riders, spawn, seeds = [demand], [base_requests], [seed]
+    if design.split:
+        def split(reqs) -> list[list[RideRequest]]:
+            parts = [[], []]  # corridor, crowdsourced
+            for r in reqs:
+                parts[dp.hybrid_route(net, r, spec, design.split) == dp.CROWDSOURCED].append(r)
+            return parts
 
-    if system.type == "dedicated_darp":
-        policy = dp.DarpInsertion(max_detour=system.max_detour,
-                                  max_wait_s=system.max_wait_min * 60.0)
-        supply = scaled(base_supply, system.alpha)
-        res = run_scenario(net, demand, supply, policy, seed, base_origins)
-        return RunOutput(system.name, system.type, level, res,
-                         [ComponentOutput("dedicated", res, max(supply.hourly_counts))])
+        riders = split(demand)
+        # an empty base split would leave the fleet nowhere to spawn
+        spawn = [part or base_requests for part in split(base_requests)]
+        seeds = [f"{seed}/corridor", f"{seed}/crowdsourced"]
 
-    if system.type == "frt":
-        n = spec.vehicle_count(level)
-        res = run_scenario(net, demand, None, dp.FixedRoute(spec, n))
-        return RunOutput(system.name, system.type, level, res,
-                         [ComponentOutput("frt", res, n)])
-
-    if system.type in ("hybrid_frt", "hybrid_odt"):
-        mode = "frt_based" if system.type == "hybrid_frt" else "odt_based"
-        corridor_tag = dp.FRT if mode == "frt_based" else dp.DEDICATED
-        split = {corridor_tag: [], dp.CROWDSOURCED: []}
-        for r in requests:
-            split[dp.hybrid_route(net, r, spec, mode)].append(r)
-        base_split = {corridor_tag: [], dp.CROWDSOURCED: []}
-        for r in base_requests:
-            base_split[dp.hybrid_route(net, r, spec, mode)].append(r)
-
-        def pool(tag: str) -> list[int]:
-            # an empty base split would leave the fleet nowhere to spawn
-            part = base_split[tag] or base_requests
-            return [r.origin for r in part]
-
-        components = []
-        if mode == "frt_based":
-            n = spec.vehicle_count(level)
-            frt_res = run_scenario(net, split[dp.FRT], None, dp.FixedRoute(spec, n))
-            components.append(ComponentOutput("frt", frt_res, n))
-        else:
-            policy = dp.DarpInsertion(max_detour=system.max_detour,
-                                      max_wait_s=system.max_wait_min * 60.0)
-            cor_supply = scale_supply(SupplySchedule(list(cfg.corridor.supply)),
-                                      level - 100, cfg.corridor.alpha)
-            ded_res = run_scenario(net, split[dp.DEDICATED], cor_supply, policy,
-                                   f"{seed}/corridor", pool(dp.DEDICATED))
-            components.append(ComponentOutput("dedicated", ded_res,
-                                              max(cor_supply.hourly_counts)))
-
-        cs_policy, cs_kind = _crowdsourced_policy(system, system.crowdsourced_service)
-        cs_supply = scaled(base_supply, system.alpha)
-        cs_res = run_scenario(net, split[dp.CROWDSOURCED], cs_supply, cs_policy,
-                              f"{seed}/crowdsourced", pool(dp.CROWDSOURCED))
-        components.append(ComponentOutput(cs_kind, cs_res, 0))
-
-        combined = _merge([c.result for c in components], len(demand))
-        return RunOutput(system.name, system.type, level, combined, components)
-
-    raise ValueError(f"unknown system type '{system.type}'")
+    components = []
+    for (policy, supply), reqs, pool, fleet_seed in zip(fleets, riders, spawn, seeds):
+        res = run_scenario(net, reqs, supply, policy, fleet_seed, [r.origin for r in pool])
+        components.append(ComponentOutput(policy, res, policy.vehicles_owned(supply)))
+    combined = _merge([c.result for c in components], len(demand))
+    return RunOutput(system.name, system.type, level, combined, components)
 
 
 def _run_spec(args: tuple[ScenarioConfig, int, int]) -> RunOutput:
@@ -252,33 +205,12 @@ def _run_spec(args: tuple[ScenarioConfig, int, int]) -> RunOutput:
 # -- costing --------------------------------------------------------------------
 
 
-def component_operating_cost(comp: ComponentOutput, params: CostParameters,
-                             surge_pct: int) -> Decimal:
-    r = comp.result
-    if comp.kind in CROWDSOURCED_KINDS:
-        return crowdsourced_operating_cost(
-            r.avg_ivtt_min, r.avg_trip_km, r.served, params,
-            shared=(comp.kind == "crowdsourced_shared"), surge_pct=surge_pct)
-    if comp.kind == "dedicated":
-        return dedicated_operating_cost(r.avg_vehicles, r.operating_hours,
-                                        r.served, params)
-    if comp.kind == "frt":
-        return fixed_route_operating_cost(comp.vehicles_owned, r.total_km,
-                                          r.operating_hours, r.served, params,
-                                          km_is_per_vehicle=False)
-    raise ValueError(f"unknown component kind '{comp.kind}'")
-
-
 def run_cost(run: RunOutput, params: CostParameters, surge_pct: int):
     capital = sum((capital_cost(c.vehicles_owned, params) for c in run.components),
                   Decimal("0.00"))
-    operating = sum((component_operating_cost(c, params, surge_pct)
+    operating = sum((c.policy.operating_cost(c.result, params, surge_pct)
                      for c in run.components), Decimal("0.00"))
     return capital, operating, net_annual_cost(capital, operating)
-
-
-def _surge_sensitive(run: RunOutput) -> bool:
-    return any(c.kind in CROWDSOURCED_KINDS for c in run.components)
 
 
 # -- output files ---------------------------------------------------------------
@@ -362,35 +294,24 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     else:
         runs = [_run_spec(s) for s in specs]
 
-    # costs: one row per run and applicable surge level
+    # costs and generalized cost curves, one row each per run and applicable
+    # surge level: surge variants get their own tagged curve
+    def tag_for(name: str, system_type: str, surge: int) -> str:
+        if surge == 0 or not SYSTEM_TYPES[system_type].surge_sensitive:
+            return name
+        return f"{name}+s{surge}"
+
     cost_rows_out = []
-    cost_index: dict[tuple[str, int], Decimal] = {}
-    for run in runs:
-        applicable = surge_levels if _surge_sensitive(run) else [0]
-        if 0 not in applicable:
-            applicable = [0] + applicable
-        for s in sorted(set(applicable)):
-            capital, operating, nac = run_cost(run, params, s)
-            cost_index[(run.run_id, s)] = nac
-            cost_rows_out.append([run.run_id, run.system, run.level, s,
-                                  str(capital), str(operating), str(nac)])
-
-    # generalized cost curves: surge variants get their own tagged curve
-    def tag_for(system: SystemConfig, surge: int) -> str:
-        if surge == 0 or system.type not in SURGE_SENSITIVE_TYPES:
-            return system.name
-        return f"{system.name}+s{surge}"
-
     gc_entries = []
     for run in runs:
-        system = next(s for s in cfg.systems if s.name == run.system)
-        variants = surge_levels if _surge_sensitive(run) else [0]
-        if 0 not in variants:
-            variants = [0] + variants
-        for s in sorted(set(variants)):
-            c = run.combined
+        c = run.combined
+        sensitive = SYSTEM_TYPES[run.system_type].surge_sensitive
+        for s in sorted({0, *surge_levels}) if sensitive else [0]:
+            capital, operating, nac = run_cost(run, params, s)
+            cost_rows_out.append([run.run_id, run.system, run.level, s,
+                                  str(capital), str(operating), str(nac)])
             gc_entries.append({
-                "system": tag_for(system, s),
+                "system": tag_for(run.system, run.system_type, s),
                 "demand_level_pct": run.level,
                 "demand_density": demand_density(len(demand_sets[run.level]), area),
                 "walk_min": c.avg_walk_min,
@@ -398,7 +319,7 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
                 "ivtt_min": c.avg_ivtt_min,
                 "served_per_day": c.served,
                 "value_of_time": ana.vot,
-                "net_annual_cost": cost_index[(run.run_id, s if _surge_sensitive(run) else 0)],
+                "net_annual_cost": nac,
                 "served_fraction": c.served_fraction,
             })
     curves = sweep(gc_entries, ana.served_fraction_threshold)
@@ -416,24 +337,30 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     # crossings between systems, surge levels matched pairwise
     switch_rows = []
     seen_pairs = set()
+    skipped = []  # "a vs b: reason" of pairs with too little data
     for s in surge_levels:
         for i in range(len(cfg.systems)):
             for j in range(i + 1, len(cfg.systems)):
-                a = tag_for(cfg.systems[i], s)
-                b = tag_for(cfg.systems[j], s)
+                a = tag_for(cfg.systems[i].name, cfg.systems[i].type, s)
+                b = tag_for(cfg.systems[j].name, cfg.systems[j].type, s)
                 if (a, b) in seen_pairs:
                     continue
                 seen_pairs.add((a, b))
                 try:
                     points = switching_points(curves[a], curves[b])
                 except InsufficientDataError as exc:
-                    log.warning("no crossing analysis for %s vs %s: %s", a, b, exc)
+                    # the text only: the exception's traceback would keep
+                    # this frame, and every run in it, alive
+                    skipped.append(f"{a} vs {b}: {exc}")
                     continue
                 for pt in points:
                     switch_rows.append([pt.system_a, pt.system_b,
                                         _fmt(pt.density, "%.6f"),
                                         _fmt(pt.bracket_lo, "%.6f"),
                                         _fmt(pt.bracket_hi, "%.6f")])
+    if skipped:
+        log.warning("no crossing analysis for %d system pairs, e.g. %s",
+                    len(skipped), skipped[0])
 
     # emissions: each run across the electrification ladder, plus the
     # everyone-drives baseline per demand level

@@ -6,8 +6,10 @@ run -> files -> report loop is fast enough to exercise repeatedly.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import yaml
 
 from odt_lab.cli import main
 from odt_lab.config import load_config, parse_config
+from odt_lab.runner import RunOutput
 
 BASE = {
     "name": "town",
@@ -158,6 +161,14 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert "error:" in err and "problem(s) found" in err
 
 
+def test_validate_rejects_cost_surge_levels(tmp_path, capsys):
+    # surge levels are an analysis setting; under costs they were never read
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        costs={"surge_levels": [0, 20]}))
+    assert main(["validate", str(cfg)]) == 2
+    assert "surge_levels" in capsys.readouterr().err
+
+
 # -- CLI: run and outputs ---------------------------------------------------------------
 
 
@@ -202,6 +213,61 @@ def test_run_is_byte_deterministic(tmp_path):
     ma = json.loads((a / "manifest.json").read_text())["files"]
     mb = json.loads((b / "manifest.json").read_text())["files"]
     assert ma == mb
+
+
+GOLDEN = Path(__file__).with_name("golden_six_systems.json")
+
+
+def six_systems(raw):
+    """All six system types on a 6x6 zoned grid, including the high-demand
+    corridor fleet (level 300), surge variants and a pooled hybrid_odt."""
+    raw["network"]["grid"].update(rows=6, cols=6)
+    raw["demand"]["synthetic"]["count"] = 40
+    raw["demand"]["levels"] = [50, 100, 300]
+    raw["supply"]["schedule"] = [0] * 6 + [2] * 16 + [0] * 2
+    raw["systems"] = [{"type": "crowdsourced_exclusive"},
+                      {"type": "crowdsourced_shared"},
+                      {"type": "dedicated_darp"},
+                      {"type": "frt"},
+                      {"type": "hybrid_frt"},
+                      {"type": "hybrid_odt", "crowdsourced_service": "shared"}]
+    raw["corridor"] = {"stops": [12, 14, 16], "cruise_speed_mps": 10.0,
+                       "supply": [0] * 6 + [1] * 16 + [0] * 2}
+
+
+def test_six_system_outputs_match_golden(tmp_path):
+    # Checksums of every output file of the six system types. A refactor
+    # must leave them as they are; only a deliberate change of output may
+    # regenerate golden_six_systems.json.
+    cfg = write_scenario(tmp_path, mutate=six_systems)
+    out = tmp_path / "out"
+    assert run_cli(cfg, out) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(files) == sorted(golden)
+    assert [rel for rel in sorted(golden) if files[rel] != golden[rel]] == []
+
+
+def test_skipped_crossings_warn_once(tmp_path, caplog):
+    cfg = write_scenario(tmp_path, mutate=six_systems)
+
+    def runs_alive() -> int:
+        return sum(isinstance(o, RunOutput) for o in gc.get_objects())
+
+    # The warning must not hold the skip's exception: its traceback would
+    # keep every simulated run alive after the sweep returns.
+    gc.collect()
+    gc.disable()
+    try:
+        before = runs_alive()
+        with caplog.at_level(logging.WARNING, logger="odt_lab"):
+            assert run_cli(cfg, tmp_path / "out") == 0
+        assert runs_alive() == before
+    finally:
+        gc.enable()
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1, warnings
+    assert "17 system pairs" in warnings[0]
 
 
 def test_run_level_subset(tmp_path):
