@@ -34,13 +34,6 @@ REASON_HORIZON = "waiting_at_horizon"
 REASON_NO_SLOT = "no_feasible_insertion"
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    time: float
-    kind: str
-    entity_id: int
-
-
 @dataclass
 class TripRecord:
     request_id: int
@@ -105,7 +98,6 @@ class SimulationResult:
     avg_vehicles: float
     operating_hours: float
     rejections: list[RejectionSnapshot] = field(default_factory=list)
-    events: list[SimEvent] = field(default_factory=list)
 
     @property
     def served_fraction(self) -> float:
@@ -133,8 +125,7 @@ def plan_shifts(supply: SupplySchedule) -> list[tuple[float, float]]:
 
 
 def summarize(trips: list[TripRecord], fleet: list[VehicleLog], demand_total: int,
-              rejections: list[RejectionSnapshot] | None = None,
-              events: list[SimEvent] | None = None) -> SimulationResult:
+              rejections: list[RejectionSnapshot] | None = None) -> SimulationResult:
     """Aggregate trip and fleet logs into the run-level figures.
 
     Averages cover served trips only; with nothing served they report as
@@ -181,7 +172,6 @@ def summarize(trips: list[TripRecord], fleet: list[VehicleLog], demand_total: in
         avg_vehicles=(service_s / union_s) if union_s > 0 else 0.0,
         operating_hours=oh,
         rejections=list(rejections or []),
-        events=list(events or []),
     )
 
 
@@ -189,15 +179,13 @@ class _Run:
     """Mutable state of one on-demand scenario while its event queue drains."""
 
     def __init__(self, net: Network, demand, supply: SupplySchedule, policy,
-                 seed, spawn_nodes=None, record_events=False):
+                 seed, spawn_nodes=None):
         self.net = net
         self.policy = policy
         self.requests: dict[int, RideRequest] = {}
         reqs = list(demand.requests if isinstance(demand, DemandSet) else demand)
         for r in reqs:
             self.requests[r.id] = r
-        self.record_events = record_events
-        self.events: list[SimEvent] = []
         self.trips: list[TripRecord] = []
         self.rejections: list[RejectionSnapshot] = []
         self.queue: list[int] = []  # unassigned request ids, FCFS order
@@ -230,10 +218,6 @@ class _Run:
         self._seq += 1
         heappush(self._heap, (time, _PRIO[kind], entity, self._seq, kind))
 
-    def _log(self, time: float, kind: str, entity: int):
-        if self.record_events:
-            self.events.append(SimEvent(time, kind, entity))
-
     # -- main loop --
 
     def run(self) -> SimulationResult:
@@ -260,8 +244,7 @@ class _Run:
             occ = v.passenger_seconds / dur if dur > 0 else 0.0
             fleet.append(VehicleLog(v.id, dur / 3600.0, v.odometer_m / 1000.0,
                                     occ, v.shift_start_s, end, v.passenger_seconds))
-        return summarize(self.trips, fleet, len(self.requests),
-                         self.rejections, self.events)
+        return summarize(self.trips, fleet, len(self.requests), self.rejections)
 
     def _trip(self, r: RideRequest, mode: str, served: bool, walk_min=None,
               wait_min=None, ivtt_min=None, length_km=None, reason=None) -> TripRecord:
@@ -281,7 +264,6 @@ class _Run:
         for rid in v.aboard_m:
             v.aboard_m[rid] += e.length_m
         v.position = e.to
-        self._log(t, "vehicle_arrives", vid)
         self._advance(v, t)
 
     def _advance(self, v: dp.Vehicle, t: float):
@@ -309,7 +291,6 @@ class _Run:
                 raise RuntimeError(f"vehicle {v.id} over capacity at t={t}")
             v.aboard_m[r.id] = 0.0
             self.pickup_time[r.id] = t
-            self._log(t, "pickup_complete", r.id)
         else:
             ridden_m = v.aboard_m.pop(r.id)
             picked = self.pickup_time[r.id]
@@ -319,7 +300,6 @@ class _Run:
                 wait_min=(picked - r.request_time) / 60.0,
                 ivtt_min=(t - picked) / 60.0,
                 length_km=ridden_m / 1000.0))
-            self._log(t, "dropoff_complete", r.id)
 
     def _finalize(self, v: dp.Vehicle, t: float):
         v.in_service = False
@@ -330,27 +310,23 @@ class _Run:
         if v.shift_end_s <= v.shift_start_s:
             return
         v.in_service = True
-        self._log(t, "shift_start", vid)
         if self.policy.reactive and self.queue:
             self._push(t, "batch_dispatch", 0)
 
     def _on_shift_end(self, t: float, vid: int):
         v = self.vehicles[vid]
         v.retiring = True
-        self._log(t, "shift_end", vid)
         if v.in_service and not v.schedule and v.inflight is None:
             self._finalize(v, t)
 
     def _on_request(self, t: float, rid: int):
         self.queue.append(rid)
-        self._log(t, "request_arrival", rid)
         if self.policy.reactive:
             self._push(t, "batch_dispatch", 0)
 
     def _on_dispatch(self, t: float, _entity: int):
         if not self.queue:
             return
-        self._log(t, "batch_dispatch", 0)
         waiting = [self.requests[rid] for rid in self.queue]
         for req, v, schedule in self.policy.assign(self.net, self.vehicles, waiting,
                                                    self.requests, t):
@@ -380,7 +356,7 @@ class _Run:
         return RejectionSnapshot(req.id, t, vehicles, times, ends)
 
 
-def _run_fixed_route(net: Network, demand, policy, record_events=False) -> SimulationResult:
+def _run_fixed_route(net: Network, demand, policy) -> SimulationResult:
     """Timetable service: riders walk to stops and board scheduled departures.
 
     Departures follow the timetable exactly; a full vehicle pushes the
@@ -391,15 +367,10 @@ def _run_fixed_route(net: Network, demand, policy, record_events=False) -> Simul
     timetable = dp.build_timetable(net, spec, policy.vehicles)
     reqs = list(demand.requests if isinstance(demand, DemandSet) else demand)
     trips: list[TripRecord] = []
-    events: list[SimEvent] = []
     # seat occupancy per run, per leg position within the run
     loads: dict[int, list[int]] = {}
     pax_s_by_vehicle = [0.0] * policy.vehicles
     n = len(spec.stops)
-
-    def zone(nid):
-        return net.zone_of(nid)
-
     ordered = sorted(reqs, key=lambda r: (r.request_time, r.id))
     for r in ordered:
         plan = dp.frt_board(net, r, spec, timetable)
@@ -414,14 +385,13 @@ def _run_fixed_route(net: Network, demand, policy, record_events=False) -> Simul
                 pax_s_by_vehicle[run.vehicle] += plan.ivtt_min * 60.0
                 trips.append(TripRecord(r.id, policy.kind, True, plan.walk_min,
                                         plan.wait_min, plan.ivtt_min, plan.ride_km,
-                                        zone(r.origin), zone(r.destination)))
-                if record_events:
-                    events.append(SimEvent(plan.departure_s, "pickup_complete", r.id))
+                                        net.zone_of(r.origin), net.zone_of(r.destination)))
                 break
             plan = dp.frt_board(net, r, spec, timetable, start_run=plan.run_index + 1)
         else:
-            trips.append(TripRecord(r.id, policy.kind, False, origin_zone=zone(r.origin),
-                                    dest_zone=zone(r.destination),
+            trips.append(TripRecord(r.id, policy.kind, False,
+                                    origin_zone=net.zone_of(r.origin),
+                                    dest_zone=net.zone_of(r.destination),
                                     reject_reason=plan.reason))
     trips.sort(key=lambda t: t.request_id)
 
@@ -435,11 +405,11 @@ def _run_fixed_route(net: Network, demand, policy, record_events=False) -> Simul
         occ = pax_s_by_vehicle[vid] / dur if dur > 0 else 0.0
         fleet.append(VehicleLog(vid, dur / 3600.0, km, occ, w0, end,
                                 pax_s_by_vehicle[vid]))
-    return summarize(trips, fleet, len(reqs), events=events)
+    return summarize(trips, fleet, len(reqs))
 
 
 def run_scenario(net: Network, demand, supply: SupplySchedule | None, policy,
-                 seed=0, spawn_nodes=None, record_events=False) -> SimulationResult:
+                 seed=0, spawn_nodes=None) -> SimulationResult:
     """Simulate one day of one service design over the given demand.
 
     On-demand policies run the event engine against the hourly supply
@@ -448,7 +418,7 @@ def run_scenario(net: Network, demand, supply: SupplySchedule | None, policy,
     demand's origin distribution by default.
     """
     if isinstance(policy, dp.FixedRoute):
-        return _run_fixed_route(net, demand, policy, record_events)
+        return _run_fixed_route(net, demand, policy)
     if supply is None:
         raise ValueError("on-demand policies need a supply schedule")
-    return _Run(net, demand, supply, policy, seed, spawn_nodes, record_events).run()
+    return _Run(net, demand, supply, policy, seed, spawn_nodes).run()

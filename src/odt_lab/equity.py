@@ -37,6 +37,7 @@ class GiniResult:
     attribute: str
     metric: str
     gini: float
+    curve: LorenzCurve  # the curve the index was taken from
 
 
 def group_weight(zone: Zone, attribute: str) -> float:
@@ -159,8 +160,9 @@ def equity_report(trips, zones: dict[str, Zone],
         for metric in metrics:
             outcomes = zonal_outcomes(trips, zones, metric, attribute)
             try:
-                g = gini(lorenz(outcomes))
+                curve = lorenz(outcomes)
+                g = gini(curve)
             except ValueError:
                 continue
-            out.append(GiniResult(attribute, metric, g))
+            out.append(GiniResult(attribute, metric, g, curve))
     return out

@@ -18,6 +18,7 @@ import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
+from itertools import combinations
 from pathlib import Path
 
 from . import __version__
@@ -30,7 +31,7 @@ from .demand import (DemandSet, RideRequest, SupplySchedule, demand_density,
 from .efficiency import InsufficientDataError, sweep, switching_points
 from .emissions import private_vehicle_baseline, per_passenger_metrics
 from .engine import SimulationResult, run_scenario, summarize
-from .equity import EQUITY_METRICS, equity_report, lorenz, zonal_outcomes
+from .equity import equity_report
 from .network import Network, Node, ZONE_ATTRIBUTES, Zone, _grid_parts, load_network
 
 log = logging.getLogger(__name__)
@@ -142,8 +143,7 @@ def _merge(parts: list[SimulationResult], demand_total: int) -> SimulationResult
         for v in p.fleet:
             fleet.append(replace(v, vehicle_id=len(fleet)))
     rejections = [r for p in parts for r in p.rejections]
-    events = [e for p in parts for e in p.events]
-    return summarize(trips, fleet, demand_total, rejections, events)
+    return summarize(trips, fleet, demand_total, rejections)
 
 
 def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
@@ -254,6 +254,13 @@ def fleet_rows(run: RunOutput) -> list[list]:
     return rows
 
 
+def _emission_row(run_id: str, system: str, level: int, electrification: float,
+                  rep) -> list:
+    return [run_id, system, level, _fmt(electrification, "%.1f"),
+            _fmt(rep.total_yearly_ghg_t, "%.6f"), _fmt(rep.vkm_per_passenger, "%.6f"),
+            _fmt(rep.ghg_g_per_passenger_km, "%.6f"), rep.excluded_requests]
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -266,25 +273,16 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
             levels: list[int] | None = None) -> dict:
     """Run the scenario and write the full output tree.
 
-    Files land in out_dir (default: the config's output_dir) only after
-    every run and table succeeded; on failure the partially built staging
-    directory is removed and the previous outputs stay untouched. Returns a
-    small summary dict for the CLI.
+    Three steps: simulate every (system, level) run, turn the runs into
+    tables, and publish them. Files land in out_dir (default: the config's
+    output_dir) only after every run and table succeeded; on failure the
+    partially built staging directory is removed and the previous outputs
+    stay untouched. Returns a small summary dict for the CLI.
     """
-    out = Path(out_dir or cfg.output_dir)
     run_levels = sorted(set(levels if levels is not None else cfg.demand.levels))
     unknown = [l for l in run_levels if l not in cfg.demand.levels]
     if unknown:
         raise ValueError(f"levels {unknown} are not configured in demand.levels")
-
-    net = build_network(cfg)
-    base = build_base_demand(cfg, net)
-    demand_sets = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in run_levels}
-    area = net.area_km2
-    params = cfg.cost_parameters()
-    factors = cfg.emission_factors()
-    ana = cfg.analysis
-    surge_levels = sorted(set(ana.surge_levels))
 
     specs = [(cfg, si, lvl)
              for si in range(len(cfg.systems)) for lvl in run_levels]
@@ -294,26 +292,73 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     else:
         runs = [_run_spec(s) for s in specs]
 
-    # costs and generalized cost curves, one row each per run and applicable
-    # surge level: surge variants get their own tagged curve
+    out = Path(out_dir or cfg.output_dir)
+    _publish(out, tables(cfg, runs, run_levels), {
+        "scenario": cfg.name,
+        "package_version": __version__,
+        "seed": cfg.seed,
+        "config_sha256": cfg.config_hash(),
+        "config": asdict(cfg),
+        "levels": run_levels,
+        "systems": [s.name for s in cfg.systems],
+    })
+    return {
+        "output_dir": str(out),
+        "runs": [r.run_id for r in runs],
+        "served": {r.run_id: r.combined.served for r in runs},
+        "demand": {r.run_id: r.combined.demand_total for r in runs},
+    }
+
+
+def tables(cfg: ScenarioConfig, runs: list[RunOutput], levels: list[int]) -> dict:
+    """Every output file of a sweep but the manifest, by relative path.
+
+    A CSV file maps to its (header, rows), a JSON file to its text. One pass
+    over the runs renders each run's trip and fleet rows, which the
+    top-level trips.csv and fleet.csv concatenate, and adds the run's costs,
+    generalized cost entries, emissions, Gini indices and Lorenz curves. The
+    sweep-wide tables follow from those.
+    """
+    net = build_network(cfg)
+    params = cfg.cost_parameters()
+    factors = cfg.emission_factors()
+    ana = cfg.analysis
+    surge_levels = sorted(set(ana.surge_levels))
+
+    # surge variants of a surge-sensitive system get their own tagged curve
     def tag_for(name: str, system_type: str, surge: int) -> str:
         if surge == 0 or not SYSTEM_TYPES[system_type].surge_sensitive:
             return name
         return f"{name}+s{surge}"
 
-    cost_rows_out = []
+    files: dict[str, tuple[list[str], list[list]] | str] = {}
+    all_trips, all_fleet, cost_rows, emis_rows, gini_rows = [], [], [], [], []
     gc_entries = []
+    served = {}  # (curve tag, level) -> served trips
     for run in runs:
         c = run.combined
+        run_dir = f"runs/{run.run_id}"
+        trips, fleet = trip_rows(run), fleet_rows(run)
+        all_trips += trips
+        all_fleet += fleet
+        files[f"{run_dir}/trips.csv"] = (TRIPS_HEADER, trips)
+        files[f"{run_dir}/fleet.csv"] = (FLEET_HEADER, fleet)
+        if c.rejections:
+            files[f"{run_dir}/rejections.json"] = json.dumps(
+                [asdict(r) for r in c.rejections], indent=2, sort_keys=True, default=str)
+
+        # costs and generalized cost, one row each per applicable surge level
         sensitive = SYSTEM_TYPES[run.system_type].surge_sensitive
         for s in sorted({0, *surge_levels}) if sensitive else [0]:
             capital, operating, nac = run_cost(run, params, s)
-            cost_rows_out.append([run.run_id, run.system, run.level, s,
-                                  str(capital), str(operating), str(nac)])
+            cost_rows.append([run.run_id, run.system, run.level, s,
+                              str(capital), str(operating), str(nac)])
+            tag = tag_for(run.system, run.system_type, s)
+            served[tag, run.level] = c.served
             gc_entries.append({
-                "system": tag_for(run.system, run.system_type, s),
+                "system": tag,
                 "demand_level_pct": run.level,
-                "demand_density": demand_density(len(demand_sets[run.level]), area),
+                "demand_density": demand_density(c.demand_total, net.area_km2),
                 "walk_min": c.avg_walk_min,
                 "wait_min": c.avg_wait_min,
                 "ivtt_min": c.avg_ivtt_min,
@@ -322,154 +367,102 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
                 "net_annual_cost": nac,
                 "served_fraction": c.served_fraction,
             })
-    curves = sweep(gc_entries, ana.served_fraction_threshold)
 
-    gc_rows = []
-    for tag in curves:
-        for p in curves[tag]:
-            gc_rows.append([p.system, p.demand_level_pct,
-                            _fmt(p.demand_density, "%.6f"), str(p.gc),
-                            next(e["served_per_day"] for e in gc_entries
-                                 if e["system"] == tag
-                                 and e["demand_level_pct"] == p.demand_level_pct),
-                            _fmt(p.served_fraction, "%.6f"), p.flag])
+        # emissions across the electrification ladder
+        pax_km = sum(t.length_km or 0.0 for t in c.trips if t.served)
+        for lvl in ana.electrification_levels:
+            rep = per_passenger_metrics(c.total_km, c.served, pax_km, lvl, factors)
+            emis_rows.append(_emission_row(run.run_id, run.system, run.level, lvl, rep))
+
+        # equity: Gini and Lorenz curve per attribute and metric
+        if net.zones and run.level in ana.equity_levels:
+            for res in equity_report(c.trips, net.zones):
+                gini_rows.append([run.system, run.level, res.attribute,
+                                  res.metric, _fmt(res.gini, "%.6f")])
+                files[f"{run_dir}/lorenz_{res.attribute}_{res.metric}.csv"] = (
+                    ["cum_weight_share", "cum_outcome_share"],
+                    [[_fmt(x, "%.6f"), _fmt(y, "%.6f")] for x, y in res.curve.points])
+
+    # the everyone-drives baseline per demand level
+    if ana.include_baseline:
+        base = build_base_demand(cfg, net)
+        for lvl in levels:
+            rep = private_vehicle_baseline(list(scale_demand(base, lvl, cfg.seed)),
+                                           net, factors)
+            emis_rows.append(_emission_row(f"baseline-L{lvl}", "private_baseline",
+                                           lvl, 0.0, rep))
+
+    curves = sweep(gc_entries, ana.served_fraction_threshold)
+    gc_rows = [[p.system, p.demand_level_pct, _fmt(p.demand_density, "%.6f"),
+                str(p.gc), served[tag, p.demand_level_pct],
+                _fmt(p.served_fraction, "%.6f"), p.flag]
+               for tag in curves for p in curves[tag]]
 
     # crossings between systems, surge levels matched pairwise
     switch_rows = []
     seen_pairs = set()
     skipped = []  # "a vs b: reason" of pairs with too little data
     for s in surge_levels:
-        for i in range(len(cfg.systems)):
-            for j in range(i + 1, len(cfg.systems)):
-                a = tag_for(cfg.systems[i].name, cfg.systems[i].type, s)
-                b = tag_for(cfg.systems[j].name, cfg.systems[j].type, s)
-                if (a, b) in seen_pairs:
-                    continue
-                seen_pairs.add((a, b))
-                try:
-                    points = switching_points(curves[a], curves[b])
-                except InsufficientDataError as exc:
-                    # the text only: the exception's traceback would keep
-                    # this frame, and every run in it, alive
-                    skipped.append(f"{a} vs {b}: {exc}")
-                    continue
-                for pt in points:
-                    switch_rows.append([pt.system_a, pt.system_b,
-                                        _fmt(pt.density, "%.6f"),
-                                        _fmt(pt.bracket_lo, "%.6f"),
-                                        _fmt(pt.bracket_hi, "%.6f")])
+        for sys_a, sys_b in combinations(cfg.systems, 2):
+            a, b = tag_for(sys_a.name, sys_a.type, s), tag_for(sys_b.name, sys_b.type, s)
+            if (a, b) in seen_pairs:
+                continue
+            seen_pairs.add((a, b))
+            try:
+                points = switching_points(curves[a], curves[b])
+            except InsufficientDataError as exc:
+                # the text only: the exception's traceback would keep this
+                # frame, and every run in it, alive
+                skipped.append(f"{a} vs {b}: {exc}")
+                continue
+            for pt in points:
+                switch_rows.append([pt.system_a, pt.system_b, _fmt(pt.density, "%.6f"),
+                                    _fmt(pt.bracket_lo, "%.6f"),
+                                    _fmt(pt.bracket_hi, "%.6f")])
     if skipped:
         log.warning("no crossing analysis for %d system pairs, e.g. %s",
                     len(skipped), skipped[0])
 
-    # emissions: each run across the electrification ladder, plus the
-    # everyone-drives baseline per demand level
-    emis_rows = []
-    for run in runs:
-        c = run.combined
-        pax_km = sum(t.length_km or 0.0 for t in c.trips if t.served)
-        for lvl in ana.electrification_levels:
-            rep = per_passenger_metrics(c.total_km, c.served, pax_km, lvl, factors)
-            emis_rows.append([run.run_id, run.system, run.level,
-                              _fmt(lvl, "%.1f"),
-                              _fmt(rep.total_yearly_ghg_t, "%.6f"),
-                              _fmt(rep.vkm_per_passenger, "%.6f"),
-                              _fmt(rep.ghg_g_per_passenger_km, "%.6f"),
-                              rep.excluded_requests])
-    if ana.include_baseline:
-        for lvl in run_levels:
-            rep = private_vehicle_baseline(list(demand_sets[lvl]), net, factors)
-            emis_rows.append([f"baseline-L{lvl}", "private_baseline", lvl,
-                              _fmt(0.0, "%.1f"),
-                              _fmt(rep.total_yearly_ghg_t, "%.6f"),
-                              _fmt(rep.vkm_per_passenger, "%.6f"),
-                              _fmt(rep.ghg_g_per_passenger_km, "%.6f"),
-                              rep.excluded_requests])
+    files.update({
+        "trips.csv": (TRIPS_HEADER, all_trips),
+        "fleet.csv": (FLEET_HEADER, all_fleet),
+        "costs.csv": (["run_id", "system", "demand_level_pct", "surge_pct",
+                       "capital_cad", "operating_cad", "net_annual_cad"], cost_rows),
+        "gc_curve.csv": (["system", "demand_level_pct", "demand_density", "gc_cad",
+                          "served_per_day", "served_fraction", "flag"], gc_rows),
+        "switching_points.csv": (["system_a", "system_b", "density", "bracket_lo",
+                                  "bracket_hi"], switch_rows),
+        "emissions.csv": (["run_id", "system", "demand_level_pct", "electrification",
+                           "total_yearly_ghg_t", "vkm_per_passenger",
+                           "ghg_g_per_passenger_km", "excluded_requests"], emis_rows),
+        "gini.csv": (["system", "demand_level_pct", "attribute", "metric", "gini"],
+                     gini_rows),
+    })
+    return files
 
-    # equity: Gini per system and attribute at the configured levels
-    gini_rows = []
-    lorenz_files: dict[str, tuple[list[str], list[list]]] = {}
-    if net.zones:
-        for run in runs:
-            if run.level not in ana.equity_levels:
-                continue
-            for res in equity_report(run.combined.trips, net.zones):
-                gini_rows.append([run.system, run.level, res.attribute,
-                                  res.metric, _fmt(res.gini, "%.6f")])
-            for attribute in ZONE_ATTRIBUTES:
-                for metric in EQUITY_METRICS:
-                    try:
-                        crv = lorenz(zonal_outcomes(run.combined.trips, net.zones,
-                                                    metric, attribute))
-                    except ValueError:
-                        continue
-                    rel = f"runs/{run.run_id}/lorenz_{attribute}_{metric}.csv"
-                    lorenz_files[rel] = (
-                        ["cum_weight_share", "cum_outcome_share"],
-                        [[_fmt(x, "%.6f"), _fmt(y, "%.6f")] for x, y in crv.points])
 
-    # stage everything, then swap the directory in
+def _publish(out: Path, files: dict, manifest: dict) -> None:
+    """Write the files into a staging directory, add their checksums to the
+    manifest, and swap the staging directory in for out.
+
+    An existing out is replaced only if it holds a manifest or nothing.
+    """
     stage = out.parent / (out.name + ".stage")
-    if out.exists():
-        if not (out / "manifest.json").exists() and any(out.iterdir()):
-            raise RuntimeError(
-                f"output dir '{out}' exists with unknown content; refusing to replace it")
+    if out.exists() and not (out / "manifest.json").exists() and any(out.iterdir()):
+        raise RuntimeError(
+            f"output dir '{out}' exists with unknown content; refusing to replace it")
     if stage.exists():
         shutil.rmtree(stage)
     stage.mkdir(parents=True)
     try:
-        all_trip_rows = [row for run in runs for row in trip_rows(run)]
-        all_fleet_rows = [row for run in runs for row in fleet_rows(run)]
-        _write_csv(stage / "trips.csv", TRIPS_HEADER, all_trip_rows)
-        _write_csv(stage / "fleet.csv", FLEET_HEADER, all_fleet_rows)
-        _write_csv(stage / "costs.csv",
-                   ["run_id", "system", "demand_level_pct", "surge_pct",
-                    "capital_cad", "operating_cad", "net_annual_cad"],
-                   cost_rows_out)
-        _write_csv(stage / "gc_curve.csv",
-                   ["system", "demand_level_pct", "demand_density", "gc_cad",
-                    "served_per_day", "served_fraction", "flag"],
-                   gc_rows)
-        _write_csv(stage / "switching_points.csv",
-                   ["system_a", "system_b", "density", "bracket_lo", "bracket_hi"],
-                   switch_rows)
-        _write_csv(stage / "emissions.csv",
-                   ["run_id", "system", "demand_level_pct", "electrification",
-                    "total_yearly_ghg_t", "vkm_per_passenger",
-                    "ghg_g_per_passenger_km", "excluded_requests"],
-                   emis_rows)
-        _write_csv(stage / "gini.csv",
-                   ["system", "demand_level_pct", "attribute", "metric", "gini"],
-                   gini_rows)
-
-        for run in runs:
-            run_dir = stage / "runs" / run.run_id
-            run_dir.mkdir(parents=True)
-            _write_csv(run_dir / "trips.csv", TRIPS_HEADER, trip_rows(run))
-            _write_csv(run_dir / "fleet.csv", FLEET_HEADER, fleet_rows(run))
-            if run.combined.rejections:
-                with open(run_dir / "rejections.json", "w") as fh:
-                    json.dump([asdict(r) for r in run.combined.rejections],
-                              fh, indent=2, sort_keys=True, default=str)
-        for rel, (header, rows) in lorenz_files.items():
+        for rel, content in files.items():
             path = stage / rel
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_csv(path, header, rows)
-
-        files = {}
-        for path in sorted(stage.rglob("*")):
-            if path.is_file():
-                files[path.relative_to(stage).as_posix()] = _sha256(path)
-        manifest = {
-            "scenario": cfg.name,
-            "package_version": __version__,
-            "seed": cfg.seed,
-            "config_sha256": cfg.config_hash(),
-            "config": asdict(cfg),
-            "levels": run_levels,
-            "systems": [s.name for s in cfg.systems],
-            "files": files,
-        }
+            if isinstance(content, str):
+                path.write_text(content)
+            else:
+                _write_csv(path, *content)
+        manifest = {**manifest, "files": {rel: _sha256(stage / rel) for rel in sorted(files)}}
         with open(stage / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
 
@@ -480,13 +473,6 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
         raise
-
-    return {
-        "output_dir": str(out),
-        "runs": [r.run_id for r in runs],
-        "served": {r.run_id: r.combined.served for r in runs},
-        "demand": {r.run_id: r.combined.demand_total for r in runs},
-    }
 
 
 # -- report rendering -----------------------------------------------------------

@@ -235,13 +235,15 @@ def six_systems(raw):
                        "supply": [0] * 6 + [1] * 16 + [0] * 2}
 
 
-def test_six_system_outputs_match_golden(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_six_system_outputs_match_golden(tmp_path, jobs):
     # Checksums of every output file of the six system types. A refactor
     # must leave them as they are; only a deliberate change of output may
-    # regenerate golden_six_systems.json.
+    # regenerate golden_six_systems.json. Worker processes must give the
+    # same bytes as a serial sweep.
     cfg = write_scenario(tmp_path, mutate=six_systems)
     out = tmp_path / "out"
-    assert run_cli(cfg, out) == 0
+    assert run_cli(cfg, out, "--jobs", jobs) == 0
     files = json.loads((out / "manifest.json").read_text())["files"]
     golden = json.loads(GOLDEN.read_text())
     assert sorted(files) == sorted(golden)

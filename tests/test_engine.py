@@ -90,6 +90,24 @@ def test_shared_pooling_on_the_way(net5):
     assert res.fleet[0].passenger_seconds == 300.0
 
 
+def test_shared_redispatches_when_a_pickup_makes_a_host():
+    # 25 s hops, shorter than the 30 s batch interval. A is assigned at 1005
+    # but only boards at node 2 at 1055; B, waiting at node 3 since 1015,
+    # cannot pool before that. The pickup itself triggers a dispatch pass,
+    # so the vehicle stops for B on its way through node 3 at 1080. Without
+    # it the next pass (1080) finds the vehicle already leaving node 3, and
+    # it comes back from node 4: A rides 2 km and B waits 115 s.
+    net = generate_grid(5, 5, 500.0, 20.0)
+    a = RideRequest(0, 1005.0, 2, 4)
+    b = RideRequest(1, 1015.0, 3, 4)
+    res = run_scenario(net, [a, b], all_day(1), SharedGreedy(),
+                       seed=3, spawn_nodes=[0])
+    ta, tb = res.trips
+    assert ta.served and tb.served
+    assert ta.length_km == 1.0
+    assert tb.wait_min == 65.0 / 60.0
+
+
 def test_darp_rejection_snapshot(net5):
     # a 400 s drive cannot satisfy a 100 s wait bound; decision on the next tick
     req = RideRequest(5, 1000.0, 24, 0)
@@ -225,16 +243,3 @@ def test_fixed_route_occupancy_accounting(net5):
     pax_s = sum(v.passenger_seconds for v in res.fleet)
     assert pax_s == pytest.approx(3 * 220.0, abs=1e-9)
     assert res.avg_occupancy > 0.0
-
-
-def test_event_log_optional(net5):
-    req = RideRequest(0, 1000.0, 4, 0)
-    quiet = run_scenario(net5, [req], all_day(1), GreedyExclusive(),
-                         seed=1, spawn_nodes=[0])
-    noisy = run_scenario(net5, [req], all_day(1), GreedyExclusive(),
-                         seed=1, spawn_nodes=[0], record_events=True)
-    assert quiet.events == []
-    kinds = [e.kind for e in noisy.events]
-    assert "request_arrival" in kinds
-    assert "pickup_complete" in kinds and "dropoff_complete" in kinds
-    assert quiet.trips == noisy.trips

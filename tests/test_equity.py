@@ -193,5 +193,7 @@ def test_equity_report_skips_degenerate_combinations():
     assert ("income", "usage") in combos
     for r in results:
         assert 0.0 <= r.gini <= 1.0
+        assert gini(r.curve) == r.gini
+        assert r.curve.points[-1] == (1.0, 1.0)
     # nothing served at all: no rows rather than fake zeros
     assert equity_report([_trip(0, "A", served=False)], zones) == []
