@@ -211,6 +211,7 @@ def parse_config(raw: dict, source_name: str = "config") -> ValidationReport:
     cfg.output_dir = str(raw.get("output_dir", "out"))
 
     net_raw = raw.get("network") or {}
+    net_raw = dict(net_raw) if isinstance(net_raw, dict) else net_raw
     grid_raw = net_raw.pop("grid", None) if isinstance(net_raw, dict) else None
     files_raw = net_raw.pop("files", None) if isinstance(net_raw, dict) else None
     cfg.network = _fill(NetworkConfig, net_raw, "network", errors, warnings)

@@ -90,7 +90,7 @@ def scale_demand(base: list[RideRequest] | DemandSet, level_pct: int, seed) -> D
     (clamped to the day) and whose O-D pair is redrawn from the base
     requests of the same hour. Deterministic for a given seed.
     """
-    reqs = list(base.requests if isinstance(base, DemandSet) else base)
+    reqs = list(base)
     if not 50 <= level_pct <= 500:
         raise ValueError(f"demand level {level_pct}% outside the supported 50..500 range")
     if not reqs:

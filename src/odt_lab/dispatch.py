@@ -1,15 +1,20 @@
 """Vehicle state, dispatch policies, and the matching/insertion logic.
 
 Four ways of putting riders on vehicles live here: exclusive greedy
-nearest-vehicle assignment, pooled greedy matching onto occupied vehicles,
-schedule insertion for a dedicated door-to-door fleet, and timetable
-boarding on a fixed route. All distance reasoning walks the same canonical
-network paths the vehicles later drive, edge by edge in the same order, so
-a feasibility prediction and the realized trip agree to the last bit.
+nearest-vehicle assignment, timetable boarding on a fixed route, and two
+fleets that share one cheapest-insertion search, `_cheapest_insertion`.
+Pooled crowdsourced matching offers it the idle vehicles and single-rider
+hosts, with pickup-first slots and no wait bound, and leaves a request no
+vehicle can take queued. The dedicated door-to-door fleet offers every
+slot of every in-service vehicle, bounds waits, and rejects such a
+request. All distance reasoning walks the same canonical network paths
+the vehicles later drive, edge by edge in the same order, so a
+feasibility prediction and the realized trip agree to the last bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .costing import (crowdsourced_operating_cost, dedicated_operating_cost,
@@ -156,11 +161,7 @@ class DarpInsertion:
             if not res.accepted:
                 yield req, None, None
                 continue
-            v = vehicles[res.vehicle_id]
-            schedule = list(v.schedule)
-            schedule.insert(res.pickup_index, Stop(req.origin, PICKUP, req.id))
-            schedule.insert(res.dropoff_index, Stop(req.destination, DROPOFF, req.id))
-            yield req, v, schedule
+            yield req, vehicles[res.vehicle_id], list(res.schedule)
 
     def vehicles_owned(self, supply) -> int:
         return max(supply.hourly_counts)
@@ -280,54 +281,28 @@ def shared_greedy_match(net: Network, vehicles: list[Vehicle],
     A waiting request may take an idle vehicle, or join a vehicle carrying
     exactly one passenger toward that passenger's destination, provided both
     riders' total on-board distances stay within max_detour times their own
-    direct distances. Among feasible hosts the one adding the least driving
-    wins; ties go to the lower vehicle id. A vehicle never carries more
-    than two concurrent requests.
+    direct distances. The pickup comes first and there is no wait bound.
+    Among feasible hosts the one adding the least driving wins; ties go to
+    the lower vehicle id, then the earlier dropoff. A vehicle never carries
+    more than two concurrent requests.
     """
-    idle = sorted((v for v in vehicles if v.is_idle()), key=lambda v: v.id)
-    hosts = sorted((v for v in vehicles
-                    if v.in_service and not v.retiring
-                    and len(v.aboard_m) == 1 and len(v.schedule) == 1
-                    and v.schedule[0].action == DROPOFF),
-                   key=lambda v: v.id)
+    # idle vehicles and single-rider hosts, fixed for the pass; each leaves
+    # the pool once matched
+    pool = {v.id: (v, [(0, j) for j in range(1, len(v.schedule) + 2)])
+            for v in vehicles
+            if v.is_idle() or (v.in_service and not v.retiring
+                               and len(v.aboard_m) == 1 and len(v.schedule) == 1
+                               and v.schedule[0].action == DROPOFF)}
     out = []
     for req in waiting_queue:
-        direct_new = net.distance_m(req.origin, req.destination)
-        best = None  # (added_m, vehicle_id, order_rank, schedule, vehicle)
-        for v in idle:
-            plan = ride_stops(req)
-            tr = trace_plan(net, v.position, now, plan, {})
-            cand = (tr.plan_m, v.id, 0, tuple(plan), v)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-        for v in hosts:
-            old_drop = v.schedule[0]
-            rider = old_drop.request_id
-            base = trace_plan(net, v.anchor(), v.anchor_time(now),
-                              v.schedule, v.aboard_m, v.inflight_m())
-            direct_old = net.distance_m(requests[rider].origin,
-                                        requests[rider].destination)
-            pickup = Stop(req.origin, PICKUP, req.id)
-            drop = Stop(req.destination, DROPOFF, req.id)
-            for rank, cand_sched in enumerate(
-                    ([pickup, drop, old_drop], [pickup, old_drop, drop])):
-                tr = trace_plan(net, v.anchor(), v.anchor_time(now),
-                                cand_sched, v.aboard_m, v.inflight_m())
-                if tr.final_m[req.id] > max_detour * direct_new:
-                    continue
-                if tr.final_m[rider] > max_detour * direct_old:
-                    continue
-                added = tr.plan_m - base.plan_m
-                cand = (added, v.id, rank + 1, tuple(cand_sched), v)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
+        if not pool:
+            break
+        best = _cheapest_insertion(net, pool.values(), req, requests, now,
+                                   max_detour, math.inf)
         if best is not None:
-            added, _vid, _rank, sched, veh = best
-            out.append(SharedAssignment(req, veh, sched, added))
-            if veh in idle:
-                idle.remove(veh)
-            else:
-                hosts.remove(veh)  # now carries two concurrent requests
+            (added, vid, _i, _j), _tr, veh, schedule = best
+            out.append(SharedAssignment(req, veh, tuple(schedule), added))
+            del pool[vid]
     return out
 
 
@@ -343,6 +318,7 @@ class InsertionResult:
     added_m: float | None = None
     predicted_wait_s: float | None = None
     predicted_ride_m: float | None = None
+    schedule: tuple[Stop, ...] | None = None
 
 
 def darp_insert(net: Network, vehicles: list[Vehicle], request: RideRequest,
@@ -351,55 +327,68 @@ def darp_insert(net: Network, vehicles: list[Vehicle], request: RideRequest,
                 max_wait_s: float = MAX_WAIT_S) -> InsertionResult:
     """Cheapest feasible insertion of a request into the fleet's schedules.
 
-    Every (pickup, dropoff) position pair in every vehicle's stop sequence
-    is enumerated. An insertion is feasible when the new rider would wait
-    no longer than max_wait_s from request time, no affected rider's pickup
-    slips past its own wait bound, every rider's on-board distance stays
-    within max_detour times its direct distance, and seats never run out.
-    The insertion adding the least fleet driving wins; ties prefer the
-    lower vehicle id, then the earlier pickup, then the earlier dropoff.
-    If nothing is feasible the request is rejected.
+    Every (pickup, dropoff) position pair in every in-service vehicle's
+    stop sequence is tried, under the wait bound max_wait_s and the detour
+    cap max_detour; `_cheapest_insertion` holds the feasibility rule and
+    the tie order. If nothing is feasible the request is rejected.
+    """
+    fleet = ((v, [(i, j) for i in range(len(v.schedule) + 1)
+                  for j in range(i + 1, len(v.schedule) + 2)])
+             for v in vehicles if v.in_service and not v.retiring)
+    best = _cheapest_insertion(net, fleet, request, requests, now,
+                               max_detour, max_wait_s)
+    if best is None:
+        return InsertionResult(accepted=False)
+    (added, vid, i, j), tr, _v, schedule = best
+    return InsertionResult(True, vid, i, j, added,
+                           tr.pickup_times[request.id] - request.request_time,
+                           tr.final_m[request.id], tuple(schedule))
+
+
+def _cheapest_insertion(net: Network, candidates, request: RideRequest,
+                        requests: dict[int, RideRequest], now: float,
+                        max_detour: float, max_wait_s: float):
+    """The insertion heuristic shared by pooled matching and DARP.
+
+    candidates yields (vehicle, [(i, j), ...]): the new pickup goes to
+    index i and its dropoff to index j of the vehicle's new schedule. A
+    slot is feasible when seats never run out, no rider's pickup comes
+    later than max_wait_s after its request, and every rider's on-board
+    distance stays within max_detour times its direct distance; requests
+    must hold every rider, the new one included. The slot adding the least
+    driving wins; ties prefer the lower vehicle id, then the earlier
+    pickup, then the earlier dropoff. Returns (key, trace, vehicle,
+    schedule) of the winner, key being (added_m, vehicle id, i, j), or
+    None when no slot is feasible.
     """
     pickup = Stop(request.origin, PICKUP, request.id)
     drop = Stop(request.destination, DROPOFF, request.id)
-    best = None  # (added_m, vehicle_id, i, j, trace, vehicle)
-    for v in sorted(vehicles, key=lambda v: v.id):
-        if not v.in_service or v.retiring:
-            continue
-        base = trace_plan(net, v.anchor(), v.anchor_time(now),
-                          v.schedule, v.aboard_m, v.inflight_m())
-        n = len(v.schedule)
-        for i in range(n + 1):
-            for j in range(i + 1, n + 2):
-                cand = list(v.schedule)
-                cand.insert(i, pickup)
-                cand.insert(j, drop)
-                tr = trace_plan(net, v.anchor(), v.anchor_time(now),
-                                cand, v.aboard_m, v.inflight_m())
-                if tr.max_load > v.capacity:
-                    continue
-                if not _waits_ok(tr, request, requests, max_wait_s):
-                    continue
-                if not _detours_ok(net, tr, requests, max_detour):
-                    continue
-                added = tr.plan_m - base.plan_m
-                key = (added, v.id, i, j)
-                if best is None or key < best[0]:
-                    best = (key, tr, v)
-    if best is None:
-        return InsertionResult(accepted=False)
-    (added, vid, i, j), tr, _v = best
-    return InsertionResult(True, vid, i, j, added,
-                           tr.pickup_times[request.id] - request.request_time,
-                           tr.final_m[request.id])
+    best = None
+    for v, slots in candidates:
+        anchor, start, inflight_m = v.anchor(), v.anchor_time(now), v.inflight_m()
+        # an empty plan drives nothing, so its trace is skipped
+        base_m = (trace_plan(net, anchor, start, v.schedule, v.aboard_m, inflight_m).plan_m
+                  if v.schedule else 0.0)
+        for i, j in slots:
+            cand = list(v.schedule)
+            cand.insert(i, pickup)
+            cand.insert(j, drop)
+            tr = trace_plan(net, anchor, start, cand, v.aboard_m, inflight_m)
+            if tr.max_load > v.capacity:
+                continue
+            if not _waits_ok(tr, requests, max_wait_s):
+                continue
+            if not _detours_ok(net, tr, requests, max_detour):
+                continue
+            key = (tr.plan_m - base_m, v.id, i, j)
+            if best is None or key < best[0]:
+                best = (key, tr, v, cand)
+    return best
 
 
-def _waits_ok(tr: PlanTrace, new_request: RideRequest,
-              requests: dict[int, RideRequest], max_wait_s: float) -> bool:
+def _waits_ok(tr: PlanTrace, requests: dict[int, RideRequest], max_wait_s: float) -> bool:
     for rid, t_pick in tr.pickup_times.items():
-        req_time = (new_request.request_time if rid == new_request.id
-                    else requests[rid].request_time)
-        if t_pick - req_time > max_wait_s:
+        if t_pick - requests[rid].request_time > max_wait_s:
             return False
     return True
 
@@ -535,16 +524,11 @@ def nearest_stop(net: Network, spec: RouteSpec, node: int) -> tuple[int, float]:
     return best, net.straight_line_m(node, spec.stops[best])
 
 
-def frt_board(net: Network, request: RideRequest, spec: RouteSpec,
-              timetable: Timetable, start_run: int = 0) -> BoardingPlan | Ineligible:
-    """Plan a fixed-route trip: walk, wait for the next departure, ride, walk.
-
-    Eligible only when both trip ends are within the walking catchment of a
-    stop and the request falls inside the service window. The rider walks
-    to the nearest stop, takes the first departure in the right direction
-    at or after arriving, and walks from the alighting stop. start_run lets
-    capacity-aware callers resume the search at a later departure.
-    """
+def _corridor_ends(net: Network, spec: RouteSpec,
+                   request: RideRequest) -> tuple[int, float, int, float] | Ineligible:
+    """The corridor's gates on a trip, in order: the service window, the
+    walking catchment at both ends, and distinct boarding and alighting
+    stops. Returns (board stop, walk m, alight stop, walk m) or why not."""
     w0, w1 = spec.window
     if not w0 <= request.request_time < w1:
         return Ineligible("outside_window")
@@ -555,6 +539,23 @@ def frt_board(net: Network, request: RideRequest, spec: RouteSpec,
         return Ineligible("walk_too_far")
     if bi == ai:
         return Ineligible("same_stop")
+    return bi, walk_o, ai, walk_d
+
+
+def frt_board(net: Network, request: RideRequest, spec: RouteSpec,
+              timetable: Timetable, start_run: int = 0) -> BoardingPlan | Ineligible:
+    """Plan a fixed-route trip: walk, wait for the next departure, ride, walk.
+
+    Eligible only when both trip ends are within the walking catchment of a
+    stop and the request falls inside the service window. The rider walks
+    to the nearest stop, takes the first departure in the right direction
+    at or after arriving, and walks from the alighting stop. start_run lets
+    capacity-aware callers resume the search at a later departure.
+    """
+    ends = _corridor_ends(net, spec, request)
+    if isinstance(ends, Ineligible):
+        return ends
+    bi, walk_o, ai, walk_d = ends
     direction = +1 if bi < ai else -1
     ready = request.request_time + walk_seconds(walk_o)
     for idx in range(start_run, len(timetable.runs)):
@@ -595,19 +596,12 @@ def hybrid_route(net: Network, request: RideRequest, spec: RouteSpec,
     trip stays inside the corridor catchment during the service window to
     the dedicated door-to-door fleet instead.
     """
-    w0, w1 = spec.window
-    in_window = w0 <= request.request_time < w1
     if mode == "frt_based":
-        if not in_window:
-            return CROWDSOURCED
-        reach = catchment_m(spec.catchment_min)
-        bi, walk_o = nearest_stop(net, spec, request.origin)
-        ai, walk_d = nearest_stop(net, spec, request.destination)
-        if walk_o <= reach and walk_d <= reach and bi != ai:
-            return FRT
-        return CROWDSOURCED
+        ends = _corridor_ends(net, spec, request)
+        return CROWDSOURCED if isinstance(ends, Ineligible) else FRT
     if mode == "odt_based":
-        if in_window and in_corridor(net, spec, request.origin) \
+        w0, w1 = spec.window
+        if w0 <= request.request_time < w1 and in_corridor(net, spec, request.origin) \
                 and in_corridor(net, spec, request.destination):
             return DEDICATED
         return CROWDSOURCED

@@ -16,7 +16,7 @@ from random import Random
 from statistics import fmean
 
 from . import dispatch as dp
-from .demand import DAY_S, DemandSet, RideRequest, SupplySchedule
+from .demand import DAY_S, RideRequest, SupplySchedule
 from .network import Network
 
 log = logging.getLogger(__name__)
@@ -183,7 +183,7 @@ class _Run:
         self.net = net
         self.policy = policy
         self.requests: dict[int, RideRequest] = {}
-        reqs = list(demand.requests if isinstance(demand, DemandSet) else demand)
+        reqs = list(demand)
         for r in reqs:
             self.requests[r.id] = r
         self.trips: list[TripRecord] = []
@@ -365,7 +365,7 @@ def _run_fixed_route(net: Network, demand, policy) -> SimulationResult:
     """
     spec = policy.spec
     timetable = dp.build_timetable(net, spec, policy.vehicles)
-    reqs = list(demand.requests if isinstance(demand, DemandSet) else demand)
+    reqs = list(demand)
     trips: list[TripRecord] = []
     # seat occupancy per run, per leg position within the run
     loads: dict[int, list[int]] = {}

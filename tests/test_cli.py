@@ -64,6 +64,15 @@ def test_parse_defaults_and_names():
     assert cfg.demand.levels == [50, 100]
 
 
+def test_parse_leaves_the_callers_mapping_unchanged():
+    raw = json.loads(json.dumps(BASE))
+    first = parse_config(raw)
+    assert raw == BASE
+    second = parse_config(raw)  # the same mapping parses again
+    assert first.ok and second.ok, second.errors
+    assert second.config.network == first.config.network
+
+
 def test_parse_collects_every_error():
     def wreck(raw):
         raw["network"]["grid"]["rows"] = 1
@@ -344,6 +353,22 @@ def test_report_round_trip(tmp_path, capsys):
 
     assert main(["report", str(tmp_path / "missing")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, message", [
+    ("costs", "surge_levels", "unknown cost parameter 'surge_levels'"),
+    ("emissions", "coal_g_per_km", "unknown emission factor 'coal_g_per_km'"),
+])
+def test_report_show_params_rejects_unknown_parameter(tmp_path, capsys, section, key,
+                                                      message):
+    out = tmp_path / "out"
+    assert run_cli(write_scenario(tmp_path), out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"][section] = {key: 1}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["report", str(out), "--show-params"]) == 3
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_run_summary_lists_runs(tmp_path, capsys):

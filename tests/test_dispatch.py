@@ -299,6 +299,34 @@ def test_shared_detour_bound_protects_current_rider(net5):
     assert a.new_schedule == tuple(ride_stops(new))
 
 
+def test_shared_has_no_wait_bound(net5):
+    # the rider asked 40 min ago, past the dedicated fleet's 30 min promise;
+    # a pooled ride is still offered
+    host_req = RideRequest(9, NOW - 60.0, 0, 4)
+    host = make_vehicle(0, 1, NOW, 0.0, 8, [(4, DROPOFF, 9)], {9: 500.0})
+    new = RideRequest(10, NOW - 2400.0, 2, 4)
+    requests = {9: host_req, 10: new}
+    (a,) = shared_greedy_match(net5, [host], [new], requests, NOW)
+    assert a.vehicle.id == 0
+    assert a.new_schedule == (Stop(2, PICKUP, 10), Stop(4, DROPOFF, 10),
+                              Stop(4, DROPOFF, 9))
+    assert not darp_insert(net5, [host], new, requests, NOW).accepted
+
+
+def test_shared_host_never_picks_up_after_its_riders_dropoff(net5):
+    # host drives 0 -> 4 along the top row, the new rider wants 20 -> 24 along
+    # the bottom: only dropping the current rider first keeps both detours,
+    # which dedicated insertion may do but pooling may not
+    host_req = RideRequest(9, NOW - 60.0, 0, 4)
+    host = make_vehicle(0, 0, NOW, 0.0, 8, [(4, DROPOFF, 9)], {9: 0.0})
+    new = RideRequest(10, NOW, 20, 24)
+    requests = {9: host_req, 10: new}
+    assert shared_greedy_match(net5, [host], [new], requests, NOW) == []
+    res = darp_insert(net5, [host], new, requests, NOW)
+    assert res.accepted
+    assert (res.pickup_index, res.dropoff_index) == (1, 2)
+
+
 # -- fixed-route timetable -----------------------------------------------------------
 
 
