@@ -8,7 +8,9 @@ hosts, with pickup-first slots and no wait bound, and leaves a request no
 vehicle can take queued. The dedicated door-to-door fleet offers every
 slot of every in-service vehicle, bounds waits, and rejects such a
 request. All distance reasoning walks the same canonical network paths
-the vehicles later drive, edge by edge in the same order, so a
+the vehicles later drive, each leg taken as one cached path
+(`Network.shortest_path`) but added up edge by edge in the engine's order,
+and reads ridden metres off one plan odometer as the engine does, so a
 feasibility prediction and the realized trip agree to the last bit.
 """
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from .costing import (crowdsourced_operating_cost, dedicated_operating_cost,
                       fixed_route_operating_cost)
 from .demand import RideRequest
-from .network import Network
+from .network import _EPS, Network
 
 DEFAULT_SEATS = 8
 MAX_DETOUR_FACTOR = 2.0
@@ -63,7 +65,9 @@ class Vehicle:
     While driving, `position` still names the tail of the edge in flight;
     `inflight` carries the edge and `next_node_time` the arrival at its
     head. Dispatch decisions anchor on that head node: whatever is decided,
-    the vehicle first finishes the edge it is on.
+    the vehicle first finishes the edge it is on. The odometer grows by one
+    edge length per hop; a rider's ridden metres are the odometer at
+    dropoff minus the reading kept in `picked_at_m` at pickup.
     """
 
     id: int
@@ -72,8 +76,8 @@ class Vehicle:
     shift_end_s: float
     capacity: int = DEFAULT_SEATS
     schedule: list[Stop] = field(default_factory=list)
-    odometer_m: float = 0.0
-    aboard_m: dict[int, float] = field(default_factory=dict)  # request -> metres ridden
+    odometer_m: float = 0.0  # metres driven so far
+    picked_at_m: dict[int, float] = field(default_factory=dict)  # rider aboard -> pickup odometer
     inflight: object = None  # Edge while driving
     next_node_time: float = 0.0
     in_service: bool = False
@@ -95,7 +99,7 @@ class Vehicle:
                 and not self.schedule and self.inflight is None)
 
     def assigned_requests(self) -> set[int]:
-        return set(self.aboard_m) | {s.request_id for s in self.schedule}
+        return set(self.picked_at_m) | {s.request_id for s in self.schedule}
 
 
 # -- dispatch policies ---------------------------------------------------------
@@ -197,42 +201,43 @@ class PlanTrace:
 
 
 def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
-               aboard_m: dict[int, float], inflight_m: float = 0.0) -> PlanTrace:
-    """Walk a stop sequence edge by edge and predict times and distances.
+               picked_at_m: dict[int, float], odometer_m: float = 0.0) -> PlanTrace:
+    """Walk a stop sequence and predict times and distances.
 
-    Accumulation mirrors the engine's per-hop bookkeeping exactly: one edge
-    at a time, left to right, so predicted on-board distances and arrival
-    times are bit-identical to what the vehicle will realize if the plan is
-    not disturbed. Passengers currently aboard still have the in-flight
-    edge ahead of them, hence the inflight_m head start.
+    Each leg is the cached canonical path `net.shortest_path` returns, but
+    its edges are added one at a time, left to right, exactly as the engine
+    bumps the clock and the odometer per hop; a rider's ridden metres are
+    the odometer at dropoff minus the odometer at pickup. Predicted times
+    and on-board distances are therefore bit-identical to what the vehicle
+    will realize if the plan is not disturbed. picked_at_m holds the pickup
+    odometer of each rider aboard, and odometer_m the reading on reaching
+    the anchor: the vehicle's odometer plus any edge still in flight.
     """
     t = start_time
+    odo = odometer_m
     pos = anchor
-    onboard = {r: m + inflight_m for r, m in aboard_m.items()}
+    picked = dict(picked_at_m)
     final_m: dict[int, float] = {}
     pickup_times: dict[int, float] = {}
     arrivals: list[float] = []
-    plan_m = 0.0
-    load = len(onboard)
+    load = len(picked)
     max_load = load
     for stop in stops:
-        while pos != stop.node:
-            e = net.next_edge(pos, stop.node)
-            t += e.travel_time_s
-            plan_m += e.length_m
-            for r in onboard:
-                onboard[r] += e.length_m
-            pos = e.to
+        if pos != stop.node:
+            for e in net.shortest_path(pos, stop.node).edges:
+                t += e.travel_time_s
+                odo += e.length_m
+            pos = stop.node
         arrivals.append(t)
         if stop.action == PICKUP:
-            onboard[stop.request_id] = 0.0
+            picked[stop.request_id] = odo
             pickup_times[stop.request_id] = t
             load += 1
             max_load = max(max_load, load)
         else:
-            final_m[stop.request_id] = onboard.pop(stop.request_id)
+            final_m[stop.request_id] = odo - picked.pop(stop.request_id)
             load -= 1
-    return PlanTrace(arrivals, final_m, pickup_times, plan_m, max_load)
+    return PlanTrace(arrivals, final_m, pickup_times, odo - odometer_m, max_load)
 
 
 # -- greedy exclusive ----------------------------------------------------------
@@ -291,7 +296,7 @@ def shared_greedy_match(net: Network, vehicles: list[Vehicle],
     pool = {v.id: (v, [(0, j) for j in range(1, len(v.schedule) + 2)])
             for v in vehicles
             if v.is_idle() or (v.in_service and not v.retiring
-                               and len(v.aboard_m) == 1 and len(v.schedule) == 1
+                               and len(v.picked_at_m) == 1 and len(v.schedule) == 1
                                and v.schedule[0].action == DROPOFF)}
     out = []
     for req in waiting_queue:
@@ -365,15 +370,16 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
     drop = Stop(request.destination, DROPOFF, request.id)
     best = None
     for v, slots in candidates:
-        anchor, start, inflight_m = v.anchor(), v.anchor_time(now), v.inflight_m()
+        anchor, start = v.anchor(), v.anchor_time(now)
+        odometer_m = v.odometer_m + v.inflight_m()  # the engine's sum on reaching the anchor
         # an empty plan drives nothing, so its trace is skipped
-        base_m = (trace_plan(net, anchor, start, v.schedule, v.aboard_m, inflight_m).plan_m
+        base_m = (trace_plan(net, anchor, start, v.schedule, v.picked_at_m, odometer_m).plan_m
                   if v.schedule else 0.0)
         for i, j in slots:
             cand = list(v.schedule)
             cand.insert(i, pickup)
             cand.insert(j, drop)
-            tr = trace_plan(net, anchor, start, cand, v.aboard_m, inflight_m)
+            tr = trace_plan(net, anchor, start, cand, v.picked_at_m, odometer_m)
             if tr.max_load > v.capacity:
                 continue
             if not _waits_ok(tr, requests, max_wait_s):
@@ -395,9 +401,13 @@ def _waits_ok(tr: PlanTrace, requests: dict[int, RideRequest], max_wait_s: float
 
 def _detours_ok(net: Network, tr: PlanTrace, requests: dict[int, RideRequest],
                 max_detour: float) -> bool:
+    # A ride is summed forward along its path, the direct distance backward
+    # by reverse Dijkstra; the network's "same length" slack absorbs the
+    # difference in rounding, so a direct ride meets a cap of 1.0.
     for rid, ridden in tr.final_m.items():
         r = requests[rid]
-        if ridden > max_detour * net.distance_m(r.origin, r.destination):
+        cap = max_detour * net.distance_m(r.origin, r.destination)
+        if ridden - cap > _EPS * max(1.0, cap):
             return False
     return True
 

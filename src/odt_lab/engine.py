@@ -67,7 +67,7 @@ class VehicleSnapshot:
     inflight_m: float
     capacity: int
     schedule: tuple[dp.Stop, ...]
-    aboard_m: dict[int, float]
+    aboard_m: dict[int, float]  # rider -> metres ridden, edge in flight excluded
 
 
 @dataclass
@@ -261,8 +261,6 @@ class _Run:
             return
         v.inflight = None
         v.odometer_m += e.length_m
-        for rid in v.aboard_m:
-            v.aboard_m[rid] += e.length_m
         v.position = e.to
         self._advance(v, t)
 
@@ -287,12 +285,12 @@ class _Run:
     def _execute_stop(self, v: dp.Vehicle, stop: dp.Stop, t: float):
         r = self.requests[stop.request_id]
         if stop.action == dp.PICKUP:
-            if len(v.aboard_m) >= v.capacity:
+            if len(v.picked_at_m) >= v.capacity:
                 raise RuntimeError(f"vehicle {v.id} over capacity at t={t}")
-            v.aboard_m[r.id] = 0.0
+            v.picked_at_m[r.id] = v.odometer_m
             self.pickup_time[r.id] = t
         else:
-            ridden_m = v.aboard_m.pop(r.id)
+            ridden_m = v.odometer_m - v.picked_at_m.pop(r.id)
             picked = self.pickup_time[r.id]
             v.passenger_seconds += t - picked
             self.trips.append(self._trip(
@@ -349,7 +347,8 @@ class _Run:
             involved |= v.assigned_requests()
             vehicles.append(VehicleSnapshot(
                 v.id, v.anchor(), v.anchor_time(t), v.inflight_m(), v.capacity,
-                tuple(v.schedule), dict(v.aboard_m)))
+                tuple(v.schedule),
+                {rid: v.odometer_m - m for rid, m in v.picked_at_m.items()}))
         times = {rid: self.requests[rid].request_time for rid in involved}
         ends = {rid: (self.requests[rid].origin, self.requests[rid].destination)
                 for rid in involved}

@@ -317,9 +317,13 @@ def tables(cfg: ScenarioConfig, runs: list[RunOutput], levels: list[int]) -> dic
     over the runs renders each run's trip and fleet rows, which the
     top-level trips.csv and fleet.csv concatenate, and adds the run's costs,
     generalized cost entries, emissions, Gini indices and Lorenz curves. The
-    sweep-wide tables follow from those.
+    sweep-wide tables follow from those. A network that is not strongly
+    connected is reported here, once per sweep.
     """
     net = build_network(cfg)
+    if net.unreachable_pairs:
+        log.warning("network is not strongly connected: %d ordered node pairs "
+                    "unreachable", net.unreachable_pairs)
     params = cfg.cost_parameters()
     factors = cfg.emission_factors()
     ana = cfg.analysis

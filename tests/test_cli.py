@@ -17,6 +17,8 @@ import yaml
 
 from odt_lab.cli import main
 from odt_lab.config import load_config, parse_config
+from odt_lab.demand import RideRequest, save_requests
+from odt_lab.network import generate_grid, save_network
 from odt_lab.runner import RunOutput
 
 BASE = {
@@ -279,6 +281,31 @@ def test_skipped_crossings_warn_once(tmp_path, caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) == 1, warnings
     assert "17 system pairs" in warnings[0]
+
+
+def test_unconnected_network_warns_once_per_sweep(tmp_path, caplog):
+    # a 5x5 grid plus node 25, which has a way out and no way in: 25 node
+    # pairs are unreachable, and no request or vehicle ever needs one
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    grid = generate_grid(5, 5, 500.0, 10.0)
+    save_network(grid, str(nodes), str(edges))
+    with open(nodes, "a") as fh:
+        fh.write("25,-500,0,\n")
+    with open(edges, "a") as fh:
+        fh.write(f"{len(grid.edges)},25,0,500,10\n")
+    requests = tmp_path / "requests.csv"
+    save_requests([RideRequest(k, 28800.0 + 600.0 * k, k, 24 - k) for k in range(10)],
+                  str(requests))
+
+    def one_way_exit(raw):
+        raw["network"] = {"files": {"nodes": str(nodes), "edges": str(edges)}}
+        raw["demand"] = {"file": str(requests), "levels": [50, 100]}
+
+    cfg = write_scenario(tmp_path, mutate=one_way_exit)
+    with caplog.at_level(logging.WARNING, logger="odt_lab"):
+        assert run_cli(cfg, tmp_path / "out") == 0
+    assert [r.getMessage() for r in caplog.records if "strongly" in r.getMessage()] == [
+        "network is not strongly connected: 25 ordered node pairs unreachable"]
 
 
 def test_run_level_subset(tmp_path):

@@ -19,7 +19,7 @@ from odt_lab.dispatch import (CROWDSOURCED, DEDICATED, DROPOFF, FRT, Ineligible,
                               hybrid_route, in_corridor, nearest_stop, ride_stops,
                               shared_greedy_match, trace_plan, walk_minutes,
                               walk_seconds)
-from odt_lab.network import Edge, generate_grid
+from odt_lab.network import Edge, Network, generate_grid
 
 from oracles import (darp_oracle, distance_matrix, greedy_oracle,
                      make_darp_instance, make_greedy_instance, plan_walk,
@@ -27,6 +27,7 @@ from oracles import (darp_oracle, distance_matrix, greedy_oracle,
 
 SPEED = 10.0
 NOW = 36000.0
+ODOMETER_M = 40000.0  # a mid-run vehicle's reading before its edge in flight
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +42,14 @@ def dist5(net5):
 
 def make_vehicle(vid, anchor, ready, inflight_m, capacity, stops, aboard,
                  now=NOW) -> Vehicle:
-    """Vehicle in mid-run state matching the oracle's tuple form exactly."""
+    """Vehicle in mid-run state matching the oracle's tuple form exactly.
+
+    A rider who has ridden m metres was picked up at odometer ODOMETER_M - m.
+    """
     v = Vehicle(id=vid, position=anchor, shift_start_s=0.0, shift_end_s=86400.0,
                 capacity=capacity, schedule=[Stop(*s) for s in stops],
-                aboard_m=dict(aboard), in_service=True)
+                odometer_m=ODOMETER_M, picked_at_m=picked_at(aboard),
+                in_service=True)
     if ready > now or inflight_m > 0:
         # synthetic in-flight edge ending where it starts: anchor(),
         # anchor_time() and inflight_m() reproduce the given state
@@ -52,6 +57,11 @@ def make_vehicle(vid, anchor, ready, inflight_m, capacity, stops, aboard,
                           inflight_m / SPEED)
         v.next_node_time = ready
     return v
+
+
+def picked_at(aboard: dict[int, float]) -> dict[int, float]:
+    """Pickup odometers of riders who have ridden the given metres."""
+    return {rid: ODOMETER_M - m for rid, m in aboard.items()}
 
 
 def idle_vehicle(vid: int, node: int) -> Vehicle:
@@ -76,7 +86,8 @@ def test_trace_plan_hand_case(net5):
 def test_trace_plan_counts_inflight_for_aboard_riders(net5):
     # rider 9 has ridden 750 m and the vehicle is mid-edge with 250 m left;
     # two more hops to node 10 puts the rider at 2000 m total
-    tr = trace_plan(net5, 0, 500.0, [Stop(10, DROPOFF, 9)], {9: 750.0}, 250.0)
+    tr = trace_plan(net5, 0, 500.0, [Stop(10, DROPOFF, 9)], picked_at({9: 750.0}),
+                    ODOMETER_M + 250.0)
     assert tr.final_m == {9: 2000.0}
     assert tr.plan_m == 1000.0
     assert tr.arrivals == [600.0]
@@ -90,7 +101,7 @@ def test_trace_plan_matches_leg_walker(net5, dist5):
         vehicles, _reqs, _new = make_darp_instance(rng, 25, NOW)
         for vid, anchor, ready, inflight_m, _cap, stops, aboard in vehicles:
             tr = trace_plan(net5, anchor, ready, [Stop(*s) for s in stops],
-                            aboard, inflight_m)
+                            picked_at(aboard), ODOMETER_M + inflight_m)
             plan_m, pickups, finals, max_load, arrivals = plan_walk(
                 dist5, SPEED, anchor, ready, stops, aboard, inflight_m)
             assert tr.plan_m == plan_m
@@ -98,6 +109,28 @@ def test_trace_plan_matches_leg_walker(net5, dist5):
             assert tr.pickup_times == pickups
             assert tr.final_m == finals
             assert tr.max_load == max_load
+
+
+def test_trace_plan_reuses_cached_paths(monkeypatch):
+    """Tracing a plan again routes nothing: every leg is a cached path, so
+    a return to per-edge routing shows as next_edge calls."""
+    net = generate_grid(5, 5, 500.0, SPEED)
+    stops = [Stop(24, PICKUP, 1), Stop(3, PICKUP, 2), Stop(20, DROPOFF, 1),
+             Stop(12, DROPOFF, 2)]
+    calls = []
+    next_edge = Network.next_edge
+
+    def counted(self, current, dest):
+        calls.append((current, dest))
+        return next_edge(self, current, dest)
+
+    monkeypatch.setattr(Network, "next_edge", counted)
+    first = trace_plan(net, 0, NOW, stops, {})
+    assert calls  # the first trace builds the paths
+    calls.clear()
+    again = trace_plan(net, 0, NOW, stops, {})
+    assert calls == []
+    assert again == first
 
 
 # -- greedy exclusive --------------------------------------------------------------

@@ -1,0 +1,110 @@
+"""Dispatch and engine on networks where the order of float additions matters.
+
+The other suites run on uniform grids whose 500 m legs add up exactly in
+any order. Here edges follow random geometry: lengths are a node pair's
+straight-line distance stretched by U(1, 1.7) plus 1 m, and speeds are
+non-integer, so a sum taken leg by leg, or from the other end, can differ
+in the last bits from the engine's edge-by-edge sums.
+"""
+
+from __future__ import annotations
+
+import math
+from random import Random
+
+import pytest
+
+from odt_lab import dispatch
+from odt_lab.demand import RideRequest, SupplySchedule
+from odt_lab.dispatch import (DROPOFF, DarpInsertion, SharedGreedy, Vehicle,
+                              darp_insert, shared_greedy_match)
+from odt_lab.engine import run_scenario
+from odt_lab.network import Edge, Network, Node
+
+
+def irregular_network(seed: int, n: int = 30) -> Network:
+    """A strongly connected directed network: a one-way ring plus random chords."""
+    rng = Random(f"irregular/{seed}")
+    nodes = [Node(i, rng.uniform(0.0, 4000.0), rng.uniform(0.0, 4000.0)) for i in range(n)]
+    pairs = {(i, (i + 1) % n) for i in range(n)}
+    while len(pairs) < 3 * n:
+        pairs.add(tuple(rng.sample(range(n), 2)))
+    edges = []
+    for eid, (a, b) in enumerate(sorted(pairs)):
+        na, nb = nodes[a], nodes[b]
+        length = math.hypot(na.x - nb.x, na.y - nb.y) * rng.uniform(1.0, 1.7) + 1.0
+        speed = rng.uniform(6.0, 15.0)
+        edges.append(Edge(eid, a, b, length, speed, length / speed))
+    net = Network(nodes, edges)
+    assert net.unreachable_pairs == 0
+    return net
+
+
+def _requests(rng: Random, net: Network, count: int) -> list[RideRequest]:
+    ids = sorted(net.nodes)
+    times = sorted(rng.uniform(8 * 3600.0, 10 * 3600.0) for _ in range(count))
+    return [RideRequest(k, t, *rng.sample(ids, 2)) for k, t in enumerate(times)]
+
+
+@pytest.mark.parametrize("policy", [DarpInsertion(), SharedGreedy()],
+                         ids=["darp", "shared"])
+def test_prediction_equals_realization(monkeypatch, policy):
+    """The winning insertion's trace predicts every served trip to the bit:
+    pickup time, dropoff time and metres ridden."""
+    pickups: dict[int, float] = {}
+    drops: dict[int, tuple[float, float]] = {}  # request -> (time, metres ridden)
+    search = dispatch._cheapest_insertion
+
+    def spy(*args, **kwargs):
+        best = search(*args, **kwargs)
+        if best is not None:
+            _key, tr, _veh, schedule = best
+            pickups.update(tr.pickup_times)
+            for stop, t in zip(schedule, tr.arrivals):
+                if stop.action == DROPOFF:
+                    drops[stop.request_id] = (t, tr.final_m[stop.request_id])
+        return best
+
+    monkeypatch.setattr(dispatch, "_cheapest_insertion", spy)
+    served = detoured = 0
+    for seed in range(6):
+        net = irregular_network(seed)
+        rng = Random(f"predict/{seed}")
+        reqs = _requests(rng, net, 40)
+        supply = SupplySchedule([0] * 8 + [3] * 4 + [0] * 12)
+        pickups.clear()
+        drops.clear()
+        res = run_scenario(net, reqs, supply, policy, seed=seed)
+        for trip in res.trips:
+            if not trip.served:
+                continue
+            r = reqs[trip.request_id]
+            picked = pickups[r.id]
+            dropped, ridden = drops[r.id]
+            assert (picked - r.request_time) / 60.0 == trip.wait_min
+            assert (dropped - picked) / 60.0 == trip.ivtt_min
+            assert ridden / 1000.0 == trip.length_km
+            served += 1
+            detoured += ridden > net.distance_m(r.origin, r.destination) * (1 + 1e-6)
+    assert served > 150 and detoured > 20  # pooled detours are exercised
+
+
+def test_direct_ride_meets_a_detour_cap_of_one():
+    """An idle vehicle at the origin driving straight to the destination
+    rides exactly the shortest path, which a cap of 1.0 must accept however
+    its forward edge sum rounds against the reverse-Dijkstra distance."""
+    refused = []
+    for seed in range(10):
+        net = irregular_network(seed)
+        rng = Random(f"direct/{seed}")
+        ids = sorted(net.nodes)
+        for k in range(100):
+            req = RideRequest(k, 1000.0, *rng.sample(ids, 2))
+            requests = {k: req}
+            idle = [Vehicle(0, req.origin, 0.0, 86400.0, in_service=True)]
+            darp = darp_insert(net, idle, req, requests, 1000.0, max_detour=1.0)
+            pooled = shared_greedy_match(net, idle, [req], requests, 1000.0,
+                                         max_detour=1.0)
+            if not darp.accepted or not pooled:
+                refused.append((seed, req.origin, req.destination))
+    assert refused == []
