@@ -14,7 +14,8 @@ import sys
 
 from . import __version__
 from .config import ScenarioConfig, load_config
-from .runner import execute, render_report
+from .network import CsvParseError, NetworkValidationError
+from .runner import build_base_demand, build_network, execute, render_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,11 +62,32 @@ def _load(path: str) -> tuple[ScenarioConfig | None, int]:
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not report.ok:
-        for e in report.errors:
-            print(f"error: {e}", file=sys.stderr)
-        print(f"{len(report.errors)} problem(s) found", file=sys.stderr)
-        return None, EXIT_CONFIG
+        return None, _problems(report.errors)
     return report.config, EXIT_OK
+
+
+def _problems(errors: list[str]) -> int:
+    for e in errors:
+        print(f"error: {e}", file=sys.stderr)
+    print(f"{len(errors)} problem(s) found", file=sys.stderr)
+    return EXIT_CONFIG
+
+
+def _unknown_nodes(cfg: ScenarioConfig) -> list[str]:
+    """Build the network and base day once; name every corridor stop and
+    request end that is not a node, or the input file that failed to load."""
+    try:
+        net = build_network(cfg)
+        base = build_base_demand(cfg, net)
+    except (CsvParseError, NetworkValidationError) as exc:
+        return [str(exc)]
+    errors = [f"corridor: stop {s} is not a network node"
+              for s in (cfg.corridor.stops if cfg.corridor else []) if s not in net.nodes]
+    for r in base:
+        errors += [f"demand: request {r.id} {end} {node} is not a network node"
+                   for end, node in (("origin", r.origin), ("destination", r.destination))
+                   if node not in net.nodes]
+    return errors
 
 
 def _resolve_seed(cfg: ScenarioConfig, flag_seed: int | None) -> None:
@@ -87,6 +109,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "validate":
         cfg, code = _load(args.config)
+        if code == EXIT_OK and (errors := _unknown_nodes(cfg)):
+            code = _problems(errors)
         if code == EXIT_OK:
             print(f"{args.config}: ok ({len(cfg.systems)} system(s), "
                   f"{len(cfg.demand.levels)} demand level(s))")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -92,8 +93,10 @@ class Network:
     Distance lookups run one reverse Dijkstra per queried destination and
     cache the result, so fleets of position queries against a common target
     (every vehicle to one pickup, every node to one stop) cost a single
-    search. Instances are meant to be built once and shared read-only
-    within a run.
+    search. Each cached tree is an array('d') of metres into its
+    destination, indexed by the node's dense slot (`_slot`, in id order),
+    with math.inf where there is no route: 8 bytes a node. A sweep builds
+    one instance and shares it, caches included, across all of its runs.
     """
 
     def __init__(self, nodes: list[Node], edges: list[Edge],
@@ -144,8 +147,10 @@ class Network:
         self._check_geometry()
         self.unreachable_pairs = self._check_connectivity()
 
-        # dest node id -> {node id: metres into dest}
-        self._dist_to: dict[int, dict[int, float]] = {}
+        # node id -> index into every distance tree
+        self._slot: dict[int, int] = {nid: k for k, nid in enumerate(sorted(self.nodes))}
+        # dest node id -> metres into dest, by slot
+        self._dist_to: dict[int, array] = {}
         # (origin, dest) -> RoutePath
         self._path_cache: dict[tuple[int, int], RoutePath] = {}
 
@@ -170,7 +175,7 @@ class Network:
 
     def _check_connectivity(self) -> int:
         """Count ordered node pairs with no directed route; the runner
-        reports the count once per sweep, not once per network built."""
+        reports the count once per sweep, before its runs start."""
         ids = sorted(self.nodes)
         fwd = self._reach(ids[0], self.out_edges)
         bwd = self._reach(ids[0], self.in_edges)
@@ -200,22 +205,24 @@ class Network:
     def zone_of(self, node_id: int) -> str | None:
         return self.nodes[node_id].zone_id
 
-    def _distances_to(self, dest: int) -> dict[int, float]:
+    def _distances_to(self, dest: int) -> array:
         cached = self._dist_to.get(dest)
         if cached is not None:
             return cached
         if dest not in self.nodes:
             raise KeyError(f"unknown node {dest}")
-        dist = {dest: 0.0}
+        slot = self._slot
+        dist = array("d", [math.inf]) * len(slot)
+        dist[slot[dest]] = 0.0
         heap = [(0.0, dest)]
         while heap:
             d, u = heappop(heap)
-            if d > dist.get(u, math.inf):
+            if d > dist[slot[u]]:
                 continue
             for e in self.in_edges[u]:
                 nd = d + e.length_m
-                if nd < dist.get(e.frm, math.inf):
-                    dist[e.frm] = nd
+                if nd < dist[slot[e.frm]]:
+                    dist[slot[e.frm]] = nd
                     heappush(heap, (nd, e.frm))
         self._dist_to[dest] = dist
         return dist
@@ -224,8 +231,8 @@ class Network:
         """Shortest driven distance, metres. Raises NoPathError when unreachable."""
         if origin not in self.nodes:
             raise KeyError(f"unknown node {origin}")
-        d = self._distances_to(dest).get(origin)
-        if d is None:
+        d = self._distances_to(dest)[self._slot[origin]]
+        if d == math.inf:
             raise NoPathError(f"no route from {origin} to {dest}")
         return d
 
@@ -238,15 +245,13 @@ class Network:
         """
         if current == dest:
             raise ValueError("already at destination")
-        dist = self._distances_to(dest)
-        here = dist.get(current)
-        if here is None:
+        dist, slot = self._distances_to(dest), self._slot
+        here = dist[slot[current]]
+        if here == math.inf:
             raise NoPathError(f"no route from {current} to {dest}")
         for e in self.out_edges[current]:  # sorted by edge id
-            rest = dist.get(e.to)
-            if rest is None:
-                continue
-            if abs(e.length_m + rest - here) <= _EPS * max(1.0, here):
+            # an edge into a node with no route gives inf, which never matches
+            if abs(e.length_m + dist[slot[e.to]] - here) <= _EPS * max(1.0, here):
                 return e
         raise NoPathError(f"no route from {current} to {dest}")  # pragma: no cover
 

@@ -4,8 +4,9 @@ One execute() call takes a validated config and produces a self-contained
 output directory: merged trip and fleet logs, cost / emission / generalized
 cost / crossing / equity tables, per-run detail folders, and a manifest
 with a checksum per file. Everything is deterministic for a fixed config
-and seed: worker processes rebuild their inputs from the config, floats are
-written with fixed formats, and no timestamps appear anywhere.
+and seed: one network and base day serve every run of a sweep, worker
+processes included, floats are written with fixed formats, and no
+timestamps appear anywhere.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ import hashlib
 import json
 import logging
 import shutil
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -29,7 +33,7 @@ from .demand import (DemandSet, RideRequest, SupplySchedule, demand_density,
                      generate_synthetic_demand, load_requests, load_supply,
                      scale_demand, scale_supply)
 from .efficiency import InsufficientDataError, sweep, switching_points
-from .emissions import private_vehicle_baseline, per_passenger_metrics
+from .emissions import EmissionFactors, private_vehicle_baseline, per_passenger_metrics
 from .engine import SimulationResult, run_scenario, summarize
 from .equity import equity_report
 from .network import Network, Node, ZONE_ATTRIBUTES, Zone, _grid_parts, load_network
@@ -193,13 +197,15 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
     return RunOutput(system.name, system.type, level, combined, components)
 
 
-def _run_spec(args: tuple[ScenarioConfig, int, int]) -> RunOutput:
-    """Worker entry: rebuild inputs from the config so results match serial runs."""
-    cfg, system_index, level = args
-    net = build_network(cfg)
-    base = build_base_demand(cfg, net)
-    demand = scale_demand(base, level, cfg.seed)
-    return run_one(net, cfg, cfg.systems[system_index], level, demand, base)
+def _run_spec(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
+              spec: tuple[int, int]) -> tuple[RunOutput, float]:
+    """One (system index, level) run of a sweep and its wall seconds, in
+    this or a worker process."""
+    system_index, level = spec
+    start = time.perf_counter()
+    run = run_one(net, cfg, cfg.systems[system_index], level,
+                  scale_demand(base, level, cfg.seed), base)
+    return run, time.perf_counter() - start
 
 
 # -- costing --------------------------------------------------------------------
@@ -217,9 +223,7 @@ def run_cost(run: RunOutput, params: CostParameters, surge_pct: int):
 
 
 def _fmt(value, spec: str = "%.4f") -> str:
-    if value is None:
-        return ""
-    return spec % value
+    return "" if value is None else spec % value
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -236,22 +240,17 @@ FLEET_HEADER = ["run_id", "vehicle_id", "service_hours", "km", "avg_occupancy",
 
 
 def trip_rows(run: RunOutput) -> list[list]:
-    rows = []
-    for t in run.combined.trips:
-        rows.append([run.run_id, t.request_id, t.mode, int(t.served),
-                     _fmt(t.walk_min), _fmt(t.wait_min), _fmt(t.ivtt_min),
-                     _fmt(t.length_km), t.origin_zone or "", t.dest_zone or "",
-                     t.reject_reason or ""])
-    return rows
+    return [[run.run_id, t.request_id, t.mode, int(t.served),
+             _fmt(t.walk_min), _fmt(t.wait_min), _fmt(t.ivtt_min),
+             _fmt(t.length_km), t.origin_zone or "", t.dest_zone or "",
+             t.reject_reason or ""] for t in run.combined.trips]
 
 
 def fleet_rows(run: RunOutput) -> list[list]:
-    rows = []
-    for v in run.combined.fleet:
-        rows.append([run.run_id, v.vehicle_id, _fmt(v.service_hours), _fmt(v.km),
-                     _fmt(v.avg_occupancy), _fmt(v.start_s, "%.1f"),
-                     _fmt(v.end_s, "%.1f"), _fmt(v.passenger_seconds, "%.1f")])
-    return rows
+    return [[run.run_id, v.vehicle_id, _fmt(v.service_hours), _fmt(v.km),
+             _fmt(v.avg_occupancy), _fmt(v.start_s, "%.1f"),
+             _fmt(v.end_s, "%.1f"), _fmt(v.passenger_seconds, "%.1f")]
+            for v in run.combined.fleet]
 
 
 def _emission_row(run_id: str, system: str, level: int, electrification: float,
@@ -284,16 +283,23 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     if unknown:
         raise ValueError(f"levels {unknown} are not configured in demand.levels")
 
-    specs = [(cfg, si, lvl)
-             for si in range(len(cfg.systems)) for lvl in run_levels]
-    if jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            runs = list(ex.map(_run_spec, specs))
-    else:
-        runs = [_run_spec(s) for s in specs]
+    net = build_network(cfg)
+    if net.unreachable_pairs:
+        log.warning("network is not strongly connected: %d ordered node pairs "
+                    "unreachable", net.unreachable_pairs)
+    base = build_base_demand(cfg, net)
+    run = partial(_run_spec, cfg, net, base)
+    specs = [(si, lvl) for si in range(len(cfg.systems)) for lvl in run_levels]
+    pool = jobs > 1 and len(specs) > 1
+    runs = []
+    with ProcessPoolExecutor(max_workers=jobs) if pool else nullcontext() as ex:
+        for r, secs in (ex.map if pool else map)(run, specs):  # in spec order
+            log.info("%s: served %d/%d in %.2f s", r.run_id, r.combined.served,
+                     r.combined.demand_total, secs)
+            runs.append(r)
 
     out = Path(out_dir or cfg.output_dir)
-    _publish(out, tables(cfg, runs, run_levels), {
+    _publish(out, tables(cfg, net, base, runs, run_levels), {
         "scenario": cfg.name,
         "package_version": __version__,
         "seed": cfg.seed,
@@ -310,20 +316,16 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     }
 
 
-def tables(cfg: ScenarioConfig, runs: list[RunOutput], levels: list[int]) -> dict:
+def tables(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
+           runs: list[RunOutput], levels: list[int]) -> dict:
     """Every output file of a sweep but the manifest, by relative path.
 
     A CSV file maps to its (header, rows), a JSON file to its text. One pass
     over the runs renders each run's trip and fleet rows, which the
     top-level trips.csv and fleet.csv concatenate, and adds the run's costs,
     generalized cost entries, emissions, Gini indices and Lorenz curves. The
-    sweep-wide tables follow from those. A network that is not strongly
-    connected is reported here, once per sweep.
+    sweep-wide tables follow from those, the car baseline from the base day.
     """
-    net = build_network(cfg)
-    if net.unreachable_pairs:
-        log.warning("network is not strongly connected: %d ordered node pairs "
-                    "unreachable", net.unreachable_pairs)
     params = cfg.cost_parameters()
     factors = cfg.emission_factors()
     ana = cfg.analysis
@@ -389,7 +391,6 @@ def tables(cfg: ScenarioConfig, runs: list[RunOutput], levels: list[int]) -> dic
 
     # the everyone-drives baseline per demand level
     if ana.include_baseline:
-        base = build_base_demand(cfg, net)
         for lvl in levels:
             rep = private_vehicle_baseline(list(scale_demand(base, lvl, cfg.seed)),
                                            net, factors)
@@ -553,7 +554,6 @@ def render_report(out_dir: str, show_params: bool = False) -> str:
         lines = ["resolved parameters"]
         for name in params.__dataclass_fields__:
             lines.append(f"  cost.{name} = {getattr(params, name)}")
-        from .emissions import EmissionFactors
         factors = EmissionFactors().replace(**cfg_raw.get("emissions", {}))
         for name in factors.__dataclass_fields__:
             lines.append(f"  emissions.{name} = {getattr(factors, name)}")

@@ -10,11 +10,13 @@ import gc
 import hashlib
 import json
 import logging
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
+from odt_lab import runner
 from odt_lab.cli import main
 from odt_lab.config import load_config, parse_config
 from odt_lab.demand import RideRequest, save_requests
@@ -180,6 +182,36 @@ def test_validate_rejects_cost_surge_levels(tmp_path, capsys):
     assert "surge_levels" in capsys.readouterr().err
 
 
+def test_validate_rejects_unknown_node_ids(tmp_path, capsys):
+    requests = tmp_path / "requests.csv"
+    save_requests([RideRequest(0, 28800.0, 0, 24), RideRequest(1, 29400.0, 77, 3)],
+                  str(requests))
+
+    def unknown_nodes(raw):
+        raw["systems"].append({"type": "frt"})
+        raw["corridor"] = {"stops": [0, 4, 999]}
+        raw["demand"] = {"file": str(requests), "levels": [100]}
+
+    cfg = write_scenario(tmp_path, mutate=unknown_nodes)
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: corridor: stop 999 is not a network node" in err
+    assert "error: demand: request 1 origin 77 is not a network node" in err
+    assert "2 problem(s) found" in err
+
+
+def test_validate_reports_a_bad_network_file(tmp_path, capsys):
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    save_network(generate_grid(5, 5, 500.0, 10.0), str(nodes), str(edges))
+    with open(edges, "a") as fh:
+        fh.write("999,0,1,fast,10\n")
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        network={"files": {"nodes": str(nodes), "edges": str(edges)}}))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "bad value 'fast' for field 'length_m'" in err and "1 problem(s) found" in err
+
+
 # -- CLI: run and outputs ---------------------------------------------------------------
 
 
@@ -306,6 +338,41 @@ def test_unconnected_network_warns_once_per_sweep(tmp_path, caplog):
         assert run_cli(cfg, tmp_path / "out") == 0
     assert [r.getMessage() for r in caplog.records if "strongly" in r.getMessage()] == [
         "network is not strongly connected: 25 ordered node pairs unreachable"]
+
+
+def test_one_network_build_per_sweep(tmp_path, monkeypatch, caplog):
+    # edge 0 is shorter than the straight line, so every build of the
+    # network logs a warning; 2 systems x 2 levels must build it once
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    save_network(generate_grid(5, 5, 500.0, 10.0), str(nodes), str(edges))
+    lines = edges.read_text().splitlines()
+    assert lines[1] == "0,0,1,500,10"
+    edges.write_text("\n".join([lines[0], "0,0,1,400,10", *lines[2:]]) + "\n")
+    builds = []
+    build = runner.build_network
+    monkeypatch.setattr(runner, "build_network",
+                        lambda cfg: builds.append(cfg) or build(cfg))
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        network={"files": {"nodes": str(nodes), "edges": str(edges)}}))
+    with caplog.at_level(logging.WARNING, logger="odt_lab"):
+        assert run_cli(cfg, tmp_path / "out") == 0
+    assert len(builds) == 1
+    assert len([r for r in caplog.records
+                if "shorter than the straight-line" in r.getMessage()]) == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verbose_logs_one_line_per_run_in_spec_order(tmp_path, caplog, jobs):
+    cfg = write_scenario(tmp_path)
+    with caplog.at_level(logging.INFO, logger="odt_lab"):
+        assert run_cli(cfg, tmp_path / "out", "--jobs", jobs) == 0
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "odt_lab.runner" and r.levelno == logging.INFO]
+    assert [line.split(":")[0] for line in lines] == [
+        "crowdsourced_exclusive_a1-L50", "crowdsourced_exclusive_a1-L100",
+        "dedicated_darp_a1-L50", "dedicated_darp_a1-L100"]
+    assert all(re.fullmatch(r"\S+: served \d+/(12|24) in \d+\.\d\d s", line)
+               for line in lines), lines
 
 
 def test_run_level_subset(tmp_path):

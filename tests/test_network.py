@@ -46,18 +46,37 @@ def test_distances_match_floyd_warshall_on_grid():
             assert net.distance_m(a, b) == pytest.approx(expect[a][b], abs=1e-9)
 
 
+def relabelled(net: Network) -> Network:
+    """net with node ids 1000 - 7 * id, listed in reverse id order, plus
+    node 5, which has a way out and no way in."""
+    def new(nid: int) -> int:
+        return 1000 - 7 * nid
+    nodes = [Node(new(n.id), n.x, n.y) for n in sorted(net.nodes.values(),
+                                                       key=lambda n: -n.id)]
+    edges = [Edge(e.id, new(e.frm), new(e.to), e.length_m, e.speed_mps,
+                  e.travel_time_s) for e in net.edges.values()]
+    edges.append(Edge(max(net.edges) + 1, 5, new(0), 150.0, 10.0, 15.0))
+    return Network(nodes + [Node(5, -100.0, 0.0)], edges)
+
+
 def test_distances_match_forward_dijkstra_on_irregular_networks():
+    # the relabelled copies give ids that differ from their tree slots
+    unreachable = 0
     for seed in range(10):
-        net = irregular_network(seed)
-        for source in net.nodes:
-            expect = dijkstra_from(net, source)
-            for b in net.nodes:
-                if expect[b] == math.inf:
-                    with pytest.raises(NoPathError):
-                        net.distance_m(source, b)
-                else:
-                    assert net.distance_m(source, b) == pytest.approx(
-                        expect[b], rel=1e-12)
+        for net in (irregular_network(seed), relabelled(irregular_network(seed))):
+            for source in net.nodes:
+                expect = dijkstra_from(net, source)
+                for b in net.nodes:
+                    if expect[b] == math.inf:
+                        unreachable += 1
+                        with pytest.raises(NoPathError):
+                            net.distance_m(source, b)
+                        with pytest.raises(NoPathError):
+                            net.shortest_path(source, b)
+                    else:
+                        assert net.distance_m(source, b) == pytest.approx(
+                            expect[b], rel=1e-12)
+    assert unreachable == 10 * 16  # every other node toward node 5, per copy
 
 
 def test_triangle_inequality_holds():
