@@ -45,7 +45,6 @@ class CostParameters:
     frt_cost_per_km: Decimal = Decimal("0.73")
     driver_wage: Decimal = Decimal("15.00")          # fixed-route driver, per hour
     other_costs: Decimal = Decimal("200000")         # yearly administration overhead
-    value_of_time: Decimal = Decimal("15.00")        # CAD per hour, for generalized cost
 
     def replace(self, **overrides) -> "CostParameters":
         vals = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -40,25 +40,6 @@ class RideRequest:
 
 
 @dataclass
-class DemandSet:
-    """One day of requests at a given percentage of the base demand."""
-
-    requests: list[RideRequest]
-    level_pct: int = 100
-
-    def __post_init__(self):
-        ids = {r.id for r in self.requests}
-        if len(ids) != len(self.requests):
-            raise ValueError("duplicate request ids in demand set")
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __iter__(self):
-        return iter(self.requests)
-
-
-@dataclass
 class SupplySchedule:
     """Hourly active-vehicle counts over the 24 hours of the service day."""
 
@@ -82,43 +63,44 @@ def scaled_count(base_count: int, level_pct: int) -> int:
     return round_half_up(Fraction(base_count * level_pct, 100))
 
 
-def scale_demand(base: list[RideRequest] | DemandSet, level_pct: int, seed) -> DemandSet:
-    """Rescale a base day of requests to level_pct of its size.
+def scale_demand(base: list[RideRequest], level_pct: int, seed) -> list[RideRequest]:
+    """Rescale a base day of requests to level_pct of its size, sorted by
+    (time, id).
 
     level < 100 subsamples without replacement; level > 100 keeps the base
     and adds bootstrap copies whose times are jittered by up to +/-10 min
     (clamped to the day) and whose O-D pair is redrawn from the base
-    requests of the same hour. Deterministic for a given seed.
+    requests of the same hour, under fresh ids. Deterministic for a given
+    seed.
     """
-    reqs = list(base)
     if not 50 <= level_pct <= 500:
         raise ValueError(f"demand level {level_pct}% outside the supported 50..500 range")
-    if not reqs:
+    if not base:
         raise ValueError("base demand is empty")
-    target = scaled_count(len(reqs), level_pct)
+    target = scaled_count(len(base), level_pct)
     rng = Random(f"{seed}/demand/L{level_pct}")
 
-    if target == len(reqs):
-        return DemandSet(sorted(reqs, key=lambda r: (r.request_time, r.id)), level_pct)
-    if target < len(reqs):
-        picked = rng.sample(reqs, target)
+    if target == len(base):
+        return sorted(base, key=lambda r: (r.request_time, r.id))
+    if target < len(base):
+        picked = rng.sample(base, target)
         picked.sort(key=lambda r: (r.request_time, r.id))
-        return DemandSet(picked, level_pct)
+        return picked
 
     by_hour: dict[int, list[RideRequest]] = {}
-    for r in reqs:
+    for r in base:
         by_hour.setdefault(int(r.request_time // 3600), []).append(r)
-    next_id = max(r.id for r in reqs) + 1
-    out = list(reqs)
-    for k in range(target - len(reqs)):
-        src = rng.choice(reqs)
+    next_id = max(r.id for r in base) + 1
+    out = list(base)
+    for k in range(target - len(base)):
+        src = rng.choice(base)
         t = src.request_time + rng.uniform(-JITTER_S, JITTER_S)
         t = min(max(t, 0.0), DAY_S - 1e-3)
-        pool = by_hour.get(int(t // 3600)) or reqs
+        pool = by_hour.get(int(t // 3600)) or base
         od = rng.choice(pool)
         out.append(RideRequest(next_id + k, t, od.origin, od.destination))
     out.sort(key=lambda r: (r.request_time, r.id))
-    return DemandSet(out, level_pct)
+    return out
 
 
 def scale_supply(base: SupplySchedule, demand_change_pct: float, alpha: float) -> SupplySchedule:
@@ -179,8 +161,10 @@ def generate_synthetic_demand(net: Network, count: int, hourly_profile: list[flo
 
 
 def load_requests(path: str) -> list[RideRequest]:
-    """Read requests from CSV columns id,time_s,origin,destination."""
+    """Read requests from CSV columns id,time_s,origin,destination; ids must
+    be unique."""
     out = []
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for line_no, row in enumerate(reader, start=2):
@@ -191,6 +175,9 @@ def load_requests(path: str) -> list[RideRequest]:
                 raise CsvParseError(path, line_no, "missing field") from None
             except ValueError as exc:
                 raise CsvParseError(path, line_no, str(exc)) from None
+            if req.id in seen:
+                raise CsvParseError(path, line_no, f"duplicate request id {req.id}")
+            seen.add(req.id)
             out.append(req)
     return out
 

@@ -178,17 +178,14 @@ def summarize(trips: list[TripRecord], fleet: list[VehicleLog], demand_total: in
 class _Run:
     """Mutable state of one on-demand scenario while its event queue drains."""
 
-    def __init__(self, net: Network, demand, supply: SupplySchedule, policy,
-                 seed, spawn_nodes=None):
+    def __init__(self, net: Network, demand: list[RideRequest], supply: SupplySchedule,
+                 policy, seed, spawn_nodes=None):
         self.net = net
         self.policy = policy
-        self.requests: dict[int, RideRequest] = {}
-        reqs = list(demand)
-        for r in reqs:
-            self.requests[r.id] = r
+        self.requests = {r.id: r for r in demand}
         self.trips: list[TripRecord] = []
         self.rejections: list[RejectionSnapshot] = []
-        self.queue: list[int] = []  # unassigned request ids, FCFS order
+        self.queue: dict[int, RideRequest] = {}  # unassigned requests, FCFS order
         self.pickup_time: dict[int, float] = {}
         self.mode_tag = policy.kind
 
@@ -205,7 +202,7 @@ class _Run:
         for v in self.vehicles:
             self._push(v.shift_start_s, "shift_start", v.id)
             self._push(v.shift_end_s, "shift_end", v.id)
-        for r in reqs:
+        for r in demand:
             self._push(r.request_time, "request_arrival", r.id)
         t = 0.0
         while t < DAY_S:
@@ -231,8 +228,7 @@ class _Run:
         while self._heap:
             time, _prio, entity, _seq, kind = heappop(self._heap)
             handlers[kind](time, entity)
-        for rid in self.queue:  # still unassigned at midnight
-            r = self.requests[rid]
+        for r in self.queue.values():  # still unassigned at midnight
             self.trips.append(self._trip(r, self.mode_tag, served=False,
                                          wait_min=(DAY_S - r.request_time) / 60.0,
                                          reason=REASON_HORIZON))
@@ -318,17 +314,17 @@ class _Run:
             self._finalize(v, t)
 
     def _on_request(self, t: float, rid: int):
-        self.queue.append(rid)
+        self.queue[rid] = self.requests[rid]
         if self.policy.reactive:
             self._push(t, "batch_dispatch", 0)
 
     def _on_dispatch(self, t: float, _entity: int):
         if not self.queue:
             return
-        waiting = [self.requests[rid] for rid in self.queue]
+        waiting = list(self.queue.values())
         for req, v, schedule in self.policy.assign(self.net, self.vehicles, waiting,
                                                    self.requests, t):
-            self.queue.remove(req.id)
+            del self.queue[req.id]
             if v is None:
                 self.rejections.append(self._snapshot(req, t))
                 self.trips.append(self._trip(req, self.mode_tag, served=False,
@@ -355,7 +351,7 @@ class _Run:
         return RejectionSnapshot(req.id, t, vehicles, times, ends)
 
 
-def _run_fixed_route(net: Network, demand, policy) -> SimulationResult:
+def _run_fixed_route(net: Network, demand: list[RideRequest], policy) -> SimulationResult:
     """Timetable service: riders walk to stops and board scheduled departures.
 
     Departures follow the timetable exactly; a full vehicle pushes the
@@ -364,13 +360,12 @@ def _run_fixed_route(net: Network, demand, policy) -> SimulationResult:
     """
     spec = policy.spec
     timetable = dp.build_timetable(net, spec, policy.vehicles)
-    reqs = list(demand)
     trips: list[TripRecord] = []
     # seat occupancy per run, per leg position within the run
     loads: dict[int, list[int]] = {}
     pax_s_by_vehicle = [0.0] * policy.vehicles
     n = len(spec.stops)
-    ordered = sorted(reqs, key=lambda r: (r.request_time, r.id))
+    ordered = sorted(demand, key=lambda r: (r.request_time, r.id))
     for r in ordered:
         plan = dp.frt_board(net, r, spec, timetable)
         while not isinstance(plan, dp.Ineligible):
@@ -404,11 +399,11 @@ def _run_fixed_route(net: Network, demand, policy) -> SimulationResult:
         occ = pax_s_by_vehicle[vid] / dur if dur > 0 else 0.0
         fleet.append(VehicleLog(vid, dur / 3600.0, km, occ, w0, end,
                                 pax_s_by_vehicle[vid]))
-    return summarize(trips, fleet, len(reqs))
+    return summarize(trips, fleet, len(demand))
 
 
-def run_scenario(net: Network, demand, supply: SupplySchedule | None, policy,
-                 seed=0, spawn_nodes=None) -> SimulationResult:
+def run_scenario(net: Network, demand: list[RideRequest], supply: SupplySchedule | None,
+                 policy, seed=0, spawn_nodes=None) -> SimulationResult:
     """Simulate one day of one service design over the given demand.
 
     On-demand policies run the event engine against the hourly supply

@@ -29,7 +29,7 @@ from . import __version__
 from . import dispatch as dp
 from .config import SYSTEM_TYPES, ScenarioConfig, SystemConfig
 from .costing import CostParameters, capital_cost, net_annual_cost
-from .demand import (DemandSet, RideRequest, SupplySchedule, demand_density,
+from .demand import (RideRequest, SupplySchedule, demand_density,
                      generate_synthetic_demand, load_requests, load_supply,
                      scale_demand, scale_supply)
 from .efficiency import InsufficientDataError, sweep, switching_points
@@ -151,7 +151,7 @@ def _merge(parts: list[SimulationResult], demand_total: int) -> SimulationResult
 
 
 def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
-            demand: DemandSet, base_requests: list[RideRequest]) -> RunOutput:
+            demand: list[RideRequest], base_requests: list[RideRequest]) -> RunOutput:
     """Simulate one system at one demand level, components included."""
     seed = f"{cfg.seed}/{system.name}/L{level}"
     spec = corridor_spec(cfg)
@@ -392,8 +392,7 @@ def tables(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
     # the everyone-drives baseline per demand level
     if ana.include_baseline:
         for lvl in levels:
-            rep = private_vehicle_baseline(list(scale_demand(base, lvl, cfg.seed)),
-                                           net, factors)
+            rep = private_vehicle_baseline(scale_demand(base, lvl, cfg.seed), net, factors)
             emis_rows.append(_emission_row(f"baseline-L{lvl}", "private_baseline",
                                            lvl, 0.0, rep))
 

@@ -193,14 +193,14 @@ def test_criterion_04_constraints_hold_across_sweep(town):
     problems = []
 
     for (kind, lvl), res in sorted(town.runs.items()):
-        n = len(town.demand[lvl].requests)
+        n = len(town.demand[lvl])
         if res.demand_total != n or len(res.trips) != n:
             problems.append(f"{kind} L{lvl}: trip records != {n} requests")
         if res.served + res.rejected + res.waiting != res.demand_total:
             problems.append(f"{kind} L{lvl}: served+rejected+waiting != total")
 
     for lvl in LEVELS:
-        by_id = {r.id: r for r in town.demand[lvl].requests}
+        by_id = {r.id: r for r in town.demand[lvl]}
         for t in town.runs["shared", lvl].trips:
             if not t.served:
                 continue
@@ -318,7 +318,7 @@ def test_criterion_07_exclusive_total_km_lower_bound(town):
     problems = []
     for lvl in LEVELS:
         res = town.runs["exclusive", lvl]
-        by_id = {r.id: r for r in town.demand[lvl].requests}
+        by_id = {r.id: r for r in town.demand[lvl]}
         direct_km = sum(town.dist[by_id[t.request_id].origin]
                                  [by_id[t.request_id].destination]
                         for t in res.trips if t.served) / 1000.0

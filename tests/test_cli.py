@@ -19,7 +19,9 @@ import yaml
 from odt_lab import runner
 from odt_lab.cli import main
 from odt_lab.config import load_config, parse_config
+from odt_lab.costing import CostParameters
 from odt_lab.demand import RideRequest, save_requests
+from odt_lab.emissions import EmissionFactors
 from odt_lab.network import generate_grid, save_network
 from odt_lab.runner import RunOutput
 
@@ -156,6 +158,17 @@ def test_load_config_names_after_file(tmp_path):
     assert report.ok and report.config.name == "riverside"
 
 
+def test_readme_examples_are_valid():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", text, re.S)
+    town = next(b for b in blocks if b.startswith("name: town"))
+    report = parse_config(yaml.safe_load(town))
+    assert report.ok and not report.warnings, (report.errors, report.warnings)
+    overrides = yaml.safe_load(next(b for b in blocks if b.startswith("costs:")))
+    CostParameters().replace(**overrides["costs"])
+    EmissionFactors().replace(**overrides["emissions"])
+
+
 # -- CLI: validate --------------------------------------------------------------------
 
 
@@ -174,12 +187,14 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert "error:" in err and "problem(s) found" in err
 
 
-def test_validate_rejects_cost_surge_levels(tmp_path, capsys):
-    # surge levels are an analysis setting; under costs they were never read
-    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
-        costs={"surge_levels": [0, 20]}))
+@pytest.mark.parametrize("key, value", [("surge_levels", [0, 20]), ("value_of_time", 99)],
+                         ids=["surge_levels", "value_of_time"])
+def test_validate_rejects_cost_surge_levels(tmp_path, capsys, key, value):
+    # surge levels and the value of time are analysis settings; under costs
+    # they were never read
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(costs={key: value}))
     assert main(["validate", str(cfg)]) == 2
-    assert "surge_levels" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_validate_rejects_unknown_node_ids(tmp_path, capsys):
@@ -198,6 +213,18 @@ def test_validate_rejects_unknown_node_ids(tmp_path, capsys):
     assert "error: corridor: stop 999 is not a network node" in err
     assert "error: demand: request 1 origin 77 is not a network node" in err
     assert "2 problem(s) found" in err
+
+
+def test_validate_rejects_duplicate_request_ids(tmp_path, capsys):
+    requests = tmp_path / "requests.csv"
+    save_requests([RideRequest(0, 28800.0, 0, 24), RideRequest(1, 29400.0, 1, 3),
+                   RideRequest(1, 30000.0, 2, 4)], str(requests))
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        demand={"file": str(requests), "levels": [100]}))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {requests}:4: duplicate request id 1" in err
+    assert "1 problem(s) found" in err
 
 
 def test_validate_reports_a_bad_network_file(tmp_path, capsys):
@@ -451,6 +478,7 @@ def test_report_round_trip(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key, message", [
     ("costs", "surge_levels", "unknown cost parameter 'surge_levels'"),
+    ("costs", "value_of_time", "unknown cost parameter 'value_of_time'"),
     ("emissions", "coal_g_per_km", "unknown emission factor 'coal_g_per_km'"),
 ])
 def test_report_show_params_rejects_unknown_parameter(tmp_path, capsys, section, key,

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 from scipy import stats
 
-from odt_lab.demand import (DAY_S, JITTER_S, DemandSet, RideRequest, SupplySchedule,
+from odt_lab.demand import (DAY_S, JITTER_S, RideRequest, SupplySchedule,
                             demand_density, generate_synthetic_demand, load_requests,
                             load_supply, round_half_up, save_requests, scale_demand,
                             scale_supply, scaled_count)
-from odt_lab.network import generate_grid
+from odt_lab.network import CsvParseError, generate_grid
 
 LEVELS = list(range(50, 501, 50))
 
@@ -51,7 +51,6 @@ def test_scale_demand_sizes_and_determinism(base_177):
         a = scale_demand(base_177, level, seed=42)
         b = scale_demand(base_177, level, seed=42)
         assert len(a) == EXPECTED_COUNTS[level]
-        assert a.level_pct == level
         assert [(r.id, r.request_time, r.origin, r.destination) for r in a] == \
                [(r.id, r.request_time, r.origin, r.destination) for r in b]
         times = [r.request_time for r in a]
@@ -184,7 +183,7 @@ def test_synthetic_demand_od_pairs_roughly_uniform(grid):
     assert p > 0.001, f"O-D draw not uniform, chi2={chi2:.1f}"
 
 
-def test_request_validation():
+def test_request_validation(tmp_path):
     with pytest.raises(ValueError):
         RideRequest(0, -1.0, 0, 1)
     with pytest.raises(ValueError):
@@ -193,8 +192,10 @@ def test_request_validation():
         RideRequest(0, 10.0, 4, 4)
     with pytest.raises(ValueError):
         RideRequest(0, 10.0, 0, 1, party_size=2)
-    with pytest.raises(ValueError):
-        DemandSet([RideRequest(1, 5.0, 0, 1), RideRequest(1, 9.0, 1, 2)])
+    path = tmp_path / "req.csv"
+    path.write_text("id,time_s,origin,destination\n1,5.0,0,1\n1,9.0,1,2\n")
+    with pytest.raises(CsvParseError):
+        load_requests(str(path))
 
 
 def test_requests_round_trip(tmp_path, base_177):

@@ -146,6 +146,37 @@ def test_shift_end_finishes_accepted_work(net5):
     assert res.waiting == 1 and res.rejected == 0
 
 
+def test_queue_keeps_arrival_order(net5):
+    # B, C and D queue while the one vehicle carries A (0 -> 4, dropped at
+    # 3200). The exclusive fleet serves them first come, first served, though
+    # C and D start one hop from node 4 and B four: B boards at 3400 (drop
+    # at 20 at 3600), C at 3950 (drop at 14 at 4000), D at 4150.
+    a, b, c, d = (RideRequest(0, 3000.0, 0, 4), RideRequest(1, 3010.0, 24, 20),
+                  RideRequest(2, 3020.0, 9, 14), RideRequest(3, 3030.0, 3, 2))
+    # E keeps the vehicle busy past its 7200 shift end; F and G wait out the day
+    e, f, g = (RideRequest(4, 7150.0, 24, 0), RideRequest(5, 7160.0, 1, 2),
+               RideRequest(6, 7170.0, 3, 4))
+    res = run_scenario(net5, [a, b, c, d, e, f, g], supply([1, 1] + [0] * 22),
+                       GreedyExclusive(), seed=0, spawn_nodes=[0])
+    assert [t.wait_min for t in res.trips[:4]] == [0.0, 390.0 / 60.0, 930.0 / 60.0,
+                                                   1120.0 / 60.0]
+    assert res.trips[4].served
+    assert [(t.served, t.reject_reason, t.wait_min) for t in res.trips[5:]] == [
+        (False, REASON_HORIZON, (86400.0 - 7160.0) / 60.0),
+        (False, REASON_HORIZON, (86400.0 - 7170.0) / 60.0)]
+
+    # Pooling takes C from the middle of the queue [B, C, D] when A boards at
+    # node 0 (1100): C's ride lies on A's way. B and D keep their order: when
+    # A leaves at node 4 (1300), B takes the vehicle from four hops away,
+    # boards at 1500, and D, two hops away, boards only after B's dropoff.
+    a, b, c, d = (RideRequest(0, 1000.0, 0, 4), RideRequest(1, 1010.0, 24, 20),
+                  RideRequest(2, 1020.0, 2, 3), RideRequest(3, 1030.0, 14, 19))
+    res = run_scenario(net5, [a, b, c, d], all_day(1), SharedGreedy(),
+                       seed=0, spawn_nodes=[10])
+    assert [t.wait_min for t in res.trips] == [100.0 / 60.0, 490.0 / 60.0,
+                                               180.0 / 60.0, 970.0 / 60.0]
+
+
 # -- invariants over seeded runs ------------------------------------------------------
 
 
