@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import __version__
-from .config import ScenarioConfig, load_config
-from .network import CsvParseError, NetworkValidationError
+from .config import SYSTEM_TYPES, ScenarioConfig, load_config
+from .network import CsvParseError, Network, NetworkValidationError, NoPathError
 from .runner import build_base_demand, build_network, execute, render_report
 
 EXIT_OK = 0
@@ -73,21 +73,39 @@ def _problems(errors: list[str]) -> int:
     return EXIT_CONFIG
 
 
-def _unknown_nodes(cfg: ScenarioConfig) -> list[str]:
-    """Build the network and base day once; name every corridor stop and
-    request end that is not a node, or the input file that failed to load."""
+def _input_problems(cfg: ScenarioConfig) -> list[str]:
+    """Build the network and base day once; name the input file that failed
+    to load, or every corridor stop and request end that is not a node, or
+    else every corridor leg and on-demand trip that cannot be routed."""
     try:
         net = build_network(cfg)
         base = build_base_demand(cfg, net)
     except (CsvParseError, NetworkValidationError) as exc:
         return [str(exc)]
-    errors = [f"corridor: stop {s} is not a network node"
-              for s in (cfg.corridor.stops if cfg.corridor else []) if s not in net.nodes]
+    stops = cfg.corridor.stops if cfg.corridor else []
+    errors = [f"corridor: stop {s} is not a network node" for s in stops if s not in net.nodes]
     for r in base:
         errors += [f"demand: request {r.id} {end} {node} is not a network node"
                    for end, node in (("origin", r.origin), ("destination", r.destination))
                    if node not in net.nodes]
+    if errors or net.unreachable_pairs == 0:  # routes need known nodes and a split network
+        return errors
+    legs = [*zip(stops, stops[1:]), *zip(stops[1:], stops)]  # out, then back
+    errors = [f"corridor: no route from stop {a} to stop {b}"
+              for a, b in legs if not _routable(net, a, b)]
+    designs = [SYSTEM_TYPES[s.type] for s in cfg.systems]
+    if any(d.area or d.corridor == "dedicated" for d in designs):  # an on-demand fleet
+        errors += [f"demand: no route for request {r.id} from {r.origin} to {r.destination}"
+                   for r in base if not _routable(net, r.origin, r.destination)]
     return errors
+
+
+def _routable(net: Network, origin: int, dest: int) -> bool:
+    try:
+        net.distance_m(origin, dest)
+    except NoPathError:
+        return False
+    return True
 
 
 def _resolve_seed(cfg: ScenarioConfig, flag_seed: int | None) -> None:
@@ -109,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "validate":
         cfg, code = _load(args.config)
-        if code == EXIT_OK and (errors := _unknown_nodes(cfg)):
+        if code == EXIT_OK and (errors := _input_problems(cfg)):
             code = _problems(errors)
         if code == EXIT_OK:
             print(f"{args.config}: ok ({len(cfg.systems)} system(s), "

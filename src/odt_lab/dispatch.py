@@ -11,7 +11,9 @@ request. All distance reasoning walks the same canonical network paths
 the vehicles later drive, each leg taken as one cached path
 (`Network.shortest_path`) but added up edge by edge in the engine's order,
 and reads ridden metres off one plan odometer as the engine does, so a
-feasibility prediction and the realized trip agree to the last bit.
+feasibility prediction and the realized trip agree to the last bit. The
+walk checks seats and waits at each pickup and the detour cap at each
+dropoff, and a candidate's walk stops at its first broken promise.
 """
 
 from __future__ import annotations
@@ -197,11 +199,11 @@ class PlanTrace:
     final_m: dict[int, float]      # request -> on-board metres at its dropoff
     pickup_times: dict[int, float]
     plan_m: float                  # metres driven from the anchor through all stops
-    max_load: int
 
 
 def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
-               picked_at_m: dict[int, float], odometer_m: float = 0.0) -> PlanTrace:
+               picked_at_m: dict[int, float], odometer_m: float = 0.0,
+               promises: tuple | None = None) -> PlanTrace | None:
     """Walk a stop sequence and predict times and distances.
 
     Each leg is the cached canonical path `net.shortest_path` returns, but
@@ -212,7 +214,15 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
     will realize if the plan is not disturbed. picked_at_m holds the pickup
     odometer of each rider aboard, and odometer_m the reading on reaching
     the anchor: the vehicle's odometer plus any edge still in flight.
+
+    promises, when given, is (requests, seats, max_wait_s, max_detour), and
+    the walk returns None at the first stop that breaks one: a pickup that
+    overfills the seats or comes more than max_wait_s after its request, or
+    a dropoff whose ride exceeds max_detour times the direct distance.
+    Riders aboard never exceed the seats, so checking at pickups suffices.
     """
+    if promises is not None:
+        requests, seats, max_wait_s, max_detour = promises
     t = start_time
     odo = odometer_m
     pos = anchor
@@ -220,8 +230,6 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
     final_m: dict[int, float] = {}
     pickup_times: dict[int, float] = {}
     arrivals: list[float] = []
-    load = len(picked)
-    max_load = load
     for stop in stops:
         if pos != stop.node:
             for e in net.shortest_path(pos, stop.node).edges:
@@ -229,15 +237,25 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
                 odo += e.length_m
             pos = stop.node
         arrivals.append(t)
+        rid = stop.request_id
         if stop.action == PICKUP:
-            picked[stop.request_id] = odo
-            pickup_times[stop.request_id] = t
-            load += 1
-            max_load = max(max_load, load)
+            picked[rid] = odo
+            pickup_times[rid] = t
+            if promises is not None and (len(picked) > seats
+                                         or t - requests[rid].request_time > max_wait_s):
+                return None
         else:
-            final_m[stop.request_id] = odo - picked.pop(stop.request_id)
-            load -= 1
-    return PlanTrace(arrivals, final_m, pickup_times, odo - odometer_m, max_load)
+            ridden = final_m[rid] = odo - picked.pop(rid)
+            if promises is not None:
+                # A ride is summed forward along its path, the direct
+                # distance backward by reverse Dijkstra; the network's "same
+                # length" slack absorbs the difference in rounding, so a
+                # direct ride meets a cap of 1.0.
+                r = requests[rid]
+                cap = max_detour * net.distance_m(r.origin, r.destination)
+                if ridden - cap > _EPS * max(1.0, cap):
+                    return None
+    return PlanTrace(arrivals, final_m, pickup_times, odo - odometer_m)
 
 
 # -- greedy exclusive ----------------------------------------------------------
@@ -357,14 +375,13 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
 
     candidates yields (vehicle, [(i, j), ...]): the new pickup goes to
     index i and its dropoff to index j of the vehicle's new schedule. A
-    slot is feasible when seats never run out, no rider's pickup comes
-    later than max_wait_s after its request, and every rider's on-board
-    distance stays within max_detour times its direct distance; requests
-    must hold every rider, the new one included. The slot adding the least
-    driving wins; ties prefer the lower vehicle id, then the earlier
-    pickup, then the earlier dropoff. Returns (key, trace, vehicle,
-    schedule) of the winner, key being (added_m, vehicle id, i, j), or
-    None when no slot is feasible.
+    slot is feasible when its `trace_plan` walk keeps the vehicle's seats,
+    max_wait_s and max_detour at every stop; requests must hold every
+    rider, the new one included. The slot adding the least driving wins;
+    ties prefer the lower vehicle id, then the earlier pickup, then the
+    earlier dropoff. Returns (key, trace, vehicle, schedule) of the
+    winner, key being (added_m, vehicle id, i, j), or None when no slot is
+    feasible.
     """
     pickup = Stop(request.origin, PICKUP, request.id)
     drop = Stop(request.destination, DROPOFF, request.id)
@@ -375,41 +392,18 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
         # an empty plan drives nothing, so its trace is skipped
         base_m = (trace_plan(net, anchor, start, v.schedule, v.picked_at_m, odometer_m).plan_m
                   if v.schedule else 0.0)
+        promises = (requests, v.capacity, max_wait_s, max_detour)
         for i, j in slots:
             cand = list(v.schedule)
             cand.insert(i, pickup)
             cand.insert(j, drop)
-            tr = trace_plan(net, anchor, start, cand, v.picked_at_m, odometer_m)
-            if tr.max_load > v.capacity:
-                continue
-            if not _waits_ok(tr, requests, max_wait_s):
-                continue
-            if not _detours_ok(net, tr, requests, max_detour):
+            tr = trace_plan(net, anchor, start, cand, v.picked_at_m, odometer_m, promises)
+            if tr is None:
                 continue
             key = (tr.plan_m - base_m, v.id, i, j)
             if best is None or key < best[0]:
                 best = (key, tr, v, cand)
     return best
-
-
-def _waits_ok(tr: PlanTrace, requests: dict[int, RideRequest], max_wait_s: float) -> bool:
-    for rid, t_pick in tr.pickup_times.items():
-        if t_pick - requests[rid].request_time > max_wait_s:
-            return False
-    return True
-
-
-def _detours_ok(net: Network, tr: PlanTrace, requests: dict[int, RideRequest],
-                max_detour: float) -> bool:
-    # A ride is summed forward along its path, the direct distance backward
-    # by reverse Dijkstra; the network's "same length" slack absorbs the
-    # difference in rounding, so a direct ride meets a cap of 1.0.
-    for rid, ridden in tr.final_m.items():
-        r = requests[rid]
-        cap = max_detour * net.distance_m(r.origin, r.destination)
-        if ridden - cap > _EPS * max(1.0, cap):
-            return False
-    return True
 
 
 # -- fixed route ---------------------------------------------------------------

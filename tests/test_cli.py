@@ -239,6 +239,50 @@ def test_validate_reports_a_bad_network_file(tmp_path, capsys):
     assert "bad value 'fast' for field 'length_m'" in err and "1 problem(s) found" in err
 
 
+def one_way_exit(tmp_path: Path, requests: list[RideRequest]) -> dict:
+    """Network and demand sections for a 5x5 grid plus node 25, east of
+    node 4, whose only edge is 25 -> 4: nothing can drive to node 25."""
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    grid = generate_grid(5, 5, 500.0, 10.0)
+    save_network(grid, str(nodes), str(edges))
+    with open(nodes, "a") as fh:
+        fh.write("25,2500,0,\n")
+    with open(edges, "a") as fh:
+        fh.write(f"{len(grid.edges)},25,4,500,10\n")
+    save_requests(requests, str(tmp_path / "requests.csv"))
+    return {"network": {"files": {"nodes": str(nodes), "edges": str(edges)}},
+            "demand": {"file": str(tmp_path / "requests.csv"), "levels": [100]}}
+
+
+def test_validate_rejects_an_unroutable_corridor_leg(tmp_path, capsys):
+    sections = one_way_exit(tmp_path, [RideRequest(0, 28800.0, 0, 24)])
+
+    def corridor_to_25(raw):
+        raw.update(sections, systems=[{"type": "frt"}], corridor={"stops": [0, 2, 25]})
+
+    cfg = write_scenario(tmp_path, mutate=corridor_to_25)
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: corridor: no route from stop 2 to stop 25" in err
+    assert "1 problem(s) found" in err
+
+
+@pytest.mark.parametrize("system, problems", [
+    ("crowdsourced_exclusive", 1), ("crowdsourced_shared", 1), ("dedicated_darp", 1),
+    ("frt", 0),  # the car baseline leaves out a trip it cannot route
+])
+def test_validate_checks_request_routes_for_on_demand_fleets(tmp_path, capsys, system,
+                                                             problems):
+    sections = one_way_exit(tmp_path, [RideRequest(0, 28800.0, 3, 25),
+                                       RideRequest(1, 29400.0, 25, 3)])
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        sections, systems=[{"type": system}], corridor={"stops": [0, 2, 4]}))
+    assert main(["validate", str(cfg)]) == (2 if problems else 0)
+    err = capsys.readouterr().err
+    assert err.count("error:") == problems
+    assert err.count("error: demand: no route for request 0 from 3 to 25") == problems
+
+
 # -- CLI: run and outputs ---------------------------------------------------------------
 
 

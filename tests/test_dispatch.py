@@ -80,7 +80,6 @@ def test_trace_plan_hand_case(net5):
     assert tr.plan_m == 1500.0
     assert tr.pickup_times == {7: 1050.0}
     assert tr.final_m == {7: 1000.0}
-    assert tr.max_load == 1
 
 
 def test_trace_plan_counts_inflight_for_aboard_riders(net5):
@@ -91,7 +90,6 @@ def test_trace_plan_counts_inflight_for_aboard_riders(net5):
     assert tr.final_m == {9: 2000.0}
     assert tr.plan_m == 1000.0
     assert tr.arrivals == [600.0]
-    assert tr.max_load == 1
 
 
 def test_trace_plan_matches_leg_walker(net5, dist5):
@@ -102,13 +100,12 @@ def test_trace_plan_matches_leg_walker(net5, dist5):
         for vid, anchor, ready, inflight_m, _cap, stops, aboard in vehicles:
             tr = trace_plan(net5, anchor, ready, [Stop(*s) for s in stops],
                             picked_at(aboard), ODOMETER_M + inflight_m)
-            plan_m, pickups, finals, max_load, arrivals = plan_walk(
+            plan_m, pickups, finals, _max_load, arrivals = plan_walk(
                 dist5, SPEED, anchor, ready, stops, aboard, inflight_m)
             assert tr.plan_m == plan_m
             assert tr.arrivals == arrivals
             assert tr.pickup_times == pickups
             assert tr.final_m == finals
-            assert tr.max_load == max_load
 
 
 def test_trace_plan_reuses_cached_paths(monkeypatch):

@@ -16,10 +16,10 @@ import pytest
 
 from odt_lab import dispatch
 from odt_lab.demand import RideRequest, SupplySchedule
-from odt_lab.dispatch import (DROPOFF, DarpInsertion, SharedGreedy, Vehicle,
-                              darp_insert, shared_greedy_match)
+from odt_lab.dispatch import (DROPOFF, PICKUP, DarpInsertion, SharedGreedy, Stop,
+                              Vehicle, darp_insert, shared_greedy_match, trace_plan)
 from odt_lab.engine import run_scenario
-from odt_lab.network import Edge, Network, Node
+from odt_lab.network import _EPS, Edge, Network, Node
 
 
 def irregular_network(seed: int, n: int = 30) -> Network:
@@ -108,3 +108,67 @@ def test_direct_ride_meets_a_detour_cap_of_one():
             if not darp.accepted or not pooled:
                 refused.append((seed, req.origin, req.destination))
     assert refused == []
+
+
+def reference_insertion(net, candidates, request, requests, now, max_detour, max_wait_s):
+    """The cheapest feasible slot found by tracing every slot in full and
+    only then checking seats, waits and the detour slack: (key, schedule),
+    or None."""
+    best = None
+    for v, slots in candidates:
+        anchor, start = v.anchor(), v.anchor_time(now)
+        odometer_m = v.odometer_m + v.inflight_m()
+        base_m = trace_plan(net, anchor, start, v.schedule, v.picked_at_m, odometer_m).plan_m
+        for i, j in slots:
+            cand = list(v.schedule)
+            cand.insert(i, Stop(request.origin, PICKUP, request.id))
+            cand.insert(j, Stop(request.destination, DROPOFF, request.id))
+            tr = trace_plan(net, anchor, start, cand, v.picked_at_m, odometer_m)
+            load = peak = len(v.picked_at_m)
+            for stop in cand:
+                load += 1 if stop.action == PICKUP else -1
+                peak = max(peak, load)
+            if peak > v.capacity:
+                continue
+            if any(t - requests[rid].request_time > max_wait_s
+                   for rid, t in tr.pickup_times.items()):
+                continue
+            caps = {rid: max_detour * net.distance_m(requests[rid].origin,
+                                                     requests[rid].destination)
+                    for rid in tr.final_m}
+            if any(m - caps[rid] > _EPS * max(1.0, caps[rid]) for rid, m in tr.final_m.items()):
+                continue
+            key = (tr.plan_m - base_m, v.id, i, j)
+            if best is None or key < best[0]:
+                best = (key, cand)
+    return best
+
+
+@pytest.mark.parametrize("policy, searches, found", [
+    (DarpInsertion(), 80, 55),
+    (DarpInsertion(max_detour=1.2, max_wait_s=600.0), 80, 25),
+    (SharedGreedy(), 2500, 70),
+    (SharedGreedy(max_detour=1.0), 8000, 70),
+], ids=["darp", "darp-tight", "shared", "shared-direct"])
+def test_winner_matches_full_trace_reference(monkeypatch, policy, searches, found):
+    """Every insertion search picks the same winner, key and schedule, as a
+    reference that traces each slot to its end before checking any promise."""
+    search = dispatch._cheapest_insertion
+    seen = []
+
+    def spy(net, candidates, request, requests, now, max_detour, max_wait_s):
+        candidates = [(v, list(slots)) for v, slots in candidates]  # darp passes a generator
+        best = search(net, candidates, request, requests, now, max_detour, max_wait_s)
+        winner = None if best is None else (best[0], best[3])  # (key, schedule)
+        assert winner == reference_insertion(net, candidates, request, requests, now,
+                                             max_detour, max_wait_s)
+        seen.append(best is not None)
+        return best
+
+    monkeypatch.setattr(dispatch, "_cheapest_insertion", spy)
+    for seed in range(2):
+        net = irregular_network(seed)
+        reqs = _requests(Random(f"predict/{seed}"), net, 40)
+        run_scenario(net, reqs, SupplySchedule([0] * 8 + [3] * 4 + [0] * 12), policy,
+                     seed=seed)
+    assert len(seen) >= searches and sum(seen) >= found
