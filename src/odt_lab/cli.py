@@ -13,9 +13,10 @@ import os
 import sys
 
 from . import __version__
+from . import dispatch as dp
 from .config import SYSTEM_TYPES, ScenarioConfig, load_config
 from .network import CsvParseError, Network, NetworkValidationError, NoPathError
-from .runner import build_base_demand, build_network, execute, render_report
+from .runner import build_base_demand, build_network, corridor_spec, execute, render_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,9 +95,14 @@ def _input_problems(cfg: ScenarioConfig) -> list[str]:
     errors = [f"corridor: no route from stop {a} to stop {b}"
               for a, b in legs if not _routable(net, a, b)]
     designs = [SYSTEM_TYPES[s.type] for s in cfg.systems]
-    if any(d.area or d.corridor == "dedicated" for d in designs):  # an on-demand fleet
-        errors += [f"demand: no route for request {r.id} from {r.origin} to {r.destination}"
-                   for r in base if not _routable(net, r.origin, r.destination)]
+    spec = corridor_spec(cfg)
+
+    def door_to_door(r) -> bool:  # some system drives this request from door to door
+        return any(d.area and (not d.split or dp.hybrid_route(net, r, spec, d.split) != dp.FRT)
+                   for d in designs)
+
+    errors += [f"demand: no route for request {r.id} from {r.origin} to {r.destination}"
+               for r in base if door_to_door(r) and not _routable(net, r.origin, r.destination)]
     return errors
 
 

@@ -7,9 +7,9 @@ Pooled crowdsourced matching offers it the idle vehicles and single-rider
 hosts, with pickup-first slots and no wait bound, and leaves a request no
 vehicle can take queued. The dedicated door-to-door fleet offers every
 slot of every in-service vehicle, bounds waits, and rejects such a
-request. All distance reasoning walks the same canonical network paths
-the vehicles later drive, each leg taken as one cached path
-(`Network.shortest_path`) but added up edge by edge in the engine's order,
+request. All distance reasoning walks the same legs the vehicles later
+drive, each the cached canonical path `Network.shortest_path` gives, with
+clock and odometer summed edge by edge as the engine sums a vehicle's leg,
 and reads ridden metres off one plan odometer as the engine does, so a
 feasibility prediction and the realized trip agree to the last bit. The
 walk checks seats and waits at each pickup and the detour cap at each
@@ -64,12 +64,12 @@ class Stop:
 class Vehicle:
     """One vehicle and its full runtime state inside a scenario run.
 
-    While driving, `position` still names the tail of the edge in flight;
-    `inflight` carries the edge and `next_node_time` the arrival at its
-    head. Dispatch decisions anchor on that head node: whatever is decided,
-    the vehicle first finishes the edge it is on. The odometer grows by one
-    edge length per hop; a rider's ridden metres are the odometer at
-    dropoff minus the reading kept in `picked_at_m` at pickup.
+    A vehicle drives exactly when its schedule is non-empty, along its leg:
+    the canonical path to its next stop, kept as the clock and odometer on
+    reaching each edge's head, summed edge by edge. Dispatch decisions
+    anchor on the head of the edge in flight, which the vehicle finishes
+    whatever is decided. A rider's ridden metres are the odometer at dropoff
+    minus the reading kept in `picked_at_m` at pickup.
     """
 
     id: int
@@ -80,25 +80,25 @@ class Vehicle:
     schedule: list[Stop] = field(default_factory=list)
     odometer_m: float = 0.0  # metres driven so far
     picked_at_m: dict[int, float] = field(default_factory=dict)  # rider aboard -> pickup odometer
-    inflight: object = None  # Edge while driving
-    next_node_time: float = 0.0
+    leg: list = field(default_factory=list)  # (clock_s, odometer_m, Edge) per edge ahead
     in_service: bool = False
     retiring: bool = False
     service_end_s: float | None = None
     passenger_seconds: float = 0.0
 
-    def anchor(self) -> int:
-        return self.inflight.to if self.inflight is not None else self.position
-
-    def anchor_time(self, now: float) -> float:
-        return self.next_node_time if self.inflight is not None else now
-
-    def inflight_m(self) -> float:
-        return self.inflight.length_m if self.inflight is not None else 0.0
+    def anchor(self, now: float) -> tuple[int, float, float]:
+        """(node, clock, odometer) at the head of the edge in flight at now,
+        or where the vehicle stands; nodes reached by now are passed."""
+        while self.leg and self.leg[0][0] <= now:
+            _t, self.odometer_m, e = self.leg.pop(0)
+            self.position = e.to
+        if not self.leg:
+            return self.position, now, self.odometer_m
+        t, odo, e = self.leg[0]
+        return e.to, t, odo
 
     def is_idle(self) -> bool:
-        return (self.in_service and not self.retiring
-                and not self.schedule and self.inflight is None)
+        return self.in_service and not self.retiring and not self.schedule
 
     def assigned_requests(self) -> set[int]:
         return set(self.picked_at_m) | {s.request_id for s in self.schedule}
@@ -206,14 +206,14 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
                promises: tuple | None = None) -> PlanTrace | None:
     """Walk a stop sequence and predict times and distances.
 
-    Each leg is the cached canonical path `net.shortest_path` returns, but
-    its edges are added one at a time, left to right, exactly as the engine
-    bumps the clock and the odometer per hop; a rider's ridden metres are
-    the odometer at dropoff minus the odometer at pickup. Predicted times
-    and on-board distances are therefore bit-identical to what the vehicle
-    will realize if the plan is not disturbed. picked_at_m holds the pickup
-    odometer of each rider aboard, and odometer_m the reading on reaching
-    the anchor: the vehicle's odometer plus any edge still in flight.
+    Each leg is the cached canonical path `net.shortest_path` returns, its
+    edges added one at a time, left to right, exactly as the engine sums
+    the clock and the odometer of a vehicle's leg; a rider's ridden metres
+    are the odometer at dropoff minus the odometer at pickup. Predicted
+    times and on-board distances are therefore bit-identical to what the
+    vehicle will realize if the plan is not disturbed. picked_at_m holds
+    the pickup odometer of each rider aboard, and odometer_m the reading
+    on reaching the anchor, as `Vehicle.anchor` gives it.
 
     promises, when given, is (requests, seats, max_wait_s, max_detour), and
     the walk returns None at the first stop that breaks one: a pickup that
@@ -387,8 +387,7 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
     drop = Stop(request.destination, DROPOFF, request.id)
     best = None
     for v, slots in candidates:
-        anchor, start = v.anchor(), v.anchor_time(now)
-        odometer_m = v.odometer_m + v.inflight_m()  # the engine's sum on reaching the anchor
+        anchor, start, odometer_m = v.anchor(now)
         # an empty plan drives nothing, so its trace is skipped
         base_m = (trace_plan(net, anchor, start, v.schedule, v.picked_at_m, odometer_m).plan_m
                   if v.schedule else 0.0)

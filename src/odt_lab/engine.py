@@ -1,9 +1,10 @@
 """Continuous-time scenario engine: events, trip records, and run summaries.
 
 One run simulates a single day. Vehicles enter and leave per the hourly
-supply schedule, drive canonical shortest paths edge by edge, and execute
-stop schedules maintained by the configured dispatch policy. Time advances
-through a priority event queue; nothing ticks except the 30-second dispatch
+supply schedule, drive each leg to their next stop as one cached canonical
+path with one arrival event at its end, and execute stop schedules
+maintained by the configured dispatch policy. Time advances through a
+priority event queue; nothing ticks except the 30-second dispatch
 batching. Identical inputs and seed replay the identical event sequence.
 """
 
@@ -219,7 +220,7 @@ class _Run:
 
     def run(self) -> SimulationResult:
         handlers = {
-            "vehicle_arrives": self._on_hop,
+            "vehicle_arrives": self._on_arrive,
             "shift_start": self._on_shift_start,
             "shift_end": self._on_shift_end,
             "request_arrival": self._on_request,
@@ -250,27 +251,31 @@ class _Run:
 
     # -- handlers --
 
-    def _on_hop(self, t: float, vid: int):
+    def _on_arrive(self, t: float, vid: int):
         v = self.vehicles[vid]
-        e = v.inflight
-        if e is None:  # defensive; hop events are never stale by construction
-            return
-        v.inflight = None
-        v.odometer_m += e.length_m
-        v.position = e.to
-        self._advance(v, t)
+        if v.leg and v.leg[-1][0] == t:  # else stale: the leg was re-routed
+            v.anchor(t)  # passes the whole leg
+            self._advance(v, t)
+
+    def _drive(self, v: dp.Vehicle, t: float):
+        """Finish the edge in flight, then take the canonical path to the next stop."""
+        head, clock, odo = v.anchor(t)
+        del v.leg[1:]
+        for e in self.net.shortest_path(head, v.schedule[0].node).edges:
+            clock += e.travel_time_s
+            odo += e.length_m
+            v.leg.append((clock, odo, e))
+        self._push(clock, "vehicle_arrives", v.id)
 
     def _advance(self, v: dp.Vehicle, t: float):
+        """Serve the stops where a standing vehicle is, then drive or re-route."""
         progressed = False
-        while v.schedule and v.schedule[0].node == v.position:
+        while not v.leg and v.schedule and v.schedule[0].node == v.position:
             stop = v.schedule.pop(0)
             self._execute_stop(v, stop, t)
             progressed = True
         if v.schedule:
-            e = self.net.next_edge(v.position, v.schedule[0].node)
-            v.inflight = e
-            v.next_node_time = t + e.travel_time_s
-            self._push(v.next_node_time, "vehicle_arrives", v.id)
+            self._drive(v, t)
             if progressed and self.policy.reactive and self.policy.shared:
                 self._push(t, "batch_dispatch", 0)  # new single-occupancy host, maybe
         elif v.retiring:
@@ -310,7 +315,7 @@ class _Run:
     def _on_shift_end(self, t: float, vid: int):
         v = self.vehicles[vid]
         v.retiring = True
-        if v.in_service and not v.schedule and v.inflight is None:
+        if v.in_service and not v.schedule:
             self._finalize(v, t)
 
     def _on_request(self, t: float, rid: int):
@@ -331,8 +336,7 @@ class _Run:
                                              reason=REASON_NO_SLOT))
                 continue
             v.schedule = schedule
-            if v.inflight is None:
-                self._advance(v, t)
+            self._advance(v, t)
 
     def _snapshot(self, req: RideRequest, t: float) -> RejectionSnapshot:
         involved = {req.id}
@@ -341,8 +345,9 @@ class _Run:
             if not v.in_service or v.retiring:
                 continue
             involved |= v.assigned_requests()
+            anchor, ready, _odometer_m = v.anchor(t)
             vehicles.append(VehicleSnapshot(
-                v.id, v.anchor(), v.anchor_time(t), v.inflight_m(), v.capacity,
+                v.id, anchor, ready, v.leg[0][2].length_m if v.leg else 0.0, v.capacity,
                 tuple(v.schedule),
                 {rid: v.odometer_m - m for rid, m in v.picked_at_m.items()}))
         times = {rid: self.requests[rid].request_time for rid in involved}

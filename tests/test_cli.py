@@ -270,6 +270,7 @@ def test_validate_rejects_an_unroutable_corridor_leg(tmp_path, capsys):
 @pytest.mark.parametrize("system, problems", [
     ("crowdsourced_exclusive", 1), ("crowdsourced_shared", 1), ("dedicated_darp", 1),
     ("frt", 0),  # the car baseline leaves out a trip it cannot route
+    ("hybrid_frt", 0),  # the split sends request 0 to the fixed route
 ])
 def test_validate_checks_request_routes_for_on_demand_fleets(tmp_path, capsys, system,
                                                              problems):

@@ -51,11 +51,10 @@ def make_vehicle(vid, anchor, ready, inflight_m, capacity, stops, aboard,
                 odometer_m=ODOMETER_M, picked_at_m=picked_at(aboard),
                 in_service=True)
     if ready > now or inflight_m > 0:
-        # synthetic in-flight edge ending where it starts: anchor(),
-        # anchor_time() and inflight_m() reproduce the given state
-        v.inflight = Edge(-1, anchor, anchor, inflight_m, SPEED,
-                          inflight_m / SPEED)
-        v.next_node_time = ready
+        # a one-edge leg on a synthetic edge ending where it starts:
+        # anchor(now) reproduces the given state
+        v.leg = [(ready, ODOMETER_M + inflight_m,
+                  Edge(-1, anchor, anchor, inflight_m, SPEED, inflight_m / SPEED))]
     return v
 
 

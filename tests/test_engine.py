@@ -1,7 +1,7 @@
 """Event engine tests: exact timings, conservation, shifts, and the timetable run.
 
 Engineered single-vehicle cases pin down waits and distances to the exact
-hop arithmetic (500 m edges at 10 m/s: 50 s per hop); broader seeded runs
+edge arithmetic (500 m edges at 10 m/s: 50 s per edge); broader seeded runs
 check the bookkeeping invariants that must hold whatever the dispatch
 policy does.
 """
@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from odt_lab import engine
 from odt_lab.demand import (RideRequest, SupplySchedule, generate_synthetic_demand)
 from odt_lab.dispatch import (DarpInsertion, FixedRoute, GreedyExclusive,
                               RouteSpec, SharedGreedy)
 from odt_lab.engine import (REASON_HORIZON, REASON_NO_SLOT, SimulationResult,
                             VehicleLog, plan_shifts, run_scenario, summarize)
-from odt_lab.network import generate_grid
+from odt_lab.network import Network, generate_grid
 
 FLAT = [1.0] * 24
 
@@ -66,6 +67,61 @@ def test_exclusive_trip_times_exact(net5):
     assert res.fleet[0].passenger_seconds == 200.0
     assert res.avg_occupancy == 200.0 / 86400.0
     assert res.served_fraction == 1.0
+
+
+def arrival_events(monkeypatch) -> list[float]:
+    """The times of the vehicle_arrives events the engine queues from now on."""
+    times = []
+    push = engine._Run._push
+
+    def counted(self, time, kind, entity):
+        if kind == "vehicle_arrives":
+            times.append(time)
+        push(self, time, kind, entity)
+
+    monkeypatch.setattr(engine._Run, "_push", counted)
+    return times
+
+
+def test_each_leg_is_one_cached_path_and_one_event(monkeypatch):
+    """A vehicle drives each leg as the network's cached canonical path with
+    one arrival event at its end, so replaying the day routes nothing."""
+    net = generate_grid(5, 5, 500.0, 10.0)
+    # spawn at 0, pick up at 4 and drop off back at 0: two legs of four edges
+    req = RideRequest(0, 1000.0, 4, 0)
+    routed = []
+    next_edge = Network.next_edge
+
+    def counted(self, current, dest):
+        routed.append((current, dest))
+        return next_edge(self, current, dest)
+
+    monkeypatch.setattr(Network, "next_edge", counted)
+    arrivals = arrival_events(monkeypatch)
+    first = run_scenario(net, [req], all_day(1), GreedyExclusive(), seed=1, spawn_nodes=[0])
+    assert routed  # the first run builds the two paths
+    routed.clear()
+    arrivals.clear()
+    again = run_scenario(net, [req], all_day(1), GreedyExclusive(), seed=1, spawn_nodes=[0])
+    assert routed == []
+    assert arrivals == [1200.0, 1400.0]
+    assert again == first
+
+
+def test_rerouted_leg_leaves_its_old_event_unhandled(monkeypatch, net5):
+    # A rides 0 -> 4, due at 300. B appears at node 7 at 150, while the
+    # vehicle is on edge 1 -> 2; it finishes that edge and turns to 7 (250),
+    # then drives 7 -> 4 (400). The event still queued for 300 is stale and
+    # must not drive the leg again, so no further event is queued.
+    arrivals = arrival_events(monkeypatch)
+    a = RideRequest(0, 100.0, 0, 4)
+    b = RideRequest(1, 150.0, 7, 4)
+    res = run_scenario(net5, [a, b], all_day(1), SharedGreedy(), seed=3, spawn_nodes=[0])
+    assert arrivals == [300.0, 250.0, 400.0]
+    ta, tb = res.trips
+    assert (ta.wait_min, ta.ivtt_min, ta.length_km) == (0.0, 300.0 / 60.0, 3.0)
+    assert (tb.wait_min, tb.ivtt_min, tb.length_km) == (100.0 / 60.0, 150.0 / 60.0, 1.5)
+    assert res.total_km == 3.0
 
 
 def test_pickup_at_spawn_node_has_zero_wait(net5):

@@ -9,7 +9,9 @@ in the last bits from the engine's edge-by-edge sums.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import astuple
 from random import Random
 
 import pytest
@@ -110,14 +112,30 @@ def test_direct_ride_meets_a_detour_cap_of_one():
     assert refused == []
 
 
+@pytest.mark.parametrize("policy, digest", [
+    (DarpInsertion(), "eeaf6cc207bbda12fc4d0c817c5ba888d75f5b2b9512b2799239ad469220a94c"),
+    (SharedGreedy(), "94770c9946f48260dcbfc8e6cd40db0d2308a92a6543760d6bdbd33d28e4c7e3"),
+], ids=["darp", "shared"])
+def test_engine_outputs_are_pinned(policy, digest):
+    """The trip and fleet logs of one day, every float as repr prints it,
+    end times and kilometres included. Each day hands 34 new schedules to
+    vehicles already driving; 2 (darp) and 34 (shared) of them change the
+    next stop, so the vehicle re-routes from the head of its edge."""
+    net = irregular_network(2)
+    reqs = _requests(Random("pin/2"), net, 60)
+    res = run_scenario(net, reqs, SupplySchedule([0] * 8 + [3] * 4 + [0] * 12), policy,
+                       seed=1)
+    rows = [astuple(t) for t in res.trips] + [astuple(v) for v in res.fleet]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
 def reference_insertion(net, candidates, request, requests, now, max_detour, max_wait_s):
     """The cheapest feasible slot found by tracing every slot in full and
     only then checking seats, waits and the detour slack: (key, schedule),
     or None."""
     best = None
     for v, slots in candidates:
-        anchor, start = v.anchor(), v.anchor_time(now)
-        odometer_m = v.odometer_m + v.inflight_m()
+        anchor, start, odometer_m = v.anchor(now)
         base_m = trace_plan(net, anchor, start, v.schedule, v.picked_at_m, odometer_m).plan_m
         for i, j in slots:
             cand = list(v.schedule)
