@@ -7,13 +7,17 @@ Pooled crowdsourced matching offers it the idle vehicles and single-rider
 hosts, with pickup-first slots and no wait bound, and leaves a request no
 vehicle can take queued. The dedicated door-to-door fleet offers every
 slot of every in-service vehicle, bounds waits, and rejects such a
-request. All distance reasoning walks the same legs the vehicles later
-drive, each the cached canonical path `Network.shortest_path` gives, with
-clock and odometer summed edge by edge as the engine sums a vehicle's leg,
-and reads ridden metres off one plan odometer as the engine does, so a
-feasibility prediction and the realized trip agree to the last bit. The
-walk checks seats and waits at each pickup and the detour cap at each
-dropoff, and a candidate's walk stops at its first broken promise.
+request. The search screens each slot in O(1) from leg distances and
+per-vehicle tables of its current plan, then walks the survivors
+best-first by estimated added metres, and stops once no estimate left can
+beat the best walk. The walk, `trace_plan`, is the only exact feasibility
+check. It drives the same legs the vehicles later drive, each the cached
+canonical path `Network.shortest_path` gives, with clock and odometer
+summed edge by edge as the engine sums a vehicle's leg, and reads ridden
+metres off one plan odometer as the engine does, so a feasibility
+prediction and the realized trip agree to the last bit. It checks seats
+and waits at each pickup and the detour cap at each dropoff, and stops at
+the first broken promise.
 """
 
 from __future__ import annotations
@@ -69,7 +73,9 @@ class Vehicle:
     reaching each edge's head, summed edge by edge. Dispatch decisions
     anchor on the head of the edge in flight, which the vehicle finishes
     whatever is decided. A rider's ridden metres are the odometer at dropoff
-    minus the reading kept in `picked_at_m` at pickup.
+    minus the reading kept in `picked_at_m` at pickup. `base_plan` keeps the
+    insertion search's tables of the current plan, keyed by the state they
+    were built from.
     """
 
     id: int
@@ -85,6 +91,7 @@ class Vehicle:
     retiring: bool = False
     service_end_s: float | None = None
     passenger_seconds: float = 0.0
+    base_plan: "_BasePlan | None" = field(default=None, repr=False, compare=False)
 
     def anchor(self, now: float) -> tuple[int, float, float]:
         """(node, clock, odometer) at the head of the edge in flight at now,
@@ -196,6 +203,7 @@ class FixedRoute:
 @dataclass
 class PlanTrace:
     arrivals: list[float]          # arrival time at each stop, plan order
+    odometers: list[float]         # odometer on reaching each stop
     final_m: dict[int, float]      # request -> on-board metres at its dropoff
     pickup_times: dict[int, float]
     plan_m: float                  # metres driven from the anchor through all stops
@@ -230,6 +238,7 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
     final_m: dict[int, float] = {}
     pickup_times: dict[int, float] = {}
     arrivals: list[float] = []
+    odometers: list[float] = []
     for stop in stops:
         if pos != stop.node:
             for e in net.shortest_path(pos, stop.node).edges:
@@ -237,6 +246,7 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
                 odo += e.length_m
             pos = stop.node
         arrivals.append(t)
+        odometers.append(odo)
         rid = stop.request_id
         if stop.action == PICKUP:
             picked[rid] = odo
@@ -255,7 +265,7 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
                 cap = max_detour * net.distance_m(r.origin, r.destination)
                 if ridden - cap > _EPS * max(1.0, cap):
                     return None
-    return PlanTrace(arrivals, final_m, pickup_times, odo - odometer_m)
+    return PlanTrace(arrivals, odometers, final_m, pickup_times, odo - odometer_m)
 
 
 # -- greedy exclusive ----------------------------------------------------------
@@ -351,9 +361,10 @@ def darp_insert(net: Network, vehicles: list[Vehicle], request: RideRequest,
     """Cheapest feasible insertion of a request into the fleet's schedules.
 
     Every (pickup, dropoff) position pair in every in-service vehicle's
-    stop sequence is tried, under the wait bound max_wait_s and the detour
-    cap max_detour; `_cheapest_insertion` holds the feasibility rule and
-    the tie order. If nothing is feasible the request is rejected.
+    stop sequence is a candidate, under the wait bound max_wait_s and the
+    detour cap max_detour; `_cheapest_insertion` holds the feasibility rule
+    and the tie order, and walks only the pairs its screen cannot rule out.
+    If nothing is feasible the request is rejected.
     """
     fleet = ((v, [(i, j) for i in range(len(v.schedule) + 1)
                   for j in range(i + 1, len(v.schedule) + 2)])
@@ -382,27 +393,158 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
     earlier dropoff. Returns (key, trace, vehicle, schedule) of the
     winner, key being (added_m, vehicle id, i, j), or None when no slot is
     feasible.
+
+    Screen, then best-first, then the exact walk. Each slot's added metres
+    are estimated in O(1) from the vehicle's `_BasePlan` and the distances
+    into and out of the new stops. It differs from the walk's sums only by
+    rounding, far inside a slack of 1e-6 times the odometer at the plan's
+    end plus the new rider's cap. A slot is skipped only when it provably
+    breaks a promise: a full seat on a leg the new rider would ride, a
+    pickup after a stop already too late for the new rider's wait, or a
+    ride, the new rider's or one aboard on a changed leg, over its cap by
+    more than the slack. The survivors are walked in increasing
+    (estimate, vehicle id, i, j) order, and the search stops once an
+    estimate exceeds the best exact added_m by more than the slack, so the
+    winner and its key are those of walking every slot. A slot that needs a
+    leg with no route is always walked, so a search raises NoPathError
+    exactly when walking every slot would.
     """
     pickup = Stop(request.origin, PICKUP, request.id)
     drop = Stop(request.destination, DROPOFF, request.id)
-    best = None
+    so, sd = net._slot[request.origin], net._slot[request.destination]
+    to_o, to_d = net._distances_to(request.origin), net._distances_to(request.destination)
+    direct = to_d[so]
+    cap = max_detour * direct
+    bound = cap + _EPS * max(1.0, cap)  # the walk's own bound on the new ride
+    queue = []        # (estimate, vehicle id, i, j, vehicle, base plan)
+    unroutable = []   # (vehicle, base plan, i, j)
+    cut = 0.0  # the widest slack of the vehicles searched
     for v, slots in candidates:
-        anchor, start, odometer_m = v.anchor(now)
-        # an empty plan drives nothing, so its trace is skipped
-        base_m = (trace_plan(net, anchor, start, v.schedule, v.picked_at_m, odometer_m).plan_m
-                  if v.schedule else 0.0)
-        promises = (requests, v.capacity, max_wait_s, max_detour)
+        b = _base_plan(net, v, now, requests, max_detour)
+        slack = 1e-6 * max(1.0, b.odo[-1] + cap)
+        if slack > cut:
+            cut = slack
+        at, legs, into, riders, odo = b.slots, b.legs, b.trees, b.rider_slack, b.odo
         for i, j in slots:
-            cand = list(v.schedule)
-            cand.insert(i, pickup)
-            cand.insert(j, drop)
-            tr = trace_plan(net, anchor, start, cand, v.picked_at_m, odometer_m, promises)
-            if tr is None:
-                continue
-            key = (tr.plan_m - base_m, v.id, i, j)
+            # metres added around leg i by the pickup and leg k by the dropoff,
+            # and the most any ride goes over its bound
+            k = j - 1
+            if k == i:
+                est = to_o[at[i]] + direct + into[i][sd] - legs[i]
+                over = max(est - riders[i][j], direct - bound)
+            else:
+                o_next = into[i][so]
+                add_o = to_o[at[i]] + o_next - legs[i]
+                add_d = to_d[at[k]] + into[k][sd] - legs[k]
+                est = add_o + add_d
+                ride = o_next + odo[k] - odo[i + 1] + to_d[at[k]]
+                over = max(add_o - riders[i][i + 1], add_d - riders[k][j],
+                           est - riders[i][j], ride - bound)
+            if est == math.inf:
+                unroutable.append((v, b, i, j))
+            elif (over <= slack and b.full_from[i] >= j
+                  and b.arrivals[i] - request.request_time <= max_wait_s):
+                queue.append((est, v.id, i, j, v, b))
+
+    def walk(v, b, i, j):
+        cand = list(v.schedule)
+        cand.insert(i, pickup)
+        cand.insert(j, drop)
+        return cand, trace_plan(net, b.anchor, b.arrivals[0], cand, v.picked_at_m, b.odo[0],
+                                (requests, v.capacity, max_wait_s, max_detour))
+
+    for slot in unroutable:
+        walk(*slot)  # raises NoPathError, unless a promise breaks first
+    best = None
+    queue.sort(key=lambda q: q[:4])
+    for est, vid, i, j, v, b in queue:
+        if best is not None and est - best[0][0] > cut:
+            break
+        cand, tr = walk(v, b, i, j)
+        if tr is not None:
+            key = (tr.plan_m - (b.odo[-1] - b.odo[0]), vid, i, j)
             if best is None or key < best[0]:
                 best = (key, tr, v, cand)
     return best
+
+
+class _End:
+    """Distances into the open end of a plan: nothing is driven after the last stop."""
+
+    def __getitem__(self, slot: int) -> float:
+        return 0.0
+
+
+@dataclass
+class _BasePlan:
+    """A vehicle's current plan as the insertion screen reads it.
+
+    Position 0 is the anchor and position k the k-th of n stops. Leg k runs
+    from position k to k + 1; leg n is the open end after the last stop,
+    0 m long, into `_End`. Built from one `trace_plan` walk and kept on the
+    vehicle while `key` holds.
+    """
+
+    key: tuple          # (anchor, clock, odometer, stops, riders aboard, max_detour)
+    anchor: int
+    slots: list[int]    # network slot of each position's node
+    trees: list         # per leg: distances into its end, by slot
+    odo: list[float]    # odometer on reaching each position
+    arrivals: list[float]  # clock on reaching each position
+    legs: list[float]   # metres of each leg
+    full_from: list[int]  # first leg at or after k whose riders fill the seats, n + 1 if none
+    # [i][j]: least detour slack in metres, the walk's tolerance included,
+    # of the riders on leg i who still ride leg j - 1; inf with none
+    rider_slack: list[list[float]]
+
+
+def _base_plan(net: Network, v: Vehicle, now: float, requests: dict[int, RideRequest],
+               max_detour: float) -> _BasePlan:
+    """v's base plan tables, rebuilt only when its anchor, clock, odometer,
+    schedule, riders aboard or the detour cap changed since the last call."""
+    anchor, start, odometer_m = v.anchor(now)
+    key = (anchor, start, odometer_m, tuple(v.schedule), tuple(v.picked_at_m.items()),
+           max_detour)
+    if v.base_plan is not None and v.base_plan.key == key:
+        return v.base_plan
+    stops = v.schedule
+    n = len(stops)
+    odo, arrivals = [odometer_m], [start]
+    if stops:  # an empty plan drives nothing, so its trace is skipped
+        tr = trace_plan(net, anchor, start, stops, v.picked_at_m, odometer_m)
+        odo += tr.odometers
+        arrivals += tr.arrivals
+    # leg n, the open end after the last stop, is 0 m long and nobody rides it
+    slots, trees, legs = [net._slot[anchor]], [], []
+    loads = [len(v.picked_at_m)]
+    rider_slack = [[math.inf] * (n + 2) for _ in range(n + 1)]
+    boarded = dict.fromkeys(v.picked_at_m, 0)
+    for k, s in enumerate(stops, 1):
+        slots.append(net._slot[s.node])
+        trees.append(net._distances_to(s.node))
+        legs.append(odo[k] - odo[k - 1])
+        if s.action == PICKUP:
+            loads.append(loads[-1] + 1)
+            boarded[s.request_id] = k
+            continue
+        loads.append(loads[-1] - 1)
+        r = requests[s.request_id]
+        cap = max_detour * net.distance_m(r.origin, r.destination)
+        left = cap + _EPS * max(1.0, cap) - tr.final_m[s.request_id]
+        for leg in range(boarded.pop(s.request_id), k):
+            rider_slack[leg][k] = min(rider_slack[leg][k], left)
+    full_from = [n + 1] * (n + 2)
+    for k in range(n, -1, -1):
+        full_from[k] = k if loads[k] >= v.capacity else full_from[k + 1]
+    for row in rider_slack[:n]:
+        for j in range(n, 0, -1):
+            row[j] = min(row[j], row[j + 1])
+    v.base_plan = _BasePlan(key, anchor, slots, trees + [_END], odo, arrivals, legs + [0.0],
+                            full_from, rider_slack)
+    return v.base_plan
+
+
+_END = _End()
 
 
 # -- fixed route ---------------------------------------------------------------

@@ -335,8 +335,12 @@ class _Run:
                 self.trips.append(self._trip(req, self.mode_tag, served=False,
                                              reason=REASON_NO_SLOT))
                 continue
+            # a driving vehicle whose next stop stays keeps its leg: the
+            # canonical path from any node on it is the rest of it
+            keep = v.leg and v.schedule[0].node == schedule[0].node
             v.schedule = schedule
-            self._advance(v, t)
+            if not keep:
+                self._advance(v, t)
 
     def _snapshot(self, req: RideRequest, t: float) -> RejectionSnapshot:
         involved = {req.id}

@@ -8,10 +8,12 @@ produce bit-identical floats and every comparison below can be exact.
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
 
+from odt_lab import dispatch
 from odt_lab.demand import RideRequest
 from odt_lab.dispatch import (CROWDSOURCED, DEDICATED, DROPOFF, FRT, Ineligible,
                               PICKUP, RouteSpec, Stop, Vehicle, build_timetable,
@@ -233,6 +235,60 @@ def test_darp_rejects_when_wait_bound_exceeded(net5):
     assert not res.accepted
     ok = RideRequest(51, NOW - 1400.0, 24, 0)
     assert darp_insert(net5, [v], ok, {51: ok}, NOW, max_wait_s=1800.0).accepted
+
+
+def promised_traces(monkeypatch) -> list[list[Stop]]:
+    """The plans that `trace_plan` walks with promises from now on."""
+    walked = []
+    trace = dispatch.trace_plan
+
+    def counted(net, anchor, start, stops, picked_at_m, odometer_m=0.0, promises=None):
+        if promises is not None:
+            walked.append(list(stops))
+        return trace(net, anchor, start, stops, picked_at_m, odometer_m, promises)
+
+    monkeypatch.setattr(dispatch, "trace_plan", counted)
+    return walked
+
+
+@pytest.mark.parametrize("odometer_m, ridden_m, accepted, walks", [
+    (ODOMETER_M, 2500.5, False, 0),
+    (600000.0, 2500.5, False, 1),
+    (ODOMETER_M, 2500.000001, True, 1),
+], ids=["half-metre-over", "half-metre-over-far-into-the-day", "within-relative-slack"])
+def test_detour_slack_is_relative_not_a_metre(monkeypatch, net5, odometer_m, ridden_m,
+                                              accepted, walks):
+    """Rider 9 (0 -> 4, cap 2 x 2000 m) has ridden ridden_m when its host, at
+    node 1, is offered one slot: pick up at 2 and drop off at 3 on the way,
+    which adds 1500 m to the ride. Half a metre over the cap is refused: by
+    the screen when its 1e-6 relative slack is a few centimetres, and by the
+    walk when 600 km on the odometer widen that slack past 0.5 m. 1e-6 m
+    over the cap is inside the walk's 1e-9 relative slack and is accepted.
+    A flat 1 m slack, in the screen or the walk, fails a case."""
+    walked = promised_traces(monkeypatch)
+    requests = {9: RideRequest(9, NOW - 300.0, 0, 4), 10: RideRequest(10, NOW, 2, 3)}
+    host = Vehicle(0, 1, 0.0, 86400.0, schedule=[Stop(4, DROPOFF, 9)], odometer_m=odometer_m,
+                   picked_at_m={9: odometer_m - ridden_m}, in_service=True)
+    best = dispatch._cheapest_insertion(net5, [(host, [(0, 1)])], requests[10], requests,
+                                        NOW, 2.0, math.inf)
+    assert (best is not None) == accepted
+    assert len(walked) == walks
+    if accepted:
+        assert best[0] == (0.0, 0, 0, 1)
+        assert 0.0 < best[1].final_m[9] - 4000.0 < 4e-6
+
+
+def test_darp_walks_only_up_to_the_first_feasible_slot(monkeypatch, net5):
+    """Slots are walked in increasing estimate of added metres: when the
+    cheapest is feasible it is the only plan walked with promises."""
+    walked = promised_traces(monkeypatch)
+    requests = {20: RideRequest(20, NOW - 60.0, 2, 4), 21: RideRequest(21, NOW, 1, 3)}
+    far = make_vehicle(0, 24, NOW, 0.0, 8, [], {})
+    along = make_vehicle(1, 0, NOW, 0.0, 8, [(2, PICKUP, 20), (4, DROPOFF, 20)], {})
+    near = make_vehicle(2, 7, NOW, 0.0, 8, [], {})
+    res = darp_insert(net5, [far, along, near], requests[21], requests, NOW)
+    assert (res.vehicle_id, res.pickup_index, res.dropoff_index, res.added_m) == (1, 0, 2, 0.0)
+    assert walked == [list(res.schedule)]
 
 
 # -- shared greedy ------------------------------------------------------------------

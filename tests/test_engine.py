@@ -124,6 +124,22 @@ def test_rerouted_leg_leaves_its_old_event_unhandled(monkeypatch, net5):
     assert res.total_km == 3.0
 
 
+def test_insertion_behind_the_next_stop_keeps_the_leg(monkeypatch, net5):
+    # A (0 -> 4) is picked up at the 120 s batch, and the vehicle heads for
+    # node 4, due at 320. At 180 DARP places B (4 -> 9) with its pickup at
+    # node 4 too, so the next stop's node stays: the leg and its one event
+    # stand. Driving the leg again would queue a second event for 320.
+    arrivals = arrival_events(monkeypatch)
+    a = RideRequest(0, 100.0, 0, 4)
+    b = RideRequest(1, 150.0, 4, 9)
+    res = run_scenario(net5, [a, b], all_day(1), DarpInsertion(), seed=3, spawn_nodes=[0])
+    assert arrivals == [320.0, 370.0]
+    ta, tb = res.trips
+    assert (ta.wait_min, ta.ivtt_min, ta.length_km) == (20.0 / 60.0, 200.0 / 60.0, 2.0)
+    assert (tb.wait_min, tb.ivtt_min, tb.length_km) == (170.0 / 60.0, 50.0 / 60.0, 0.5)
+    assert res.total_km == 2.5
+
+
 def test_pickup_at_spawn_node_has_zero_wait(net5):
     req = RideRequest(0, 1000.0, 7, 8)
     res = run_scenario(net5, [req], all_day(1), GreedyExclusive(),

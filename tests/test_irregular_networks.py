@@ -4,7 +4,8 @@ The other suites run on uniform grids whose 500 m legs add up exactly in
 any order. Here edges follow random geometry: lengths are a node pair's
 straight-line distance stretched by U(1, 1.7) plus 1 m, and speeds are
 non-integer, so a sum taken leg by leg, or from the other end, can differ
-in the last bits from the engine's edge-by-edge sums.
+in the last bits from the engine's edge-by-edge sums. The last test takes
+a grid with a node that no edge leads to.
 """
 
 from __future__ import annotations
@@ -12,16 +13,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import astuple
+from functools import partial
 from random import Random
 
 import pytest
 
 from odt_lab import dispatch
 from odt_lab.demand import RideRequest, SupplySchedule
-from odt_lab.dispatch import (DROPOFF, PICKUP, DarpInsertion, SharedGreedy, Stop,
-                              Vehicle, darp_insert, shared_greedy_match, trace_plan)
+from odt_lab.dispatch import (DEFAULT_SEATS, DROPOFF, PICKUP, DarpInsertion, SharedGreedy,
+                              Stop, Vehicle, darp_insert, shared_greedy_match, trace_plan)
 from odt_lab.engine import run_scenario
-from odt_lab.network import _EPS, Edge, Network, Node
+from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, _grid_parts
 
 
 def irregular_network(seed: int, n: int = 30) -> Network:
@@ -162,17 +164,20 @@ def reference_insertion(net, candidates, request, requests, now, max_detour, max
     return best
 
 
-@pytest.mark.parametrize("policy, searches, found", [
-    (DarpInsertion(), 80, 55),
-    (DarpInsertion(max_detour=1.2, max_wait_s=600.0), 80, 25),
-    (SharedGreedy(), 2500, 70),
-    (SharedGreedy(max_detour=1.0), 8000, 70),
-], ids=["darp", "darp-tight", "shared", "shared-direct"])
-def test_winner_matches_full_trace_reference(monkeypatch, policy, searches, found):
+@pytest.mark.parametrize("policy, seats, searches, found", [
+    (DarpInsertion(), DEFAULT_SEATS, 80, 55),
+    (DarpInsertion(max_detour=1.2, max_wait_s=600.0), DEFAULT_SEATS, 80, 25),
+    (SharedGreedy(), DEFAULT_SEATS, 2500, 70),
+    (SharedGreedy(max_detour=1.0), DEFAULT_SEATS, 8000, 70),
+    (DarpInsertion(), 2, 80, 45),
+], ids=["darp", "darp-tight", "shared", "shared-direct", "darp-2-seats"])
+def test_winner_matches_full_trace_reference(monkeypatch, policy, seats, searches, found):
     """Every insertion search picks the same winner, key and schedule, as a
-    reference that traces each slot to its end before checking any promise."""
+    reference that traces each slot to its end before checking any promise.
+    With 2 seats, full legs rule out slots the detours alone would allow."""
     search = dispatch._cheapest_insertion
     seen = []
+    monkeypatch.setattr(dispatch, "Vehicle", partial(Vehicle, capacity=seats))
 
     def spy(net, candidates, request, requests, now, max_detour, max_wait_s):
         candidates = [(v, list(slots)) for v, slots in candidates]  # darp passes a generator
@@ -190,3 +195,39 @@ def test_winner_matches_full_trace_reference(monkeypatch, policy, searches, foun
         run_scenario(net, reqs, SupplySchedule([0] * 8 + [3] * 4 + [0] * 12), policy,
                      seed=seed)
     assert len(seen) >= searches and sum(seen) >= found
+
+
+def grid_with_dead_end() -> Network:
+    """The 5x5 500 m grid plus node 25, east of node 4, whose only edge is
+    25 -> 4: nothing can drive to node 25."""
+    nodes, edges, area_km2 = _grid_parts(5, 5, 500.0, 10.0)
+    nodes.append(Node(25, 2500.0, 0.0))
+    edges.append(Edge(len(edges), 25, 4, 500.0, 10.0, 50.0))
+    return Network(nodes, edges, area_km2=area_km2)
+
+
+@pytest.mark.parametrize("origin, destination, raises", [
+    (3, 25, True), (25, 3, True), (3, 8, False),
+], ids=["to-dead-end", "from-dead-end", "routable"])
+def test_unroutable_request_raises_like_the_reference(origin, destination, raises):
+    """A slot whose legs include one with no route is never screened out or
+    cut, so the search raises NoPathError exactly when tracing every slot
+    does, and otherwise finds the same winner."""
+    net = grid_with_dead_end()
+    now = 36000.0
+    aboard = RideRequest(1, now - 100.0, 10, 14)
+    req = RideRequest(2, now - 60.0, origin, destination)
+    requests = {1: aboard, 2: req}
+    idle = Vehicle(0, 12, 0.0, 86400.0, in_service=True)
+    host = Vehicle(1, 11, 0.0, 86400.0, in_service=True, schedule=[Stop(14, DROPOFF, 1)],
+                   picked_at_m={1: -500.0})
+    candidates = [(idle, [(0, 1)]), (host, [(0, 1), (0, 2), (1, 2)])]
+    args = (net, candidates, req, requests, now, 2.0, 1800.0)
+    if raises:
+        with pytest.raises(NoPathError):
+            reference_insertion(*args)
+        with pytest.raises(NoPathError):
+            dispatch._cheapest_insertion(*args)
+    else:
+        best = dispatch._cheapest_insertion(*args)
+        assert (best[0], best[3]) == reference_insertion(*args)
