@@ -118,17 +118,17 @@ class Vehicle:
 # year. `kind` tags its trip records. The on-demand policies' `assign`
 # yields (request, vehicle, new schedule) one decision at a time, with no
 # vehicle for a rejected request; the engine applies each decision before
-# drawing the next. A reactive policy dispatches as soon as a request
-# arrives or a vehicle frees up instead of waiting for the batch; a reactive
-# shared one also when a vehicle serves a stop and drives on, since it may
-# now host a pooled rider.
+# drawing the next. `batch_s` is the policy's batch interval: the engine
+# runs a pass at the first multiple of it at or after each event that can
+# enable a match (a request arrives, a shift starts with riders waiting, a
+# vehicle serves a stop and stays on duty), or at once when it is 0.
 
 
 class _Crowdsourced:
     """Hired drivers in their own cars, paid per trip plus any surge."""
 
-    reactive = True
-    shared = False
+    batch_s = 0.0
+    shared = False  # pooled fare; read by costing only
 
     def vehicles_owned(self, supply) -> int:
         return 0
@@ -165,7 +165,7 @@ class DarpInsertion:
     max_detour: float = MAX_DETOUR_FACTOR
     max_wait_s: float = MAX_WAIT_S
     kind: str = "darp"
-    reactive = False
+    batch_s = BATCH_INTERVAL_S
 
     def assign(self, net, vehicles, waiting, requests, now):
         for req in waiting:

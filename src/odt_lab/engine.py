@@ -4,8 +4,8 @@ One run simulates a single day. Vehicles enter and leave per the hourly
 supply schedule, drive each leg to their next stop as one cached canonical
 path with one arrival event at its end, and execute stop schedules
 maintained by the configured dispatch policy. Time advances through a
-priority event queue; nothing ticks except the 30-second dispatch
-batching. Identical inputs and seed replay the identical event sequence.
+priority event queue, where only events that can enable a match queue a
+dispatch pass. Identical inputs and seed replay the identical event sequence.
 """
 
 from __future__ import annotations
@@ -205,16 +205,20 @@ class _Run:
             self._push(v.shift_end_s, "shift_end", v.id)
         for r in demand:
             self._push(r.request_time, "request_arrival", r.id)
-        t = 0.0
-        while t < DAY_S:
-            self._push(t, "batch_dispatch", 0)
-            t += dp.BATCH_INTERVAL_S
 
     # -- event plumbing --
 
     def _push(self, time: float, kind: str, entity: int):
         self._seq += 1
         heappush(self._heap, (time, _PRIO[kind], entity, self._seq, kind))
+
+    def _queue_pass(self, t: float):
+        """Queue a dispatch pass at the policy's first batch boundary at or
+        after t, if a rider waits and that boundary comes before midnight."""
+        b = self.policy.batch_s
+        t = -(-t // b) * b if b else t
+        if self.queue and t < DAY_S:
+            self._push(t, "batch_dispatch", 0)
 
     # -- main loop --
 
@@ -276,12 +280,10 @@ class _Run:
             progressed = True
         if v.schedule:
             self._drive(v, t)
-            if progressed and self.policy.reactive and self.policy.shared:
-                self._push(t, "batch_dispatch", 0)  # new single-occupancy host, maybe
         elif v.retiring:
             self._finalize(v, t)
-        elif progressed and self.policy.reactive:
-            self._push(t, "batch_dispatch", 0)  # vehicle freed mid-interval
+        if progressed and not v.retiring:
+            self._queue_pass(t)  # freed, or maybe a new single-rider host
 
     def _execute_stop(self, v: dp.Vehicle, stop: dp.Stop, t: float):
         r = self.requests[stop.request_id]
@@ -309,8 +311,7 @@ class _Run:
         if v.shift_end_s <= v.shift_start_s:
             return
         v.in_service = True
-        if self.policy.reactive and self.queue:
-            self._push(t, "batch_dispatch", 0)
+        self._queue_pass(t)
 
     def _on_shift_end(self, t: float, vid: int):
         v = self.vehicles[vid]
@@ -320,8 +321,7 @@ class _Run:
 
     def _on_request(self, t: float, rid: int):
         self.queue[rid] = self.requests[rid]
-        if self.policy.reactive:
-            self._push(t, "batch_dispatch", 0)
+        self._queue_pass(t)
 
     def _on_dispatch(self, t: float, _entity: int):
         if not self.queue:

@@ -181,7 +181,8 @@ def test_shared_redispatches_when_a_pickup_makes_a_host():
 
 
 def test_darp_rejection_snapshot(net5):
-    # a 400 s drive cannot satisfy a 100 s wait bound; decision on the next tick
+    # a 400 s drive cannot satisfy a 100 s wait bound; decided at the next
+    # 30 s boundary
     req = RideRequest(5, 1000.0, 24, 0)
     res = run_scenario(net5, [req], all_day(1),
                        DarpInsertion(max_wait_s=100.0), seed=2, spawn_nodes=[0])
@@ -196,6 +197,46 @@ def test_darp_rejection_snapshot(net5):
     assert veh.ready_time == 1020.0
     assert snap.request_ends[5] == (24, 0)
     assert snap.request_times[5] == 1000.0
+
+
+def test_crowdsourced_day_dispatches_only_on_events(monkeypatch, net5):
+    # nothing polls: the request's arrival and the vehicle serving its two
+    # stops are the only events that can queue a pass, and only the first
+    # finds a rider waiting
+    passes = []
+    dispatch_pass = engine._Run._on_dispatch
+
+    def counted(self, t, entity):
+        passes.append(t)
+        dispatch_pass(self, t, entity)
+
+    monkeypatch.setattr(engine._Run, "_on_dispatch", counted)
+    req = RideRequest(0, 1000.0, 4, 0)
+    res = run_scenario(net5, [req], all_day(1), GreedyExclusive(),
+                       seed=1, spawn_nodes=[0])
+    assert res.served == 1
+    assert passes == [1000.0]
+
+
+def test_darp_decides_at_the_next_batch_boundary(net5):
+    # nobody is on duty before 06:00, so each request is turned down at the
+    # first 30 s boundary at or after its arrival
+    reqs = [RideRequest(0, 45.0, 0, 4), RideRequest(1, 60.0, 0, 4),
+            RideRequest(2, 60.001, 0, 4)]
+    res = run_scenario(net5, reqs, supply([0] * 6 + [1] * 18), DarpInsertion(),
+                       seed=1, spawn_nodes=[0])
+    assert res.rejected == 3
+    assert [(s.request_id, s.decision_time) for s in res.rejections] == [
+        (0, 60.0), (1, 60.0), (2, 90.0)]
+
+
+def test_darp_request_after_the_last_boundary_waits_out_the_day(net5):
+    # the next boundary is midnight, when the day is over
+    req = RideRequest(0, 86385.0, 0, 4)
+    res = run_scenario(net5, [req], all_day(1), DarpInsertion(), seed=1, spawn_nodes=[0])
+    (trip,) = res.trips
+    assert not trip.served and trip.reject_reason == REASON_HORIZON
+    assert res.waiting == 1 and res.rejections == []
 
 
 def test_shift_end_finishes_accepted_work(net5):

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import partial
 from random import Random
 
 import pytest
 
-from odt_lab import dispatch
-from odt_lab.demand import RideRequest, SupplySchedule
-from odt_lab.dispatch import (DEFAULT_SEATS, DROPOFF, PICKUP, DarpInsertion, SharedGreedy,
-                              Stop, Vehicle, darp_insert, shared_greedy_match, trace_plan)
+from odt_lab import dispatch, engine
+from odt_lab.demand import DAY_S, RideRequest, SupplySchedule
+from odt_lab.dispatch import (BATCH_INTERVAL_S, DEFAULT_SEATS, DROPOFF, PICKUP, DarpInsertion,
+                              GreedyExclusive, SharedGreedy, Stop, Vehicle, darp_insert,
+                              shared_greedy_match, trace_plan)
 from odt_lab.engine import run_scenario
 from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, _grid_parts
 
@@ -44,9 +45,10 @@ def irregular_network(seed: int, n: int = 30) -> Network:
     return net
 
 
-def _requests(rng: Random, net: Network, count: int) -> list[RideRequest]:
+def _requests(rng: Random, net: Network, count: int, end_h: int = 10) -> list[RideRequest]:
+    """count requests between random node pairs, uniform from 08:00 to end_h."""
     ids = sorted(net.nodes)
-    times = sorted(rng.uniform(8 * 3600.0, 10 * 3600.0) for _ in range(count))
+    times = sorted(rng.uniform(8 * 3600.0, end_h * 3600.0) for _ in range(count))
     return [RideRequest(k, t, *rng.sample(ids, 2)) for k, t in enumerate(times)]
 
 
@@ -131,6 +133,60 @@ def test_engine_outputs_are_pinned(policy, digest):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("policy", [SharedGreedy(), SharedGreedy(max_detour=1.0),
+                                    GreedyExclusive()], ids=["shared", "shared-direct",
+                                                             "exclusive"])
+def test_no_pass_between_events_would_match(monkeypatch, policy):
+    """Crowdsourced fleets dispatch only when a request arrives, a shift
+    starts or a vehicle serves a stop. A pass between those events would
+    match nobody: an idle vehicle stands still, and a pooling host's added
+    metres for a new rider cannot fall as it drives toward its next stop.
+    Probe a copy of the fleet and queue at every 30 s boundary where riders
+    wait and no pass ran."""
+    probes = matched = 0
+    passes = set()
+    dispatch_pass = engine._Run._on_dispatch
+    init = engine._Run.__init__
+    pop = engine.heappop
+    state = {}
+
+    def on_dispatch(self, t, entity):
+        passes.add(t)
+        dispatch_pass(self, t, entity)
+
+    def start(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        state.update(run=self, boundary=0.0)
+
+    def probing_pop(heap):
+        nonlocal probes, matched
+        run, b = state["run"], state["boundary"]
+        while b < min(heap[0][0], DAY_S):  # every event up to b has run
+            if run.queue and b not in passes:
+                # a copy of each vehicle's mutable state; requests, stops,
+                # edges and plan tables are never written in place
+                vehicles = [replace(v, schedule=list(v.schedule), leg=list(v.leg),
+                                    picked_at_m=dict(v.picked_at_m)) for v in run.vehicles]
+                waiting = list(run.queue.values())
+                probes += 1
+                matched += sum(1 for _r, v, _s in policy.assign(
+                    run.net, vehicles, waiting, run.requests, b) if v is not None)
+            b += BATCH_INTERVAL_S
+        state["boundary"] = b
+        return pop(heap)
+
+    monkeypatch.setattr(engine._Run, "_on_dispatch", on_dispatch)
+    monkeypatch.setattr(engine._Run, "__init__", start)
+    monkeypatch.setattr(engine, "heappop", probing_pop)
+    for seed in range(6):
+        net = irregular_network(seed)
+        reqs = _requests(Random(f"probe/{seed}"), net, 200, 20)
+        passes.clear()
+        run_scenario(net, reqs, SupplySchedule([0] * 8 + [3] * 12 + [0] * 4), policy,
+                     seed=seed)
+    assert matched == 0 and probes > 6000, (matched, probes)
+
+
 def reference_insertion(net, candidates, request, requests, now, max_detour, max_wait_s):
     """The cheapest feasible slot found by tracing every slot in full and
     only then checking seats, waits and the detour slack: (key, schedule),
@@ -164,17 +220,21 @@ def reference_insertion(net, candidates, request, requests, now, max_detour, max
     return best
 
 
-@pytest.mark.parametrize("policy, seats, searches, found", [
-    (DarpInsertion(), DEFAULT_SEATS, 80, 55),
-    (DarpInsertion(max_detour=1.2, max_wait_s=600.0), DEFAULT_SEATS, 80, 25),
-    (SharedGreedy(), DEFAULT_SEATS, 2500, 70),
-    (SharedGreedy(max_detour=1.0), DEFAULT_SEATS, 8000, 70),
-    (DarpInsertion(), 2, 80, 45),
+@pytest.mark.parametrize("policy, seats, count, end_h, searches, found", [
+    (DarpInsertion(), DEFAULT_SEATS, 40, 10, 80, 55),
+    (DarpInsertion(max_detour=1.2, max_wait_s=600.0), DEFAULT_SEATS, 40, 10, 80, 25),
+    (SharedGreedy(), DEFAULT_SEATS, 200, 20, 2500, 70),
+    (SharedGreedy(max_detour=1.0), DEFAULT_SEATS, 200, 20, 8000, 70),
+    (DarpInsertion(), 2, 40, 10, 80, 45),
 ], ids=["darp", "darp-tight", "shared", "shared-direct", "darp-2-seats"])
-def test_winner_matches_full_trace_reference(monkeypatch, policy, seats, searches, found):
+def test_winner_matches_full_trace_reference(monkeypatch, policy, seats, count, end_h,
+                                             searches, found):
     """Every insertion search picks the same winner, key and schedule, as a
     reference that traces each slot to its end before checking any promise.
-    With 2 seats, full legs rule out slots the detours alone would allow."""
+    With 2 seats, full legs rule out slots the detours alone would allow.
+    Pooled matching searches only when a request arrives or a vehicle serves
+    a stop, so its cases take a 12-hour day of 200 requests per seed to run
+    as many searches as the floors ask."""
     search = dispatch._cheapest_insertion
     seen = []
     monkeypatch.setattr(dispatch, "Vehicle", partial(Vehicle, capacity=seats))
@@ -191,10 +251,10 @@ def test_winner_matches_full_trace_reference(monkeypatch, policy, seats, searche
     monkeypatch.setattr(dispatch, "_cheapest_insertion", spy)
     for seed in range(2):
         net = irregular_network(seed)
-        reqs = _requests(Random(f"predict/{seed}"), net, 40)
-        run_scenario(net, reqs, SupplySchedule([0] * 8 + [3] * 4 + [0] * 12), policy,
-                     seed=seed)
-    assert len(seen) >= searches and sum(seen) >= found
+        reqs = _requests(Random(f"predict/{seed}"), net, count, end_h)
+        hours = [0] * 8 + [3] * (end_h - 8) + [0] * (24 - end_h)
+        run_scenario(net, reqs, SupplySchedule(hours), policy, seed=seed)
+    assert len(seen) >= searches and sum(seen) >= found, (len(seen), sum(seen))
 
 
 def grid_with_dead_end() -> Network:
