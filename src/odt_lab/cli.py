@@ -16,7 +16,8 @@ from . import __version__
 from . import dispatch as dp
 from .config import SYSTEM_TYPES, ScenarioConfig, load_config
 from .network import CsvParseError, Network, NetworkValidationError, NoPathError
-from .runner import build_base_demand, build_network, corridor_spec, execute, render_report
+from .runner import (build_base_demand, build_base_supply, build_network, corridor_spec,
+                     execute, render_report)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,12 +76,13 @@ def _problems(errors: list[str]) -> int:
 
 
 def _input_problems(cfg: ScenarioConfig) -> list[str]:
-    """Build the network and base day once; name the input file that failed
-    to load, or every corridor stop and request end that is not a node, or
-    else every corridor leg and on-demand trip that cannot be routed."""
+    """Build the network, base day and supply once; name the input file that
+    failed to load, or every corridor stop and request end that is not a node,
+    or else every corridor leg and on-demand trip that cannot be routed."""
     try:
         net = build_network(cfg)
         base = build_base_demand(cfg, net)
+        build_base_supply(cfg)
     except (CsvParseError, NetworkValidationError) as exc:
         return [str(exc)]
     stops = cfg.corridor.stops if cfg.corridor else []

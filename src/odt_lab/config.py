@@ -1,17 +1,22 @@
 """Scenario configuration: YAML schema, defaults, and full validation.
 
-A scenario file is one YAML document with named sections. Validation walks
-the whole document and returns every problem found rather than stopping at
-the first, so a config can be fixed in one pass. Unknown keys warn instead
-of failing to keep older configs usable.
+A scenario file is one YAML document with named sections, read by one typed
+reader that walks the dataclass annotations below. A mistyped value is an
+error naming its dotted path, such as network.grid.rows, and its field keeps
+the default, so the range checks still run: every problem is returned at
+once, and a config can be fixed in one pass. Unknown keys warn instead of
+failing to keep older configs usable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -73,6 +78,14 @@ class NetworkConfig:
     edges_file: str | None = None
     zones_file: str | None = None
     area_km2: float | None = None
+
+
+@dataclass
+class NetworkFiles:
+    """network.files, read into NetworkConfig's three *_file fields."""
+    nodes: str | None = None
+    edges: str | None = None
+    zones: str | None = None
 
 
 @dataclass
@@ -165,25 +178,60 @@ class ValidationReport:
         return not self.errors
 
 
-def _fill(cls, raw: dict, path: str, errors: list[str], warnings: list[str]):
-    """Build a dataclass from a raw mapping, collecting unknown-key warnings."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        errors.append(f"{path}: expected a mapping, got {type(raw).__name__}")
-        return cls()
-    known = {f.name for f in cls.__dataclass_fields__.values()}
+# What each kind of field takes, and how an error names it. A bool is never
+# a number, and a number given for a string is stored as its text.
+_KINDS = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    bool: ("true or false", (bool,)),
+    str: ("a string", (str, int, float)),
+    list: ("a list", (list,)),
+    dict: ("a mapping", (dict,)),
+}
+_BAD = object()  # a value that failed its type check; its field keeps the default
+_hints = cache(get_type_hints)  # each dataclass's field types, resolved once
+
+
+def _read(tp, value, path: str, errors: list[str], warnings: list[str]):
+    """Read a raw YAML value as type tp, walking dataclasses field by field.
+
+    A wrongly typed value adds one error naming its dotted path and returns
+    _BAD; unknown mapping keys warn. Values are stored as given, so an int
+    read for a float field stays an int.
+    """
+    if isinstance(tp, UnionType):  # X | None
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
+    section = tp is dict or is_dataclass(tp)
+    if value is None and section:
+        value = {}  # a null section reads as an empty one
+    kind = dict if section else (get_origin(tp) or tp)
+    expected, takes = _KINDS[kind]
+    if not isinstance(value, takes) or isinstance(value, bool) != (kind is bool):
+        got = "null" if value is None else type(value).__name__
+        errors.append(f"{path}: expected {expected}, got {got}")
+        return _BAD
+    if kind is list:
+        item_tp = get_args(tp)[0]
+        items = [_read(item_tp, v, f"{path}[{i}]", errors, warnings)
+                 for i, v in enumerate(value)]
+        return _BAD if any(v is _BAD for v in items) else items
+    if not section:
+        return str(value) if kind is str else value
+    if tp is dict:
+        return dict(value)
+    hints = _hints(tp)
     kwargs = {}
-    for key, val in raw.items():
-        if key not in known:
-            warnings.append(f"{path}: unknown key '{key}' ignored")
+    for key, val in value.items():
+        if key not in hints:
+            warnings.append(f"{path}: unknown key '{key}' ignored" if path
+                            else f"unknown top-level key '{key}' ignored")
             continue
-        kwargs[key] = val
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{path}: {exc}")
-        return cls()
+        val = _read(hints[key], val, f"{path}.{key}" if path else key, errors, warnings)
+        if val is not _BAD:
+            kwargs[key] = val
+    return tp(**kwargs)
 
 
 def parse_config(raw: dict, source_name: str = "config") -> ValidationReport:
@@ -192,80 +240,19 @@ def parse_config(raw: dict, source_name: str = "config") -> ValidationReport:
     All structural and semantic problems are collected into the error list;
     the config object is returned only when the list is empty.
     """
-    errors: list[str] = []
-    warnings: list[str] = []
     if not isinstance(raw, dict):
         return ValidationReport(None, [f"{source_name}: top level must be a mapping"], [])
-
-    top_known = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
-    for key in raw:
-        if key not in top_known:
-            warnings.append(f"unknown top-level key '{key}' ignored")
-
-    cfg = ScenarioConfig()
-    cfg.name = str(raw.get("name", source_name))
-    try:
-        cfg.seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError):
-        errors.append("seed: must be an integer")
-    cfg.output_dir = str(raw.get("output_dir", "out"))
-
-    net_raw = raw.get("network") or {}
-    net_raw = dict(net_raw) if isinstance(net_raw, dict) else net_raw
-    grid_raw = net_raw.pop("grid", None) if isinstance(net_raw, dict) else None
-    files_raw = net_raw.pop("files", None) if isinstance(net_raw, dict) else None
-    cfg.network = _fill(NetworkConfig, net_raw, "network", errors, warnings)
-    if grid_raw is not None:
-        cfg.network.grid = _fill(GridSpec, grid_raw, "network.grid", errors, warnings)
-    if files_raw is not None:
-        if not isinstance(files_raw, dict):
-            errors.append("network.files: expected a mapping")
-        else:
-            cfg.network.nodes_file = files_raw.get("nodes")
-            cfg.network.edges_file = files_raw.get("edges")
-            cfg.network.zones_file = files_raw.get("zones")
-            for key in files_raw:
-                if key not in ("nodes", "edges", "zones"):
-                    warnings.append(f"network.files: unknown key '{key}' ignored")
-
-    dem_raw = raw.get("demand") or {}
-    dem_raw = dict(dem_raw) if isinstance(dem_raw, dict) else dem_raw
-    synth_raw = dem_raw.pop("synthetic", None) if isinstance(dem_raw, dict) else None
-    cfg.demand = _fill(DemandConfig, dem_raw, "demand", errors, warnings)
-    if synth_raw is not None:
-        cfg.demand.synthetic = _fill(SyntheticDemand, synth_raw, "demand.synthetic",
-                                     errors, warnings)
-
-    supply_raw = raw.get("supply") or {}
-    cfg.supply = _fill(SupplyConfig, dict(supply_raw) if isinstance(supply_raw, dict) else supply_raw,
-                       "supply", errors, warnings)
-
-    systems_raw = raw.get("systems")
-    cfg.systems = []
-    if not systems_raw:
-        errors.append("systems: at least one system is required")
-    elif not isinstance(systems_raw, list):
-        errors.append("systems: expected a list")
-    else:
-        for i, sys_raw in enumerate(systems_raw):
-            cfg.systems.append(_fill(SystemConfig, sys_raw, f"systems[{i}]",
-                                     errors, warnings))
-
-    if raw.get("corridor") is not None:
-        cor_raw = raw["corridor"]
-        cfg.corridor = _fill(CorridorConfig, dict(cor_raw) if isinstance(cor_raw, dict) else cor_raw,
-                             "corridor", errors, warnings)
-
-    for section in ("costs", "emissions"):
-        sec = raw.get(section) or {}
-        if not isinstance(sec, dict):
-            errors.append(f"{section}: expected a mapping")
-            sec = {}
-        setattr(cfg, section, dict(sec))
-    ana_raw = raw.get("analysis") or {}
-    cfg.analysis = _fill(AnalysisConfig, dict(ana_raw) if isinstance(ana_raw, dict) else ana_raw, "analysis",
-                         errors, warnings)
-
+    errors: list[str] = []
+    warnings: list[str] = []
+    raw = {"name": source_name, **raw}  # a scenario without a name takes the source's
+    net = raw.get("network")
+    if isinstance(net, dict) and "files" in net:  # the one renamed section
+        net = dict(net)
+        files = _read(NetworkFiles, net.pop("files"), "network.files", errors, warnings)
+        if files is not _BAD:
+            net.update(nodes_file=files.nodes, edges_file=files.edges, zones_file=files.zones)
+        raw["network"] = net
+    cfg = _read(ScenarioConfig, raw, "", errors, warnings)
     _validate(cfg, errors, warnings)
     return ValidationReport(cfg if not errors else None, errors, warnings)
 
@@ -303,7 +290,7 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
     if not dem.levels:
         errors.append("demand: levels cannot be empty")
     for lvl in dem.levels:
-        if not isinstance(lvl, int) or not 50 <= lvl <= 500:
+        if not 50 <= lvl <= 500:
             errors.append(f"demand: level {lvl} outside the supported 50..500 range")
 
     designs = [SYSTEM_TYPES.get(s.type, SystemType()) for s in cfg.systems]
@@ -313,11 +300,13 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
     if sup.schedule is not None:
         if len(sup.schedule) != 24:
             errors.append("supply: schedule needs 24 hourly counts")
-        elif any((not isinstance(c, int)) or c < 0 for c in sup.schedule):
+        elif any(c < 0 for c in sup.schedule):
             errors.append("supply: hourly counts must be non-negative integers")
     if sup.file and not Path(sup.file).exists():
         errors.append(f"supply: file '{sup.file}' not found")
 
+    if not cfg.systems:
+        errors.append("systems: at least one system is required")
     names = set()
     for i, s in enumerate(cfg.systems):
         where = f"systems[{i}]"
@@ -378,7 +367,7 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
 
     try:
         cfg.cost_parameters()
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         errors.append(f"costs: {exc}")
     try:
         cfg.emission_factors()
@@ -395,7 +384,4 @@ def load_config(path: str) -> ValidationReport:
         raw = yaml.safe_load(p.read_text())
     except yaml.YAMLError as exc:
         return ValidationReport(None, [f"config file '{path}' is not valid YAML: {exc}"], [])
-    report = parse_config(raw or {}, source_name=p.stem)
-    if report.config is not None and "name" not in (raw or {}):
-        report.config.name = p.stem
-    return report
+    return parse_config(raw or {}, source_name=p.stem)

@@ -27,6 +27,17 @@ def as_money(value) -> Decimal:
     return Decimal(str(value))
 
 
+def parse_number(name: str, value, convert):
+    """convert(value) for a number or a numeric string such as "4.00"; for
+    anything else, bools included, a ValueError naming name and value."""
+    if isinstance(value, (int, float, str, Decimal)) and not isinstance(value, bool):
+        try:
+            return convert(value)
+        except (ValueError, ArithmeticError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def to_cents(value: Decimal) -> Decimal:
     return value.quantize(CENT, rounding=ROUND_HALF_UP)
 
@@ -51,7 +62,7 @@ class CostParameters:
         for key, val in overrides.items():
             if key not in vals:
                 raise ValueError(f"unknown cost parameter '{key}'")
-            vals[key] = as_money(val)
+            vals[key] = parse_number(f"cost parameter '{key}'", val, as_money)
         return CostParameters(**vals)
 
 

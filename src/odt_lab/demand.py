@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .network import CsvParseError, Network
+from .network import CsvParseError, Network, _parse_row
 
 log = logging.getLogger(__name__)
 
@@ -168,11 +168,11 @@ def load_requests(path: str) -> list[RideRequest]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for line_no, row in enumerate(reader, start=2):
+            vals = _parse_row(path, line_no, row, {"id": int, "time_s": float,
+                                                   "origin": int, "destination": int})
             try:
-                req = RideRequest(int(row["id"]), float(row["time_s"]),
-                                  int(row["origin"]), int(row["destination"]))
-            except (KeyError, TypeError):
-                raise CsvParseError(path, line_no, "missing field") from None
+                req = RideRequest(vals["id"], vals["time_s"], vals["origin"],
+                                  vals["destination"])
             except ValueError as exc:
                 raise CsvParseError(path, line_no, str(exc)) from None
             if req.id in seen:
@@ -196,13 +196,12 @@ def load_supply(path: str) -> SupplySchedule:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for line_no, row in enumerate(reader, start=2):
-            try:
-                hour = int(row["hour"])
-                vehicles = int(row["vehicles"])
-            except (KeyError, TypeError, ValueError):
-                raise CsvParseError(path, line_no, "bad hour/vehicles row") from None
+            vals = _parse_row(path, line_no, row, {"hour": int, "vehicles": int})
+            hour, vehicles = vals["hour"], vals["vehicles"]
             if not 0 <= hour < 24:
                 raise CsvParseError(path, line_no, f"hour {hour} outside 0..23")
+            if vehicles < 0:
+                raise CsvParseError(path, line_no, f"negative vehicle count {vehicles}")
             if hour in seen:
                 raise CsvParseError(path, line_no, f"duplicate hour {hour}")
             seen.add(hour)

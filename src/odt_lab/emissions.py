@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, fields
 
+from .costing import parse_number
 from .demand import RideRequest
 from .network import Network, NoPathError
 
@@ -34,7 +35,7 @@ class EmissionFactors:
         for key, val in overrides.items():
             if key not in vals:
                 raise ValueError(f"unknown emission factor '{key}'")
-            vals[key] = float(val)
+            vals[key] = parse_number(f"emission factor '{key}'", val, float)
         return EmissionFactors(**vals)
 
 

@@ -290,10 +290,10 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     base = build_base_demand(cfg, net)
     run = partial(_run_spec, cfg, net, base)
     specs = [(si, lvl) for si in range(len(cfg.systems)) for lvl in run_levels]
-    pool = jobs > 1 and len(specs) > 1
+    workers = min(jobs, len(specs))  # a pool starts every worker at its first map
     runs = []
-    with ProcessPoolExecutor(max_workers=jobs) if pool else nullcontext() as ex:
-        for r, secs in (ex.map if pool else map)(run, specs):  # in spec order
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as ex:
+        for r, secs in (ex.map if workers > 1 else map)(run, specs):  # in spec order
             log.info("%s: served %d/%d in %.2f s", r.run_id, r.combined.served,
                      r.combined.demand_total, secs)
             runs.append(r)

@@ -11,14 +11,17 @@ import hashlib
 import json
 import logging
 import re
+from dataclasses import is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
 
 from odt_lab import runner
 from odt_lab.cli import main
-from odt_lab.config import load_config, parse_config
+from odt_lab.config import ScenarioConfig, load_config, parse_config
 from odt_lab.costing import CostParameters
 from odt_lab.demand import RideRequest, save_requests
 from odt_lab.emissions import EmissionFactors
@@ -99,12 +102,78 @@ def test_parse_rejects_non_mapping_sections():
     # a YAML list or scalar where a mapping belongs is a reported error,
     # never a traceback
     for section, junk in [("supply", [1] * 24), ("demand", "lots"),
-                          ("analysis", [0, 20]), ("corridor", [10, 12, 14])]:
+                          ("analysis", [0, 20]), ("corridor", [10, 12, 14]),
+                          ("network", {"files": "nodes.csv"})]:
         raw = json.loads(json.dumps(BASE))
         raw[section] = junk
         report = parse_config(raw)
         assert not report.ok
         assert any(section in e and "mapping" in e for e in report.errors)
+
+
+JUNK = ["x", 1.5, 7, [1], [], {"a": 1}, True, None, ["a"], -3]
+
+
+def well_typed(tp, value) -> bool:
+    """The reader's type rules on their own: a section takes a mapping or
+    null, a bool is never a number, and a string field also takes a number."""
+    if get_origin(tp) is UnionType:  # X | None
+        return value is None or well_typed(get_args(tp)[0], value)
+    if tp is dict or is_dataclass(tp):
+        return value is None or isinstance(value, dict)
+    if get_origin(tp) is list:
+        return isinstance(value, list) and all(well_typed(get_args(tp)[0], v)
+                                               for v in value)
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, {int: int, float: (int, float), str: (str, int, float),
+                              bool: bool}[tp])
+
+
+def config_fields(cls=ScenarioConfig, path=()):
+    """(path, type) of every field of the config dataclasses, from
+    ScenarioConfig down; a system's fields are those of systems[0]."""
+    for name, tp in get_type_hints(cls).items():
+        yield (*path, name), tp
+        inner = next((a for a in get_args(tp) if is_dataclass(a)), tp)  # list[X], X | None
+        if is_dataclass(inner):
+            yield from config_fields(inner, (*path, name, 0) if get_origin(tp) is list
+                                     else (*path, name))
+
+
+def test_every_mistyped_field_is_one_error_naming_its_path():
+    cases = 0
+    for path, tp in config_fields():
+        dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        for junk in JUNK:
+            raw = json.loads(json.dumps(BASE))
+            section = raw
+            for key in path[:-1]:
+                section = section[key] if isinstance(key, int) else section.setdefault(key, {})
+            section[path[-1]] = junk
+            report = parse_config(raw)  # never raises
+            type_errors = [e for e in report.errors if ": expected " in e]
+            if well_typed(tp, junk):
+                assert type_errors == [], (dotted, junk)
+            else:
+                assert len(type_errors) == 1, (dotted, junk, report.errors)
+                assert type_errors[0].startswith((f"{dotted}:", f"{dotted}[")), type_errors
+            cases += 1
+    assert cases == 520  # 52 fields of nine dataclasses, ten values each
+
+
+@pytest.mark.parametrize("section, key, kind", [
+    ("costs", "fare", "cost parameter"), ("emissions", "ev_kwh_per_km", "emission factor")])
+@pytest.mark.parametrize("value", ["abc", [1], None, True, "4.00"])
+def test_cost_and_emission_values_name_their_key(section, key, kind, value):
+    raw = json.loads(json.dumps(BASE))
+    raw[section] = {key: value}
+    report = parse_config(raw)
+    if value == "4.00":  # a numeric string is a number
+        assert report.ok, report.errors
+    else:
+        assert report.errors == [f"{section}: {kind} '{key}' must be a number, "
+                                 f"got {value!r}"]
 
 
 def test_parse_warns_on_unknown_keys():
@@ -138,6 +207,9 @@ def test_config_hash_tracks_content():
     raw["seed"] = 6
     c = parse_config(raw).config
     assert c.config_hash() != a.config_hash()
+    # parsing stores values as given, so the hash of a config keeps its bytes
+    assert a.config_hash() == (
+        "49bb635da3b1b4d25a1b5e1a853ff68755aba7f146444822ea66b126abf1da8f")
 
 
 def test_load_config_missing_and_invalid(tmp_path):
@@ -164,6 +236,8 @@ def test_readme_examples_are_valid():
     town = next(b for b in blocks if b.startswith("name: town"))
     report = parse_config(yaml.safe_load(town))
     assert report.ok and not report.warnings, (report.errors, report.warnings)
+    assert report.config.config_hash() == (
+        "9e51aa5e2bea379661ac394efc75d75af64a6820200c160602961f1879bfe4b1")
     overrides = yaml.safe_load(next(b for b in blocks if b.startswith("costs:")))
     CostParameters().replace(**overrides["costs"])
     EmissionFactors().replace(**overrides["emissions"])
@@ -185,6 +259,27 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert main(["validate", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "problem(s) found" in err
+
+
+def test_validate_names_a_mistyped_value(tmp_path, capsys):
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw["network"]["grid"].update(
+        rows="ten"))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: network.grid.rows: expected an integer, got str" in err
+    assert "1 problem(s) found" in err
+
+
+@pytest.mark.parametrize("row, problem", [("0,x", "bad value 'x' for field 'vehicles'"),
+                                          ("0,-2", "negative vehicle count -2")])
+def test_validate_reports_a_bad_supply_file(tmp_path, capsys, row, problem):
+    supply = tmp_path / "supply.csv"
+    supply.write_text(f"hour,vehicles\n{row}\n")
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        supply={"file": str(supply)}))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {supply}:2: {problem}" in err and "1 problem(s) found" in err
 
 
 @pytest.mark.parametrize("key, value", [("surge_levels", [0, 20]), ("value_of_time", 99)],
@@ -445,6 +540,29 @@ def test_verbose_logs_one_line_per_run_in_spec_order(tmp_path, caplog, jobs):
         "dedicated_darp_a1-L50", "dedicated_darp_a1-L100"]
     assert all(re.fullmatch(r"\S+: served \d+/(12|24) in \d+\.\d\d s", line)
                for line in lines), lines
+
+
+def test_jobs_are_capped_at_the_number_of_runs(tmp_path, monkeypatch):
+    # a pool starts every worker at its first map, so --jobs 64 for four
+    # runs would start 64 processes; the fake pool maps in this process
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    cfg = parse_config(json.loads(json.dumps(BASE))).config
+    summary = runner.execute(cfg, out_dir=str(tmp_path / "out"), jobs=64)
+    assert workers == [4] and len(summary["runs"]) == 4
 
 
 def test_run_level_subset(tmp_path):
