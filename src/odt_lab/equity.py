@@ -66,22 +66,14 @@ def zonal_outcomes(trips, zones: dict[str, Zone], metric: str,
     wait and ivtt average the respective minutes over served trips. Zones
     without a served trip keep a zero usage outcome but are excluded from
     the time metrics, where their mean is undefined. Trips starting at
-    unzoned nodes are skipped and counted in a warning.
+    unzoned nodes are skipped.
     """
     if metric not in EQUITY_METRICS:
         raise ValueError(f"unknown metric '{metric}'")
     per_zone: dict[str, list] = {z: [] for z in zones}
-    skipped = 0
     for t in trips:
-        if not t.served:
-            continue
-        zone = t.origin_zone
-        if zone is None or zone == "" or zone not in zones:
-            skipped += 1
-            continue
-        per_zone[zone].append(t)
-    if skipped:
-        log.warning("equity analysis skipped %d served trips outside any zone", skipped)
+        if t.served and t.origin_zone in per_zone:
+            per_zone[t.origin_zone].append(t)
     out = []
     for zone_id in sorted(zones):
         trips_here = per_zone[zone_id]

@@ -358,17 +358,32 @@ def save_network(net: Network, nodes_file: str, edges_file: str,
                 fh.write(f"{z.zone_id},{z.population:g},{vals}\n")
 
 
-def _grid_parts(rows: int, cols: int, spacing_m: float,
-                speed_mps: float) -> tuple[list[Node], list[Edge], float]:
-    """Nodes, edges and service area (km^2) of the grid generate_grid builds."""
+def generate_grid(rows: int, cols: int, spacing_m: float, speed_mps: float, *,
+                  zone_rows: int = 0, zone_cols: int = 0, zone_population: float = 1000.0,
+                  area_km2: float | None = None) -> Network:
+    """Bidirectional grid network with uniform spacing and speed.
+
+    Node id = row * cols + col, x = col * spacing, y = row * spacing.
+    Service area is rows*spacing by cols*spacing, in km^2, unless area_km2
+    is given: each node stands for one spacing-by-spacing cell.
+
+    zone_rows > 0 carves the grid into zone_rows x zone_cols blocks of
+    near-equal size. Synthetic zones carry a flat 0.5 share for every
+    demographic attribute; real shares come from a zones file. That keeps
+    equity output wired up on generated networks while making clear the
+    groups are placeholders.
+    """
     if rows < 2 or cols < 2:
         raise ValueError("grid needs at least 2 rows and 2 columns")
     if spacing_m <= 0 or speed_mps <= 0:
         raise ValueError("spacing and speed must be positive")
+    zoned = zone_rows > 0
     nodes = []
     for r in range(rows):
         for c in range(cols):
-            nodes.append(Node(r * cols + c, c * spacing_m, r * spacing_m))
+            zr, zc = r * zone_rows // rows, c * zone_cols // cols
+            zone = f"Z{zr * zone_cols + zc:02d}" if zoned else None
+            nodes.append(Node(r * cols + c, c * spacing_m, r * spacing_m, zone))
     edges = []
     eid = 0
     for r in range(rows):
@@ -382,19 +397,8 @@ def _grid_parts(rows: int, cols: int, spacing_m: float,
                 down = nid + cols
                 edges.append(_make_edge(eid, nid, down, spacing_m, speed_mps)); eid += 1
                 edges.append(_make_edge(eid, down, nid, spacing_m, speed_mps)); eid += 1
-    area_km2 = (rows * spacing_m) * (cols * spacing_m) / 1e6
-    return nodes, edges, area_km2
-
-
-def generate_grid(rows: int, cols: int, spacing_m: float, speed_mps: float,
-                  seed: int = 0) -> Network:
-    """Bidirectional grid network with uniform spacing and speed.
-
-    Node id = row * cols + col, x = col * spacing, y = row * spacing.
-    Service area is rows*spacing by cols*spacing, in km^2: each node stands
-    for one spacing-by-spacing cell. Construction is fully deterministic;
-    the seed argument is accepted for interface symmetry with the demand
-    generators and does not alter the output.
-    """
-    nodes, edges, area_km2 = _grid_parts(rows, cols, spacing_m, speed_mps)
-    return Network(nodes, edges, area_km2=area_km2)
+    zones = [Zone(f"Z{i:02d}", zone_population, {a: 0.5 for a in ZONE_ATTRIBUTES})
+             for i in range(zone_rows * zone_cols)] if zoned else None
+    if area_km2 is None:
+        area_km2 = (rows * spacing_m) * (cols * spacing_m) / 1e6
+    return Network(nodes, edges, zones, area_km2=area_km2)

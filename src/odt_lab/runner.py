@@ -4,9 +4,10 @@ One execute() call takes a validated config and produces a self-contained
 output directory: merged trip and fleet logs, cost / emission / generalized
 cost / crossing / equity tables, per-run detail folders, and a manifest
 with a checksum per file. Everything is deterministic for a fixed config
-and seed: one network and base day serve every run of a sweep, worker
-processes included, floats are written with fixed formats, and no
-timestamps appear anywhere.
+and seed: each sweep input (the network, the base day, the day at each
+level, the base supply, the corridor) is built once, before any run, and
+read by every run, worker processes included; floats are written with
+fixed formats, and no timestamps appear anywhere.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .efficiency import InsufficientDataError, sweep, switching_points
 from .emissions import EmissionFactors, private_vehicle_baseline, per_passenger_metrics
 from .engine import SimulationResult, run_scenario, summarize
 from .equity import equity_report
-from .network import Network, Node, ZONE_ATTRIBUTES, Zone, _grid_parts, load_network
+from .network import Network, generate_grid, load_network
 
 log = logging.getLogger(__name__)
 
@@ -48,35 +49,9 @@ def build_network(cfg: ScenarioConfig) -> Network:
     """Materialize the scenario network from grid parameters or CSV files."""
     nc = cfg.network
     if nc.grid is not None:
-        g = nc.grid
-        nodes, edges, area = _grid_parts(g.rows, g.cols, g.spacing_m, g.speed_mps)
-        zones = None
-        if g.zone_rows > 0:
-            nodes, zones = _grid_zones(nodes, g)
-        if nc.area_km2 is not None:
-            area = nc.area_km2
-        return Network(nodes, edges, zones, area_km2=area)
+        return generate_grid(**asdict(nc.grid), area_km2=nc.area_km2)
     return load_network(nc.nodes_file, nc.edges_file, nc.zones_file,
                         area_km2=nc.area_km2)
-
-
-def _grid_zones(nodes: list[Node], g) -> tuple[list[Node], list[Zone]]:
-    """Carve a grid into zone_rows x zone_cols blocks of near-equal size.
-
-    Synthetic zones carry a flat 0.5 share for every demographic attribute;
-    real shares come from a zones file. That keeps equity output wired up
-    on generated networks while making clear the groups are placeholders.
-    """
-    zoned = []
-    for n in nodes:
-        row, col = n.id // g.cols, n.id % g.cols
-        zr = min(row * g.zone_rows // g.rows, g.zone_rows - 1)
-        zc = min(col * g.zone_cols // g.cols, g.zone_cols - 1)
-        zoned.append(replace(n, zone_id=f"Z{zr * g.zone_cols + zc:02d}"))
-    zones = [Zone(f"Z{i:02d}", g.zone_population,
-                  {a: 0.5 for a in ZONE_ATTRIBUTES}, [])
-             for i in range(g.zone_rows * g.zone_cols)]
-    return zoned, zones
 
 
 def build_base_demand(cfg: ScenarioConfig, net: Network) -> list[RideRequest]:
@@ -151,10 +126,11 @@ def _merge(parts: list[SimulationResult], demand_total: int) -> SimulationResult
 
 
 def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
-            demand: list[RideRequest], base_requests: list[RideRequest]) -> RunOutput:
-    """Simulate one system at one demand level, components included."""
+            demand: list[RideRequest], base_requests: list[RideRequest],
+            base_supply: SupplySchedule | None, spec: dp.RouteSpec | None) -> RunOutput:
+    """Simulate one system at one demand level, components included, on
+    the day at that level. Every input is the sweep's, and only read."""
     seed = f"{cfg.seed}/{system.name}/L{level}"
-    spec = corridor_spec(cfg)
     design = SYSTEM_TYPES[system.type]
     policies = {
         "crowdsourced_exclusive": dp.GreedyExclusive(),
@@ -173,7 +149,7 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
                        scale_supply(SupplySchedule(list(cor.supply)), level - 100, cor.alpha)))
     if design.area:
         fleets.append((policies[design.area],
-                       scale_supply(build_base_supply(cfg), level - 100, system.alpha)))
+                       scale_supply(base_supply, level - 100, system.alpha)))
 
     # each fleet's riders, the base requests its vehicles spawn among, its seed
     riders, spawn, seeds = [demand], [base_requests], [seed]
@@ -198,13 +174,13 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
 
 
 def _run_spec(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
-              spec: tuple[int, int]) -> tuple[RunOutput, float]:
-    """One (system index, level) run of a sweep and its wall seconds, in
-    this or a worker process."""
-    system_index, level = spec
+              supply: SupplySchedule | None, spec: dp.RouteSpec | None,
+              task: tuple[int, int, list[RideRequest]]) -> tuple[RunOutput, float]:
+    """One (system index, level, day at that level) run of a sweep and its
+    wall seconds, in this or a worker process."""
+    system_index, level, day = task
     start = time.perf_counter()
-    run = run_one(net, cfg, cfg.systems[system_index], level,
-                  scale_demand(base, level, cfg.seed), base)
+    run = run_one(net, cfg, cfg.systems[system_index], level, day, base, supply, spec)
     return run, time.perf_counter() - start
 
 
@@ -288,18 +264,19 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
         log.warning("network is not strongly connected: %d ordered node pairs "
                     "unreachable", net.unreachable_pairs)
     base = build_base_demand(cfg, net)
-    run = partial(_run_spec, cfg, net, base)
-    specs = [(si, lvl) for si in range(len(cfg.systems)) for lvl in run_levels]
-    workers = min(jobs, len(specs))  # a pool starts every worker at its first map
+    days = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in run_levels}
+    run = partial(_run_spec, cfg, net, base, build_base_supply(cfg), corridor_spec(cfg))
+    tasks = [(si, lvl, days[lvl]) for si in range(len(cfg.systems)) for lvl in run_levels]
+    workers = min(jobs, len(tasks))  # a pool starts every worker at its first map
     runs = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as ex:
-        for r, secs in (ex.map if workers > 1 else map)(run, specs):  # in spec order
+        for r, secs in (ex.map if workers > 1 else map)(run, tasks):  # in task order
             log.info("%s: served %d/%d in %.2f s", r.run_id, r.combined.served,
                      r.combined.demand_total, secs)
             runs.append(r)
 
     out = Path(out_dir or cfg.output_dir)
-    _publish(out, tables(cfg, net, base, runs, run_levels), {
+    _publish(out, tables(cfg, net, days, runs), {
         "scenario": cfg.name,
         "package_version": __version__,
         "seed": cfg.seed,
@@ -316,15 +293,16 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     }
 
 
-def tables(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
-           runs: list[RunOutput], levels: list[int]) -> dict:
+def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]],
+           runs: list[RunOutput]) -> dict:
     """Every output file of a sweep but the manifest, by relative path.
 
     A CSV file maps to its (header, rows), a JSON file to its text. One pass
     over the runs renders each run's trip and fleet rows, which the
     top-level trips.csv and fleet.csv concatenate, and adds the run's costs,
     generalized cost entries, emissions, Gini indices and Lorenz curves. The
-    sweep-wide tables follow from those, the car baseline from the base day.
+    sweep-wide tables follow from those, the car baseline from the day at
+    each level, `days`.
     """
     params = cfg.cost_parameters()
     factors = cfg.emission_factors()
@@ -340,6 +318,7 @@ def tables(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
     files: dict[str, tuple[list[str], list[list]] | str] = {}
     all_trips, all_fleet, cost_rows, emis_rows, gini_rows = [], [], [], [], []
     gc_entries = []
+    unzoned = {}  # run id -> served trips the equity analysis skipped
     served = {}  # (curve tag, level) -> served trips
     for run in runs:
         c = run.combined
@@ -382,6 +361,8 @@ def tables(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
 
         # equity: Gini and Lorenz curve per attribute and metric
         if net.zones and run.level in ana.equity_levels:
+            if outside := sum(t.served and t.origin_zone not in net.zones for t in c.trips):
+                unzoned[run.run_id] = outside
             for res in equity_report(c.trips, net.zones):
                 gini_rows.append([run.system, run.level, res.attribute,
                                   res.metric, _fmt(res.gini, "%.6f")])
@@ -389,10 +370,15 @@ def tables(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
                     ["cum_weight_share", "cum_outcome_share"],
                     [[_fmt(x, "%.6f"), _fmt(y, "%.6f")] for x, y in res.curve.points])
 
+    if unzoned:
+        log.warning("equity analysis skipped %d served trips outside any zone in %s",
+                    sum(unzoned.values()),
+                    ", ".join(f"{rid} ({n})" for rid, n in unzoned.items()))
+
     # the everyone-drives baseline per demand level
     if ana.include_baseline:
-        for lvl in levels:
-            rep = private_vehicle_baseline(scale_demand(base, lvl, cfg.seed), net, factors)
+        for lvl, day in days.items():
+            rep = private_vehicle_baseline(day, net, factors)
             emis_rows.append(_emission_row(f"baseline-L{lvl}", "private_baseline",
                                            lvl, 0.0, rep))
 

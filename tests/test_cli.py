@@ -509,23 +509,49 @@ def test_unconnected_network_warns_once_per_sweep(tmp_path, caplog):
 
 def test_one_network_build_per_sweep(tmp_path, monkeypatch, caplog):
     # edge 0 is shorter than the straight line, so every build of the
-    # network logs a warning; 2 systems x 2 levels must build it once
+    # network logs a warning; 2 systems x 2 levels must build it once,
+    # read the supply file once and scale the base day once per level
     nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
     save_network(generate_grid(5, 5, 500.0, 10.0), str(nodes), str(edges))
     lines = edges.read_text().splitlines()
     assert lines[1] == "0,0,1,500,10"
     edges.write_text("\n".join([lines[0], "0,0,1,400,10", *lines[2:]]) + "\n")
-    builds = []
-    build = runner.build_network
-    monkeypatch.setattr(runner, "build_network",
-                        lambda cfg: builds.append(cfg) or build(cfg))
+    supply = tmp_path / "supply.csv"
+    supply.write_text("hour,vehicles\n" + "".join(f"{h},1\n" for h in range(24)))
+    calls = {"build_network": [], "load_supply": [], "scale_demand": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(runner, name, lambda *args, fn=getattr(runner, name), seen=seen:
+                            seen.append(args) or fn(*args))
     cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
-        network={"files": {"nodes": str(nodes), "edges": str(edges)}}))
+        network={"files": {"nodes": str(nodes), "edges": str(edges)}},
+        supply={"file": str(supply)}))
     with caplog.at_level(logging.WARNING, logger="odt_lab"):
         assert run_cli(cfg, tmp_path / "out") == 0
-    assert len(builds) == 1
+    assert len(calls["build_network"]) == 1
+    assert calls["load_supply"] == [(str(supply),)]
+    assert [args[1] for args in calls["scale_demand"]] == [50, 100]
     assert len([r for r in caplog.records
                 if "shorter than the straight-line" in r.getMessage()]) == 1
+
+
+def test_equity_skips_unzoned_trips_with_one_warning_per_sweep(tmp_path, caplog):
+    # the 5x5 grid's 2x2 zones, with the first row of nodes in no zone:
+    # 2 systems x 21 attribute-metric pairs at the one equity level
+    nodes, edges, zones = (tmp_path / f"{name}.csv" for name in ("nodes", "edges", "zones"))
+    net = runner.build_network(load_config(str(write_scenario(tmp_path))).config)
+    save_network(net, str(nodes), str(edges), str(zones))
+    lines = nodes.read_text().splitlines()
+    unzoned = [line.rsplit(",", 1)[0] + "," for line in lines[1:6]]
+    nodes.write_text("\n".join([lines[0], *unzoned, *lines[6:]]) + "\n")
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(network={
+        "files": {"nodes": str(nodes), "edges": str(edges), "zones": str(zones)}}))
+    with caplog.at_level(logging.WARNING, logger="odt_lab"):
+        assert run_cli(cfg, tmp_path / "out") == 0
+    warnings = [r.getMessage() for r in caplog.records if "outside any zone" in r.getMessage()]
+    assert len(warnings) == 1, warnings
+    assert re.fullmatch(r"equity analysis skipped \d+ served trips outside any zone in "
+                        r"crowdsourced_exclusive_a1-L100 \(\d+\), dedicated_darp_a1-L100 \(\d+\)",
+                        warnings[0]), warnings[0]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -24,7 +24,7 @@ from odt_lab.dispatch import (BATCH_INTERVAL_S, DEFAULT_SEATS, DROPOFF, PICKUP, 
                               GreedyExclusive, SharedGreedy, Stop, Vehicle, darp_insert,
                               shared_greedy_match, trace_plan)
 from odt_lab.engine import run_scenario
-from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, _grid_parts
+from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, generate_grid
 
 
 def irregular_network(seed: int, n: int = 30) -> Network:
@@ -56,7 +56,10 @@ def _requests(rng: Random, net: Network, count: int, end_h: int = 10) -> list[Ri
                          ids=["darp", "shared"])
 def test_prediction_equals_realization(monkeypatch, policy):
     """The winning insertion's trace predicts every served trip to the bit:
-    pickup time, dropoff time and metres ridden."""
+    pickup time, dropoff time and metres ridden. Each day also keeps the
+    service invariants: every request is served, rejected or waiting,
+    a served DARP rider waits at most max_wait_s, and a served ride is at
+    most max_detour times the direct distance, within the network's slack."""
     pickups: dict[int, float] = {}
     drops: dict[int, tuple[float, float]] = {}  # request -> (time, metres ridden)
     search = dispatch._cheapest_insertion
@@ -81,6 +84,7 @@ def test_prediction_equals_realization(monkeypatch, policy):
         pickups.clear()
         drops.clear()
         res = run_scenario(net, reqs, supply, policy, seed=seed)
+        assert res.served + res.rejected + res.waiting == res.demand_total == len(reqs)
         for trip in res.trips:
             if not trip.served:
                 continue
@@ -90,6 +94,9 @@ def test_prediction_equals_realization(monkeypatch, policy):
             assert (picked - r.request_time) / 60.0 == trip.wait_min
             assert (dropped - picked) / 60.0 == trip.ivtt_min
             assert ridden / 1000.0 == trip.length_km
+            assert picked - r.request_time <= getattr(policy, "max_wait_s", math.inf)
+            cap = policy.max_detour * net.distance_m(r.origin, r.destination)
+            assert ridden - cap <= _EPS * max(1.0, cap)
             served += 1
             detoured += ridden > net.distance_m(r.origin, r.destination) * (1 + 1e-6)
     assert served > 150 and detoured > 20  # pooled detours are exercised
@@ -260,10 +267,10 @@ def test_winner_matches_full_trace_reference(monkeypatch, policy, seats, count, 
 def grid_with_dead_end() -> Network:
     """The 5x5 500 m grid plus node 25, east of node 4, whose only edge is
     25 -> 4: nothing can drive to node 25."""
-    nodes, edges, area_km2 = _grid_parts(5, 5, 500.0, 10.0)
-    nodes.append(Node(25, 2500.0, 0.0))
-    edges.append(Edge(len(edges), 25, 4, 500.0, 10.0, 50.0))
-    return Network(nodes, edges, area_km2=area_km2)
+    grid = generate_grid(5, 5, 500.0, 10.0)
+    nodes = [*grid.nodes.values(), Node(25, 2500.0, 0.0)]
+    edges = [*grid.edges.values(), Edge(len(grid.edges), 25, 4, 500.0, 10.0, 50.0)]
+    return Network(nodes, edges, area_km2=grid.area_km2)
 
 
 @pytest.mark.parametrize("origin, destination, raises", [

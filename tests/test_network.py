@@ -150,11 +150,16 @@ def test_grid_rejects_degenerate_shapes():
         generate_grid(3, 3, -1.0, 10.0)
 
 
-def test_grid_seed_does_not_change_layout():
-    a = generate_grid(3, 3, 400.0, 8.0, seed=1)
-    b = generate_grid(3, 3, 400.0, 8.0, seed=999)
-    assert sorted(a.nodes) == sorted(b.nodes)
-    assert all(a.edges[i].length_m == b.edges[i].length_m for i in a.edges)
+def test_grid_zones_are_near_equal_blocks():
+    net = generate_grid(5, 5, 500.0, 10.0, zone_rows=2, zone_cols=2,
+                        zone_population=250.0, area_km2=3.0)
+    assert net.area_km2 == 3.0
+    assert {zid: z.nodes for zid, z in net.zones.items()} == {
+        "Z00": [0, 1, 2, 5, 6, 7, 10, 11, 12], "Z01": [3, 4, 8, 9, 13, 14],
+        "Z02": [15, 16, 17, 20, 21, 22], "Z03": [18, 19, 23, 24]}
+    assert all(z.population == 250.0 and set(z.attrs.values()) == {0.5}
+               for z in net.zones.values())
+    assert generate_grid(5, 5, 500.0, 10.0).zones == {}
 
 
 # -- validation ---------------------------------------------------------------------
