@@ -270,6 +270,9 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append("network.grid: spacing and speed must be positive")
         if (net.grid.zone_rows > 0) != (net.grid.zone_cols > 0):
             errors.append("network.grid: zone_rows and zone_cols go together")
+        for attr in ("zone_rows", "zone_cols"):
+            if getattr(net.grid, attr) < 0:
+                errors.append(f"network.grid.{attr}: must not be negative")
     for attr in ("nodes_file", "edges_file", "zones_file"):
         f = getattr(net, attr)
         if f and not Path(f).exists():
@@ -381,7 +384,7 @@ def load_config(path: str) -> ValidationReport:
     if not p.exists():
         return ValidationReport(None, [f"config file '{path}' not found"], [])
     try:
-        raw = yaml.safe_load(p.read_text())
+        raw = yaml.load(p.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         return ValidationReport(None, [f"config file '{path}' is not valid YAML: {exc}"], [])
     return parse_config(raw or {}, source_name=p.stem)

@@ -93,10 +93,13 @@ class Network:
     Distance lookups run one reverse Dijkstra per queried destination and
     cache the result, so fleets of position queries against a common target
     (every vehicle to one pickup, every node to one stop) cost a single
-    search. Each cached tree is an array('d') of metres into its
-    destination, indexed by the node's dense slot (`_slot`, in id order),
-    with math.inf where there is no route: 8 bytes a node. A sweep builds
-    one instance and shares it, caches included, across all of its runs.
+    search. Every node has a dense slot (`_slot`, in id order). The search
+    walks one slot-indexed in-adjacency, `_in_slots`, built once with the
+    network: for each slot, the (tail slot, metres) of every edge into it.
+    Each cached tree is an array('d') of metres into its destination,
+    indexed by slot, with math.inf where there is no route: 8 bytes a node.
+    A sweep builds one instance and shares it, caches included, across all
+    of its runs.
     """
 
     def __init__(self, nodes: list[Node], edges: list[Edge],
@@ -116,15 +119,14 @@ class Network:
                 raise NetworkValidationError(f"edge {e.id} has non-positive length")
             if e.speed_mps <= 0:
                 raise NetworkValidationError(f"edge {e.id} has non-positive speed")
+        # node id -> index into every distance tree
+        self._slot: dict[int, int] = {nid: k for k, nid in enumerate(sorted(self.nodes))}
         self.out_edges: dict[int, list[Edge]] = {n.id: [] for n in nodes}
-        self.in_edges: dict[int, list[Edge]] = {n.id: [] for n in nodes}
-        for e in edges:
+        # slot -> (tail slot, metres) of each edge into it
+        self._in_slots: list[list[tuple[int, float]]] = [[] for _ in nodes]
+        for e in sorted(edges, key=lambda e: e.id):
             self.out_edges[e.frm].append(e)
-            self.in_edges[e.to].append(e)
-        for lst in self.out_edges.values():
-            lst.sort(key=lambda e: e.id)
-        for lst in self.in_edges.values():
-            lst.sort(key=lambda e: e.id)
+            self._in_slots[self._slot[e.to]].append((self._slot[e.frm], e.length_m))
 
         self.zones: dict[str, Zone] = {}
         if zones:
@@ -147,8 +149,6 @@ class Network:
         self._check_geometry()
         self.unreachable_pairs = self._check_connectivity()
 
-        # node id -> index into every distance tree
-        self._slot: dict[int, int] = {nid: k for k, nid in enumerate(sorted(self.nodes))}
         # dest node id -> metres into dest, by slot
         self._dist_to: dict[int, array] = {}
         # (origin, dest) -> RoutePath
@@ -176,21 +176,23 @@ class Network:
     def _check_connectivity(self) -> int:
         """Count ordered node pairs with no directed route; the runner
         reports the count once per sweep, before its runs start."""
-        ids = sorted(self.nodes)
-        fwd = self._reach(ids[0], self.out_edges)
-        bwd = self._reach(ids[0], self.in_edges)
-        if len(fwd) == len(ids) and len(bwd) == len(ids):
+        n = len(self._in_slots)
+        pred = [[u for u, _ in ins] for ins in self._in_slots]
+        succ = [[] for _ in pred]
+        for v, us in enumerate(pred):
+            for u in us:
+                succ[u].append(v)
+        if len(self._reach(0, succ)) == n == len(self._reach(0, pred)):
             return 0
         # Only bother with the full count when the cheap check fails.
-        return sum(len(ids) - len(self._reach(o, self.out_edges)) for o in ids)
+        return sum(n - len(self._reach(o, succ)) for o in range(n))
 
-    def _reach(self, start: int, adjacency: dict[int, list[Edge]]) -> set[int]:
+    @staticmethod
+    def _reach(start: int, adjacency: list[list[int]]) -> set[int]:
         seen = {start}
         stack = [start]
         while stack:
-            u = stack.pop()
-            for e in adjacency[u]:
-                v = e.to if adjacency is self.out_edges else e.frm
+            for v in adjacency[stack.pop()]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -209,23 +211,24 @@ class Network:
         cached = self._dist_to.get(dest)
         if cached is not None:
             return cached
-        if dest not in self.nodes:
+        s = self._slot.get(dest)
+        if s is None:
             raise KeyError(f"unknown node {dest}")
-        slot = self._slot
-        dist = array("d", [math.inf]) * len(slot)
-        dist[slot[dest]] = 0.0
-        heap = [(0.0, dest)]
+        in_slots = self._in_slots
+        dist = [math.inf] * len(in_slots)
+        dist[s] = 0.0
+        heap = [(0.0, s)]
         while heap:
             d, u = heappop(heap)
-            if d > dist[slot[u]]:
+            if d > dist[u]:
                 continue
-            for e in self.in_edges[u]:
-                nd = d + e.length_m
-                if nd < dist[slot[e.frm]]:
-                    dist[slot[e.frm]] = nd
-                    heappush(heap, (nd, e.frm))
-        self._dist_to[dest] = dist
-        return dist
+            for v, w in in_slots[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        tree = self._dist_to[dest] = array("d", dist)
+        return tree
 
     def distance_m(self, origin: int, dest: int) -> float:
         """Shortest driven distance, metres. Raises NoPathError when unreachable."""

@@ -10,6 +10,7 @@ of Lorenz trapezoids. Agreement between the two sides is then meaningful.
 from __future__ import annotations
 
 import heapq
+from array import array
 
 INF = float("inf")
 
@@ -31,6 +32,33 @@ def dijkstra_from(net, source: int) -> dict[int, float]:
             if nd < dist[e.to]:
                 dist[e.to] = nd
                 heapq.heappush(pq, (nd, e.to))
+    return dist
+
+
+def reverse_dijkstra(net, dest: int) -> array:
+    """Metres from every node into dest, by node in id order.
+
+    The one oracle that shares the production algorithm: reverse Dijkstra
+    with a heap of (metres, node id), over each node's in-edges as Edge
+    objects in edge-id order. Network's trees walk a slot-indexed
+    in-adjacency instead and must equal this bit for bit.
+    """
+    into = {nid: [] for nid in net.nodes}
+    for e in sorted(net.edges.values(), key=lambda e: e.id):
+        into[e.to].append(e)
+    slot = {nid: k for k, nid in enumerate(sorted(net.nodes))}
+    dist = array("d", [INF]) * len(slot)
+    dist[slot[dest]] = 0.0
+    pq = [(0.0, dest)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist[slot[u]]:
+            continue
+        for e in into[u]:
+            nd = d + e.length_m
+            if nd < dist[slot[e.frm]]:
+                dist[slot[e.frm]] = nd
+                heapq.heappush(pq, (nd, e.frm))
     return dist
 
 

@@ -186,6 +186,16 @@ def test_parse_warns_on_unknown_keys():
     assert any("seats" in w for w in report.warnings)
 
 
+def test_parse_rejects_negative_zone_counts():
+    raw = json.loads(json.dumps(BASE))
+    raw["network"]["grid"].update(zone_rows=-2, zone_cols=-2)
+    report = parse_config(raw)
+    assert not report.ok
+    assert [e for e in report.errors if "zone" in e] == [
+        "network.grid.zone_rows: must not be negative",
+        "network.grid.zone_cols: must not be negative"]
+
+
 def test_corridor_required_for_fixed_route():
     raw = json.loads(json.dumps(BASE))
     raw["systems"] = [{"type": "frt"}]
@@ -219,6 +229,20 @@ def test_load_config_missing_and_invalid(tmp_path):
     bad.write_text("systems: [unclosed\n")
     report = load_config(str(bad))
     assert not report.ok and "YAML" in report.errors[0]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_read_equal_mappings(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    town = next(b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S)
+                if b.startswith("name: town"))
+    scalars = ("a: 1e3\nb: ~\nc: '5'\nd: \"2.5\"\ne: 1.0e3\nf: -0.5\ng:\n"
+               "h: [yes, No, off, .inf, 0x1F, 0o17, 1_000, 2023-01-02]\ni: {j: null}\n")
+    for text in (town, scalars):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
+    path = tmp_path / "town.yaml"
+    path.write_text(town)
+    assert load_config(str(path)).config == parse_config(yaml.safe_load(town)).config
 
 
 def test_load_config_names_after_file(tmp_path):

@@ -12,7 +12,7 @@ from odt_lab.network import (CsvParseError, Edge, Network, NetworkValidationErro
                              save_network)
 
 from oracles import (dijkstra_from, distance_matrix, floyd_warshall,
-                     lexicographic_shortest_edges)
+                     lexicographic_shortest_edges, reverse_dijkstra)
 
 
 def irregular_network(seed: int) -> Network:
@@ -77,6 +77,44 @@ def test_distances_match_forward_dijkstra_on_irregular_networks():
                         assert net.distance_m(source, b) == pytest.approx(
                             expect[b], rel=1e-12)
     assert unreachable == 10 * 16  # every other node toward node 5, per copy
+
+
+def random_directed_network(seed: int, n: int = 30) -> Network:
+    """n nodes with scattered ids, four random out-edges each (lengths
+    uniform 100-900 m), and one dead end: a node with edges in, none out."""
+    rng = Random(seed)
+    ids = rng.sample(range(10 * n), n)
+    nodes = [Node(nid, rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)) for nid in ids]
+    edges = []
+    for a in ids[1:]:
+        for b in rng.sample(ids, 4):
+            if b != a:
+                length = rng.uniform(100.0, 900.0)
+                edges.append(Edge(len(edges), a, b, length, 10.0, length / 10.0))
+    rng.shuffle(edges)
+    return Network(nodes, edges)
+
+
+def test_trees_equal_the_edge_object_reference_bit_for_bit():
+    dead_ends = 0
+    for seed in range(30):
+        net = random_directed_network(seed)  # edges listed out of id order
+        assert all([e.id for e in out] == sorted(e.id for e in out)
+                   for out in net.out_edges.values())
+        for dest in net.nodes:
+            assert net._distances_to(dest) == reverse_dijkstra(net, dest)
+        unreachable = 0
+        for origin in net.nodes:
+            seen, stack = {origin}, [origin]
+            while stack:
+                for e in net.out_edges[stack.pop()]:
+                    if e.to not in seen:
+                        seen.add(e.to)
+                        stack.append(e.to)
+            unreachable += len(net.nodes) - len(seen)
+            dead_ends += len(seen) == 1
+        assert net.unreachable_pairs == unreachable
+    assert dead_ends >= 30
 
 
 def test_triangle_inequality_holds():
