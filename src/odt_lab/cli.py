@@ -100,7 +100,8 @@ def _input_problems(cfg: ScenarioConfig) -> list[str]:
     spec = corridor_spec(cfg)
 
     def door_to_door(r) -> bool:  # some system drives this request from door to door
-        return any(d.area and (not d.split or dp.hybrid_route(net, r, spec, d.split) != dp.FRT)
+        return any(d.area and not (d.corridor == "frt"
+                                   and dp.hybrid_route(net, r, spec, two_stops=True))
                    for d in designs)
 
     errors += [f"demand: no route for request {r.id} from {r.origin} to {r.destination}"

@@ -26,25 +26,19 @@ from .emissions import ELECTRIFICATION_LEVELS, EmissionFactors
 
 @dataclass(frozen=True)
 class SystemType:
-    """The fleets one service design runs, out of four: crowdsourced_exclusive,
-    crowdsourced_shared, dedicated and frt.
+    """The fleets one service design runs, named by the policy they dispatch
+    with (runner.fleet_policy): crowdsourced_exclusive, crowdsourced_shared,
+    "crowdsourced" (the system's crowdsourced_service), dedicated and frt.
 
     The area fleet serves the whole network on the hourly supply schedule,
-    scaled by the system's alpha; "crowdsourced" is the crowdsourced fleet
-    its crowdsourced_service names. The corridor fleet serves the corridor:
-    a fixed route, or a dedicated fleet on corridor.supply scaled by the
-    corridor's alpha. A hybrid runs both and splits its riders between them
-    with dispatch.hybrid_route in `split` mode.
+    scaled by the system's alpha. The corridor fleet serves the corridor: a
+    fixed route, or a dedicated fleet on corridor.supply scaled by the
+    corridor's alpha. A hybrid names both, and dispatch.hybrid_route decides
+    which of them takes each rider.
     """
 
     area: str | None = None
     corridor: str | None = None
-    split: str | None = None
-
-    @property
-    def surge_sensitive(self) -> bool:
-        """Crowdsourced drivers' pay follows rider-side surge pricing."""
-        return self.area is not None and self.area.startswith("crowdsourced")
 
 
 SYSTEM_TYPES = {
@@ -52,8 +46,8 @@ SYSTEM_TYPES = {
     "crowdsourced_shared": SystemType(area="crowdsourced_shared"),
     "dedicated_darp": SystemType(area="dedicated"),
     "frt": SystemType(corridor="frt"),
-    "hybrid_frt": SystemType(area="crowdsourced", corridor="frt", split="frt_based"),
-    "hybrid_odt": SystemType(area="crowdsourced", corridor="dedicated", split="odt_based"),
+    "hybrid_frt": SystemType(area="crowdsourced", corridor="frt"),
+    "hybrid_odt": SystemType(area="crowdsourced", corridor="dedicated"),
 }
 ALPHA_CHOICES = (0.0, 0.5, 1.0)
 SURGE_CHOICES = (0, 20, 40, 50)
@@ -347,8 +341,12 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append("corridor: vehicle counts must be at least 1")
         if cor.alpha not in ALPHA_CHOICES:
             errors.append(f"corridor: alpha {cor.alpha} not in {ALPHA_CHOICES}")
+        if cor.dwell_s < 0:
+            errors.append("corridor.dwell_s: must not be negative")
         if cor.supply is not None and len(cor.supply) != 24:
             errors.append("corridor: supply needs 24 hourly counts")
+        elif cor.supply is not None and any(c < 0 for c in cor.supply):
+            errors.append("corridor.supply: hourly counts must be non-negative integers")
         if any(d.corridor == "dedicated" for d in designs) and cor.supply is None:
             errors.append("corridor: supply required for the dedicated corridor fleet")
 

@@ -39,11 +39,6 @@ WALK_SPEED_KMH = 5.0
 PICKUP = "pickup"
 DROPOFF = "dropoff"
 
-# service tags used by the hybrid router and trip records
-FRT = "FRT"
-CROWDSOURCED = "CROWDSOURCED"
-DEDICATED = "DEDICATED"
-
 
 def walk_minutes(dist_m: float, speed_kmh: float = WALK_SPEED_KMH) -> float:
     return dist_m / (speed_kmh * 1000.0 / 60.0)
@@ -124,8 +119,9 @@ class Vehicle:
 # vehicle serves a stop and stays on duty), or at once when it is 0.
 
 
-class _Crowdsourced:
-    """Hired drivers in their own cars, paid per trip plus any surge."""
+class Crowdsourced:
+    """Hired drivers in their own cars, paid per trip plus any surge: the
+    one kind of fleet whose cost moves with surge pricing."""
 
     batch_s = 0.0
     shared = False  # pooled fare; read by costing only
@@ -139,7 +135,7 @@ class _Crowdsourced:
 
 
 @dataclass(frozen=True)
-class GreedyExclusive(_Crowdsourced):
+class GreedyExclusive(Crowdsourced):
     kind: str = "greedy_exclusive"
 
     def assign(self, net, vehicles, waiting, requests, now):
@@ -149,7 +145,7 @@ class GreedyExclusive(_Crowdsourced):
 
 
 @dataclass(frozen=True)
-class SharedGreedy(_Crowdsourced):
+class SharedGreedy(Crowdsourced):
     max_detour: float = MAX_DETOUR_FACTOR
     kind: str = "shared_greedy"
     shared = True
@@ -185,7 +181,7 @@ class DarpInsertion:
 
 @dataclass(frozen=True)
 class FixedRoute:
-    spec: "RouteSpec" = None
+    spec: "RouteSpec"
     vehicles: int = 2
     kind: str = "frt"
 
@@ -570,6 +566,8 @@ class RouteSpec:
             raise ValueError("route stops must be distinct")
         if self.window[0] >= self.window[1]:
             raise ValueError("route window must be a forward interval")
+        if self.dwell_s < 0:
+            raise ValueError("route dwell time cannot be negative")
 
     def vehicle_count(self, demand_level_pct: float) -> int:
         return (self.vehicles_high if demand_level_pct >= self.high_demand_threshold_pct
@@ -726,28 +724,15 @@ def frt_board(net: Network, request: RideRequest, spec: RouteSpec,
 # -- hybrid routing ------------------------------------------------------------
 
 
-def in_corridor(net: Network, spec: RouteSpec, node: int) -> bool:
-    """Whether a node lies inside the walking catchment of any route stop."""
-    reach = catchment_m(spec.catchment_min)
-    return any(net.straight_line_m(node, s) <= reach for s in spec.stops)
-
-
 def hybrid_route(net: Network, request: RideRequest, spec: RouteSpec,
-                 mode: str) -> str:
-    """Decide which component of a hybrid system serves a request.
+                 two_stops: bool) -> bool:
+    """Whether a hybrid's corridor fleet takes a request; its crowdsourced
+    fleet takes the rest.
 
-    frt_based sends corridor-eligible riders to the fixed route and
-    everyone else to the crowdsourced fleet; odt_based sends riders whose
-    trip stays inside the corridor catchment during the service window to
-    the dedicated door-to-door fleet instead.
+    The corridor fleet takes a trip that passes the corridor's gates: the
+    service window and the walking catchment at both ends. A fixed route
+    (two_stops) also needs distinct boarding and alighting stops; a
+    dedicated door-to-door fleet does not.
     """
-    if mode == "frt_based":
-        ends = _corridor_ends(net, spec, request)
-        return CROWDSOURCED if isinstance(ends, Ineligible) else FRT
-    if mode == "odt_based":
-        w0, w1 = spec.window
-        if w0 <= request.request_time < w1 and in_corridor(net, spec, request.origin) \
-                and in_corridor(net, spec, request.destination):
-            return DEDICATED
-        return CROWDSOURCED
-    raise ValueError(f"unknown hybrid mode '{mode}'")
+    ends = _corridor_ends(net, spec, request)
+    return not isinstance(ends, Ineligible) or (not two_stops and ends.reason == "same_stop")

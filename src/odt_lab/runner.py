@@ -100,7 +100,6 @@ class ComponentOutput:
 @dataclass
 class RunOutput:
     system: str
-    system_type: str
     level: int
     combined: SimulationResult
     components: list[ComponentOutput]
@@ -108,6 +107,11 @@ class RunOutput:
     @property
     def run_id(self) -> str:
         return f"{self.system}-L{self.level}"
+
+    @property
+    def surge_priced(self) -> bool:
+        """Whether one of the run's fleets is paid with surge pricing."""
+        return any(isinstance(c.policy, dp.Crowdsourced) for c in self.components)
 
 
 def _merge(parts: list[SimulationResult], demand_total: int) -> SimulationResult:
@@ -125,6 +129,23 @@ def _merge(parts: list[SimulationResult], demand_total: int) -> SimulationResult
     return summarize(trips, fleet, demand_total, rejections)
 
 
+def fleet_policy(fleet: str, system: SystemConfig, spec: dp.RouteSpec | None,
+                 level: int):
+    """The dispatch policy of a SYSTEM_TYPES fleet name, for one system at
+    one demand level; "crowdsourced" rides as the system's
+    crowdsourced_service says."""
+    if fleet == "crowdsourced":
+        fleet = f"crowdsourced_{system.crowdsourced_service}"
+    if fleet == "crowdsourced_exclusive":
+        return dp.GreedyExclusive()
+    if fleet == "crowdsourced_shared":
+        return dp.SharedGreedy(max_detour=system.max_detour)
+    if fleet == "dedicated":
+        return dp.DarpInsertion(max_detour=system.max_detour,
+                                max_wait_s=system.max_wait_min * 60.0)
+    return dp.FixedRoute(spec, spec.vehicle_count(level))
+
+
 def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
             demand: list[RideRequest], base_requests: list[RideRequest],
             base_supply: SupplySchedule | None, spec: dp.RouteSpec | None) -> RunOutput:
@@ -132,32 +153,23 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
     the day at that level. Every input is the sweep's, and only read."""
     seed = f"{cfg.seed}/{system.name}/L{level}"
     design = SYSTEM_TYPES[system.type]
-    policies = {
-        "crowdsourced_exclusive": dp.GreedyExclusive(),
-        "crowdsourced_shared": dp.SharedGreedy(max_detour=system.max_detour),
-        "dedicated": dp.DarpInsertion(max_detour=system.max_detour,
-                                      max_wait_s=system.max_wait_min * 60.0),
-    }
-    policies["crowdsourced"] = policies[f"crowdsourced_{system.crowdsourced_service}"]
-    if spec is not None:
-        policies["frt"] = dp.FixedRoute(spec, spec.vehicle_count(level))
-
     fleets = []  # (policy, supply schedule), the corridor fleet first
     if design.corridor:
         cor = cfg.corridor
-        fleets.append((policies[design.corridor], None if cor.supply is None else
+        fleets.append((fleet_policy(design.corridor, system, spec, level),
+                       None if cor.supply is None else
                        scale_supply(SupplySchedule(list(cor.supply)), level - 100, cor.alpha)))
     if design.area:
-        fleets.append((policies[design.area],
+        fleets.append((fleet_policy(design.area, system, spec, level),
                        scale_supply(base_supply, level - 100, system.alpha)))
 
     # each fleet's riders, the base requests its vehicles spawn among, its seed
     riders, spawn, seeds = [demand], [base_requests], [seed]
-    if design.split:
+    if design.area and design.corridor:  # a hybrid
         def split(reqs) -> list[list[RideRequest]]:
             parts = [[], []]  # corridor, crowdsourced
             for r in reqs:
-                parts[dp.hybrid_route(net, r, spec, design.split) == dp.CROWDSOURCED].append(r)
+                parts[not dp.hybrid_route(net, r, spec, design.corridor == "frt")].append(r)
             return parts
 
         riders = split(demand)
@@ -170,7 +182,7 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
         res = run_scenario(net, reqs, supply, policy, fleet_seed, [r.origin for r in pool])
         components.append(ComponentOutput(policy, res, policy.vehicles_owned(supply)))
     combined = _merge([c.result for c in components], len(demand))
-    return RunOutput(system.name, system.type, level, combined, components)
+    return RunOutput(system.name, level, combined, components)
 
 
 def _run_spec(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
@@ -309,11 +321,11 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
     ana = cfg.analysis
     surge_levels = sorted(set(ana.surge_levels))
 
-    # surge variants of a surge-sensitive system get their own tagged curve
-    def tag_for(name: str, system_type: str, surge: int) -> str:
-        if surge == 0 or not SYSTEM_TYPES[system_type].surge_sensitive:
-            return name
-        return f"{name}+s{surge}"
+    # surge variants of a surge-priced system get their own tagged curve
+    surge_priced = {run.system for run in runs if run.surge_priced}
+
+    def tag_for(name: str, surge: int) -> str:
+        return f"{name}+s{surge}" if surge and name in surge_priced else name
 
     files: dict[str, tuple[list[str], list[list]] | str] = {}
     all_trips, all_fleet, cost_rows, emis_rows, gini_rows = [], [], [], [], []
@@ -333,12 +345,11 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
                 [asdict(r) for r in c.rejections], indent=2, sort_keys=True, default=str)
 
         # costs and generalized cost, one row each per applicable surge level
-        sensitive = SYSTEM_TYPES[run.system_type].surge_sensitive
-        for s in sorted({0, *surge_levels}) if sensitive else [0]:
+        for s in sorted({0, *surge_levels}) if run.surge_priced else [0]:
             capital, operating, nac = run_cost(run, params, s)
             cost_rows.append([run.run_id, run.system, run.level, s,
                               str(capital), str(operating), str(nac)])
-            tag = tag_for(run.system, run.system_type, s)
+            tag = tag_for(run.system, s)
             served[tag, run.level] = c.served
             gc_entries.append({
                 "system": tag,
@@ -394,7 +405,7 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
     skipped = []  # "a vs b: reason" of pairs with too little data
     for s in surge_levels:
         for sys_a, sys_b in combinations(cfg.systems, 2):
-            a, b = tag_for(sys_a.name, sys_a.type, s), tag_for(sys_b.name, sys_b.type, s)
+            a, b = tag_for(sys_a.name, s), tag_for(sys_b.name, s)
             if (a, b) in seen_pairs:
                 continue
             seen_pairs.add((a, b))

@@ -21,9 +21,9 @@ import yaml
 
 from odt_lab import runner
 from odt_lab.cli import main
-from odt_lab.config import ScenarioConfig, load_config, parse_config
+from odt_lab.config import SYSTEM_TYPES, ScenarioConfig, load_config, parse_config
 from odt_lab.costing import CostParameters
-from odt_lab.demand import RideRequest, save_requests
+from odt_lab.demand import RideRequest, save_requests, scale_demand
 from odt_lab.emissions import EmissionFactors
 from odt_lab.network import generate_grid, save_network
 from odt_lab.runner import RunOutput
@@ -306,6 +306,21 @@ def test_validate_reports_a_bad_supply_file(tmp_path, capsys, row, problem):
     assert f"error: {supply}:2: {problem}" in err and "1 problem(s) found" in err
 
 
+@pytest.mark.parametrize("corridor, problem", [
+    ({"dwell_s": -100.0}, "corridor.dwell_s: must not be negative"),
+    ({"supply": [1] * 23 + [-1]}, "corridor.supply: hourly counts must be non-negative"),
+], ids=["dwell_s", "supply"])
+def test_validate_rejects_negative_corridor_values(tmp_path, capsys, corridor, problem):
+    # a negative dwell never lets the timetable reach the end of the window,
+    # and a negative count fails the run in the middle of the sweep
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        systems=[{"type": "hybrid_odt"}],
+        corridor={"stops": [10, 12, 14], "supply": [1] * 24, **corridor}))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {problem}" in err and "1 problem(s) found" in err
+
+
 @pytest.mark.parametrize("key, value", [("surge_levels", [0, 20]), ("value_of_time", 99)],
                          ids=["surge_levels", "value_of_time"])
 def test_validate_rejects_cost_surge_levels(tmp_path, capsys, key, value):
@@ -435,6 +450,66 @@ def test_run_produces_verified_outputs(tmp_path):
             run_dir = out / "runs" / f"{system}-L{level}"
             assert (run_dir / "trips.csv").exists()
             assert (run_dir / "fleet.csv").exists()
+
+
+CORRIDOR = {"stops": [10, 12, 14], "cruise_speed_mps": 10.0, "supply": [1] * 24}
+
+
+def one_system(system: dict, extra: list[RideRequest] = ()) -> tuple:
+    """The config, network, base day, days by level and runs of BASE with
+    the corridor above, one system in place of BASE's two, and the extra
+    requests added to the day at each level."""
+    raw = json.loads(json.dumps(BASE))
+    raw.update(systems=[system], corridor=CORRIDOR)
+    cfg = parse_config(raw).config
+    net = runner.build_network(cfg)
+    base = runner.build_base_demand(cfg, net)
+    days = {lvl: scale_demand(base, lvl, cfg.seed) + list(extra)
+            for lvl in cfg.demand.levels}
+    supply, spec = runner.build_base_supply(cfg), runner.corridor_spec(cfg)
+    runs = [runner.run_one(net, cfg, cfg.systems[0], lvl, day, base, supply, spec)
+            for lvl, day in days.items()]
+    return cfg, net, base, days, runs
+
+
+@pytest.mark.parametrize("service", ["exclusive", "shared"])
+@pytest.mark.parametrize("system_type", list(SYSTEM_TYPES))
+def test_every_system_type_runs_with_either_crowdsourced_ride_style(system_type, service):
+    # one rider each way of the split on either hybrid: 900 boards the fixed
+    # route, 901's ends share a nearest stop, and both stay in the catchment
+    corridor_riders = [RideRequest(900, 26000.0, 11, 14), RideRequest(901, 30000.0, 5, 15)]
+    cfg, net, _, days, runs = one_system({"type": system_type,
+                                          "crowdsourced_service": service},
+                                         corridor_riders)
+    crowd = {"exclusive": "greedy_exclusive", "shared": "shared_greedy"}[service]
+    fleets = {"crowdsourced_exclusive": ["greedy_exclusive"],
+              "crowdsourced_shared": ["shared_greedy"], "dedicated_darp": ["darp"],
+              "frt": ["frt"], "hybrid_frt": ["frt", crowd], "hybrid_odt": ["darp", crowd]}
+    for run, day in zip(runs, days.values()):
+        kinds = [c.policy.kind for c in run.components]  # the corridor fleet first
+        assert kinds == fleets[system_type]
+        c = run.combined
+        assert sorted(t.request_id for t in c.trips) == sorted(r.id for r in day)
+        assert {t.mode for t in c.trips} == set(kinds)
+        assert c.served + c.rejected + c.waiting == c.demand_total == len(day)
+    _, cost_rows = runner.tables(cfg, net, days, runs)["costs.csv"]
+    crowdsourced = system_type not in ("dedicated_darp", "frt")
+    assert sorted(row[3] for row in cost_rows) == (
+        [0, 0, 20, 20] if crowdsourced else [0, 0])  # two levels, surge 0 and 20
+
+
+def test_hybrid_frt_keeps_a_rider_with_no_departure_left_on_the_fixed_route():
+    # request 6 is in the window and in the catchment, so the split sends
+    # it to the fixed route; its last outbound departure has left
+    late = RideRequest(6, 75599.0, 11, 14)
+    cfg, net, base, _, _ = one_system({"type": "hybrid_frt"})
+    run = runner.run_one(net, cfg, cfg.systems[0], 100, [late], base,
+                         runner.build_base_supply(cfg), runner.corridor_spec(cfg))
+    (trip,) = run.combined.trips
+    assert (trip.mode, trip.served, trip.reject_reason) == ("frt", False, "no_departure")
+    corridor, crowdsourced = run.components
+    assert [t.request_id for t in corridor.result.trips] == [6]
+    assert crowdsourced.result.trips == []
 
 
 def test_run_is_byte_deterministic(tmp_path):

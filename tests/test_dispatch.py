@@ -15,10 +15,9 @@ import pytest
 
 from odt_lab import dispatch
 from odt_lab.demand import RideRequest
-from odt_lab.dispatch import (CROWDSOURCED, DEDICATED, DROPOFF, FRT, Ineligible,
-                              PICKUP, RouteSpec, Stop, Vehicle, build_timetable,
-                              catchment_m, darp_insert, frt_board, greedy_assign,
-                              hybrid_route, in_corridor, nearest_stop, ride_stops,
+from odt_lab.dispatch import (DROPOFF, Ineligible, PICKUP, RouteSpec, Stop, Vehicle,
+                              build_timetable, catchment_m, darp_insert, frt_board,
+                              greedy_assign, hybrid_route, nearest_stop, ride_stops,
                               shared_greedy_match, trace_plan, walk_minutes,
                               walk_seconds)
 from odt_lab.network import Edge, Network, generate_grid
@@ -476,6 +475,11 @@ def test_route_spec_validation():
         RouteSpec(stops=(10, 10))
     with pytest.raises(ValueError):
         RouteSpec(stops=(10, 12), window=(3600.0, 3600.0))
+    # a negative dwell can make each timetable block negative, and the
+    # timetable would never reach the end of the window
+    with pytest.raises(ValueError, match="dwell"):
+        RouteSpec(stops=(10, 12), dwell_s=-100.0)
+    assert RouteSpec(stops=(10, 12), dwell_s=0.0).dwell_s == 0.0
     assert CORRIDOR.vehicle_count(250.0) == 2
     assert CORRIDOR.vehicle_count(300.0) == 3
 
@@ -557,36 +561,47 @@ def test_frt_board_gates(net5, timetable):
 
 
 def test_hybrid_frt_based_split(net5):
-    assert hybrid_route(net5, RideRequest(1, 26000.0, 11, 19), CORRIDOR,
-                        "frt_based") == FRT
+    # the fixed route takes corridor-eligible riders
+    assert hybrid_route(net5, RideRequest(1, 26000.0, 11, 19), CORRIDOR, True)
     # same-stop pairs cannot ride the corridor
-    assert hybrid_route(net5, RideRequest(2, 26000.0, 5, 15), CORRIDOR,
-                        "frt_based") == CROWDSOURCED
-    assert hybrid_route(net5, RideRequest(3, 1000.0, 11, 19), CORRIDOR,
-                        "frt_based") == CROWDSOURCED
-    assert hybrid_route(net5, RideRequest(4, 26000.0, 0, 19), CORRIDOR,
-                        "frt_based") == CROWDSOURCED
+    assert not hybrid_route(net5, RideRequest(2, 26000.0, 5, 15), CORRIDOR, True)
+    assert not hybrid_route(net5, RideRequest(3, 1000.0, 11, 19), CORRIDOR, True)
+    assert not hybrid_route(net5, RideRequest(4, 26000.0, 0, 19), CORRIDOR, True)
 
 
 def test_hybrid_odt_based_split(net5):
-    assert hybrid_route(net5, RideRequest(1, 26000.0, 11, 19), CORRIDOR,
-                        "odt_based") == DEDICATED
+    assert hybrid_route(net5, RideRequest(1, 26000.0, 11, 19), CORRIDOR, False)
     # door-to-door corridor service has no same-stop exclusion
-    assert hybrid_route(net5, RideRequest(2, 26000.0, 5, 15), CORRIDOR,
-                        "odt_based") == DEDICATED
-    assert hybrid_route(net5, RideRequest(3, 1000.0, 11, 19), CORRIDOR,
-                        "odt_based") == CROWDSOURCED
-    assert hybrid_route(net5, RideRequest(4, 26000.0, 0, 19), CORRIDOR,
-                        "odt_based") == CROWDSOURCED
+    assert hybrid_route(net5, RideRequest(2, 26000.0, 5, 15), CORRIDOR, False)
+    assert not hybrid_route(net5, RideRequest(3, 1000.0, 11, 19), CORRIDOR, False)
+    assert not hybrid_route(net5, RideRequest(4, 26000.0, 0, 19), CORRIDOR, False)
 
 
-def test_hybrid_rejects_unknown_mode(net5):
-    with pytest.raises(ValueError):
-        hybrid_route(net5, RideRequest(1, 26000.0, 11, 19), CORRIDOR, "nearest")
+@pytest.mark.parametrize("two_stops", [True, False])
+def test_hybrid_route_matches_the_catchment_rule_on_every_pair(net5, two_stops):
+    """Every ordered node pair of the grid, inside and outside the window,
+    against the split computed straight from its definition: in the
+    window, some stop within the walking catchment of each end by straight
+    line, and for the fixed route two distinct nearest stops."""
+    reach = catchment_m(CORRIDOR.catchment_min)
 
+    def nearest(node):
+        return min(CORRIDOR.stops, key=lambda s: (net5.straight_line_m(node, s),
+                                                  CORRIDOR.stops.index(s)))
 
-def test_in_corridor_matches_catchment(net5):
-    assert in_corridor(net5, CORRIDOR, 11)
-    assert in_corridor(net5, CORRIDOR, 14)
-    assert not in_corridor(net5, CORRIDOR, 0)
-    assert not in_corridor(net5, CORRIDOR, 24)
+    def covered(node):
+        return any(net5.straight_line_m(node, s) <= reach for s in CORRIDOR.stops)
+
+    taken = 0
+    for t in (26000.0, 80000.0):
+        in_window = CORRIDOR.window[0] <= t < CORRIDOR.window[1]
+        for o in net5.nodes:
+            for d in net5.nodes:
+                if o == d:
+                    continue
+                want = in_window and covered(o) and covered(d) and \
+                    (not two_stops or nearest(o) != nearest(d))
+                assert hybrid_route(net5, RideRequest(0, t, o, d), CORRIDOR,
+                                    two_stops) == want, (t, o, d)
+                taken += want
+    assert 0 < taken < len(net5.nodes) ** 2  # both answers occur

@@ -373,6 +373,11 @@ def test_fixed_route_day_with_capacity_spill(net5):
     assert res.fleet[0].start_s == 25200.0
 
 
+def test_fixed_route_needs_its_route():
+    with pytest.raises(TypeError):
+        FixedRoute()
+
+
 def test_fixed_route_ignores_supply_argument(net5):
     riders = [RideRequest(0, 26000.0, 11, 14)]
     a = run_scenario(net5, riders, None, FixedRoute(CORRIDOR, 2))
