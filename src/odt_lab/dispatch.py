@@ -254,9 +254,9 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
             ridden = final_m[rid] = odo - picked.pop(rid)
             if promises is not None:
                 # A ride is summed forward along its path, the direct
-                # distance backward by reverse Dijkstra; the network's "same
-                # length" slack absorbs the difference in rounding, so a
-                # direct ride meets a cap of 1.0.
+                # distance backward by the network's reverse tree search; the
+                # network's "same length" slack absorbs the difference in
+                # rounding, so a direct ride meets a cap of 1.0.
                 r = requests[rid]
                 cap = max_detour * net.distance_m(r.origin, r.destination)
                 if ridden - cap > _EPS * max(1.0, cap):
@@ -662,9 +662,7 @@ class Ineligible:
 
 def nearest_stop(net: Network, spec: RouteSpec, node: int) -> tuple[int, float]:
     """Closest route stop by straight-line walk; returns (stop index, metres)."""
-    best = min(range(len(spec.stops)),
-               key=lambda k: (net.straight_line_m(node, spec.stops[k]), k))
-    return best, net.straight_line_m(node, spec.stops[best])
+    return net.nearest_stop(node, spec.stops)
 
 
 def _corridor_ends(net: Network, spec: RouteSpec,

@@ -90,16 +90,17 @@ def _make_edge(eid: int, frm: int, to: int, length_m: float, speed_mps: float) -
 class Network:
     """Immutable routing graph with lazily cached shortest-path distances.
 
-    Distance lookups run one reverse Dijkstra per queried destination and
-    cache the result, so fleets of position queries against a common target
-    (every vehicle to one pickup, every node to one stop) cost a single
-    search. Every node has a dense slot (`_slot`, in id order). The search
-    walks one slot-indexed in-adjacency, `_in_slots`, built once with the
-    network: for each slot, the (tail slot, metres) of every edge into it.
-    Each cached tree is an array('d') of metres into its destination,
-    indexed by slot, with math.inf where there is no route: 8 bytes a node.
-    A sweep builds one instance and shares it, caches included, across all
-    of its runs.
+    Distance lookups run one reverse shortest-path search per queried
+    destination and cache the result, so fleets of position queries against
+    a common target (every vehicle to one pickup, every node to one stop)
+    cost a single search. Every node has a dense slot (`_slot`, in id
+    order). The search is Delta-stepping over one slot-indexed
+    in-adjacency, `_in_slots`, built once with the network: for each slot,
+    the (tail slot, metres) of every edge into it. Each cached tree is an
+    array('d') of metres into its destination, indexed by slot, with
+    math.inf where there is no route: 8 bytes a node. Each node's nearest
+    stop of a route is cached next to the trees. A sweep builds one
+    instance and shares it, caches included, across all of its runs.
     """
 
     def __init__(self, nodes: list[Node], edges: list[Edge],
@@ -110,15 +111,19 @@ class Network:
         self.edges: dict[int, Edge] = {e.id: e for e in edges}
         if len(self.edges) != len(edges):
             raise NetworkValidationError("duplicate edge ids")
+        inf = math.inf
         for e in edges:
             for endpoint in (e.frm, e.to):
                 if endpoint not in self.nodes:
                     raise NetworkValidationError(
                         f"edge {e.id} references unknown node {endpoint}")
-            if e.length_m <= 0:
-                raise NetworkValidationError(f"edge {e.id} has non-positive length")
-            if e.speed_mps <= 0:
-                raise NetworkValidationError(f"edge {e.id} has non-positive speed")
+            # "not 0 < x < inf" also refuses nan
+            if not 0 < e.length_m < inf:
+                raise NetworkValidationError(
+                    f"edge {e.id} has length_m {e.length_m}; it must be positive and finite")
+            if not 0 < e.speed_mps < inf:
+                raise NetworkValidationError(
+                    f"edge {e.id} has speed_mps {e.speed_mps}; it must be positive and finite")
         # node id -> index into every distance tree
         self._slot: dict[int, int] = {nid: k for k, nid in enumerate(sorted(self.nodes))}
         self.out_edges: dict[int, list[Edge]] = {n.id: [] for n in nodes}
@@ -127,6 +132,8 @@ class Network:
         for e in sorted(edges, key=lambda e: e.id):
             self.out_edges[e.frm].append(e)
             self._in_slots[self._slot[e.to]].append((self._slot[e.frm], e.length_m))
+        # bucket width of the tree search: the median edge length
+        self._delta = sorted([e.length_m for e in edges])[len(edges) // 2] if edges else 1.0
 
         self.zones: dict[str, Zone] = {}
         if zones:
@@ -153,6 +160,8 @@ class Network:
         self._dist_to: dict[int, array] = {}
         # (origin, dest) -> RoutePath
         self._path_cache: dict[tuple[int, int], RoutePath] = {}
+        # stops -> node id -> (index of its nearest stop, metres to it)
+        self._nearest: dict[tuple[int, ...], dict[int, tuple[int, float]]] = {}
 
     # -- construction-time checks ------------------------------------------
 
@@ -204,6 +213,17 @@ class Network:
         na, nb = self.nodes[a], self.nodes[b]
         return math.hypot(na.x - nb.x, na.y - nb.y)
 
+    def nearest_stop(self, node: int, stops: tuple[int, ...]) -> tuple[int, float]:
+        """The stop closest to node by straight line, lowest index on a tie,
+        as (index into stops, metres); computed once per node and stops."""
+        by_node = self._nearest.setdefault(stops, {})
+        hit = by_node.get(node)
+        if hit is None:
+            walks = [self.straight_line_m(node, stop) for stop in stops]
+            best = min(range(len(stops)), key=lambda k: (walks[k], k))
+            hit = by_node[node] = best, walks[best]
+        return hit
+
     def zone_of(self, node_id: int) -> str | None:
         return self.nodes[node_id].zone_id
 
@@ -214,19 +234,53 @@ class Network:
         s = self._slot.get(dest)
         if s is None:
             raise KeyError(f"unknown node {dest}")
-        in_slots = self._in_slots
+        # Delta-stepping: a slot waits in the bucket of its tentative metres,
+        # buckets being delta wide. Bucket b is `cur`, b + 1 is `nxt`, and
+        # later ones sit in `far` under their index, which `far_keys` heaps.
+        # A slot is expanded FIFO within its bucket, and again only if its
+        # metres dropped since. Every slot is expanded at its final value and
+        # fl(x + w) is monotone in x, so the trees are the fixpoint a heap
+        # search reaches, bit for bit, whatever the order of expansion.
+        in_slots, delta = self._in_slots, self._delta
         dist = [math.inf] * len(in_slots)
+        expanded = [math.inf] * len(in_slots)  # metres at the last expansion
         dist[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in in_slots[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
+        b = 0.0  # float indices: one too large for a float is inf, not an OverflowError
+        cur, nxt, far, far_keys = [s], [], {}, []
+        while True:
+            top = (b + 1.0) * delta
+            top2 = top + delta
+            for u in cur:  # cur grows while it is walked
+                d = dist[u]
+                if d >= expanded[u]:
+                    continue
+                expanded[u] = d
+                for v, w in in_slots[u]:
+                    nd = d + w
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        if nd < top:
+                            cur.append(v)
+                        elif nd < top2:
+                            nxt.append(v)
+                        else:
+                            k = nd // delta
+                            if k in far:
+                                far[k].append(v)
+                            else:
+                                far[k] = [v]
+                                heappush(far_keys, k)
+            if nxt:
+                b += 1.0
+                cur = nxt
+            elif far:
+                b = heappop(far_keys)
+                while b not in far:  # taken earlier as a nxt
+                    b = heappop(far_keys)
+                cur = far.pop(b)
+            else:
+                break
+            nxt = far.pop(b + 1.0, [])
         tree = self._dist_to[dest] = array("d", dist)
         return tree
 

@@ -4,10 +4,11 @@ One execute() call takes a validated config and produces a self-contained
 output directory: merged trip and fleet logs, cost / emission / generalized
 cost / crossing / equity tables, per-run detail folders, and a manifest
 with a checksum per file. Everything is deterministic for a fixed config
-and seed: each sweep input (the network, the base day, the day at each
-level, the base supply, the corridor) is built once, before any run, and
-read by every run, worker processes included; floats are written with
-fixed formats, and no timestamps appear anywhere.
+and seed: each sweep input (the network, the base day and its split
+between a hybrid's fleets, the day at each level, the base supply, the
+corridor) is built once, before any run, and read by every run, worker
+processes included; floats are written with fixed formats, and no
+timestamps appear anywhere.
 """
 
 from __future__ import annotations
@@ -146,11 +147,33 @@ def fleet_policy(fleet: str, system: SystemConfig, spec: dp.RouteSpec | None,
     return dp.FixedRoute(spec, spec.vehicle_count(level))
 
 
+def hybrid_split(net: Network, reqs: list[RideRequest], spec: dp.RouteSpec,
+                 corridor: str) -> list[list[RideRequest]]:
+    """reqs split between a hybrid's corridor fleet, named by `corridor`,
+    and its crowdsourced fleet, in that order."""
+    parts = [[], []]
+    for r in reqs:
+        parts[not dp.hybrid_route(net, r, spec, corridor == "frt")].append(r)
+    return parts
+
+
+def spawn_pools(net: Network, system_type: str, base: list[RideRequest],
+                spec: dp.RouteSpec | None) -> list[list[RideRequest]]:
+    """The base requests each fleet of a system type spawns its vehicles
+    among, the corridor fleet first: a hybrid's split of the base day."""
+    design = SYSTEM_TYPES[system_type]
+    if not (design.area and design.corridor):
+        return [base]
+    # an empty part would leave its fleet nowhere to spawn
+    return [part or base for part in hybrid_split(net, base, spec, design.corridor)]
+
+
 def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
-            demand: list[RideRequest], base_requests: list[RideRequest],
+            demand: list[RideRequest], spawn: list[list[RideRequest]],
             base_supply: SupplySchedule | None, spec: dp.RouteSpec | None) -> RunOutput:
     """Simulate one system at one demand level, components included, on
-    the day at that level. Every input is the sweep's, and only read."""
+    the day at that level; `spawn` is `spawn_pools` of the system's type.
+    Every input is the sweep's, and only read."""
     seed = f"{cfg.seed}/{system.name}/L{level}"
     design = SYSTEM_TYPES[system.type]
     fleets = []  # (policy, supply schedule), the corridor fleet first
@@ -163,18 +186,10 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
         fleets.append((fleet_policy(design.area, system, spec, level),
                        scale_supply(base_supply, level - 100, system.alpha)))
 
-    # each fleet's riders, the base requests its vehicles spawn among, its seed
-    riders, spawn, seeds = [demand], [base_requests], [seed]
+    # each fleet's riders and its seed
+    riders, seeds = [demand], [seed]
     if design.area and design.corridor:  # a hybrid
-        def split(reqs) -> list[list[RideRequest]]:
-            parts = [[], []]  # corridor, crowdsourced
-            for r in reqs:
-                parts[not dp.hybrid_route(net, r, spec, design.corridor == "frt")].append(r)
-            return parts
-
-        riders = split(demand)
-        # an empty base split would leave the fleet nowhere to spawn
-        spawn = [part or base_requests for part in split(base_requests)]
+        riders = hybrid_split(net, demand, spec, design.corridor)
         seeds = [f"{seed}/corridor", f"{seed}/crowdsourced"]
 
     components = []
@@ -185,14 +200,16 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
     return RunOutput(system.name, level, combined, components)
 
 
-def _run_spec(cfg: ScenarioConfig, net: Network, base: list[RideRequest],
+def _run_spec(cfg: ScenarioConfig, net: Network, spawn: dict[str, list[list[RideRequest]]],
               supply: SupplySchedule | None, spec: dp.RouteSpec | None,
               task: tuple[int, int, list[RideRequest]]) -> tuple[RunOutput, float]:
     """One (system index, level, day at that level) run of a sweep and its
-    wall seconds, in this or a worker process."""
+    wall seconds, in this or a worker process; `spawn` holds the spawn
+    pools of each system type."""
     system_index, level, day = task
+    system = cfg.systems[system_index]
     start = time.perf_counter()
-    run = run_one(net, cfg, cfg.systems[system_index], level, day, base, supply, spec)
+    run = run_one(net, cfg, system, level, day, spawn[system.type], supply, spec)
     return run, time.perf_counter() - start
 
 
@@ -277,7 +294,10 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
                     "unreachable", net.unreachable_pairs)
     base = build_base_demand(cfg, net)
     days = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in run_levels}
-    run = partial(_run_spec, cfg, net, base, build_base_supply(cfg), corridor_spec(cfg))
+    spec = corridor_spec(cfg)
+    spawn = {t: spawn_pools(net, t, base, spec)
+             for t in dict.fromkeys(s.type for s in cfg.systems)}
+    run = partial(_run_spec, cfg, net, spawn, build_base_supply(cfg), spec)
     tasks = [(si, lvl, days[lvl]) for si in range(len(cfg.systems)) for lvl in run_levels]
     workers = min(jobs, len(tasks))  # a pool starts every worker at its first map
     runs = []

@@ -38,10 +38,10 @@ def dijkstra_from(net, source: int) -> dict[int, float]:
 def reverse_dijkstra(net, dest: int) -> array:
     """Metres from every node into dest, by node in id order.
 
-    The one oracle that shares the production algorithm: reverse Dijkstra
+    The independent heap reference for Network's trees: reverse Dijkstra
     with a heap of (metres, node id), over each node's in-edges as Edge
-    objects in edge-id order. Network's trees walk a slot-indexed
-    in-adjacency instead and must equal this bit for bit.
+    objects in edge-id order. Network's trees come from Delta-stepping over
+    a slot-indexed in-adjacency instead, and must equal this bit for bit.
     """
     into = {nid: [] for nid in net.nodes}
     for e in sorted(net.edges.values(), key=lambda e: e.id):

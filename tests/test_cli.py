@@ -363,14 +363,17 @@ def test_validate_rejects_duplicate_request_ids(tmp_path, capsys):
 
 def test_validate_reports_a_bad_network_file(tmp_path, capsys):
     nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
-    save_network(generate_grid(5, 5, 500.0, 10.0), str(nodes), str(edges))
-    with open(edges, "a") as fh:
-        fh.write("999,0,1,fast,10\n")
-    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
-        network={"files": {"nodes": str(nodes), "edges": str(edges)}}))
-    assert main(["validate", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "bad value 'fast' for field 'length_m'" in err and "1 problem(s) found" in err
+    for row, problem in (("999,0,1,fast,10", "bad value 'fast' for field 'length_m'"),
+                         ("999,0,1,nan,10", "edge 999 has length_m nan"),
+                         ("999,0,1,500,inf", "edge 999 has speed_mps inf")):
+        save_network(generate_grid(5, 5, 500.0, 10.0), str(nodes), str(edges))
+        with open(edges, "a") as fh:
+            fh.write(row + "\n")
+        cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+            network={"files": {"nodes": str(nodes), "edges": str(edges)}}))
+        assert main(["validate", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert problem in err and "1 problem(s) found" in err
 
 
 def one_way_exit(tmp_path: Path, requests: list[RideRequest]) -> dict:
@@ -467,7 +470,8 @@ def one_system(system: dict, extra: list[RideRequest] = ()) -> tuple:
     days = {lvl: scale_demand(base, lvl, cfg.seed) + list(extra)
             for lvl in cfg.demand.levels}
     supply, spec = runner.build_base_supply(cfg), runner.corridor_spec(cfg)
-    runs = [runner.run_one(net, cfg, cfg.systems[0], lvl, day, base, supply, spec)
+    spawn = runner.spawn_pools(net, cfg.systems[0].type, base, spec)
+    runs = [runner.run_one(net, cfg, cfg.systems[0], lvl, day, spawn, supply, spec)
             for lvl, day in days.items()]
     return cfg, net, base, days, runs
 
@@ -503,8 +507,10 @@ def test_hybrid_frt_keeps_a_rider_with_no_departure_left_on_the_fixed_route():
     # it to the fixed route; its last outbound departure has left
     late = RideRequest(6, 75599.0, 11, 14)
     cfg, net, base, _, _ = one_system({"type": "hybrid_frt"})
-    run = runner.run_one(net, cfg, cfg.systems[0], 100, [late], base,
-                         runner.build_base_supply(cfg), runner.corridor_spec(cfg))
+    spec = runner.corridor_spec(cfg)
+    run = runner.run_one(net, cfg, cfg.systems[0], 100, [late],
+                         runner.spawn_pools(net, "hybrid_frt", base, spec),
+                         runner.build_base_supply(cfg), spec)
     (trip,) = run.combined.trips
     assert (trip.mode, trip.served, trip.reject_reason) == ("frt", False, "no_departure")
     corridor, crowdsourced = run.components

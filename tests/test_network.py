@@ -79,9 +79,11 @@ def test_distances_match_forward_dijkstra_on_irregular_networks():
     assert unreachable == 10 * 16  # every other node toward node 5, per copy
 
 
-def random_directed_network(seed: int, n: int = 30) -> Network:
+def random_directed_network(seed: int, n: int = 30,
+                            length=lambda rng: rng.uniform(100.0, 900.0)) -> Network:
     """n nodes with scattered ids, four random out-edges each (lengths
-    uniform 100-900 m), and one dead end: a node with edges in, none out."""
+    drawn by `length`, by default uniform 100-900 m), and one dead end: a
+    node with edges in, none out."""
     rng = Random(seed)
     ids = rng.sample(range(10 * n), n)
     nodes = [Node(nid, rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)) for nid in ids]
@@ -89,8 +91,8 @@ def random_directed_network(seed: int, n: int = 30) -> Network:
     for a in ids[1:]:
         for b in rng.sample(ids, 4):
             if b != a:
-                length = rng.uniform(100.0, 900.0)
-                edges.append(Edge(len(edges), a, b, length, 10.0, length / 10.0))
+                metres = length(rng)
+                edges.append(Edge(len(edges), a, b, metres, 10.0, metres / 10.0))
     rng.shuffle(edges)
     return Network(nodes, edges)
 
@@ -115,6 +117,28 @@ def test_trees_equal_the_edge_object_reference_bit_for_bit():
             dead_ends += len(seen) == 1
         assert net.unreachable_pairs == unreachable
     assert dead_ends >= 30
+
+    # Lengths over six orders of magnitude, so that slots in one bucket of
+    # the search improve one another; then 1e308 m edges among 0.5 m ones
+    # and a denormal median, whose bucket indices overflow to inf.
+    nets = [random_directed_network(seed, length=draw) for seed in range(10)
+            for draw in (lambda rng: 10 ** rng.uniform(-2, 4),
+                         lambda rng: rng.choice((0.5, 0.5, 500.0, 1e308)),
+                         lambda rng: rng.choice((5e-324, 5e-324, 500.0, 1e308)))]
+    # Two routes into node 0 whose sums differ only by rounding: 3 -> 1 -> 0
+    # folds to 0.1 + 0.2 = 0.30000000000000004 against 3 -> 0's 0.3, and
+    # 2 -> 1 -> 0 ties 2 -> 0 exactly.
+    legs = [(3, 1, 0.2), (1, 0, 0.1), (3, 0, 0.3), (2, 1, 0.2), (2, 0, 0.1 + 0.2)]
+    rounding = Network([Node(i, 0.0, 0.0) for i in range(4)],
+                       [Edge(k, a, b, m, 10.0, m / 10.0) for k, (a, b, m) in enumerate(legs)])
+    assert list(rounding._distances_to(0)) == [0.0, 0.1, 0.30000000000000004, 0.3]
+    huge = 0
+    for net in nets + [rounding]:
+        for dest in net.nodes:
+            tree = net._distances_to(dest)
+            assert tree == reverse_dijkstra(net, dest)
+            huge += any(1e308 <= d < math.inf for d in tree)
+    assert huge > 0
 
 
 def test_triangle_inequality_holds():
@@ -214,6 +238,10 @@ def test_duplicate_and_dangling_inputs_rejected():
         Network(n, [e(0, 0, 7)])
     with pytest.raises(NetworkValidationError):
         Network(n, [Edge(0, 0, 1, -5.0, 10.0, -0.5)])
+    for length, speed in ((math.nan, 10.0), (math.inf, 10.0), (100.0, math.inf),
+                          (100.0, math.nan), (100.0, 0.0)):
+        with pytest.raises(NetworkValidationError, match="edge 0 has"):
+            Network(n, [Edge(0, 0, 1, length, speed, 10.0)])
 
 
 def test_geometry_warning_for_too_short_edge(caplog):
