@@ -182,13 +182,6 @@ def load_requests(path: str) -> list[RideRequest]:
     return out
 
 
-def save_requests(requests: list[RideRequest], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("id,time_s,origin,destination\n")
-        for r in sorted(requests, key=lambda r: (r.request_time, r.id)):
-            fh.write(f"{r.id},{r.request_time:.3f},{r.origin},{r.destination}\n")
-
-
 def load_supply(path: str) -> SupplySchedule:
     """Read an hourly schedule from CSV columns hour,vehicles."""
     counts = [0] * 24

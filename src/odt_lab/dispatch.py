@@ -40,16 +40,16 @@ PICKUP = "pickup"
 DROPOFF = "dropoff"
 
 
-def walk_minutes(dist_m: float, speed_kmh: float = WALK_SPEED_KMH) -> float:
-    return dist_m / (speed_kmh * 1000.0 / 60.0)
+def walk_minutes(dist_m: float) -> float:
+    return dist_m / (WALK_SPEED_KMH * 1000.0 / 60.0)
 
 
-def walk_seconds(dist_m: float, speed_kmh: float = WALK_SPEED_KMH) -> float:
-    return dist_m / (speed_kmh * 1000.0 / 3600.0)
+def walk_seconds(dist_m: float) -> float:
+    return dist_m / (WALK_SPEED_KMH * 1000.0 / 3600.0)
 
 
-def catchment_m(minutes: float, speed_kmh: float = WALK_SPEED_KMH) -> float:
-    return minutes * speed_kmh * 1000.0 / 60.0
+def catchment_m(minutes: float) -> float:
+    return minutes * WALK_SPEED_KMH * 1000.0 / 60.0
 
 
 @dataclass(frozen=True)
@@ -578,27 +578,21 @@ class RouteSpec:
 class TimetableRun:
     vehicle: int
     direction: int              # +1 outbound (stop order as listed), -1 inbound
-    stop_seq: tuple[int, ...]   # route stop indices in travel order
-    arrivals: tuple[float, ...]
+    arrivals: tuple[float, ...]  # by stop position in travel order
     departures: tuple[float, ...]
     length_m: float
 
 
 @dataclass(frozen=True)
 class Timetable:
-    spec: RouteSpec
-    n_vehicles: int
     leg_m_out: tuple[float, ...]   # metres between consecutive stops, outbound
     leg_m_in: tuple[float, ...]    # metres between consecutive stops of the reversed order
     cycle_s: float
     headway_s: float
     runs: tuple[TimetableRun, ...]
 
-    def route_length_m(self) -> float:
-        return sum(self.leg_m_out)
 
-
-def build_timetable(net: Network, spec: RouteSpec, n_vehicles: int) -> Timetable:
+def build_timetable(net: Network, spec: RouteSpec, vehicles: int) -> Timetable:
     """Lay out every run each vehicle drives inside the service window.
 
     Vehicles loop the corridor end to end and back, dwelling at each stop;
@@ -606,7 +600,7 @@ def build_timetable(net: Network, spec: RouteSpec, n_vehicles: int) -> Timetable
     begun before the window closes is completed past it so nobody is
     stranded mid-line.
     """
-    if n_vehicles < 1:
+    if vehicles < 1:
         raise ValueError("need at least one vehicle")
     n = len(spec.stops)
     leg_m_out = tuple(net.shortest_path(spec.stops[k], spec.stops[k + 1]).total_length_m
@@ -619,28 +613,27 @@ def build_timetable(net: Network, spec: RouteSpec, n_vehicles: int) -> Timetable
     block_out = sum(leg_s_out) + spec.dwell_s * (n - 1)
     block_in = sum(leg_s_in) + spec.dwell_s * (n - 1)
     cycle = block_out + block_in
-    headway = cycle / n_vehicles
+    headway = cycle / vehicles
     w0, w1 = spec.window
 
     runs = []
-    for v in range(n_vehicles):
+    for v in range(vehicles):
         t = w0 + v * headway
         direction = +1
         while t < w1:
             legs = leg_s_out if direction > 0 else leg_s_in
             length = sum(leg_m_out) if direction > 0 else sum(leg_m_in)
-            seq = tuple(range(n)) if direction > 0 else tuple(reversed(range(n)))
             arr = [t]
             dep = [t]
             for leg in legs:
                 a = dep[-1] + leg
                 arr.append(a)
                 dep.append(a + spec.dwell_s)
-            runs.append(TimetableRun(v, direction, seq, tuple(arr), tuple(dep), length))
+            runs.append(TimetableRun(v, direction, tuple(arr), tuple(dep), length))
             t = dep[-1]  # last dwell doubles as the turnaround
             direction = -direction
     runs.sort(key=lambda r: (r.departures[0], r.vehicle))
-    return Timetable(spec, n_vehicles, leg_m_out, leg_m_in, cycle, headway, tuple(runs))
+    return Timetable(leg_m_out, leg_m_in, cycle, headway, tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -660,11 +653,6 @@ class Ineligible:
     reason: str
 
 
-def nearest_stop(net: Network, spec: RouteSpec, node: int) -> tuple[int, float]:
-    """Closest route stop by straight-line walk; returns (stop index, metres)."""
-    return net.nearest_stop(node, spec.stops)
-
-
 def _corridor_ends(net: Network, spec: RouteSpec,
                    request: RideRequest) -> tuple[int, float, int, float] | Ineligible:
     """The corridor's gates on a trip, in order: the service window, the
@@ -674,8 +662,8 @@ def _corridor_ends(net: Network, spec: RouteSpec,
     if not w0 <= request.request_time < w1:
         return Ineligible("outside_window")
     reach = catchment_m(spec.catchment_min)
-    bi, walk_o = nearest_stop(net, spec, request.origin)
-    ai, walk_d = nearest_stop(net, spec, request.destination)
+    bi, walk_o = net.nearest_stop(request.origin, spec.stops)
+    ai, walk_d = net.nearest_stop(request.destination, spec.stops)
     if walk_o > reach or walk_d > reach:
         return Ineligible("walk_too_far")
     if bi == ai:
@@ -683,32 +671,39 @@ def _corridor_ends(net: Network, spec: RouteSpec,
     return bi, walk_o, ai, walk_d
 
 
-def frt_board(net: Network, request: RideRequest, spec: RouteSpec,
-              timetable: Timetable, start_run: int = 0) -> BoardingPlan | Ineligible:
-    """Plan a fixed-route trip: walk, wait for the next departure, ride, walk.
+def frt_board(net: Network, request: RideRequest, spec: RouteSpec, timetable: Timetable,
+              loads: dict[int, list[int]]) -> BoardingPlan | Ineligible:
+    """Plan a fixed-route trip and take its seats: walk, wait for the next
+    departure with a free seat, ride, walk.
 
     Eligible only when both trip ends are within the walking catchment of a
     stop and the request falls inside the service window. The rider walks
     to the nearest stop, takes the first departure in the right direction
-    at or after arriving, and walks from the alighting stop. start_run lets
-    capacity-aware callers resume the search at a later departure.
+    at or after arriving that has a seat on every leg ridden, and walks
+    from the alighting stop. loads maps a run index to its riders per leg
+    in travel order; the seats of the run returned are added to it.
     """
     ends = _corridor_ends(net, spec, request)
     if isinstance(ends, Ineligible):
         return ends
     bi, walk_o, ai, walk_d = ends
     direction = +1 if bi < ai else -1
+    n = len(spec.stops)
+    # stop positions in the run's travel order
+    pb, pa = (bi, ai) if direction > 0 else (n - 1 - bi, n - 1 - ai)
     ready = request.request_time + walk_seconds(walk_o)
-    for idx in range(start_run, len(timetable.runs)):
-        run = timetable.runs[idx]
+    for idx, run in enumerate(timetable.runs):
         if run.direction != direction:
             continue
-        pos = run.stop_seq.index(bi)
-        dep = run.departures[pos]
+        dep = run.departures[pb]
         if dep < ready:
             continue
-        pos_out = run.stop_seq.index(ai)
-        ivtt_s = run.arrivals[pos_out] - dep
+        taken = loads.setdefault(idx, [0] * (n - 1))
+        if any(taken[k] >= DEFAULT_SEATS for k in range(pb, pa)):
+            continue
+        for k in range(pb, pa):
+            taken[k] += 1
+        ivtt_s = run.arrivals[pa] - dep
         lo, hi = min(bi, ai), max(bi, ai)
         legs = timetable.leg_m_out[lo:hi] if direction > 0 else \
             tuple(reversed(timetable.leg_m_in))[lo:hi]

@@ -105,6 +105,19 @@ class SimulationResult:
         return self.served / self.demand_total if self.demand_total else 1.0
 
 
+def _trip(net: Network, r: RideRequest, mode: str, served: bool, walk_min=None,
+          wait_min=None, ivtt_min=None, length_km=None, reason=None) -> TripRecord:
+    return TripRecord(r.id, mode, served, walk_min, wait_min, ivtt_min, length_km,
+                      net.zone_of(r.origin), net.zone_of(r.destination), reason)
+
+
+def _vehicle_log(vid: int, start: float, end: float, km: float, pax_s: float) -> VehicleLog:
+    """A vehicle's day: occupancy is passenger-seconds over its service span."""
+    dur = end - start
+    occ = pax_s / dur if dur > 0 else 0.0
+    return VehicleLog(vid, dur / 3600.0, km, occ, start, end, pax_s)
+
+
 def plan_shifts(supply: SupplySchedule) -> list[tuple[float, float]]:
     """Turn hourly counts into per-vehicle shift intervals.
 
@@ -234,24 +247,16 @@ class _Run:
             time, _prio, entity, _seq, kind = heappop(self._heap)
             handlers[kind](time, entity)
         for r in self.queue.values():  # still unassigned at midnight
-            self.trips.append(self._trip(r, self.mode_tag, served=False,
-                                         wait_min=(DAY_S - r.request_time) / 60.0,
-                                         reason=REASON_HORIZON))
+            self.trips.append(_trip(self.net, r, self.mode_tag, False,
+                                    wait_min=(DAY_S - r.request_time) / 60.0,
+                                    reason=REASON_HORIZON))
         self.trips.sort(key=lambda t: t.request_id)
         fleet = []
         for v in self.vehicles:
             end = v.service_end_s if v.service_end_s is not None else v.shift_end_s
-            dur = end - v.shift_start_s
-            occ = v.passenger_seconds / dur if dur > 0 else 0.0
-            fleet.append(VehicleLog(v.id, dur / 3600.0, v.odometer_m / 1000.0,
-                                    occ, v.shift_start_s, end, v.passenger_seconds))
+            fleet.append(_vehicle_log(v.id, v.shift_start_s, end, v.odometer_m / 1000.0,
+                                      v.passenger_seconds))
         return summarize(self.trips, fleet, len(self.requests), self.rejections)
-
-    def _trip(self, r: RideRequest, mode: str, served: bool, walk_min=None,
-              wait_min=None, ivtt_min=None, length_km=None, reason=None) -> TripRecord:
-        return TripRecord(r.id, mode, served, walk_min, wait_min, ivtt_min, length_km,
-                          self.net.zone_of(r.origin), self.net.zone_of(r.destination),
-                          reason)
 
     # -- handlers --
 
@@ -296,8 +301,8 @@ class _Run:
             ridden_m = v.odometer_m - v.picked_at_m.pop(r.id)
             picked = self.pickup_time[r.id]
             v.passenger_seconds += t - picked
-            self.trips.append(self._trip(
-                r, self.mode_tag, served=True, walk_min=0.0,
+            self.trips.append(_trip(
+                self.net, r, self.mode_tag, True, walk_min=0.0,
                 wait_min=(picked - r.request_time) / 60.0,
                 ivtt_min=(t - picked) / 60.0,
                 length_km=ridden_m / 1000.0))
@@ -332,8 +337,8 @@ class _Run:
             del self.queue[req.id]
             if v is None:
                 self.rejections.append(self._snapshot(req, t))
-                self.trips.append(self._trip(req, self.mode_tag, served=False,
-                                             reason=REASON_NO_SLOT))
+                self.trips.append(_trip(self.net, req, self.mode_tag, False,
+                                        reason=REASON_NO_SLOT))
                 continue
             # a driving vehicle whose next stop stays keeps its leg: the
             # canonical path from any node on it is the rest of it
@@ -370,32 +375,16 @@ def _run_fixed_route(net: Network, demand: list[RideRequest], policy) -> Simulat
     spec = policy.spec
     timetable = dp.build_timetable(net, spec, policy.vehicles)
     trips: list[TripRecord] = []
-    # seat occupancy per run, per leg position within the run
     loads: dict[int, list[int]] = {}
     pax_s_by_vehicle = [0.0] * policy.vehicles
-    n = len(spec.stops)
-    ordered = sorted(demand, key=lambda r: (r.request_time, r.id))
-    for r in ordered:
-        plan = dp.frt_board(net, r, spec, timetable)
-        while not isinstance(plan, dp.Ineligible):
-            run = timetable.runs[plan.run_index]
-            pb = run.stop_seq.index(plan.board_stop)
-            pa = run.stop_seq.index(plan.alight_stop)
-            legs = loads.setdefault(plan.run_index, [0] * (n - 1))
-            if all(legs[k] < dp.DEFAULT_SEATS for k in range(pb, pa)):
-                for k in range(pb, pa):
-                    legs[k] += 1
-                pax_s_by_vehicle[run.vehicle] += plan.ivtt_min * 60.0
-                trips.append(TripRecord(r.id, policy.kind, True, plan.walk_min,
-                                        plan.wait_min, plan.ivtt_min, plan.ride_km,
-                                        net.zone_of(r.origin), net.zone_of(r.destination)))
-                break
-            plan = dp.frt_board(net, r, spec, timetable, start_run=plan.run_index + 1)
-        else:
-            trips.append(TripRecord(r.id, policy.kind, False,
-                                    origin_zone=net.zone_of(r.origin),
-                                    dest_zone=net.zone_of(r.destination),
-                                    reject_reason=plan.reason))
+    for r in sorted(demand, key=lambda r: (r.request_time, r.id)):
+        plan = dp.frt_board(net, r, spec, timetable, loads)
+        if isinstance(plan, dp.Ineligible):
+            trips.append(_trip(net, r, policy.kind, False, reason=plan.reason))
+            continue
+        pax_s_by_vehicle[timetable.runs[plan.run_index].vehicle] += plan.ivtt_min * 60.0
+        trips.append(_trip(net, r, policy.kind, True, plan.walk_min, plan.wait_min,
+                           plan.ivtt_min, plan.ride_km))
     trips.sort(key=lambda t: t.request_id)
 
     fleet = []
@@ -404,10 +393,7 @@ def _run_fixed_route(net: Network, demand: list[RideRequest], policy) -> Simulat
         my_runs = [run for run in timetable.runs if run.vehicle == vid]
         km = sum(run.length_m for run in my_runs) / 1000.0
         end = max([w1] + [run.arrivals[-1] for run in my_runs])
-        dur = end - w0
-        occ = pax_s_by_vehicle[vid] / dur if dur > 0 else 0.0
-        fleet.append(VehicleLog(vid, dur / 3600.0, km, occ, w0, end,
-                                pax_s_by_vehicle[vid]))
+        fleet.append(_vehicle_log(vid, w0, end, km, pax_s_by_vehicle[vid]))
     return summarize(trips, fleet, len(demand))
 
 
@@ -417,8 +403,8 @@ def run_scenario(net: Network, demand: list[RideRequest], supply: SupplySchedule
 
     On-demand policies run the event engine against the hourly supply
     schedule; the fixed-route policy runs its timetable analytically. The
-    seed only feeds vehicle spawn positions, which are drawn from the base
-    demand's origin distribution by default.
+    seed only feeds vehicle spawn positions, drawn from spawn_nodes, or
+    from every node when none are given.
     """
     if isinstance(policy, dp.FixedRoute):
         return _run_fixed_route(net, demand, policy)

@@ -9,13 +9,10 @@ population; 1 means a single zone holds everything.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from statistics import fmean
 
 from .network import ZONE_ATTRIBUTES, Zone
-
-log = logging.getLogger(__name__)
 
 EQUITY_METRICS = ("usage", "wait", "ivtt")
 
@@ -46,15 +43,13 @@ def group_weight(zone: Zone, attribute: str) -> float:
     Demographic attributes hold the group's population share, so the weight
     is share times population. Population density is a zone-level value
     rather than a share; its analysis weights zones by plain population.
+    The network warns once about a share outside [0, 1].
     """
     if attribute == "pop_density":
         return zone.population
     share = zone.attrs.get(attribute)
     if share is None:
         raise ValueError(f"zone {zone.zone_id} lacks attribute '{attribute}'")
-    if not 0.0 <= share <= 1.0:
-        log.warning("zone %s attribute %s = %.3f is not a population share",
-                    zone.zone_id, attribute, share)
     return share * zone.population
 
 
@@ -139,17 +134,15 @@ def gini(curve: LorenzCurve) -> float:
     return min(1.0, max(0.0, g))
 
 
-def equity_report(trips, zones: dict[str, Zone],
-                  attributes: tuple[str, ...] = ZONE_ATTRIBUTES,
-                  metrics: tuple[str, ...] = EQUITY_METRICS) -> list[GiniResult]:
+def equity_report(trips, zones: dict[str, Zone]) -> list[GiniResult]:
     """Gini index for every attribute and metric combination.
 
     Combinations without enough data (no zones with served trips, or all
     outcomes zero) are skipped rather than reported as spurious zeros.
     """
     out = []
-    for attribute in attributes:
-        for metric in metrics:
+    for attribute in ZONE_ATTRIBUTES:
+        for metric in EQUITY_METRICS:
             outcomes = zonal_outcomes(trips, zones, metric, attribute)
             try:
                 curve = lorenz(outcomes)

@@ -124,6 +124,10 @@ class Network:
             if not 0 < e.speed_mps < inf:
                 raise NetworkValidationError(
                     f"edge {e.id} has speed_mps {e.speed_mps}; it must be positive and finite")
+            if not e.travel_time_s < inf:
+                raise NetworkValidationError(
+                    f"edge {e.id} has travel_time_s {e.travel_time_s} "
+                    f"({e.length_m} m at {e.speed_mps} m/s); it must be finite")
         # node id -> index into every distance tree
         self._slot: dict[int, int] = {nid: k for k, nid in enumerate(sorted(self.nodes))}
         self.out_edges: dict[int, list[Edge]] = {n.id: [] for n in nodes}
@@ -143,6 +147,11 @@ class Network:
                 self.zones[z.zone_id] = z
             for z in self.zones.values():
                 z.nodes = []
+                for a, share in z.attrs.items():
+                    # pop_density is a zone-level value, not a share
+                    if a != "pop_density" and not 0.0 <= share <= 1.0:
+                        log.warning("zone %s attribute %s = %.3f is not a population share",
+                                    z.zone_id, a, share)
             for n in nodes:
                 if n.zone_id is not None and n.zone_id in self.zones:
                     self.zones[n.zone_id].nodes.append(n.id)
@@ -176,11 +185,13 @@ class Network:
         return area if area > 0 else 1.0
 
     def _check_geometry(self) -> None:
-        for e in self.edges.values():
-            straight = self.straight_line_m(e.frm, e.to)
-            if e.length_m < straight - 1e-6:
-                log.warning("edge %d length %.1f m is shorter than the straight-line "
-                            "distance %.1f m between its endpoints", e.id, e.length_m, straight)
+        short = [e for e in self.edges.values()
+                 if e.length_m < self.straight_line_m(e.frm, e.to) - 1e-6]
+        if short:
+            e = short[0]
+            log.warning("%d edge(s) are shorter than the straight-line distance between "
+                        "their endpoints; the first, edge %d, is %.1f m against %.1f m",
+                        len(short), e.id, e.length_m, self.straight_line_m(e.frm, e.to))
 
     def _check_connectivity(self) -> int:
         """Count ordered node pairs with no directed route; the runner
@@ -391,28 +402,6 @@ def load_network(nodes_file: str, edges_file: str, zones_file: str | None = None
                 zones.append(Zone(vals["zone_id"], vals["population"],
                                   {a: vals[a] for a in ZONE_ATTRIBUTES}))
     return Network(nodes, edges, zones, area_km2=area_km2)
-
-
-def save_network(net: Network, nodes_file: str, edges_file: str,
-                 zones_file: str | None = None) -> None:
-    """Write the network back out in the same CSV schemas load_network reads."""
-    with open(nodes_file, "w", newline="") as fh:
-        fh.write("id,x,y,zone_id\n")
-        for nid in sorted(net.nodes):
-            n = net.nodes[nid]
-            fh.write(f"{n.id},{n.x:g},{n.y:g},{n.zone_id or ''}\n")
-    with open(edges_file, "w", newline="") as fh:
-        fh.write("id,from,to,length_m,speed_mps\n")
-        for eid in sorted(net.edges):
-            e = net.edges[eid]
-            fh.write(f"{e.id},{e.frm},{e.to},{e.length_m:g},{e.speed_mps:g}\n")
-    if zones_file is not None:
-        with open(zones_file, "w", newline="") as fh:
-            fh.write("zone_id,population," + ",".join(ZONE_ATTRIBUTES) + "\n")
-            for zid in sorted(net.zones):
-                z = net.zones[zid]
-                vals = ",".join(f"{z.attrs.get(a, 0.0):g}" for a in ZONE_ATTRIBUTES)
-                fh.write(f"{z.zone_id},{z.population:g},{vals}\n")
 
 
 def generate_grid(rows: int, cols: int, spacing_m: float, speed_mps: float, *,

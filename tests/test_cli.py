@@ -23,10 +23,12 @@ from odt_lab import runner
 from odt_lab.cli import main
 from odt_lab.config import SYSTEM_TYPES, ScenarioConfig, load_config, parse_config
 from odt_lab.costing import CostParameters
-from odt_lab.demand import RideRequest, save_requests, scale_demand
+from odt_lab.demand import RideRequest, scale_demand
 from odt_lab.emissions import EmissionFactors
-from odt_lab.network import generate_grid, save_network
+from odt_lab.network import generate_grid
 from odt_lab.runner import RunOutput
+
+from writers import save_network, save_requests
 
 BASE = {
     "name": "town",
@@ -365,7 +367,8 @@ def test_validate_reports_a_bad_network_file(tmp_path, capsys):
     nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
     for row, problem in (("999,0,1,fast,10", "bad value 'fast' for field 'length_m'"),
                          ("999,0,1,nan,10", "edge 999 has length_m nan"),
-                         ("999,0,1,500,inf", "edge 999 has speed_mps inf")):
+                         ("999,0,1,500,inf", "edge 999 has speed_mps inf"),
+                         ("999,0,1,1e10,1e-300", "edge 999 has travel_time_s inf")):
         save_network(generate_grid(5, 5, 500.0, 10.0), str(nodes), str(edges))
         with open(edges, "a") as fh:
             fh.write(row + "\n")
@@ -637,6 +640,36 @@ def test_one_network_build_per_sweep(tmp_path, monkeypatch, caplog):
     assert [args[1] for args in calls["scale_demand"]] == [50, 100]
     assert len([r for r in caplog.records
                 if "shorter than the straight-line" in r.getMessage()]) == 1
+
+
+def test_bad_zone_share_and_short_edges_warn_once_per_sweep(tmp_path, caplog):
+    # one zone's income share is 1.5, and edges 0 and 1 are shorter than the
+    # straight line: 2 systems x 2 equity levels x 3 metrics read that share
+    nodes, edges, zones = (tmp_path / f"{name}.csv" for name in ("nodes", "edges", "zones"))
+    net = runner.build_network(load_config(str(write_scenario(tmp_path))).config)
+    save_network(net, str(nodes), str(edges), str(zones))
+    lines = edges.read_text().splitlines()
+    assert lines[1:3] == ["0,0,1,500,10", "1,1,0,500,10"]
+    edges.write_text("\n".join([lines[0], "0,0,1,400,10", "1,1,0,400,10", *lines[3:]]) + "\n")
+    lines = zones.read_text().splitlines()
+    assert lines[0].startswith("zone_id,population,income,") and lines[1].startswith("Z00,")
+    zones.write_text("\n".join([lines[0], lines[1].replace(",0.5,", ",1.5,", 1),
+                                *lines[2:]]) + "\n")
+
+    def files_and_two_equity_levels(raw):
+        raw["network"] = {"files": {"nodes": str(nodes), "edges": str(edges),
+                                    "zones": str(zones)}}
+        raw["analysis"]["equity_levels"] = [50, 100]
+
+    cfg = write_scenario(tmp_path, mutate=files_and_two_equity_levels)
+    with caplog.at_level(logging.WARNING, logger="odt_lab"):
+        assert run_cli(cfg, tmp_path / "out") == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m for m in messages if "population share" in m] == [
+        "zone Z00 attribute income = 1.500 is not a population share"]
+    assert [m for m in messages if "straight-line" in m] == [
+        "2 edge(s) are shorter than the straight-line distance between their endpoints; "
+        "the first, edge 0, is 400.0 m against 500.0 m"]
 
 
 def test_equity_skips_unzoned_trips_with_one_warning_per_sweep(tmp_path, caplog):

@@ -9,9 +9,11 @@ from scipy import stats
 
 from odt_lab.demand import (DAY_S, JITTER_S, RideRequest, SupplySchedule,
                             demand_density, generate_synthetic_demand, load_requests,
-                            load_supply, round_half_up, save_requests, scale_demand,
-                            scale_supply, scaled_count)
+                            load_supply, round_half_up, scale_demand, scale_supply,
+                            scaled_count)
 from odt_lab.network import CsvParseError, generate_grid
+
+from writers import save_requests
 
 LEVELS = list(range(50, 501, 50))
 

@@ -17,7 +17,7 @@ from odt_lab import dispatch
 from odt_lab.demand import RideRequest
 from odt_lab.dispatch import (DROPOFF, Ineligible, PICKUP, RouteSpec, Stop, Vehicle,
                               build_timetable, catchment_m, darp_insert, frt_board,
-                              greedy_assign, hybrid_route, nearest_stop, ride_stops,
+                              greedy_assign, hybrid_route, ride_stops,
                               shared_greedy_match, trace_plan, walk_minutes,
                               walk_seconds)
 from odt_lab.network import Edge, Network, generate_grid
@@ -429,7 +429,6 @@ def test_timetable_frozen_geometry(timetable):
     tt = timetable
     assert tt.leg_m_out == (1000.0, 1000.0)
     assert tt.leg_m_in == (1000.0, 1000.0)
-    assert tt.route_length_m() == 2000.0
     # block = 2 legs * 100 s + 2 dwells = 240 s each way
     assert tt.cycle_s == 480.0
     assert tt.headway_s == 240.0
@@ -438,7 +437,6 @@ def test_timetable_frozen_geometry(timetable):
 def test_timetable_frozen_first_runs(timetable):
     first = timetable.runs[0]
     assert (first.vehicle, first.direction) == (0, +1)
-    assert first.stop_seq == (0, 1, 2)
     assert first.arrivals == (25200.0, 25300.0, 25420.0)
     assert first.departures == (25200.0, 25320.0, 25440.0)
     assert first.length_m == 2000.0
@@ -446,7 +444,6 @@ def test_timetable_frozen_first_runs(timetable):
     second, third = timetable.runs[1], timetable.runs[2]
     assert (second.vehicle, second.direction, second.departures[0]) == (0, -1, 25440.0)
     assert (third.vehicle, third.direction, third.departures[0]) == (1, +1, 25440.0)
-    assert second.stop_seq == (2, 1, 0)
 
 
 def test_timetable_alternates_and_covers_window(timetable):
@@ -489,9 +486,9 @@ def test_route_spec_validation():
 
 def test_nearest_stop_tie_prefers_earlier_stop(net5):
     # node 13 sits exactly between stops 12 and 14
-    assert nearest_stop(net5, CORRIDOR, 13) == (1, 500.0)
-    assert nearest_stop(net5, CORRIDOR, 11) == (0, 500.0)
-    assert nearest_stop(net5, CORRIDOR, 14) == (2, 0.0)
+    assert net5.nearest_stop(13, CORRIDOR.stops) == (1, 500.0)
+    assert net5.nearest_stop(11, CORRIDOR.stops) == (0, 500.0)
+    assert net5.nearest_stop(14, CORRIDOR.stops) == (2, 0.0)
 
 
 def test_walk_helpers_agree():
@@ -504,7 +501,9 @@ def test_walk_helpers_agree():
 def test_frt_board_frozen_outbound(net5, timetable):
     # walk 500 m to stop 0, ready 26360, first outbound departure 26400
     req = RideRequest(1, 26000.0, 11, 14)
-    plan = frt_board(net5, req, CORRIDOR, timetable)
+    loads = {}
+    plan = frt_board(net5, req, CORRIDOR, timetable, loads)
+    assert loads == {plan.run_index: [1, 1]}
     assert (plan.board_stop, plan.alight_stop) == (0, 2)
     assert plan.departure_s == 26400.0
     run = timetable.runs[plan.run_index]
@@ -517,7 +516,7 @@ def test_frt_board_frozen_outbound(net5, timetable):
 
 def test_frt_board_frozen_inbound(net5, timetable):
     req = RideRequest(2, 26000.0, 19, 11)
-    plan = frt_board(net5, req, CORRIDOR, timetable)
+    plan = frt_board(net5, req, CORRIDOR, timetable, {})
     assert (plan.board_stop, plan.alight_stop) == (2, 0)
     assert plan.departure_s == 26400.0
     run = timetable.runs[plan.run_index]
@@ -525,17 +524,37 @@ def test_frt_board_frozen_inbound(net5, timetable):
     assert plan.ride_km == 2.0
 
 
-def test_frt_board_start_run_skips_earlier_departures(net5, timetable):
+def test_frt_board_skips_a_full_run(net5, timetable):
+    """A run full on any leg the rider rides is passed over for the next
+    departure; one full only on legs the rider does not ride is boarded.
+    Legs count in travel order, so inbound the first leg leaves stop 2."""
+    seats = dispatch.DEFAULT_SEATS
     req = RideRequest(1, 26000.0, 11, 14)
-    first = frt_board(net5, req, CORRIDOR, timetable)
-    retry = frt_board(net5, req, CORRIDOR, timetable, start_run=first.run_index + 1)
+    first = frt_board(net5, req, CORRIDOR, timetable, {}).run_index
+    loads = {first: [seats - 1, seats]}
+    retry = frt_board(net5, req, CORRIDOR, timetable, loads)
     assert retry.departure_s == 26640.0
     assert timetable.runs[retry.run_index].vehicle == 0
+    assert loads == {first: [seats - 1, seats], retry.run_index: [1, 1]}
+
+    def boards(req, taken):
+        run = frt_board(net5, req, CORRIDOR, timetable, {}).run_index
+        loads = {run: list(taken)}
+        return frt_board(net5, req, CORRIDOR, timetable, loads).run_index == run
+
+    # outbound from stop 1 and to stop 1
+    assert boards(RideRequest(2, 26300.0, 12, 14), [seats, 0])
+    assert not boards(RideRequest(2, 26300.0, 12, 14), [0, seats])
+    assert boards(RideRequest(3, 26000.0, 11, 12), [0, seats])
+    assert not boards(RideRequest(3, 26000.0, 11, 12), [seats, 0])
+    # inbound from stop 1 to stop 0 rides the run's second leg
+    assert boards(RideRequest(4, 26000.0, 12, 10), [seats, 0])
+    assert not boards(RideRequest(4, 26000.0, 12, 10), [0, seats])
 
 
 def test_frt_board_gates(net5, timetable):
-    def reason(req, **kw):
-        out = frt_board(net5, req, CORRIDOR, timetable, **kw)
+    def reason(req, loads=None):
+        out = frt_board(net5, req, CORRIDOR, timetable, {} if loads is None else loads)
         assert isinstance(out, Ineligible)
         return out.reason
 
@@ -548,13 +567,12 @@ def test_frt_board_gates(net5, timetable):
     assert reason(RideRequest(5, 26000.0, 5, 15)) == "same_stop"
     # in window but every remaining departure leaves before the rider is ready
     assert reason(RideRequest(6, 75599.0, 11, 14)) == "no_departure"
-    full = frt_board(net5, RideRequest(7, 26000.0, 11, 14), CORRIDOR, timetable)
-    assert reason(RideRequest(7, 26000.0, 11, 14),
-                  start_run=len(timetable.runs)) == "no_departure"
-    assert full.departure_s == 26400.0
+    # or every run is full
+    full = {idx: [dispatch.DEFAULT_SEATS] * 2 for idx in range(len(timetable.runs))}
+    assert reason(RideRequest(7, 26000.0, 11, 14), full) == "no_departure"
     # window start itself is eligible
     assert not isinstance(frt_board(net5, RideRequest(8, 25200.0, 11, 14),
-                                    CORRIDOR, timetable), Ineligible)
+                                    CORRIDOR, timetable, {}), Ineligible)
 
 
 # -- hybrid routing -----------------------------------------------------------------

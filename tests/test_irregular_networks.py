@@ -21,8 +21,8 @@ import pytest
 from odt_lab import dispatch, engine
 from odt_lab.demand import DAY_S, RideRequest, SupplySchedule
 from odt_lab.dispatch import (BATCH_INTERVAL_S, DEFAULT_SEATS, DROPOFF, PICKUP, DarpInsertion,
-                              GreedyExclusive, SharedGreedy, Stop, Vehicle, darp_insert,
-                              shared_greedy_match, trace_plan)
+                              FixedRoute, GreedyExclusive, RouteSpec, SharedGreedy, Stop,
+                              Vehicle, darp_insert, shared_greedy_match, trace_plan)
 from odt_lab.engine import run_scenario
 from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, generate_grid
 
@@ -123,15 +123,30 @@ def test_direct_ride_meets_a_detour_cap_of_one():
     assert refused == []
 
 
-@pytest.mark.parametrize("policy, digest", [
-    (DarpInsertion(), "eeaf6cc207bbda12fc4d0c817c5ba888d75f5b2b9512b2799239ad469220a94c"),
-    (SharedGreedy(), "94770c9946f48260dcbfc8e6cd40db0d2308a92a6543760d6bdbd33d28e4c7e3"),
-], ids=["darp", "shared"])
-def test_engine_outputs_are_pinned(policy, digest):
+PIN_ROUTE = FixedRoute(RouteSpec(stops=(0, 5, 10, 15, 20, 25), cruise_speed_mps=9.7,
+                                 window=(28800.0, 36000.0), catchment_min=15.0,
+                                 dwell_s=17.5), 2)
+
+
+@pytest.mark.parametrize("policy, seats, digest", [
+    (DarpInsertion(), DEFAULT_SEATS,
+     "eeaf6cc207bbda12fc4d0c817c5ba888d75f5b2b9512b2799239ad469220a94c"),
+    (SharedGreedy(), DEFAULT_SEATS,
+     "94770c9946f48260dcbfc8e6cd40db0d2308a92a6543760d6bdbd33d28e4c7e3"),
+    (PIN_ROUTE, DEFAULT_SEATS,
+     "8dd91d8f778be3fb87b31e6e3015db257413a8750b90415950296abaff230c6c"),
+    (PIN_ROUTE, 2, "9823e64472954c4366c0e76afb3041fc25c7bd214459d28e35c4a3f85c3450b7"),
+], ids=["darp", "shared", "frt", "frt-2-seats"])
+def test_engine_outputs_are_pinned(monkeypatch, policy, seats, digest):
     """The trip and fleet logs of one day, every float as repr prints it,
-    end times and kilometres included. Each day hands 34 new schedules to
-    vehicles already driving; 2 (darp) and 34 (shared) of them change the
-    next stop, so the vehicle re-routes from the head of its edge."""
+    end times and kilometres included. Each on-demand day hands 34 new
+    schedules to vehicles already driving; 2 (darp) and 34 (shared) of them
+    change the next stop, so the vehicle re-routes from the head of its
+    edge. The fixed route's stops are a corridor of unequal legs, so its
+    ride metres and run lengths depend on the order they are summed in; at
+    8 seats it serves 17 riders and 5 of them first meet a full run, and at
+    2 seats it serves 8."""
+    monkeypatch.setattr(dispatch, "DEFAULT_SEATS", seats)
     net = irregular_network(2)
     reqs = _requests(Random("pin/2"), net, 60)
     res = run_scenario(net, reqs, SupplySchedule([0] * 8 + [3] * 4 + [0] * 12), policy,

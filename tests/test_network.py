@@ -8,11 +8,12 @@ from random import Random
 import pytest
 
 from odt_lab.network import (CsvParseError, Edge, Network, NetworkValidationError,
-                             Node, NoPathError, Zone, generate_grid, load_network,
-                             save_network)
+                             Node, NoPathError, Zone, _make_edge, generate_grid,
+                             load_network)
 
 from oracles import (dijkstra_from, distance_matrix, floyd_warshall,
                      lexicographic_shortest_edges, reverse_dijkstra)
+from writers import save_network
 
 
 def irregular_network(seed: int) -> Network:
@@ -242,6 +243,9 @@ def test_duplicate_and_dangling_inputs_rejected():
                           (100.0, math.nan), (100.0, 0.0)):
         with pytest.raises(NetworkValidationError, match="edge 0 has"):
             Network(n, [Edge(0, 0, 1, length, speed, 10.0)])
+    # a finite length and speed whose quotient overflows
+    with pytest.raises(NetworkValidationError, match="edge 0 has travel_time_s inf"):
+        Network(n, [_make_edge(0, 0, 1, 1e10, 1e-300)])
 
 
 def test_geometry_warning_for_too_short_edge(caplog):
