@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from . import dispatch as dp
 from .config import SYSTEM_TYPES, ScenarioConfig, load_config
-from .network import CsvParseError, Network, NetworkValidationError, NoPathError
+from .network import Network, NoPathError
 from .runner import (build_base_demand, build_base_supply, build_network, corridor_spec,
                      execute, render_report)
 
@@ -76,14 +76,14 @@ def _problems(errors: list[str]) -> int:
 
 
 def _input_problems(cfg: ScenarioConfig) -> list[str]:
-    """Build the network, base day and supply once; name the input file that
-    failed to load, or every corridor stop and request end that is not a node,
+    """Build the network, base day and supply once; name the input that stops
+    them being built, or every corridor stop and request end that is not a node,
     or else every corridor leg and on-demand trip that cannot be routed."""
     try:
         net = build_network(cfg)
         base = build_base_demand(cfg, net)
         build_base_supply(cfg)
-    except (CsvParseError, NetworkValidationError) as exc:
+    except ValueError as exc:  # CsvParseError and NetworkValidationError included
         return [str(exc)]
     stops = cfg.corridor.stops if cfg.corridor else []
     errors = [f"corridor: stop {s} is not a network node" for s in stops if s not in net.nodes]

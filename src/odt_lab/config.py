@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache
 from pathlib import Path
@@ -282,8 +283,12 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
     if dem.synthetic:
         if dem.synthetic.count <= 0:
             errors.append("demand.synthetic: count must be positive")
-        if len(dem.synthetic.hourly_profile) != 24:
+        profile = dem.synthetic.hourly_profile
+        if len(profile) != 24:
             errors.append("demand.synthetic: hourly_profile needs 24 weights")
+        elif any(w < 0 for w in profile) or not 0 < sum(profile) < math.inf:
+            errors.append("demand.synthetic.hourly_profile: weights must be non-negative "
+                          "with a positive, finite sum")
     if not dem.levels:
         errors.append("demand: levels cannot be empty")
     for lvl in dem.levels:
@@ -333,10 +338,10 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append("corridor: needs at least two stops")
         if len(set(cor.stops)) != len(cor.stops):
             errors.append("corridor: stops must be distinct")
-        if len(cor.window_h) != 2 or cor.window_h[0] >= cor.window_h[1]:
-            errors.append("corridor: window_h must be [open_hour, close_hour]")
-        if cor.cruise_speed_mps <= 0:
-            errors.append("corridor: cruise speed must be positive")
+        if len(cor.window_h) != 2 or not 0 <= cor.window_h[0] < cor.window_h[1] <= 24:
+            errors.append("corridor.window_h: must be [open_hour, close_hour] within 0..24")
+        if not 0 < cor.cruise_speed_mps < math.inf:
+            errors.append("corridor.cruise_speed_mps: must be positive and finite")
         if cor.vehicles_base < 1 or cor.vehicles_high < 1:
             errors.append("corridor: vehicle counts must be at least 1")
         if cor.alpha not in ALPHA_CHOICES:

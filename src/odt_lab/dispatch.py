@@ -3,21 +3,23 @@
 Four ways of putting riders on vehicles live here: exclusive greedy
 nearest-vehicle assignment, timetable boarding on a fixed route, and two
 fleets that share one cheapest-insertion search, `_cheapest_insertion`.
-Pooled crowdsourced matching offers it the idle vehicles and single-rider
-hosts, with pickup-first slots and no wait bound, and leaves a request no
-vehicle can take queued. The dedicated door-to-door fleet offers every
-slot of every in-service vehicle, bounds waits, and rejects such a
-request. The search screens each slot in O(1) from leg distances and
-per-vehicle tables of its current plan, then walks the survivors
-best-first by estimated added metres, and stops once no estimate left can
-beat the best walk. The walk, `trace_plan`, is the only exact feasibility
-check. It drives the same legs the vehicles later drive, each the cached
-canonical path `Network.shortest_path` gives, with clock and odometer
-summed edge by edge as the engine sums a vehicle's leg, and reads ridden
-metres off one plan odometer as the engine does, so a feasibility
-prediction and the realized trip agree to the last bit. It checks seats
-and waits at each pickup and the detour cap at each dropoff, and stops at
-the first broken promise.
+The on-demand ones are offered only the vehicles the engine has on duty;
+whether a vehicle is on duty is decided in the engine alone, and here an
+idle vehicle is one with an empty schedule. Pooled crowdsourced matching
+offers the search the idle vehicles and single-rider hosts, with
+pickup-first slots and no wait bound, and leaves a request no vehicle can
+take queued. The dedicated door-to-door fleet offers every slot of every
+vehicle, bounds waits, and rejects such a request. The search screens each
+slot in O(1) from leg distances and per-vehicle tables of its current
+plan, then walks the survivors best-first by estimated added metres, and
+stops once no estimate left can beat the best walk. The walk,
+`trace_plan`, is the only exact feasibility check. It drives the same legs
+the vehicles later drive, each the cached canonical path
+`Network.shortest_path` gives, with clock and odometer summed edge by edge
+as the engine sums a vehicle's leg, and reads ridden metres off one plan
+odometer as the engine does, so a feasibility prediction and the realized
+trip agree to the last bit. It checks seats and waits at each pickup and
+the detour cap at each dropoff, and stops at the first broken promise.
 """
 
 from __future__ import annotations
@@ -61,11 +63,12 @@ class Stop:
 
 @dataclass
 class Vehicle:
-    """One vehicle and its full runtime state inside a scenario run.
+    """One vehicle's position, plan and riders inside a scenario run.
 
     A vehicle drives exactly when its schedule is non-empty, along its leg:
     the canonical path to its next stop, kept as the clock and odometer on
-    reaching each edge's head, summed edge by edge. Dispatch decisions
+    reaching each edge's head, summed edge by edge, and stored last edge
+    first so that passing an edge pops the list's end. Dispatch decisions
     anchor on the head of the edge in flight, which the vehicle finishes
     whatever is decided. A rider's ridden metres are the odometer at dropoff
     minus the reading kept in `picked_at_m` at pickup. `base_plan` keeps the
@@ -75,48 +78,37 @@ class Vehicle:
 
     id: int
     position: int
-    shift_start_s: float
-    shift_end_s: float
     capacity: int = DEFAULT_SEATS
     schedule: list[Stop] = field(default_factory=list)
     odometer_m: float = 0.0  # metres driven so far
     picked_at_m: dict[int, float] = field(default_factory=dict)  # rider aboard -> pickup odometer
     leg: list = field(default_factory=list)  # (clock_s, odometer_m, Edge) per edge ahead
-    in_service: bool = False
-    retiring: bool = False
-    service_end_s: float | None = None
-    passenger_seconds: float = 0.0
     base_plan: "_BasePlan | None" = field(default=None, repr=False, compare=False)
 
     def anchor(self, now: float) -> tuple[int, float, float]:
         """(node, clock, odometer) at the head of the edge in flight at now,
         or where the vehicle stands; nodes reached by now are passed."""
-        while self.leg and self.leg[0][0] <= now:
-            _t, self.odometer_m, e = self.leg.pop(0)
+        while self.leg and self.leg[-1][0] <= now:
+            _t, self.odometer_m, e = self.leg.pop()
             self.position = e.to
         if not self.leg:
             return self.position, now, self.odometer_m
-        t, odo, e = self.leg[0]
+        t, odo, e = self.leg[-1]
         return e.to, t, odo
-
-    def is_idle(self) -> bool:
-        return self.in_service and not self.retiring and not self.schedule
-
-    def assigned_requests(self) -> set[int]:
-        return set(self.picked_at_m) | {s.request_id for s in self.schedule}
 
 
 # -- dispatch policies ---------------------------------------------------------
 #
 # A policy is one of the four fleets a service design is built from: how its
 # riders are put on vehicles, how many vehicles it owns, and what it costs a
-# year. `kind` tags its trip records. The on-demand policies' `assign`
-# yields (request, vehicle, new schedule) one decision at a time, with no
-# vehicle for a rejected request; the engine applies each decision before
-# drawing the next. `batch_s` is the policy's batch interval: the engine
-# runs a pass at the first multiple of it at or after each event that can
-# enable a match (a request arrives, a shift starts with riders waiting, a
-# vehicle serves a stop and stays on duty), or at once when it is 0.
+# year. `kind` tags its trip records. The on-demand policies' `assign` is
+# offered the engine's on-duty roster, in id order, and yields (request,
+# vehicle, new schedule) one decision at a time, with no vehicle for a
+# rejected request; the engine applies each decision before drawing the next.
+# `batch_s` is the policy's batch interval: the engine runs a pass at the
+# first multiple of it at or after each event that can enable a match (a
+# request arrives, a shift starts with riders waiting, a vehicle serves a
+# stop and stays on duty), or at once when it is 0.
 
 
 class Crowdsourced:
@@ -139,7 +131,7 @@ class GreedyExclusive(Crowdsourced):
     kind: str = "greedy_exclusive"
 
     def assign(self, net, vehicles, waiting, requests, now):
-        idle = [v for v in vehicles if v.is_idle()]
+        idle = [v for v in vehicles if not v.schedule]
         for req, veh in greedy_assign(net, idle, waiting):
             yield req, veh, ride_stops(req)
 
@@ -164,13 +156,14 @@ class DarpInsertion:
     batch_s = BATCH_INTERVAL_S
 
     def assign(self, net, vehicles, waiting, requests, now):
+        by_id = {v.id: v for v in vehicles}
         for req in waiting:
             res = darp_insert(net, vehicles, req, requests, now,
                               self.max_detour, self.max_wait_s)
             if not res.accepted:
                 yield req, None, None
                 continue
-            yield req, vehicles[res.vehicle_id], list(res.schedule)
+            yield req, by_id[res.vehicle_id], list(res.schedule)
 
     def vehicles_owned(self, supply) -> int:
         return max(supply.hourly_counts)
@@ -319,9 +312,8 @@ def shared_greedy_match(net: Network, vehicles: list[Vehicle],
     # the pool once matched
     pool = {v.id: (v, [(0, j) for j in range(1, len(v.schedule) + 2)])
             for v in vehicles
-            if v.is_idle() or (v.in_service and not v.retiring
-                               and len(v.picked_at_m) == 1 and len(v.schedule) == 1
-                               and v.schedule[0].action == DROPOFF)}
+            if not v.schedule or (len(v.picked_at_m) == 1 and len(v.schedule) == 1
+                                  and v.schedule[0].action == DROPOFF)}
     out = []
     for req in waiting_queue:
         if not pool:
@@ -356,15 +348,15 @@ def darp_insert(net: Network, vehicles: list[Vehicle], request: RideRequest,
                 max_wait_s: float = MAX_WAIT_S) -> InsertionResult:
     """Cheapest feasible insertion of a request into the fleet's schedules.
 
-    Every (pickup, dropoff) position pair in every in-service vehicle's
-    stop sequence is a candidate, under the wait bound max_wait_s and the
-    detour cap max_detour; `_cheapest_insertion` holds the feasibility rule
-    and the tie order, and walks only the pairs its screen cannot rule out.
-    If nothing is feasible the request is rejected.
+    Every (pickup, dropoff) position pair in every vehicle's stop sequence
+    is a candidate, under the wait bound max_wait_s and the detour cap
+    max_detour; `_cheapest_insertion` holds the feasibility rule and the tie
+    order, and walks only the pairs its screen cannot rule out. If nothing
+    is feasible the request is rejected.
     """
     fleet = ((v, [(i, j) for i in range(len(v.schedule) + 1)
                   for j in range(i + 1, len(v.schedule) + 2)])
-             for v in vehicles if v.in_service and not v.retiring)
+             for v in vehicles)
     best = _cheapest_insertion(net, fleet, request, requests, now,
                                max_detour, max_wait_s)
     if best is None:
@@ -564,8 +556,8 @@ class RouteSpec:
             raise ValueError("route needs at least two stops")
         if len(set(self.stops)) != len(self.stops):
             raise ValueError("route stops must be distinct")
-        if self.window[0] >= self.window[1]:
-            raise ValueError("route window must be a forward interval")
+        if not -math.inf < self.window[0] < self.window[1] < math.inf:
+            raise ValueError("route window must be a finite forward interval")
         if self.dwell_s < 0:
             raise ValueError("route dwell time cannot be negative")
 
@@ -587,8 +579,6 @@ class TimetableRun:
 class Timetable:
     leg_m_out: tuple[float, ...]   # metres between consecutive stops, outbound
     leg_m_in: tuple[float, ...]    # metres between consecutive stops of the reversed order
-    cycle_s: float
-    headway_s: float
     runs: tuple[TimetableRun, ...]
 
 
@@ -598,7 +588,9 @@ def build_timetable(net: Network, spec: RouteSpec, vehicles: int) -> Timetable:
     Vehicles loop the corridor end to end and back, dwelling at each stop;
     starts are staggered by the headway (cycle time over fleet size). A run
     begun before the window closes is completed past it so nobody is
-    stranded mid-line.
+    stranded mid-line. A run that does not advance the clock, such as one
+    whose legs and dwells take less than its rounding, is refused: the
+    window would never close.
     """
     if vehicles < 1:
         raise ValueError("need at least one vehicle")
@@ -612,8 +604,7 @@ def build_timetable(net: Network, spec: RouteSpec, vehicles: int) -> Timetable:
     # one-way block: drive every leg, dwell at every stop reached
     block_out = sum(leg_s_out) + spec.dwell_s * (n - 1)
     block_in = sum(leg_s_in) + spec.dwell_s * (n - 1)
-    cycle = block_out + block_in
-    headway = cycle / vehicles
+    headway = (block_out + block_in) / vehicles
     w0, w1 = spec.window
 
     runs = []
@@ -629,11 +620,13 @@ def build_timetable(net: Network, spec: RouteSpec, vehicles: int) -> Timetable:
                 a = dep[-1] + leg
                 arr.append(a)
                 dep.append(a + spec.dwell_s)
+            if not dep[-1] > t:
+                raise ValueError(f"a corridor run leaving at {t} s does not advance the clock")
             runs.append(TimetableRun(v, direction, tuple(arr), tuple(dep), length))
             t = dep[-1]  # last dwell doubles as the turnaround
             direction = -direction
     runs.sort(key=lambda r: (r.departures[0], r.vehicle))
-    return Timetable(leg_m_out, leg_m_in, cycle, headway, tuple(runs))
+    return Timetable(leg_m_out, leg_m_in, tuple(runs))
 
 
 @dataclass(frozen=True)

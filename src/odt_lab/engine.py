@@ -1,11 +1,15 @@
 """Continuous-time scenario engine: events, trip records, and run summaries.
 
-One run simulates a single day. Vehicles enter and leave per the hourly
-supply schedule, drive each leg to their next stop as one cached canonical
-path with one arrival event at its end, and execute stop schedules
-maintained by the configured dispatch policy. Time advances through a
-priority event queue, where only events that can enable a match queue a
-dispatch pass. Identical inputs and seed replay the identical event sequence.
+One run simulates a single day. The engine alone owns each vehicle's shift,
+planned from the hourly supply schedule: a shift start puts the vehicle on
+the on-duty roster, the only vehicles a dispatch policy is offered, and the
+shift end takes it off. A vehicle off the roster finishes its schedule, and
+its service ends at its last stop. Vehicles drive each leg to their next
+stop as one cached canonical path with one arrival event at its end, and
+execute stop schedules maintained by the dispatch policy. Time advances
+through a priority event queue, where only events that can enable a match
+queue a dispatch pass. Identical inputs and seed replay the identical event
+sequence.
 """
 
 from __future__ import annotations
@@ -206,16 +210,19 @@ class _Run:
         rng = Random(f"{seed}/spawn")
         pool = spawn_nodes if spawn_nodes else sorted(net.nodes)
         pool = list(pool)
-        self.vehicles: list[dp.Vehicle] = []
-        for vid, (start, end) in enumerate(plan_shifts(supply)):
-            node = rng.choice(pool)
-            self.vehicles.append(dp.Vehicle(vid, node, start, end))
+        self.shifts = plan_shifts(supply)  # (start, end) by vehicle id
+        self.vehicles = [dp.Vehicle(vid, rng.choice(pool)) for vid in range(len(self.shifts))]
+        # the on-duty roster: shift started and not ended, in id order, since
+        # shifts start in (time, id) order and ids follow start hours
+        self.on_duty: dict[int, dp.Vehicle] = {}
+        self.service_end = [end for _start, end in self.shifts]  # later if busy at shift end
+        self.passenger_s = [0.0] * len(self.shifts)
 
         self._heap: list = []
         self._seq = 0
-        for v in self.vehicles:
-            self._push(v.shift_start_s, "shift_start", v.id)
-            self._push(v.shift_end_s, "shift_end", v.id)
+        for vid, (start, end) in enumerate(self.shifts):
+            self._push(start, "shift_start", vid)
+            self._push(end, "shift_end", vid)
         for r in demand:
             self._push(r.request_time, "request_arrival", r.id)
 
@@ -251,29 +258,29 @@ class _Run:
                                     wait_min=(DAY_S - r.request_time) / 60.0,
                                     reason=REASON_HORIZON))
         self.trips.sort(key=lambda t: t.request_id)
-        fleet = []
-        for v in self.vehicles:
-            end = v.service_end_s if v.service_end_s is not None else v.shift_end_s
-            fleet.append(_vehicle_log(v.id, v.shift_start_s, end, v.odometer_m / 1000.0,
-                                      v.passenger_seconds))
+        fleet = [_vehicle_log(v.id, self.shifts[v.id][0], self.service_end[v.id],
+                              v.odometer_m / 1000.0, self.passenger_s[v.id])
+                 for v in self.vehicles]
         return summarize(self.trips, fleet, len(self.requests), self.rejections)
 
     # -- handlers --
 
     def _on_arrive(self, t: float, vid: int):
         v = self.vehicles[vid]
-        if v.leg and v.leg[-1][0] == t:  # else stale: the leg was re-routed
+        if v.leg and v.leg[0][0] == t:  # else stale: the leg was re-routed
             v.anchor(t)  # passes the whole leg
             self._advance(v, t)
 
     def _drive(self, v: dp.Vehicle, t: float):
         """Finish the edge in flight, then take the canonical path to the next stop."""
         head, clock, odo = v.anchor(t)
-        del v.leg[1:]
+        ahead = []
         for e in self.net.shortest_path(head, v.schedule[0].node).edges:
             clock += e.travel_time_s
             odo += e.length_m
-            v.leg.append((clock, odo, e))
+            ahead.append((clock, odo, e))
+        ahead.reverse()
+        v.leg[:-1] = ahead  # the leg is kept last edge first
         self._push(clock, "vehicle_arrives", v.id)
 
     def _advance(self, v: dp.Vehicle, t: float):
@@ -283,11 +290,12 @@ class _Run:
             stop = v.schedule.pop(0)
             self._execute_stop(v, stop, t)
             progressed = True
+        on_duty = v.id in self.on_duty
         if v.schedule:
             self._drive(v, t)
-        elif v.retiring:
-            self._finalize(v, t)
-        if progressed and not v.retiring:
+        elif not on_duty:  # off duty: service ends at its last stop
+            self.service_end[v.id] = t
+        if progressed and on_duty:
             self._queue_pass(t)  # freed, or maybe a new single-rider host
 
     def _execute_stop(self, v: dp.Vehicle, stop: dp.Stop, t: float):
@@ -300,29 +308,19 @@ class _Run:
         else:
             ridden_m = v.odometer_m - v.picked_at_m.pop(r.id)
             picked = self.pickup_time[r.id]
-            v.passenger_seconds += t - picked
+            self.passenger_s[v.id] += t - picked
             self.trips.append(_trip(
                 self.net, r, self.mode_tag, True, walk_min=0.0,
                 wait_min=(picked - r.request_time) / 60.0,
                 ivtt_min=(t - picked) / 60.0,
                 length_km=ridden_m / 1000.0))
 
-    def _finalize(self, v: dp.Vehicle, t: float):
-        v.in_service = False
-        v.service_end_s = max(t, v.shift_start_s)
-
     def _on_shift_start(self, t: float, vid: int):
-        v = self.vehicles[vid]
-        if v.shift_end_s <= v.shift_start_s:
-            return
-        v.in_service = True
+        self.on_duty[vid] = self.vehicles[vid]
         self._queue_pass(t)
 
     def _on_shift_end(self, t: float, vid: int):
-        v = self.vehicles[vid]
-        v.retiring = True
-        if v.in_service and not v.schedule:
-            self._finalize(v, t)
+        del self.on_duty[vid]
 
     def _on_request(self, t: float, rid: int):
         self.queue[rid] = self.requests[rid]
@@ -332,8 +330,8 @@ class _Run:
         if not self.queue:
             return
         waiting = list(self.queue.values())
-        for req, v, schedule in self.policy.assign(self.net, self.vehicles, waiting,
-                                                   self.requests, t):
+        for req, v, schedule in self.policy.assign(self.net, list(self.on_duty.values()),
+                                                   waiting, self.requests, t):
             del self.queue[req.id]
             if v is None:
                 self.rejections.append(self._snapshot(req, t))
@@ -350,13 +348,11 @@ class _Run:
     def _snapshot(self, req: RideRequest, t: float) -> RejectionSnapshot:
         involved = {req.id}
         vehicles = []
-        for v in self.vehicles:
-            if not v.in_service or v.retiring:
-                continue
-            involved |= v.assigned_requests()
+        for v in self.on_duty.values():
+            involved.update(v.picked_at_m, (s.request_id for s in v.schedule))
             anchor, ready, _odometer_m = v.anchor(t)
             vehicles.append(VehicleSnapshot(
-                v.id, anchor, ready, v.leg[0][2].length_m if v.leg else 0.0, v.capacity,
+                v.id, anchor, ready, v.leg[-1][2].length_m if v.leg else 0.0, v.capacity,
                 tuple(v.schedule),
                 {rid: v.odometer_m - m for rid, m in v.picked_at_m.items()}))
         times = {rid: self.requests[rid].request_time for rid in involved}

@@ -311,16 +311,47 @@ def test_validate_reports_a_bad_supply_file(tmp_path, capsys, row, problem):
 @pytest.mark.parametrize("corridor, problem", [
     ({"dwell_s": -100.0}, "corridor.dwell_s: must not be negative"),
     ({"supply": [1] * 23 + [-1]}, "corridor.supply: hourly counts must be non-negative"),
-], ids=["dwell_s", "supply"])
+    ({"window_h": [7, float("inf")]}, "corridor.window_h: must be"),
+    ({"window_h": [7, 25]}, "corridor.window_h: must be"),
+    ({"window_h": [-1, 21]}, "corridor.window_h: must be"),
+    ({"cruise_speed_mps": float("inf"), "dwell_s": 0.0}, "corridor.cruise_speed_mps: must be"),
+    ({"cruise_speed_mps": float("nan")}, "corridor.cruise_speed_mps: must be"),
+], ids=["dwell_s", "supply", "window-inf", "window-past-midnight", "window-before-midnight",
+        "speed-inf", "speed-nan"])
 def test_validate_rejects_negative_corridor_values(tmp_path, capsys, corridor, problem):
     # a negative dwell never lets the timetable reach the end of the window,
-    # and a negative count fails the run in the middle of the sweep
+    # nor does an endless window or runs that take no time, and a negative
+    # count fails the run in the middle of the sweep
     cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
         systems=[{"type": "hybrid_odt"}],
         corridor={"stops": [10, 12, 14], "supply": [1] * 24, **corridor}))
     assert main(["validate", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"error: {problem}" in err and "1 problem(s) found" in err
+
+
+@pytest.mark.parametrize("profile", [[0.0] * 24, [1.0] * 23 + [-1.0]],
+                         ids=["all-zero", "negative"])
+def test_validate_rejects_an_hourly_profile_no_day_can_be_drawn_from(tmp_path, capsys,
+                                                                     profile):
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw["demand"]["synthetic"].update(
+        hourly_profile=profile))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: demand.synthetic.hourly_profile:" in err and "1 problem(s) found" in err
+
+
+def test_validate_reports_synthetic_demand_on_a_one_node_network(tmp_path, capsys):
+    # no two distinct nodes to draw a trip between: a problem, not a traceback
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    nodes.write_text("id,x,y,zone_id\n0,0,0,\n")
+    edges.write_text("id,from,to,length_m,speed_mps\n")
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        network={"files": {"nodes": str(nodes), "edges": str(edges)}, "area_km2": 1.0}))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: network needs at least 2 nodes for synthetic demand" in err
+    assert "1 problem(s) found" in err
 
 
 @pytest.mark.parametrize("key, value", [("surge_levels", [0, 20]), ("value_of_time", 99)],

@@ -47,10 +47,9 @@ def make_vehicle(vid, anchor, ready, inflight_m, capacity, stops, aboard,
 
     A rider who has ridden m metres was picked up at odometer ODOMETER_M - m.
     """
-    v = Vehicle(id=vid, position=anchor, shift_start_s=0.0, shift_end_s=86400.0,
-                capacity=capacity, schedule=[Stop(*s) for s in stops],
-                odometer_m=ODOMETER_M, picked_at_m=picked_at(aboard),
-                in_service=True)
+    v = Vehicle(id=vid, position=anchor, capacity=capacity,
+                schedule=[Stop(*s) for s in stops],
+                odometer_m=ODOMETER_M, picked_at_m=picked_at(aboard))
     if ready > now or inflight_m > 0:
         # a one-edge leg on a synthetic edge ending where it starts:
         # anchor(now) reproduces the given state
@@ -65,8 +64,7 @@ def picked_at(aboard: dict[int, float]) -> dict[int, float]:
 
 
 def idle_vehicle(vid: int, node: int) -> Vehicle:
-    return Vehicle(id=vid, position=node, shift_start_s=0.0,
-                   shift_end_s=86400.0, in_service=True)
+    return Vehicle(id=vid, position=node)
 
 
 # -- plan tracing ----------------------------------------------------------------
@@ -200,16 +198,6 @@ def test_darp_tie_prefers_lower_vehicle_then_earlier_slots(net5):
     assert (res.vehicle_id, res.pickup_index, res.dropoff_index) == (1, 0, 1)
 
 
-def test_darp_skips_vehicles_off_duty(net5):
-    ok = make_vehicle(0, 0, NOW, 0.0, 8, [], {})
-    ok.in_service = False
-    retiring = make_vehicle(1, 0, NOW, 0.0, 8, [], {})
-    retiring.retiring = True
-    req = RideRequest(50, NOW, 0, 1)
-    res = darp_insert(net5, [ok, retiring], req, {50: req}, NOW)
-    assert not res.accepted
-
-
 def test_darp_seat_capacity_defers_pickup(net5):
     # full vehicle: the pickup must wait until a seat frees up, even though
     # an immediate pickup would add no driving at all
@@ -266,8 +254,8 @@ def test_detour_slack_is_relative_not_a_metre(monkeypatch, net5, odometer_m, rid
     A flat 1 m slack, in the screen or the walk, fails a case."""
     walked = promised_traces(monkeypatch)
     requests = {9: RideRequest(9, NOW - 300.0, 0, 4), 10: RideRequest(10, NOW, 2, 3)}
-    host = Vehicle(0, 1, 0.0, 86400.0, schedule=[Stop(4, DROPOFF, 9)], odometer_m=odometer_m,
-                   picked_at_m={9: odometer_m - ridden_m}, in_service=True)
+    host = Vehicle(0, 1, schedule=[Stop(4, DROPOFF, 9)], odometer_m=odometer_m,
+                   picked_at_m={9: odometer_m - ridden_m})
     best = dispatch._cheapest_insertion(net5, [(host, [(0, 1)])], requests[10], requests,
                                         NOW, 2.0, math.inf)
     assert (best is not None) == accepted
@@ -429,9 +417,22 @@ def test_timetable_frozen_geometry(timetable):
     tt = timetable
     assert tt.leg_m_out == (1000.0, 1000.0)
     assert tt.leg_m_in == (1000.0, 1000.0)
-    # block = 2 legs * 100 s + 2 dwells = 240 s each way
-    assert tt.cycle_s == 480.0
-    assert tt.headway_s == 240.0
+    # block = 2 legs * 100 s + 2 dwells = 240 s each way: a vehicle's
+    # outbound runs leave a 480 s cycle apart, and the two vehicles' runs
+    # are staggered by a 240 s headway
+    outbound = {v: [run.departures[0] for run in tt.runs
+                    if run.vehicle == v and run.direction > 0][:2] for v in (0, 1)}
+    assert outbound == {0: [25200.0, 25680.0], 1: [25440.0, 25920.0]}
+
+
+@pytest.mark.parametrize("speed", [math.inf, 1e300], ids=["infinite", "below-one-ulp"])
+def test_timetable_refuses_a_run_that_does_not_advance_the_clock(net5, speed):
+    # with no dwell, 1000 m legs take 0 s, or less than one ulp of the clock;
+    # laying out such runs would never reach the end of the window
+    stalled = RouteSpec(stops=(10, 12, 14), cruise_speed_mps=speed,
+                        window=(25200.0, 75600.0), dwell_s=0.0)
+    with pytest.raises(ValueError, match="does not advance the clock"):
+        build_timetable(net5, stalled, 2)
 
 
 def test_timetable_frozen_first_runs(timetable):
@@ -472,6 +473,10 @@ def test_route_spec_validation():
         RouteSpec(stops=(10, 10))
     with pytest.raises(ValueError):
         RouteSpec(stops=(10, 12), window=(3600.0, 3600.0))
+    # an endless window would lay out runs forever
+    for window in ((3600.0, math.inf), (-math.inf, 3600.0), (3600.0, math.nan)):
+        with pytest.raises(ValueError, match="window"):
+            RouteSpec(stops=(10, 12), window=window)
     # a negative dwell can make each timetable block negative, and the
     # timetable would never reach the end of the window
     with pytest.raises(ValueError, match="dwell"):

@@ -259,6 +259,46 @@ def test_shift_end_finishes_accepted_work(net5):
     assert res.waiting == 1 and res.rejected == 0
 
 
+def test_darp_vehicle_past_its_shift_end_takes_no_new_request(net5):
+    # The one shift ends at 3600 while the vehicle drives 0 -> 4 for A
+    # (decided at 3510, pickup 3710, dropoff at 24 at 3910). B, decided at 3660, would ride
+    # along at no added metres, but only vehicles on duty are offered it.
+    a = RideRequest(0, 3500.0, 4, 24)
+    b = RideRequest(1, 3650.0, 4, 24)
+    res = run_scenario(net5, [a, b], supply([1] + [0] * 23), DarpInsertion(),
+                       seed=0, spawn_nodes=[0])
+    first, second = res.trips
+    assert first.served and first.wait_min == 210.0 / 60.0
+    assert not second.served and second.reject_reason == REASON_NO_SLOT
+    (snap,) = res.rejections
+    assert (snap.request_id, snap.decision_time, snap.vehicles) == (1, 3660.0, [])
+    assert (res.fleet[0].start_s, res.fleet[0].end_s) == (0.0, 3910.0)
+
+
+def test_roster_and_snapshots_list_on_duty_vehicles_in_id_order(net5):
+    # Steps down retire the longest-serving vehicles, so from 06:00 the
+    # vehicles on duty are 3 and 4, not a prefix of the ids.
+    hours = supply([2, 2, 1, 3, 3, 1, 2] + [0] * 17)
+    shifts = plan_shifts(hours)
+    rosters = []
+
+    class Recording(DarpInsertion):
+        def assign(self, net, vehicles, waiting, requests, now):
+            rosters.append((now, [v.id for v in vehicles]))
+            return super().assign(net, vehicles, waiting, requests, now)
+
+    def on_duty(t):
+        return [vid for vid, (start, end) in enumerate(shifts) if start <= t < end]
+
+    reqs = generate_synthetic_demand(net5, 200, [1.0] * 7 + [0.0] * 17, seed=4)
+    res = run_scenario(net5, reqs, hours, Recording(max_wait_s=120.0), seed=4)
+    assert [ids for _t, ids in rosters] == [on_duty(t) for t, _ids in rosters]
+    assert {tuple(ids) for _t, ids in rosters} == {(0, 1), (1,), (1, 2, 3), (3,), (3, 4)}
+    assert [[v.vehicle_id for v in s.vehicles] for s in res.rejections] == [
+        on_duty(s.decision_time) for s in res.rejections]
+    assert len({len(s.vehicles) for s in res.rejections}) == 3
+
+
 def test_queue_keeps_arrival_order(net5):
     # B, C and D queue while the one vehicle carries A (0 -> 4, dropped at
     # 3200). The exclusive fleet serves them first come, first served, though

@@ -114,7 +114,7 @@ def test_direct_ride_meets_a_detour_cap_of_one():
         for k in range(100):
             req = RideRequest(k, 1000.0, *rng.sample(ids, 2))
             requests = {k: req}
-            idle = [Vehicle(0, req.origin, 0.0, 86400.0, in_service=True)]
+            idle = [Vehicle(0, req.origin)]
             darp = darp_insert(net, idle, req, requests, 1000.0, max_detour=1.0)
             pooled = shared_greedy_match(net, idle, [req], requests, 1000.0,
                                          max_detour=1.0)
@@ -163,8 +163,8 @@ def test_no_pass_between_events_would_match(monkeypatch, policy):
     starts or a vehicle serves a stop. A pass between those events would
     match nobody: an idle vehicle stands still, and a pooling host's added
     metres for a new rider cannot fall as it drives toward its next stop.
-    Probe a copy of the fleet and queue at every 30 s boundary where riders
-    wait and no pass ran."""
+    Probe a copy of the on-duty roster the engine offers its passes, and
+    the queue, at every 30 s boundary where riders wait and no pass ran."""
     probes = matched = 0
     passes = set()
     dispatch_pass = engine._Run._on_dispatch
@@ -188,7 +188,8 @@ def test_no_pass_between_events_would_match(monkeypatch, policy):
                 # a copy of each vehicle's mutable state; requests, stops,
                 # edges and plan tables are never written in place
                 vehicles = [replace(v, schedule=list(v.schedule), leg=list(v.leg),
-                                    picked_at_m=dict(v.picked_at_m)) for v in run.vehicles]
+                                    picked_at_m=dict(v.picked_at_m))
+                            for v in run.on_duty.values()]
                 waiting = list(run.queue.values())
                 probes += 1
                 matched += sum(1 for _r, v, _s in policy.assign(
@@ -300,9 +301,8 @@ def test_unroutable_request_raises_like_the_reference(origin, destination, raise
     aboard = RideRequest(1, now - 100.0, 10, 14)
     req = RideRequest(2, now - 60.0, origin, destination)
     requests = {1: aboard, 2: req}
-    idle = Vehicle(0, 12, 0.0, 86400.0, in_service=True)
-    host = Vehicle(1, 11, 0.0, 86400.0, in_service=True, schedule=[Stop(14, DROPOFF, 1)],
-                   picked_at_m={1: -500.0})
+    idle = Vehicle(0, 12)
+    host = Vehicle(1, 11, schedule=[Stop(14, DROPOFF, 1)], picked_at_m={1: -500.0})
     candidates = [(idle, [(0, 1)]), (host, [(0, 1), (0, 2), (1, 2)])]
     args = (net, candidates, req, requests, now, 2.0, 1800.0)
     if raises:
