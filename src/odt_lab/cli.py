@@ -15,6 +15,7 @@ import sys
 from . import __version__
 from . import dispatch as dp
 from .config import SYSTEM_TYPES, ScenarioConfig, load_config
+from .demand import check_level_sizes
 from .network import Network, NoPathError
 from .runner import (build_base_demand, build_base_supply, build_network, corridor_spec,
                      execute, render_report)
@@ -77,11 +78,14 @@ def _problems(errors: list[str]) -> int:
 
 def _input_problems(cfg: ScenarioConfig) -> list[str]:
     """Build the network, base day and supply once; name the input that stops
-    them being built, or every corridor stop and request end that is not a node,
-    or else every corridor leg and on-demand trip that cannot be routed."""
+    them being built or two demand levels that scale the day to one size, or
+    every corridor stop and request end that is not a node, or else a corridor
+    timetable that cannot be laid out and every corridor leg and on-demand
+    trip that cannot be routed."""
     try:
         net = build_network(cfg)
         base = build_base_demand(cfg, net)
+        check_level_sizes(len(base), cfg.demand.levels)
         build_base_supply(cfg)
     except ValueError as exc:  # CsvParseError and NetworkValidationError included
         return [str(exc)]
@@ -91,13 +95,23 @@ def _input_problems(cfg: ScenarioConfig) -> list[str]:
         errors += [f"demand: request {r.id} {end} {node} is not a network node"
                    for end, node in (("origin", r.origin), ("destination", r.destination))
                    if node not in net.nodes]
-    if errors or net.unreachable_pairs == 0:  # routes need known nodes and a split network
+    if errors:  # routes need known nodes
         return errors
-    legs = [*zip(stops, stops[1:]), *zip(stops[1:], stops)]  # out, then back
-    errors = [f"corridor: no route from stop {a} to stop {b}"
-              for a, b in legs if not _routable(net, a, b)]
     designs = [SYSTEM_TYPES[s.type] for s in cfg.systems]
     spec = corridor_spec(cfg)
+    if any(d.corridor == "frt" for d in designs):
+        try:
+            for vehicles in (spec.vehicles_base, spec.vehicles_high):
+                dp.build_timetable(net, spec, vehicles)
+        except ValueError as exc:
+            errors.append(f"corridor: {exc}")
+        except NoPathError:
+            pass  # a corridor leg with no route, named below
+    if net.unreachable_pairs == 0:  # every route exists
+        return errors
+    legs = [*zip(stops, stops[1:]), *zip(stops[1:], stops)]  # out, then back
+    errors += [f"corridor: no route from stop {a} to stop {b}"
+               for a, b in legs if not _routable(net, a, b)]
 
     def door_to_door(r) -> bool:  # some system drives this request from door to door
         return any(d.area and not (d.corridor == "frt"

@@ -28,15 +28,12 @@ class RideRequest:
     request_time: float  # seconds from midnight, [0, 86400)
     origin: int
     destination: int
-    party_size: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.request_time < DAY_S:
             raise ValueError(f"request {self.id}: time {self.request_time} outside the day")
         if self.origin == self.destination:
             raise ValueError(f"request {self.id}: origin equals destination")
-        if self.party_size != 1:
-            raise ValueError(f"request {self.id}: party size must be 1")
 
 
 @dataclass
@@ -61,6 +58,18 @@ def round_half_up(value: Fraction | float) -> int:
 
 def scaled_count(base_count: int, level_pct: int) -> int:
     return round_half_up(Fraction(base_count * level_pct, 100))
+
+
+def check_level_sizes(base_count: int, levels) -> None:
+    """Refuse two demand levels that scale a base day of base_count requests
+    to the same size: their runs would share one demand density."""
+    first = {}  # day size -> the lowest level scaled to it
+    for lvl in sorted(set(levels)):
+        n = scaled_count(base_count, lvl)
+        if n in first:
+            raise ValueError(f"demand levels {first[n]}% and {lvl}% both scale the base "
+                             f"day of {base_count} requests to {n}")
+        first[n] = lvl
 
 
 def scale_demand(base: list[RideRequest], level_pct: int, seed) -> list[RideRequest]:

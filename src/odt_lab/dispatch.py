@@ -338,7 +338,6 @@ class InsertionResult:
     dropoff_index: int | None = None
     added_m: float | None = None
     predicted_wait_s: float | None = None
-    predicted_ride_m: float | None = None
     schedule: tuple[Stop, ...] | None = None
 
 
@@ -364,7 +363,7 @@ def darp_insert(net: Network, vehicles: list[Vehicle], request: RideRequest,
     (added, vid, i, j), tr, _v, schedule = best
     return InsertionResult(True, vid, i, j, added,
                            tr.pickup_times[request.id] - request.request_time,
-                           tr.final_m[request.id], tuple(schedule))
+                           tuple(schedule))
 
 
 def _cheapest_insertion(net: Network, candidates, request: RideRequest,

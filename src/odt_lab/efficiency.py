@@ -39,6 +39,7 @@ class GCPoint:
     demand_level_pct: int
     demand_density: float  # requests per day per km^2
     gc: Decimal
+    served_per_day: int
     served_fraction: float
     flag: str = ""  # CAPACITY_FLAG when the service kept up with < threshold of demand
 
@@ -81,33 +82,24 @@ def gc_point(system: str, demand_level_pct: int, demand_density: float,
     gc = generalized_cost(walk_min, wait_min, ivtt_min, served_per_day,
                           value_of_time, net_annual_cost)
     flag = CAPACITY_FLAG if served_fraction < threshold else ""
-    return GCPoint(system, demand_level_pct, demand_density, gc,
+    return GCPoint(system, demand_level_pct, demand_density, gc, served_per_day,
                    served_fraction, flag)
 
 
-def sweep(entries, threshold: float = SERVED_FRACTION_THRESHOLD) -> dict[str, list[GCPoint]]:
-    """Assemble per-system generalized cost curves from run summaries.
-
-    entries: iterables of dicts with keys system, demand_level_pct,
-    demand_density, walk_min, wait_min, ivtt_min, served_per_day,
-    value_of_time, net_annual_cost, served_fraction. Output curves are
-    sorted by density; a missing level simply stays absent and later
-    crossing analysis will not interpolate over the gap.
+def sweep(points) -> dict[str, list[GCPoint]]:
+    """Group generalized-cost points into one curve per system, each sorted
+    by density; two points of a system at one density are refused. A missing
+    level simply stays absent and later crossing analysis will not
+    interpolate over the gap.
     """
     curves: dict[str, list[GCPoint]] = {}
-    for e in entries:
-        p = gc_point(e["system"], e["demand_level_pct"], e["demand_density"],
-                     e["walk_min"], e["wait_min"], e["ivtt_min"],
-                     e["served_per_day"], e["value_of_time"],
-                     e["net_annual_cost"], e["served_fraction"], threshold)
+    for p in points:
         curves.setdefault(p.system, []).append(p)
     for pts in curves.values():
         pts.sort(key=lambda p: p.demand_density)
-        seen = set()
-        for p in pts:
-            if p.demand_density in seen:
+        for p, q in zip(pts, pts[1:]):
+            if p.demand_density == q.demand_density:
                 raise ValueError(f"duplicate density {p.demand_density} for {p.system}")
-            seen.add(p.demand_density)
     return curves
 
 

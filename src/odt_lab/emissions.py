@@ -44,7 +44,6 @@ class EmissionsReport:
     total_yearly_ghg_t: float
     vkm_per_passenger: float | None
     ghg_g_per_passenger_km: float | None
-    electrification_level: float = 0.0
     excluded_requests: int = 0
 
 
@@ -95,11 +94,11 @@ def private_vehicle_baseline(requests: list[RideRequest], net: Network,
     served = len(requests) - excluded
     ghg_t = yearly_ghg(factors.ghg_km_private, km_per_day)
     if served == 0:
-        return EmissionsReport(ghg_t, None, None, 0.0, excluded)
+        return EmissionsReport(ghg_t, None, None, excluded)
     vkm_per_pax = km_per_day / served
     yearly_pax_km = km_per_day * DAYS_PER_YEAR  # every on-board km equals a driven km here
     g_per_pax_km = ghg_t * GRAMS_PER_TON / yearly_pax_km if yearly_pax_km > 0 else None
-    return EmissionsReport(ghg_t, vkm_per_pax, g_per_pax_km, 0.0, excluded)
+    return EmissionsReport(ghg_t, vkm_per_pax, g_per_pax_km, excluded)
 
 
 def per_passenger_metrics(total_km_day: float, served_per_day: int,
@@ -113,7 +112,7 @@ def per_passenger_metrics(total_km_day: float, served_per_day: int,
     """
     ghg_t = ghg_at_electrification(electrification_level, total_km_day, factors)
     if served_per_day <= 0 or passenger_km_day <= 0:
-        return EmissionsReport(ghg_t, None, None, electrification_level)
+        return EmissionsReport(ghg_t, None, None)
     vkm_per_pax = total_km_day / served_per_day
     g_per_pax_km = ghg_t * GRAMS_PER_TON / (passenger_km_day * DAYS_PER_YEAR)
-    return EmissionsReport(ghg_t, vkm_per_pax, g_per_pax_km, electrification_level)
+    return EmissionsReport(ghg_t, vkm_per_pax, g_per_pax_km)

@@ -76,11 +76,10 @@ class Zone:
 
 @dataclass(frozen=True)
 class RoutePath:
-    """A concrete drive: edge sequence plus its length and time totals."""
+    """A concrete drive: edge sequence plus its length total."""
 
     edges: tuple[Edge, ...]
     total_length_m: float
-    total_time_s: float
 
 
 def _make_edge(eid: int, frm: int, to: int, length_m: float, speed_mps: float) -> Edge:
@@ -331,21 +330,19 @@ class Network:
         if origin == dest:
             if origin not in self.nodes:
                 raise KeyError(f"unknown node {origin}")
-            return RoutePath((), 0.0, 0.0)
+            return RoutePath((), 0.0)
         cached = self._path_cache.get((origin, dest))
         if cached is not None:
             return cached
         edges = []
         length = 0.0
-        time = 0.0
         cur = origin
         while cur != dest:
             e = self.next_edge(cur, dest)
             edges.append(e)
             length += e.length_m
-            time += e.travel_time_s
             cur = e.to
-        path = RoutePath(tuple(edges), length, time)
+        path = RoutePath(tuple(edges), length)
         self._path_cache[(origin, dest)] = path
         return path
 

@@ -31,10 +31,10 @@ from . import __version__
 from . import dispatch as dp
 from .config import SYSTEM_TYPES, ScenarioConfig, SystemConfig
 from .costing import CostParameters, capital_cost, net_annual_cost
-from .demand import (RideRequest, SupplySchedule, demand_density,
+from .demand import (RideRequest, SupplySchedule, check_level_sizes, demand_density,
                      generate_synthetic_demand, load_requests, load_supply,
                      scale_demand, scale_supply)
-from .efficiency import InsufficientDataError, sweep, switching_points
+from .efficiency import InsufficientDataError, gc_point, sweep, switching_points
 from .emissions import EmissionFactors, private_vehicle_baseline, per_passenger_metrics
 from .engine import SimulationResult, run_scenario, summarize
 from .equity import equity_report
@@ -224,6 +224,54 @@ def run_cost(run: RunOutput, params: CostParameters, surge_pct: int):
     return capital, operating, net_annual_cost(capital, operating)
 
 
+def cost_curves(runs: list[RunOutput], area_km2: float, params: CostParameters, vot,
+                surge_levels, threshold: float):
+    """The rows of costs.csv, gc_curve.csv and switching_points.csv for one
+    set of cost parameters and value of time, `vot`. A surge-priced run is
+    also costed at each surge level, on a curve tagged "<system>+s<surge>";
+    curves are crossed pairwise at each surge level, each pair once."""
+    surge_levels = sorted(set(surge_levels))
+    surge_priced = {run.system for run in runs if run.surge_priced}
+
+    def tag_for(name: str, surge: int) -> str:
+        return f"{name}+s{surge}" if surge and name in surge_priced else name
+
+    cost_rows, points = [], []
+    for run in runs:
+        c = run.combined
+        for s in sorted({0, *surge_levels}) if run.surge_priced else [0]:
+            capital, operating, nac = run_cost(run, params, s)
+            cost_rows.append([run.run_id, run.system, run.level, s,
+                              str(capital), str(operating), str(nac)])
+            points.append(gc_point(tag_for(run.system, s), run.level,
+                                   demand_density(c.demand_total, area_km2),
+                                   c.avg_walk_min, c.avg_wait_min, c.avg_ivtt_min,
+                                   c.served, vot, nac, c.served_fraction, threshold))
+    curves = sweep(points)
+    gc_rows = [[p.system, p.demand_level_pct, _fmt(p.demand_density, "%.6f"), str(p.gc),
+                p.served_per_day, _fmt(p.served_fraction, "%.6f"), p.flag]
+               for curve in curves.values() for p in curve]
+
+    systems = dict.fromkeys(run.system for run in runs)
+    switch_rows, skipped = [], []  # skipped: "a vs b: reason" of pairs with too little data
+    for a, b in dict.fromkeys((tag_for(x, s), tag_for(y, s)) for s in surge_levels
+                              for x, y in combinations(systems, 2)):
+        try:
+            crossings = switching_points(curves[a], curves[b])
+        except InsufficientDataError as exc:
+            # the text only: the exception's traceback would keep this
+            # frame, and every run in it, alive
+            skipped.append(f"{a} vs {b}: {exc}")
+            continue
+        switch_rows += [[pt.system_a, pt.system_b, _fmt(pt.density, "%.6f"),
+                         _fmt(pt.bracket_lo, "%.6f"), _fmt(pt.bracket_hi, "%.6f")]
+                        for pt in crossings]
+    if skipped:
+        log.warning("no crossing analysis for %d system pairs, e.g. %s",
+                    len(skipped), skipped[0])
+    return cost_rows, gc_rows, switch_rows
+
+
 # -- output files ---------------------------------------------------------------
 
 
@@ -293,6 +341,7 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
         log.warning("network is not strongly connected: %d ordered node pairs "
                     "unreachable", net.unreachable_pairs)
     base = build_base_demand(cfg, net)
+    check_level_sizes(len(base), run_levels)
     days = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in run_levels}
     spec = corridor_spec(cfg)
     spawn = {t: spawn_pools(net, t, base, spec)
@@ -331,27 +380,16 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
 
     A CSV file maps to its (header, rows), a JSON file to its text. One pass
     over the runs renders each run's trip and fleet rows, which the
-    top-level trips.csv and fleet.csv concatenate, and adds the run's costs,
-    generalized cost entries, emissions, Gini indices and Lorenz curves. The
-    sweep-wide tables follow from those, the car baseline from the day at
-    each level, `days`.
+    top-level trips.csv and fleet.csv concatenate, and adds the run's
+    emissions, Gini indices and Lorenz curves; the car baseline follows from
+    the day at each level, `days`, and the cost, curve and crossing tables
+    from `cost_curves`.
     """
-    params = cfg.cost_parameters()
     factors = cfg.emission_factors()
     ana = cfg.analysis
-    surge_levels = sorted(set(ana.surge_levels))
-
-    # surge variants of a surge-priced system get their own tagged curve
-    surge_priced = {run.system for run in runs if run.surge_priced}
-
-    def tag_for(name: str, surge: int) -> str:
-        return f"{name}+s{surge}" if surge and name in surge_priced else name
-
     files: dict[str, tuple[list[str], list[list]] | str] = {}
-    all_trips, all_fleet, cost_rows, emis_rows, gini_rows = [], [], [], [], []
-    gc_entries = []
+    all_trips, all_fleet, emis_rows, gini_rows = [], [], [], []
     unzoned = {}  # run id -> served trips the equity analysis skipped
-    served = {}  # (curve tag, level) -> served trips
     for run in runs:
         c = run.combined
         run_dir = f"runs/{run.run_id}"
@@ -363,26 +401,6 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
         if c.rejections:
             files[f"{run_dir}/rejections.json"] = json.dumps(
                 [asdict(r) for r in c.rejections], indent=2, sort_keys=True, default=str)
-
-        # costs and generalized cost, one row each per applicable surge level
-        for s in sorted({0, *surge_levels}) if run.surge_priced else [0]:
-            capital, operating, nac = run_cost(run, params, s)
-            cost_rows.append([run.run_id, run.system, run.level, s,
-                              str(capital), str(operating), str(nac)])
-            tag = tag_for(run.system, s)
-            served[tag, run.level] = c.served
-            gc_entries.append({
-                "system": tag,
-                "demand_level_pct": run.level,
-                "demand_density": demand_density(c.demand_total, net.area_km2),
-                "walk_min": c.avg_walk_min,
-                "wait_min": c.avg_wait_min,
-                "ivtt_min": c.avg_ivtt_min,
-                "served_per_day": c.served,
-                "value_of_time": ana.vot,
-                "net_annual_cost": nac,
-                "served_fraction": c.served_fraction,
-            })
 
         # emissions across the electrification ladder
         pax_km = sum(t.length_km or 0.0 for t in c.trips if t.served)
@@ -413,36 +431,9 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
             emis_rows.append(_emission_row(f"baseline-L{lvl}", "private_baseline",
                                            lvl, 0.0, rep))
 
-    curves = sweep(gc_entries, ana.served_fraction_threshold)
-    gc_rows = [[p.system, p.demand_level_pct, _fmt(p.demand_density, "%.6f"),
-                str(p.gc), served[tag, p.demand_level_pct],
-                _fmt(p.served_fraction, "%.6f"), p.flag]
-               for tag in curves for p in curves[tag]]
-
-    # crossings between systems, surge levels matched pairwise
-    switch_rows = []
-    seen_pairs = set()
-    skipped = []  # "a vs b: reason" of pairs with too little data
-    for s in surge_levels:
-        for sys_a, sys_b in combinations(cfg.systems, 2):
-            a, b = tag_for(sys_a.name, s), tag_for(sys_b.name, s)
-            if (a, b) in seen_pairs:
-                continue
-            seen_pairs.add((a, b))
-            try:
-                points = switching_points(curves[a], curves[b])
-            except InsufficientDataError as exc:
-                # the text only: the exception's traceback would keep this
-                # frame, and every run in it, alive
-                skipped.append(f"{a} vs {b}: {exc}")
-                continue
-            for pt in points:
-                switch_rows.append([pt.system_a, pt.system_b, _fmt(pt.density, "%.6f"),
-                                    _fmt(pt.bracket_lo, "%.6f"),
-                                    _fmt(pt.bracket_hi, "%.6f")])
-    if skipped:
-        log.warning("no crossing analysis for %d system pairs, e.g. %s",
-                    len(skipped), skipped[0])
+    cost_rows, gc_rows, switch_rows = cost_curves(
+        runs, net.area_km2, cfg.cost_parameters(), ana.vot, ana.surge_levels,
+        ana.served_fraction_threshold)
 
     files.update({
         "trips.csv": (TRIPS_HEADER, all_trips),

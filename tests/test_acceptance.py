@@ -29,7 +29,8 @@ from odt_lab.costing import (CostParameters, capital_cost,
 from odt_lab.demand import (SupplySchedule, demand_density, generate_synthetic_demand,
                             scale_demand, scale_supply)
 from odt_lab.dispatch import DarpInsertion, GreedyExclusive, SharedGreedy, Stop
-from odt_lab.efficiency import generalized_cost, paired_t_test, switching_points, sweep
+from odt_lab.efficiency import (gc_point, generalized_cost, paired_t_test,
+                                switching_points, sweep)
 from odt_lab.emissions import ghg_at_electrification
 from odt_lab.engine import run_scenario
 from odt_lab.equity import ZonalOutcome, gini, lorenz
@@ -332,11 +333,11 @@ def test_criterion_07_exclusive_total_km_lower_bound(town):
 
 
 def _nac_curve(name: str, nac_of):
-    entries = [{"system": name, "demand_level_pct": 100, "demand_density": float(x),
-                "walk_min": 0, "wait_min": 0, "ivtt_min": 0, "served_per_day": 0,
-                "value_of_time": 15, "net_annual_cost": nac_of(x),
-                "served_fraction": 1.0} for x in range(11)]
-    return sweep(entries)[name]
+    points = [gc_point(system=name, demand_level_pct=100, demand_density=float(x),
+                       walk_min=0, wait_min=0, ivtt_min=0, served_per_day=0,
+                       value_of_time=15, net_annual_cost=nac_of(x),
+                       served_fraction=1.0) for x in range(11)]
+    return sweep(points)[name]
 
 
 def test_criterion_08_switching_points():

@@ -330,6 +330,44 @@ def test_validate_rejects_negative_corridor_values(tmp_path, capsys, corridor, p
     assert f"error: {problem}" in err and "1 problem(s) found" in err
 
 
+@pytest.mark.parametrize("system", ["frt", "hybrid_frt"])
+def test_validate_rejects_a_timetable_that_does_not_advance_the_clock(tmp_path, capsys,
+                                                                      system):
+    # a finite speed whose legs take less than one ulp of the clock: the
+    # config values are in range, but the timetable cannot be laid out
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        systems=[{"type": system}],
+        corridor={"stops": [10, 12, 14], "cruise_speed_mps": 1.0e300, "dwell_s": 0.0}))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert ("error: corridor: a corridor run leaving at 25200.0 s does not advance "
+            "the clock") in err
+    assert "1 problem(s) found" in err
+
+
+def few_requests_at_close_levels(raw):
+    # 50 % and 60 % of 3 requests both round to a day of 2
+    raw["demand"] = {"synthetic": {"count": 3}, "levels": [50, 60, 100]}
+
+
+def test_validate_rejects_levels_that_scale_the_day_to_one_size(tmp_path, capsys):
+    cfg = write_scenario(tmp_path, mutate=few_requests_at_close_levels)
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: demand levels 50% and 60% both scale the base day of 3 requests to 2" in err
+    assert "1 problem(s) found" in err
+
+
+def test_levels_that_scale_the_day_to_one_size_stop_a_sweep_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(runner, "run_one", lambda *args: runs.append(args))
+    cfg = write_scenario(tmp_path, mutate=few_requests_at_close_levels)
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "-q"]) == 3
+    assert "error: demand levels 50% and 60% both scale" in capsys.readouterr().err
+    assert runs == [] and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("profile", [[0.0] * 24, [1.0] * 23 + [-1.0]],
                          ids=["all-zero", "negative"])
 def test_validate_rejects_an_hourly_profile_no_day_can_be_drawn_from(tmp_path, capsys,

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from odt_lab.demand import (DAY_S, JITTER_S, RideRequest, SupplySchedule,
-                            demand_density, generate_synthetic_demand, load_requests,
+                            check_level_sizes, demand_density, generate_synthetic_demand, load_requests,
                             load_supply, round_half_up, scale_demand, scale_supply,
                             scaled_count)
 from odt_lab.network import CsvParseError, generate_grid
@@ -46,6 +46,16 @@ def test_round_half_up_is_half_up_not_bankers():
 def test_scaled_counts_across_sweep():
     for level, expect in EXPECTED_COUNTS.items():
         assert scaled_count(177, level) == expect
+
+
+def test_check_level_sizes_refuses_two_levels_with_one_day_size():
+    check_level_sizes(177, LEVELS)  # ten distinct sizes
+    check_level_sizes(3, [50, 100, 50])  # a repeated level is one level
+    with pytest.raises(ValueError, match="levels 50% and 60% both scale the base day "
+                                         "of 3 requests to 2"):
+        check_level_sizes(3, [60, 100, 50])
+    with pytest.raises(ValueError, match="levels 450% and 500% .* of 1 requests to 5"):
+        check_level_sizes(1, [450, 500])  # 4.5 rounds half up to 5
 
 
 def test_scale_demand_sizes_and_determinism(base_177):
@@ -192,8 +202,6 @@ def test_request_validation(tmp_path):
         RideRequest(0, DAY_S, 0, 1)
     with pytest.raises(ValueError):
         RideRequest(0, 10.0, 4, 4)
-    with pytest.raises(ValueError):
-        RideRequest(0, 10.0, 0, 1, party_size=2)
     path = tmp_path / "req.csv"
     path.write_text("id,time_s,origin,destination\n1,5.0,0,1\n1,9.0,1,2\n")
     with pytest.raises(CsvParseError):

@@ -37,7 +37,8 @@ def _line_curve(name, slope, intercept, xs, flags=None):
     for i, x in enumerate(xs):
         gc = Decimal(str(intercept + slope * x)).quantize(Decimal("0.01"))
         flag = (flags or {}).get(i, "")
-        pts.append(GCPoint(name, 100 + i, float(x), gc, 1.0, flag))
+        pts.append(GCPoint(name, 100 + i, float(x), gc, served_per_day=0,
+                           served_fraction=1.0, flag=flag))
     return pts
 
 
@@ -89,8 +90,10 @@ def test_insufficient_comparable_points():
 def test_multiple_crossings_all_found():
     xs = list(range(7))
     gc_a = {0: 0.0, 1: 2.0, 2: 0.5, 3: 3.0, 4: 1.0, 5: 5.0, 6: 6.0}
-    a = [GCPoint("a", 100 + x, float(x), Decimal(str(gc_a[x])), 1.0, "") for x in xs]
-    b = [GCPoint("b", 100 + x, float(x), Decimal("1.5"), 1.0, "") for x in xs]
+    a = [GCPoint("a", 100 + x, float(x), Decimal(str(gc_a[x])), served_per_day=0,
+                 served_fraction=1.0) for x in xs]
+    b = [GCPoint("b", 100 + x, float(x), Decimal("1.5"), served_per_day=0,
+                 served_fraction=1.0) for x in xs]
     points = switching_points(a, b)
     # a - b changes sign in (0,1), (1,2), (2,3), (3,4), (4,5)
     assert len(points) == 5
@@ -100,16 +103,16 @@ def test_multiple_crossings_all_found():
 
 def test_sweep_groups_and_rejects_duplicates():
     entries = [
-        dict(system="x", demand_level_pct=100, demand_density=1.0, walk_min=0.0,
-             wait_min=5.0, ivtt_min=10.0, served_per_day=10, value_of_time=15.0,
-             net_annual_cost=Decimal("100"), served_fraction=1.0),
-        dict(system="x", demand_level_pct=200, demand_density=2.0, walk_min=0.0,
-             wait_min=5.0, ivtt_min=10.0, served_per_day=20, value_of_time=15.0,
-             net_annual_cost=Decimal("100"), served_fraction=1.0),
+        gc_point(system="x", demand_level_pct=100, demand_density=1.0, walk_min=0.0,
+                 wait_min=5.0, ivtt_min=10.0, served_per_day=10, value_of_time=15.0,
+                 net_annual_cost=Decimal("100"), served_fraction=1.0),
+        gc_point(system="x", demand_level_pct=200, demand_density=2.0, walk_min=0.0,
+                 wait_min=5.0, ivtt_min=10.0, served_per_day=20, value_of_time=15.0,
+                 net_annual_cost=Decimal("100"), served_fraction=1.0),
     ]
     curves = sweep(entries)
     assert [p.demand_density for p in curves["x"]] == [1.0, 2.0]
-    entries.append(dict(entries[0]))
+    entries.append(entries[0])
     with pytest.raises(ValueError):
         sweep(entries)
 

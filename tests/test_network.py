@@ -178,8 +178,6 @@ def test_path_totals_consistent_with_edges():
         path = net.shortest_path(a, b)
         assert path.total_length_m == pytest.approx(
             sum(e.length_m for e in path.edges))
-        assert path.total_time_s == pytest.approx(
-            sum(e.travel_time_s for e in path.edges))
         assert path.total_length_m == pytest.approx(net.distance_m(a, b))
 
 
