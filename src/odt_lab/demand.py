@@ -61,8 +61,11 @@ def scaled_count(base_count: int, level_pct: int) -> int:
 
 
 def check_level_sizes(base_count: int, levels) -> None:
-    """Refuse two demand levels that scale a base day of base_count requests
-    to the same size: their runs would share one demand density."""
+    """Refuse an empty base day, which no level can scale, and two demand
+    levels that scale a base day of base_count requests to the same size:
+    their runs would share one demand density."""
+    if not base_count:
+        raise ValueError("base demand is empty: the base day has no requests")
     first = {}  # day size -> the lowest level scaled to it
     for lvl in sorted(set(levels)):
         n = scaled_count(base_count, lvl)

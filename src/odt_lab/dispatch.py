@@ -3,23 +3,26 @@
 Four ways of putting riders on vehicles live here: exclusive greedy
 nearest-vehicle assignment, timetable boarding on a fixed route, and two
 fleets that share one cheapest-insertion search, `_cheapest_insertion`.
-The on-demand ones are offered only the vehicles the engine has on duty;
-whether a vehicle is on duty is decided in the engine alone, and here an
-idle vehicle is one with an empty schedule. Pooled crowdsourced matching
-offers the search the idle vehicles and single-rider hosts, with
-pickup-first slots and no wait bound, and leaves a request no vehicle can
-take queued. The dedicated door-to-door fleet offers every slot of every
-vehicle, bounds waits, and rejects such a request. The search screens each
-slot in O(1) from leg distances and per-vehicle tables of its current
-plan, then walks the survivors best-first by estimated added metres, and
-stops once no estimate left can beat the best walk. The walk,
-`trace_plan`, is the only exact feasibility check. It drives the same legs
-the vehicles later drive, each the cached canonical path
-`Network.shortest_path` gives, with clock and odometer summed edge by edge
-as the engine sums a vehicle's leg, and reads ridden metres off one plan
-odometer as the engine does, so a feasibility prediction and the realized
-trip agree to the last bit. It checks seats and waits at each pickup and
-the detour cap at each dropoff, and stops at the first broken promise.
+The on-demand ones are lent the vehicles the engine has on duty and its
+queue of waiting riders, neither copied; whether a vehicle is on duty is
+decided in the engine alone, and here an idle vehicle is one with an empty
+schedule. The exclusive fleet's pass ends at once when none is idle.
+Pooled crowdsourced matching offers the search the idle vehicles and
+single-rider hosts, with pickup-first slots and no wait bound, and leaves
+a request no vehicle can take queued. The dedicated door-to-door fleet
+offers every slot of every vehicle, bounds waits, and rejects such a
+request. The search screens each slot in O(1) from leg distances and
+per-vehicle tables of its current plan, or, for an idle vehicle's one
+slot, from its anchor alone, then walks the survivors best-first by
+estimated added metres, and stops once no estimate left can beat the best
+walk. The walk, `trace_plan`, is the only exact feasibility check. It
+drives the same legs the vehicles later drive, each the cached canonical
+path `Network.shortest_path` gives, with clock and odometer summed edge by
+edge as the engine sums a vehicle's leg, and reads ridden metres off one
+plan odometer as the engine does, so a feasibility prediction and the
+realized trip agree to the last bit. It checks seats and waits at each
+pickup and the detour cap at each dropoff, and stops at the first broken
+promise.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ class Vehicle:
     whatever is decided. A rider's ridden metres are the odometer at dropoff
     minus the reading kept in `picked_at_m` at pickup. `base_plan` keeps the
     insertion search's tables of the current plan, keyed by the state they
-    were built from.
+    were built from; non-empty plans only, since the search screens an
+    empty plan's one slot straight from the anchor.
     """
 
     id: int
@@ -102,9 +106,12 @@ class Vehicle:
 # A policy is one of the four fleets a service design is built from: how its
 # riders are put on vehicles, how many vehicles it owns, and what it costs a
 # year. `kind` tags its trip records. The on-demand policies' `assign` is
-# offered the engine's on-duty roster, in id order, and yields (request,
-# vehicle, new schedule) one decision at a time, with no vehicle for a
-# rejected request; the engine applies each decision before drawing the next.
+# offered the engine's on-duty roster, in id order, and its queue of waiting
+# riders, first come first served, and yields (request, vehicle, new schedule)
+# one decision at a time, with no vehicle for a rejected request; the engine
+# applies each decision before drawing the next. Both are lent, not copied:
+# applying a decision takes its rider off the queue, so a policy reads
+# `waiting` in full before its first yield, or takes its own snapshot.
 # `batch_s` is the policy's batch interval: the engine runs a pass at the
 # first multiple of it at or after each event that can enable a match (a
 # request arrives, a shift starts with riders waiting, a vehicle serves a
@@ -132,6 +139,8 @@ class GreedyExclusive(Crowdsourced):
 
     def assign(self, net, vehicles, waiting, requests, now):
         idle = [v for v in vehicles if not v.schedule]
+        if not idle:
+            return
         for req, veh in greedy_assign(net, idle, waiting):
             yield req, veh, ride_stops(req)
 
@@ -157,7 +166,7 @@ class DarpInsertion:
 
     def assign(self, net, vehicles, waiting, requests, now):
         by_id = {v.id: v for v in vehicles}
-        for req in waiting:
+        for req in list(waiting):  # each decision below leaves the queue
             res = darp_insert(net, vehicles, req, requests, now,
                               self.max_detour, self.max_wait_s)
             if not res.accepted:
@@ -383,18 +392,19 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
 
     Screen, then best-first, then the exact walk. Each slot's added metres
     are estimated in O(1) from the vehicle's `_BasePlan` and the distances
-    into and out of the new stops. It differs from the walk's sums only by
-    rounding, far inside a slack of 1e-6 times the odometer at the plan's
-    end plus the new rider's cap. A slot is skipped only when it provably
-    breaks a promise: a full seat on a leg the new rider would ride, a
-    pickup after a stop already too late for the new rider's wait, or a
-    ride, the new rider's or one aboard on a changed leg, over its cap by
-    more than the slack. The survivors are walked in increasing
-    (estimate, vehicle id, i, j) order, and the search stops once an
-    estimate exceeds the best exact added_m by more than the slack, so the
-    winner and its key are those of walking every slot. A slot that needs a
-    leg with no route is always walked, so a search raises NoPathError
-    exactly when walking every slot would.
+    into and out of the new stops; an empty plan builds no tables, and its
+    one slot, (0, 1), is the drive from the anchor plus the ride. The
+    estimate differs from the walk's sums only by rounding, far inside a
+    slack of 1e-6 times the odometer at the plan's end plus the new rider's
+    cap. A slot is skipped only when it provably breaks a promise: a full
+    seat on a leg the new rider would ride, a pickup after a stop already
+    too late for the new rider's wait, or a ride, the new rider's or one
+    aboard on a changed leg, over its cap by more than the slack. The
+    survivors are walked in increasing (estimate, vehicle id, i, j) order,
+    and the search stops once an estimate exceeds the best exact added_m by
+    more than the slack, so the winner and its key are those of walking
+    every slot. A slot that needs a leg with no route is always walked, so
+    a search raises NoPathError exactly when walking every slot would.
     """
     pickup = Stop(request.origin, PICKUP, request.id)
     drop = Stop(request.destination, DROPOFF, request.id)
@@ -403,10 +413,24 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
     direct = to_d[so]
     cap = max_detour * direct
     bound = cap + _EPS * max(1.0, cap)  # the walk's own bound on the new ride
-    queue = []        # (estimate, vehicle id, i, j, vehicle, base plan)
-    unroutable = []   # (vehicle, base plan, i, j)
+    queue = []        # (estimate, vehicle id, i, j, vehicle, where its walk starts)
+    unroutable = []   # (vehicle, where its walk starts, i, j)
     cut = 0.0  # the widest slack of the vehicles searched
     for v, slots in candidates:
+        if not v.schedule:
+            # an empty plan's one slot, (0, 1): to the pickup, then the ride
+            anchor, clock, odometer_m = v.anchor(now)
+            start = (anchor, clock, odometer_m, 0.0)
+            slack = 1e-6 * max(1.0, odometer_m + cap)
+            if slack > cut:
+                cut = slack
+            est = to_o[net._slot[anchor]] + direct
+            if est == math.inf:
+                unroutable.append((v, start, 0, 1))
+            elif (direct - bound <= slack and len(v.picked_at_m) < v.capacity
+                  and clock - request.request_time <= max_wait_s):
+                queue.append((est, v.id, 0, 1, v, start))
+            continue
         b = _base_plan(net, v, now, requests, max_detour)
         slack = 1e-6 * max(1.0, b.odo[-1] + cap)
         if slack > cut:
@@ -428,28 +452,29 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
                 over = max(add_o - riders[i][i + 1], add_d - riders[k][j],
                            est - riders[i][j], ride - bound)
             if est == math.inf:
-                unroutable.append((v, b, i, j))
+                unroutable.append((v, b.start, i, j))
             elif (over <= slack and b.full_from[i] >= j
                   and b.arrivals[i] - request.request_time <= max_wait_s):
-                queue.append((est, v.id, i, j, v, b))
+                queue.append((est, v.id, i, j, v, b.start))
 
-    def walk(v, b, i, j):
+    def walk(v, start, i, j):
+        anchor, clock, odometer_m, _plan_m = start
         cand = list(v.schedule)
         cand.insert(i, pickup)
         cand.insert(j, drop)
-        return cand, trace_plan(net, b.anchor, b.arrivals[0], cand, v.picked_at_m, b.odo[0],
+        return cand, trace_plan(net, anchor, clock, cand, v.picked_at_m, odometer_m,
                                 (requests, v.capacity, max_wait_s, max_detour))
 
     for slot in unroutable:
         walk(*slot)  # raises NoPathError, unless a promise breaks first
     best = None
     queue.sort(key=lambda q: q[:4])
-    for est, vid, i, j, v, b in queue:
+    for est, vid, i, j, v, start in queue:
         if best is not None and est - best[0][0] > cut:
             break
-        cand, tr = walk(v, b, i, j)
+        cand, tr = walk(v, start, i, j)
         if tr is not None:
-            key = (tr.plan_m - (b.odo[-1] - b.odo[0]), vid, i, j)
+            key = (tr.plan_m - start[3], vid, i, j)
             if best is None or key < best[0]:
                 best = (key, tr, v, cand)
     return best
@@ -473,7 +498,7 @@ class _BasePlan:
     """
 
     key: tuple          # (anchor, clock, odometer, stops, riders aboard, max_detour)
-    anchor: int
+    start: tuple        # (anchor, clock, odometer, metres of the plan): where a walk starts
     slots: list[int]    # network slot of each position's node
     trees: list         # per leg: distances into its end, by slot
     odo: list[float]    # odometer on reaching each position
@@ -487,20 +512,18 @@ class _BasePlan:
 
 def _base_plan(net: Network, v: Vehicle, now: float, requests: dict[int, RideRequest],
                max_detour: float) -> _BasePlan:
-    """v's base plan tables, rebuilt only when its anchor, clock, odometer,
-    schedule, riders aboard or the detour cap changed since the last call."""
-    anchor, start, odometer_m = v.anchor(now)
-    key = (anchor, start, odometer_m, tuple(v.schedule), tuple(v.picked_at_m.items()),
+    """v's base plan tables, for a non-empty schedule, rebuilt only when its
+    anchor, clock, odometer, schedule, riders aboard or the detour cap changed
+    since the last call."""
+    anchor, clock, odometer_m = v.anchor(now)
+    key = (anchor, clock, odometer_m, tuple(v.schedule), tuple(v.picked_at_m.items()),
            max_detour)
     if v.base_plan is not None and v.base_plan.key == key:
         return v.base_plan
     stops = v.schedule
     n = len(stops)
-    odo, arrivals = [odometer_m], [start]
-    if stops:  # an empty plan drives nothing, so its trace is skipped
-        tr = trace_plan(net, anchor, start, stops, v.picked_at_m, odometer_m)
-        odo += tr.odometers
-        arrivals += tr.arrivals
+    tr = trace_plan(net, anchor, clock, stops, v.picked_at_m, odometer_m)
+    odo, arrivals = [odometer_m, *tr.odometers], [clock, *tr.arrivals]
     # leg n, the open end after the last stop, is 0 m long and nobody rides it
     slots, trees, legs = [net._slot[anchor]], [], []
     loads = [len(v.picked_at_m)]
@@ -526,8 +549,8 @@ def _base_plan(net: Network, v: Vehicle, now: float, requests: dict[int, RideReq
     for row in rider_slack[:n]:
         for j in range(n, 0, -1):
             row[j] = min(row[j], row[j + 1])
-    v.base_plan = _BasePlan(key, anchor, slots, trees + [_END], odo, arrivals, legs + [0.0],
-                            full_from, rider_slack)
+    v.base_plan = _BasePlan(key, (anchor, clock, odometer_m, odo[-1] - odometer_m), slots,
+                            trees + [_END], odo, arrivals, legs + [0.0], full_from, rider_slack)
     return v.base_plan
 
 

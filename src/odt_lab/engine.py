@@ -329,9 +329,8 @@ class _Run:
     def _on_dispatch(self, t: float, _entity: int):
         if not self.queue:
             return
-        waiting = list(self.queue.values())
-        for req, v, schedule in self.policy.assign(self.net, list(self.on_duty.values()),
-                                                   waiting, self.requests, t):
+        for req, v, schedule in self.policy.assign(self.net, self.on_duty.values(),
+                                                   self.queue.values(), self.requests, t):
             del self.queue[req.id]
             if v is None:
                 self.rejections.append(self._snapshot(req, t))

@@ -127,6 +127,12 @@ class Network:
                 raise NetworkValidationError(
                     f"edge {e.id} has travel_time_s {e.travel_time_s} "
                     f"({e.length_m} m at {e.speed_mps} m/s); it must be finite")
+        # then no route, whichever edges it sums, can overflow to inf
+        for total, unit in ((sum(e.length_m for e in edges), "m"),
+                            (sum(e.travel_time_s for e in edges), "s")):
+            if not total < inf:
+                raise NetworkValidationError(
+                    f"the edges sum to {total} {unit}; the total must be finite")
         # node id -> index into every distance tree
         self._slot: dict[int, int] = {nid: k for k, nid in enumerate(sorted(self.nodes))}
         self.out_edges: dict[int, list[Edge]] = {n.id: [] for n in nodes}

@@ -448,6 +448,38 @@ def test_validate_reports_a_bad_network_file(tmp_path, capsys):
         assert problem in err and "1 problem(s) found" in err
 
 
+def test_validate_rejects_edges_whose_total_overflows(tmp_path, capsys):
+    # nodes 0 - 1 - 2 joined both ways by 1e308 m edges: 0 -> 2 sums to inf
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    nodes.write_text("id,x,y,zone_id\n0,0,0,\n1,1000,0,\n2,2000,0,\n")
+    edges.write_text("id,from,to,length_m,speed_mps\n" + "".join(
+        f"{k},{a},{b},1e308,10\n" for k, (a, b) in enumerate([(0, 1), (1, 0), (1, 2), (2, 1)])))
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        network={"files": {"nodes": str(nodes), "edges": str(edges)}}))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: the edges sum to inf m; the total must be finite" in err
+    assert "1 problem(s) found" in err
+
+
+def test_validate_rejects_an_empty_base_day_at_one_level(tmp_path, capsys, monkeypatch):
+    # a header-only demand file: no level can scale it, so validate refuses
+    # it before a sweep would stop on it
+    requests = tmp_path / "requests.csv"
+    save_requests([], str(requests))
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        demand={"file": str(requests), "levels": [100]}))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: base demand is empty: the base day has no requests" in err
+    assert "1 problem(s) found" in err
+    runs = []
+    monkeypatch.setattr(runner, "run_one", lambda *args: runs.append(args))
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "-q"]) == 3
+    assert "error: base demand is empty" in capsys.readouterr().err
+    assert runs == [] and not (tmp_path / "out").exists()
+
+
 def one_way_exit(tmp_path: Path, requests: list[RideRequest]) -> dict:
     """Network and demand sections for a 5x5 grid plus node 25, east of
     node 4, whose only edge is 25 -> 4: nothing can drive to node 25."""

@@ -56,6 +56,9 @@ def test_check_level_sizes_refuses_two_levels_with_one_day_size():
         check_level_sizes(3, [60, 100, 50])
     with pytest.raises(ValueError, match="levels 450% and 500% .* of 1 requests to 5"):
         check_level_sizes(1, [450, 500])  # 4.5 rounds half up to 5
+    for levels in ([100], [50, 100]):  # an empty day is refused at any level
+        with pytest.raises(ValueError, match="base demand is empty"):
+            check_level_sizes(0, levels)
 
 
 def test_scale_demand_sizes_and_determinism(base_177):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from odt_lab import engine
+from odt_lab import dispatch, engine
 from odt_lab.demand import (RideRequest, SupplySchedule, generate_synthetic_demand)
 from odt_lab.dispatch import (DarpInsertion, FixedRoute, GreedyExclusive,
                               RouteSpec, SharedGreedy)
@@ -328,6 +328,39 @@ def test_queue_keeps_arrival_order(net5):
                        seed=0, spawn_nodes=[10])
     assert [t.wait_min for t in res.trips] == [100.0 / 60.0, 490.0 / 60.0,
                                                180.0 / 60.0, 970.0 / 60.0]
+
+
+def test_a_pass_with_no_idle_vehicle_runs_no_search_and_keeps_the_queue(net5, monkeypatch):
+    # The day of test_queue_keeps_arrival_order, up to D: the passes at B's,
+    # C's and D's arrivals and at B's and C's pickups find the one vehicle
+    # busy. Each ends before the greedy search and leaves the queue in
+    # arrival order; only the passes at A's arrival and at each dropoff,
+    # when the vehicle is idle, search.
+    searches, passes = [], []
+    greedy, on_dispatch = dispatch.greedy_assign, engine._Run._on_dispatch
+
+    def counting(net, idle, waiting):
+        searches.append([r.id for r in waiting])
+        return greedy(net, idle, waiting)
+
+    def recording(run, t, entity):
+        idle = any(not v.schedule for v in run.on_duty.values())
+        before = list(run.queue)
+        on_dispatch(run, t, entity)
+        passes.append((t, idle, before, list(run.queue)))
+
+    monkeypatch.setattr(dispatch, "greedy_assign", counting)
+    monkeypatch.setattr(engine._Run, "_on_dispatch", recording)
+    a, b, c, d = (RideRequest(0, 3000.0, 0, 4), RideRequest(1, 3010.0, 24, 20),
+                  RideRequest(2, 3020.0, 9, 14), RideRequest(3, 3030.0, 3, 2))
+    run_scenario(net5, [a, b, c, d], supply([1, 1] + [0] * 22), GreedyExclusive(),
+                 seed=0, spawn_nodes=[0])
+    assert [(t, before, after) for t, idle, before, after in passes if not idle] == [
+        (3010.0, [1], [1]), (3020.0, [1, 2], [1, 2]), (3030.0, [1, 2, 3], [1, 2, 3]),
+        (3400.0, [2, 3], [2, 3]), (3950.0, [3], [3])]
+    assert [t for t, idle, _before, _after in passes if idle] == [3000.0, 3200.0, 3600.0,
+                                                                 4000.0]
+    assert searches == [[0], [1, 2, 3], [2, 3], [3]]
 
 
 # -- invariants over seeded runs ------------------------------------------------------

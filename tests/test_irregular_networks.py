@@ -26,6 +26,8 @@ from odt_lab.dispatch import (BATCH_INTERVAL_S, DEFAULT_SEATS, DROPOFF, PICKUP, 
 from odt_lab.engine import run_scenario
 from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, generate_grid
 
+from test_dispatch import NOW, ODOMETER_M, make_vehicle
+
 
 def irregular_network(seed: int, n: int = 30) -> Network:
     """A strongly connected directed network: a one-way ring plus random chords."""
@@ -278,6 +280,67 @@ def test_winner_matches_full_trace_reference(monkeypatch, policy, seats, count, 
         hours = [0] * 8 + [3] * (end_h - 8) + [0] * (24 - end_h)
         run_scenario(net, reqs, SupplySchedule(hours), policy, seed=seed)
     assert len(seen) >= searches and sum(seen) >= found, (len(seen), sum(seen))
+
+
+def test_empty_plans_are_screened_from_the_anchor_without_tables():
+    """An idle vehicle's one slot is screened from `Vehicle.anchor`, standing
+    or mid-edge, and builds no `_BasePlan`; the search still picks the
+    full-trace reference's winner, key and schedule."""
+    net = generate_grid(5, 5, 500.0, 10.0)
+    # A rider at node 12 has waited 1700 s of 1800. Vehicle 0 is on a
+    # synthetic edge ending at 12 that it finishes only at NOW + 150, too
+    # late; vehicle 1 is on the edge 11 -> 12 and reaches 12 at NOW + 25;
+    # vehicle 2 stands at 12. Read at (position, NOW) instead of the anchor,
+    # vehicle 0 would win, or vehicle 1 would be 500 m worse than vehicle 2.
+    req = RideRequest(0, NOW - 1700.0, 12, 14)
+    late = make_vehicle(0, 12, NOW + 150.0, 1500.0, DEFAULT_SEATS, [], {})
+    edge = next(e for e in net.out_edges[11] if e.to == 12)
+    on_edge = Vehicle(1, 11, odometer_m=ODOMETER_M,
+                      leg=[(NOW + 25.0, ODOMETER_M + edge.length_m, edge)])
+    fleet = [late, on_edge, Vehicle(2, 12)]
+    args = (net, [(v, [(0, 1)]) for v in fleet], req, {0: req}, NOW, 2.0, 1800.0)
+    best = dispatch._cheapest_insertion(*args)
+    assert (best[0], best[3]) == reference_insertion(*args)
+    assert best[0] == (1000.0, 1, 0, 1) and best[1].pickup_times == {0: NOW + 25.0}
+    assert [v.base_plan for v in fleet] == [None] * 3
+
+    # Random idle fleets on irregular networks, half of them mid-edge, under
+    # a wait bound that both admits and refuses them.
+    found = refused = 0
+    for seed in range(6):
+        net = irregular_network(seed)
+        rng = Random(f"idle/{seed}")
+        ids = sorted(net.nodes)
+        fleet = []
+        for vid in range(6):
+            e = rng.choice(sorted(net.edges.values(), key=lambda e: e.id))
+            v = Vehicle(vid, e.frm, odometer_m=rng.uniform(0.0, 1e5))
+            if vid % 2:  # the anchor is the edge's head, reached after now
+                v.leg = [(NOW + rng.uniform(1.0, e.travel_time_s),
+                          v.odometer_m + e.length_m, e)]
+            fleet.append(v)
+        for k in range(20):
+            req = RideRequest(k, NOW - rng.uniform(0.0, 600.0), *rng.sample(ids, 2))
+            args = (net, [(v, [(0, 1)]) for v in fleet], req, {k: req}, NOW, 1.5, 700.0)
+            best = dispatch._cheapest_insertion(*args)
+            assert (None if best is None else (best[0], best[3])) == reference_insertion(*args)
+            found += best is not None
+            refused += best is None
+        assert [v.base_plan for v in fleet] == [None] * 6
+    assert found > 20 and refused > 20, (found, refused)
+
+
+def test_an_empty_plan_that_cannot_reach_the_pickup_raises_past_the_wait_bound():
+    """An unroutable slot is walked before any screen, so a rider who has
+    already waited past the bound still raises NoPathError, as walking
+    every slot does, rather than being screened out."""
+    net = grid_with_dead_end()
+    req = RideRequest(0, NOW - 2000.0, 25, 3)  # nothing drives to node 25
+    args = (net, [(Vehicle(0, 12), [(0, 1)])], req, {0: req}, NOW, 2.0, 1800.0)
+    with pytest.raises(NoPathError):
+        reference_insertion(*args)
+    with pytest.raises(NoPathError):
+        dispatch._cheapest_insertion(*args)
 
 
 def grid_with_dead_end() -> Network:

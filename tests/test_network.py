@@ -120,12 +120,14 @@ def test_trees_equal_the_edge_object_reference_bit_for_bit():
     assert dead_ends >= 30
 
     # Lengths over six orders of magnitude, so that slots in one bucket of
-    # the search improve one another; then 1e308 m edges among 0.5 m ones
-    # and a denormal median, whose bucket indices overflow to inf.
+    # the search improve one another; then 1e306 m edges among 0.5 m ones
+    # (at most 116 edges, so the network's total metres stay finite, as
+    # `Network` requires), and a denormal median, whose bucket indices
+    # overflow to inf.
     nets = [random_directed_network(seed, length=draw) for seed in range(10)
             for draw in (lambda rng: 10 ** rng.uniform(-2, 4),
-                         lambda rng: rng.choice((0.5, 0.5, 500.0, 1e308)),
-                         lambda rng: rng.choice((5e-324, 5e-324, 500.0, 1e308)))]
+                         lambda rng: rng.choice((0.5, 0.5, 500.0, 1e306)),
+                         lambda rng: rng.choice((5e-324, 5e-324, 500.0, 1e306)))]
     # Two routes into node 0 whose sums differ only by rounding: 3 -> 1 -> 0
     # folds to 0.1 + 0.2 = 0.30000000000000004 against 3 -> 0's 0.3, and
     # 2 -> 1 -> 0 ties 2 -> 0 exactly.
@@ -138,7 +140,8 @@ def test_trees_equal_the_edge_object_reference_bit_for_bit():
         for dest in net.nodes:
             tree = net._distances_to(dest)
             assert tree == reverse_dijkstra(net, dest)
-            huge += any(1e308 <= d < math.inf for d in tree)
+            huge += any(1e306 <= d < math.inf and d // net._delta == math.inf
+                        for d in tree)
     assert huge > 0
 
 
@@ -244,6 +247,26 @@ def test_duplicate_and_dangling_inputs_rejected():
     # a finite length and speed whose quotient overflows
     with pytest.raises(NetworkValidationError, match="edge 0 has travel_time_s inf"):
         Network(n, [_make_edge(0, 0, 1, 1e10, 1e-300)])
+
+
+def line_of_three(length_m: float, speed_mps: float) -> Network:
+    """Nodes 0 - 1 - 2 joined both ways by edges of one length and speed."""
+    nodes = [Node(i, 1000.0 * i, 0.0) for i in range(3)]
+    legs = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    return Network(nodes, [_make_edge(k, a, b, length_m, speed_mps)
+                           for k, (a, b) in enumerate(legs)])
+
+
+def test_edges_whose_total_overflows_are_rejected():
+    # 0 -> 1 -> 2 would sum 2e308 m, past the largest float, and read as no
+    # route though every node reaches every other
+    with pytest.raises(NetworkValidationError, match="the edges sum to inf m"):
+        line_of_three(1e308, 10.0)
+    # likewise the clock: 1e300 m at 1e-8 m/s takes 1e308 s an edge
+    with pytest.raises(NetworkValidationError, match="the edges sum to inf s"):
+        line_of_three(1e300, 1e-8)
+    net = line_of_three(4e307, 10.0)  # 1.6e308 m in all
+    assert net.unreachable_pairs == 0 and net.distance_m(0, 2) == 8e307
 
 
 def test_geometry_warning_for_too_short_edge(caplog):
