@@ -1,7 +1,8 @@
 """Command line entry points: validate, run, sweep, report.
 
-Exit codes: 0 on success, 2 when the config fails validation, 3 when a run
-fails at runtime. The seed can be pinned per invocation with --seed, which
+Exit codes: 0 on success, 2 when the config fails validation, 3 when run
+or sweep fails: on the input problems validate reports, which stop it
+before any run, or at runtime. The seed can be pinned per invocation with --seed, which
 beats the ODT_LAB_SEED environment variable, which beats the config file.
 """
 
@@ -13,12 +14,8 @@ import os
 import sys
 
 from . import __version__
-from . import dispatch as dp
-from .config import SYSTEM_TYPES, ScenarioConfig, load_config
-from .demand import check_level_sizes
-from .network import Network, NoPathError
-from .runner import (build_base_demand, build_base_supply, build_network, corridor_spec,
-                     execute, render_report)
+from .config import ScenarioConfig, load_config
+from .runner import InputError, execute, render_report, sweep_inputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,66 +66,11 @@ def _load(path: str) -> tuple[ScenarioConfig | None, int]:
     return report.config, EXIT_OK
 
 
-def _problems(errors: list[str]) -> int:
+def _problems(errors: list[str], code: int = EXIT_CONFIG) -> int:
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     print(f"{len(errors)} problem(s) found", file=sys.stderr)
-    return EXIT_CONFIG
-
-
-def _input_problems(cfg: ScenarioConfig) -> list[str]:
-    """Build the network, base day and supply once; name the input that stops
-    them being built or two demand levels that scale the day to one size, or
-    every corridor stop and request end that is not a node, or else a corridor
-    timetable that cannot be laid out and every corridor leg and on-demand
-    trip that cannot be routed."""
-    try:
-        net = build_network(cfg)
-        base = build_base_demand(cfg, net)
-        check_level_sizes(len(base), cfg.demand.levels)
-        build_base_supply(cfg)
-    except ValueError as exc:  # CsvParseError and NetworkValidationError included
-        return [str(exc)]
-    stops = cfg.corridor.stops if cfg.corridor else []
-    errors = [f"corridor: stop {s} is not a network node" for s in stops if s not in net.nodes]
-    for r in base:
-        errors += [f"demand: request {r.id} {end} {node} is not a network node"
-                   for end, node in (("origin", r.origin), ("destination", r.destination))
-                   if node not in net.nodes]
-    if errors:  # routes need known nodes
-        return errors
-    designs = [SYSTEM_TYPES[s.type] for s in cfg.systems]
-    spec = corridor_spec(cfg)
-    if any(d.corridor == "frt" for d in designs):
-        try:
-            for vehicles in (spec.vehicles_base, spec.vehicles_high):
-                dp.build_timetable(net, spec, vehicles)
-        except ValueError as exc:
-            errors.append(f"corridor: {exc}")
-        except NoPathError:
-            pass  # a corridor leg with no route, named below
-    if net.unreachable_pairs == 0:  # every route exists
-        return errors
-    legs = [*zip(stops, stops[1:]), *zip(stops[1:], stops)]  # out, then back
-    errors += [f"corridor: no route from stop {a} to stop {b}"
-               for a, b in legs if not _routable(net, a, b)]
-
-    def door_to_door(r) -> bool:  # some system drives this request from door to door
-        return any(d.area and not (d.corridor == "frt"
-                                   and dp.hybrid_route(net, r, spec, two_stops=True))
-                   for d in designs)
-
-    errors += [f"demand: no route for request {r.id} from {r.origin} to {r.destination}"
-               for r in base if door_to_door(r) and not _routable(net, r.origin, r.destination)]
-    return errors
-
-
-def _routable(net: Network, origin: int, dest: int) -> bool:
-    try:
-        net.distance_m(origin, dest)
-    except NoPathError:
-        return False
-    return True
+    return code
 
 
 def _resolve_seed(cfg: ScenarioConfig, flag_seed: int | None) -> None:
@@ -150,8 +92,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "validate":
         cfg, code = _load(args.config)
-        if code == EXIT_OK and (errors := _input_problems(cfg)):
-            code = _problems(errors)
+        if code == EXIT_OK:
+            try:
+                sweep_inputs(cfg, cfg.demand.levels)
+            except InputError as exc:
+                code = _problems(exc.problems)
         if code == EXIT_OK:
             print(f"{args.config}: ok ({len(cfg.systems)} system(s), "
                   f"{len(cfg.demand.levels)} demand level(s))")
@@ -165,6 +110,8 @@ def main(argv: list[str] | None = None) -> int:
         levels = getattr(args, "levels", None)
         try:
             summary = execute(cfg, out_dir=args.out, jobs=args.jobs, levels=levels)
+        except InputError as exc:  # refused before any run, as validate refuses it
+            return _problems(exc.problems, EXIT_RUNTIME)
         except Exception as exc:  # runtime failure, staging already cleaned up
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME

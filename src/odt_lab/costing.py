@@ -10,11 +10,8 @@ identical cents on every platform.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
-
-log = logging.getLogger(__name__)
 
 CENT = Decimal("0.01")
 DAYS_PER_YEAR = 365
@@ -91,12 +88,10 @@ def crowdsourced_operating_cost(avg_ivtt_min, avg_trip_km, served_per_day,
     Per-trip driver compensation (fixed fees plus time and distance rates,
     minus the fare) scales by daily served demand and 365 days; a surge
     percentage inflates the whole figure. A negative result means fares
-    exceed compensation and is passed through with a warning.
+    exceed compensation and is passed through; `runner.cost_curves` warns
+    of it once per sweep.
     """
     per_trip = per_trip_compensation(avg_ivtt_min, avg_trip_km, params, shared)
-    if per_trip < 0:
-        log.warning("per-trip compensation is negative (%s CAD); fares exceed driver costs",
-                    per_trip)
     yearly = per_trip * as_money(served_per_day) * DAYS_PER_YEAR
     yearly *= (1 + Decimal(surge_pct) / 100)
     return to_cents(yearly)

@@ -163,11 +163,11 @@ def generate_synthetic_demand(net: Network, count: int, hourly_profile: list[flo
         hour = rng.choices(range(24), weights=hourly_profile)[0]
         t = hour * 3600.0 + rng.uniform(0.0, 3600.0)
         t = min(t, DAY_S - 1e-3)
-        o = ids[rng.randrange(len(ids))]
-        d = ids[rng.randrange(len(ids) - 1)]
+        o = rng.randrange(len(ids))
+        d = rng.randrange(len(ids) - 1)
         if d >= o:  # skip the origin to stay uniform over distinct pairs
-            d = ids[ids.index(d) + 1]
-        out.append(RideRequest(i, t, o, d))
+            d += 1
+        out.append(RideRequest(i, t, ids[o], ids[d]))
     out.sort(key=lambda r: (r.request_time, r.id))
     return out
 

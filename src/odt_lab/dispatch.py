@@ -123,7 +123,7 @@ class Crowdsourced:
     one kind of fleet whose cost moves with surge pricing."""
 
     batch_s = 0.0
-    shared = False  # pooled fare; read by costing only
+    shared = False  # pooled fare, read when costing
 
     def vehicles_owned(self, supply) -> int:
         return 0
@@ -239,7 +239,7 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
     odometers: list[float] = []
     for stop in stops:
         if pos != stop.node:
-            for e in net.shortest_path(pos, stop.node).edges:
+            for e in net.shortest_path(pos, stop.node):
                 t += e.travel_time_s
                 odo += e.length_m
             pos = stop.node
@@ -277,7 +277,7 @@ def greedy_assign(net: Network, idle_vehicles: list[Vehicle],
     request origin; ties go to the lowest vehicle id. Requests beyond the
     idle fleet stay queued.
     """
-    idle = sorted(idle_vehicles, key=lambda v: v.id)
+    idle = list(idle_vehicles)
     assignments = []
     for req in waiting_queue:
         if not idle:
@@ -599,8 +599,8 @@ class TimetableRun:
 
 @dataclass(frozen=True)
 class Timetable:
-    leg_m_out: tuple[float, ...]   # metres between consecutive stops, outbound
-    leg_m_in: tuple[float, ...]    # metres between consecutive stops of the reversed order
+    leg_m_out: tuple[float, ...]   # metres of leg k, from stop k to stop k + 1
+    leg_m_in: tuple[float, ...]    # metres of leg k, from stop k + 1 to stop k
     runs: tuple[TimetableRun, ...]
 
 
@@ -616,13 +616,15 @@ def build_timetable(net: Network, spec: RouteSpec, vehicles: int) -> Timetable:
     """
     if vehicles < 1:
         raise ValueError("need at least one vehicle")
-    n = len(spec.stops)
-    leg_m_out = tuple(net.shortest_path(spec.stops[k], spec.stops[k + 1]).total_length_m
+    stops = spec.stops
+    n = len(stops)
+    # each leg's edges summed left to right, and the legs kept in stop order
+    leg_m_out = tuple(sum(e.length_m for e in net.shortest_path(stops[k], stops[k + 1]))
                       for k in range(n - 1))
-    leg_m_in = tuple(net.shortest_path(spec.stops[k + 1], spec.stops[k]).total_length_m
-                     for k in reversed(range(n - 1)))
+    leg_m_in = tuple(sum(e.length_m for e in net.shortest_path(stops[k + 1], stops[k]))
+                     for k in range(n - 1))
     leg_s_out = tuple(m / spec.cruise_speed_mps for m in leg_m_out)
-    leg_s_in = tuple(m / spec.cruise_speed_mps for m in leg_m_in)
+    leg_s_in = tuple(m / spec.cruise_speed_mps for m in reversed(leg_m_in))  # travel order
     # one-way block: drive every leg, dwell at every stop reached
     block_out = sum(leg_s_out) + spec.dwell_s * (n - 1)
     block_in = sum(leg_s_in) + spec.dwell_s * (n - 1)
@@ -635,7 +637,7 @@ def build_timetable(net: Network, spec: RouteSpec, vehicles: int) -> Timetable:
         direction = +1
         while t < w1:
             legs = leg_s_out if direction > 0 else leg_s_in
-            length = sum(leg_m_out) if direction > 0 else sum(leg_m_in)
+            length = sum(leg_m_out) if direction > 0 else sum(reversed(leg_m_in))
             arr = [t]
             dep = [t]
             for leg in legs:
@@ -720,9 +722,8 @@ def frt_board(net: Network, request: RideRequest, spec: RouteSpec, timetable: Ti
             taken[k] += 1
         ivtt_s = run.arrivals[pa] - dep
         lo, hi = min(bi, ai), max(bi, ai)
-        legs = timetable.leg_m_out[lo:hi] if direction > 0 else \
-            tuple(reversed(timetable.leg_m_in))[lo:hi]
-        ride_m = sum(legs)
+        legs = timetable.leg_m_out if direction > 0 else timetable.leg_m_in
+        ride_m = sum(legs[lo:hi])
         return BoardingPlan(bi, ai, idx, dep,
                             walk_minutes(walk_o) + walk_minutes(walk_d),
                             (dep - ready) / 60.0, ivtt_s / 60.0, ride_m / 1000.0)

@@ -26,14 +26,8 @@ from .network import Network
 
 log = logging.getLogger(__name__)
 
-# simultaneous events resolve in this order, then by entity id
-_PRIO = {
-    "vehicle_arrives": 0,
-    "shift_start": 1,
-    "shift_end": 2,
-    "request_arrival": 3,
-    "batch_dispatch": 4,
-}
+# event kinds, in the order simultaneous events resolve, then by entity id
+VEHICLE_ARRIVES, SHIFT_START, SHIFT_END, REQUEST_ARRIVAL, BATCH_DISPATCH = range(5)
 
 REASON_HORIZON = "waiting_at_horizon"
 REASON_NO_SLOT = "no_feasible_insertion"
@@ -218,19 +212,19 @@ class _Run:
         self.service_end = [end for _start, end in self.shifts]  # later if busy at shift end
         self.passenger_s = [0.0] * len(self.shifts)
 
-        self._heap: list = []
-        self._seq = 0
+        # (time, kind, entity): two equal events make the same handler call,
+        # so their order among themselves cannot matter
+        self._heap: list[tuple[float, int, int]] = []
         for vid, (start, end) in enumerate(self.shifts):
-            self._push(start, "shift_start", vid)
-            self._push(end, "shift_end", vid)
+            self._push(start, SHIFT_START, vid)
+            self._push(end, SHIFT_END, vid)
         for r in demand:
-            self._push(r.request_time, "request_arrival", r.id)
+            self._push(r.request_time, REQUEST_ARRIVAL, r.id)
 
     # -- event plumbing --
 
-    def _push(self, time: float, kind: str, entity: int):
-        self._seq += 1
-        heappush(self._heap, (time, _PRIO[kind], entity, self._seq, kind))
+    def _push(self, time: float, kind: int, entity: int):
+        heappush(self._heap, (time, kind, entity))
 
     def _queue_pass(self, t: float):
         """Queue a dispatch pass at the policy's first batch boundary at or
@@ -238,20 +232,15 @@ class _Run:
         b = self.policy.batch_s
         t = -(-t // b) * b if b else t
         if self.queue and t < DAY_S:
-            self._push(t, "batch_dispatch", 0)
+            self._push(t, BATCH_DISPATCH, 0)
 
     # -- main loop --
 
     def run(self) -> SimulationResult:
-        handlers = {
-            "vehicle_arrives": self._on_arrive,
-            "shift_start": self._on_shift_start,
-            "shift_end": self._on_shift_end,
-            "request_arrival": self._on_request,
-            "batch_dispatch": self._on_dispatch,
-        }
+        handlers = (self._on_arrive, self._on_shift_start, self._on_shift_end,
+                    self._on_request, self._on_dispatch)  # by kind
         while self._heap:
-            time, _prio, entity, _seq, kind = heappop(self._heap)
+            time, kind, entity = heappop(self._heap)
             handlers[kind](time, entity)
         for r in self.queue.values():  # still unassigned at midnight
             self.trips.append(_trip(self.net, r, self.mode_tag, False,
@@ -275,13 +264,13 @@ class _Run:
         """Finish the edge in flight, then take the canonical path to the next stop."""
         head, clock, odo = v.anchor(t)
         ahead = []
-        for e in self.net.shortest_path(head, v.schedule[0].node).edges:
+        for e in self.net.shortest_path(head, v.schedule[0].node):
             clock += e.travel_time_s
             odo += e.length_m
             ahead.append((clock, odo, e))
         ahead.reverse()
         v.leg[:-1] = ahead  # the leg is kept last edge first
-        self._push(clock, "vehicle_arrives", v.id)
+        self._push(clock, VEHICLE_ARRIVES, v.id)
 
     def _advance(self, v: dp.Vehicle, t: float):
         """Serve the stops where a standing vehicle is, then drive or re-route."""

@@ -74,14 +74,6 @@ class Zone:
     nodes: list[int] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class RoutePath:
-    """A concrete drive: edge sequence plus its length total."""
-
-    edges: tuple[Edge, ...]
-    total_length_m: float
-
-
 def _make_edge(eid: int, frm: int, to: int, length_m: float, speed_mps: float) -> Edge:
     return Edge(eid, frm, to, length_m, speed_mps, length_m / speed_mps)
 
@@ -172,8 +164,8 @@ class Network:
 
         # dest node id -> metres into dest, by slot
         self._dist_to: dict[int, array] = {}
-        # (origin, dest) -> RoutePath
-        self._path_cache: dict[tuple[int, int], RoutePath] = {}
+        # (origin, dest) -> the edges of the canonical path
+        self._path_cache: dict[tuple[int, int], tuple[Edge, ...]] = {}
         # stops -> node id -> (index of its nearest stop, metres to it)
         self._nearest: dict[tuple[int, ...], dict[int, tuple[int, float]]] = {}
 
@@ -328,28 +320,23 @@ class Network:
                 return e
         raise NoPathError(f"no route from {current} to {dest}")  # pragma: no cover
 
-    def shortest_path(self, origin: int, dest: int) -> RoutePath:
-        """Distance-optimal path with the deterministic edge-id tie-break.
-
-        origin == dest yields the empty path with zero totals.
+    def shortest_path(self, origin: int, dest: int) -> tuple[Edge, ...]:
+        """The edges of the distance-optimal path, with the deterministic
+        edge-id tie-break; origin == dest yields no edges.
         """
         if origin == dest:
             if origin not in self.nodes:
                 raise KeyError(f"unknown node {origin}")
-            return RoutePath((), 0.0)
-        cached = self._path_cache.get((origin, dest))
-        if cached is not None:
-            return cached
-        edges = []
-        length = 0.0
-        cur = origin
-        while cur != dest:
-            e = self.next_edge(cur, dest)
-            edges.append(e)
-            length += e.length_m
-            cur = e.to
-        path = RoutePath(tuple(edges), length)
-        self._path_cache[(origin, dest)] = path
+            return ()
+        path = self._path_cache.get((origin, dest))
+        if path is None:
+            edges = []
+            cur = origin
+            while cur != dest:
+                e = self.next_edge(cur, dest)
+                edges.append(e)
+                cur = e.to
+            path = self._path_cache[(origin, dest)] = tuple(edges)
         return path
 
 

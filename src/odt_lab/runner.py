@@ -8,7 +8,8 @@ and seed: each sweep input (the network, the base day and its split
 between a hybrid's fleets, the day at each level, the base supply, the
 corridor) is built once, before any run, and read by every run, worker
 processes included; floats are written with fixed formats, and no
-timestamps appear anywhere.
+timestamps appear anywhere. `sweep_inputs` builds and checks the inputs
+that `validate` checks, so a sweep refuses what `validate` refuses.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from . import __version__
 from . import dispatch as dp
 from .config import SYSTEM_TYPES, ScenarioConfig, SystemConfig
-from .costing import CostParameters, capital_cost, net_annual_cost
+from .costing import CostParameters, capital_cost, net_annual_cost, per_trip_compensation
 from .demand import (RideRequest, SupplySchedule, check_level_sizes, demand_density,
                      generate_synthetic_demand, load_requests, load_supply,
                      scale_demand, scale_supply)
@@ -38,7 +39,7 @@ from .efficiency import InsufficientDataError, gc_point, sweep, switching_points
 from .emissions import EmissionFactors, private_vehicle_baseline, per_passenger_metrics
 from .engine import SimulationResult, run_scenario, summarize
 from .equity import equity_report
-from .network import Network, generate_grid, load_network
+from .network import Network, NoPathError, generate_grid, load_network
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +85,74 @@ def corridor_spec(cfg: ScenarioConfig) -> dp.RouteSpec | None:
         high_demand_threshold_pct=cor.high_demand_threshold_pct,
         dwell_s=cor.dwell_s,
     )
+
+
+class InputError(ValueError):
+    """Every problem that stops a sweep's inputs being built or run, one a line."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("\n".join(problems))
+        self.problems = problems
+
+
+def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
+        Network, list[RideRequest], SupplySchedule | None, dp.RouteSpec | None]:
+    """The network, base day, base supply and corridor of a sweep at the
+    given demand levels, built once and checked before any run.
+
+    Raises InputError naming a level that is not configured, or the input
+    that stops them being built, or two levels that scale the day to one
+    size; or else every corridor stop and request end that is not a node;
+    or else a corridor timetable that cannot be laid out, and every corridor
+    leg and door-to-door trip that cannot be routed.
+    """
+    unknown = [l for l in levels if l not in cfg.demand.levels]
+    if unknown:
+        raise InputError([f"levels {unknown} are not configured in demand.levels"])
+    try:
+        net = build_network(cfg)
+        base = build_base_demand(cfg, net)
+        check_level_sizes(len(base), levels)
+        supply, spec = build_base_supply(cfg), corridor_spec(cfg)
+    except ValueError as exc:  # CsvParseError and NetworkValidationError included
+        raise InputError([str(exc)]) from None
+    stops = spec.stops if spec else ()
+    errors = [f"corridor: stop {s} is not a network node" for s in stops if s not in net.nodes]
+    errors += [f"demand: request {r.id} {end} {node} is not a network node"
+               for r in base for end, node in (("origin", r.origin),
+                                               ("destination", r.destination))
+               if node not in net.nodes]
+    if errors:  # routes need known nodes
+        raise InputError(errors)
+    designs = [SYSTEM_TYPES[s.type] for s in cfg.systems]
+    if any(d.corridor == "frt" for d in designs):
+        try:
+            for vehicles in (spec.vehicles_base, spec.vehicles_high):
+                dp.build_timetable(net, spec, vehicles)
+        except ValueError as exc:
+            errors.append(f"corridor: {exc}")
+        except NoPathError:
+            pass  # a corridor leg with no route, named below
+    if net.unreachable_pairs:  # else every route exists
+        legs = [*zip(stops, stops[1:]), *zip(stops[1:], stops)]  # out, then back
+        errors += [f"corridor: no route from stop {a} to stop {b}"
+                   for a, b in legs if not _routable(net, a, b)]
+        # every request but those a fixed route takes is driven door to door
+        driven = {r.id for d in designs if d.area for r in (
+            hybrid_split(net, base, spec, d.corridor)[1] if d.corridor == "frt" else base)}
+        errors += [f"demand: no route for request {r.id} from {r.origin} to {r.destination}"
+                   for r in base if r.id in driven and not _routable(net, r.origin, r.destination)]
+    if errors:
+        raise InputError(errors)
+    return net, base, supply, spec
+
+
+def _routable(net: Network, origin: int, dest: int) -> bool:
+    try:
+        net.distance_m(origin, dest)
+    except NoPathError:
+        return False
+    return True
 
 
 # -- single runs ----------------------------------------------------------------
@@ -269,6 +338,13 @@ def cost_curves(runs: list[RunOutput], area_km2: float, params: CostParameters, 
     if skipped:
         log.warning("no crossing analysis for %d system pairs, e.g. %s",
                     len(skipped), skipped[0])
+    pays = [(run.run_id, per_trip_compensation(c.result.avg_ivtt_min, c.result.avg_trip_km,
+                                               params, c.policy.shared))
+            for run in runs for c in run.components if isinstance(c.policy, dp.Crowdsourced)]
+    negative = [(run_id, pay) for run_id, pay in pays if pay < 0]
+    if negative:
+        log.warning("per-trip compensation is negative in %d runs, e.g. %s at %s CAD; "
+                    "fares exceed driver costs", len(negative), *negative[0])
     return cost_rows, gc_rows, switch_rows
 
 
@@ -332,21 +408,14 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     stay untouched. Returns a small summary dict for the CLI.
     """
     run_levels = sorted(set(levels if levels is not None else cfg.demand.levels))
-    unknown = [l for l in run_levels if l not in cfg.demand.levels]
-    if unknown:
-        raise ValueError(f"levels {unknown} are not configured in demand.levels")
-
-    net = build_network(cfg)
+    net, base, supply, spec = sweep_inputs(cfg, run_levels)
     if net.unreachable_pairs:
         log.warning("network is not strongly connected: %d ordered node pairs "
                     "unreachable", net.unreachable_pairs)
-    base = build_base_demand(cfg, net)
-    check_level_sizes(len(base), run_levels)
     days = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in run_levels}
-    spec = corridor_spec(cfg)
     spawn = {t: spawn_pools(net, t, base, spec)
              for t in dict.fromkeys(s.type for s in cfg.systems)}
-    run = partial(_run_spec, cfg, net, spawn, build_base_supply(cfg), spec)
+    run = partial(_run_spec, cfg, net, spawn, supply, spec)
     tasks = [(si, lvl, days[lvl]) for si in range(len(cfg.systems)) for lvl in run_levels]
     workers = min(jobs, len(tasks))  # a pool starts every worker at its first map
     runs = []

@@ -525,6 +525,58 @@ def test_validate_checks_request_routes_for_on_demand_fleets(tmp_path, capsys, s
     assert err.count("error: demand: no route for request 0 from 3 to 25") == problems
 
 
+def refused_like_validate(tmp_path, capsys, monkeypatch, cfg: Path, command: str) -> list[str]:
+    """The error lines `validate` prints for cfg, once `command` has printed
+    the same lines and exited 3 before any run, writing no output directory."""
+    def error_lines() -> list[str]:
+        return [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("error:")]
+
+    assert main(["validate", str(cfg)]) == 2
+    errors = error_lines()
+    runs = []
+    monkeypatch.setattr(runner, "run_one", lambda *args: runs.append(args))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out", str(out), "-q"]) == 3
+    assert error_lines() == errors
+    assert runs == [] and not out.exists()
+    return errors
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("unknown, problem", [
+    ("request", "demand: request 0 destination 99 is not a network node"),
+    ("stop", "corridor: stop 999 is not a network node"),
+], ids=["request", "stop"])
+def test_run_and_sweep_refuse_unknown_nodes_before_any_run(tmp_path, capsys, monkeypatch,
+                                                           command, unknown, problem):
+    requests = tmp_path / "requests.csv"
+    save_requests([RideRequest(0, 28800.0, 0, 99 if unknown == "request" else 24),
+                   RideRequest(1, 29400.0, 7, 3)], str(requests))
+
+    def unknown_node(raw):
+        raw["demand"] = {"file": str(requests), "levels": [100]}
+        if unknown == "stop":
+            raw["systems"].append({"type": "frt"})
+            raw["corridor"] = {"stops": [0, 4, 999]}
+
+    cfg = write_scenario(tmp_path, mutate=unknown_node)
+    assert refused_like_validate(tmp_path, capsys, monkeypatch, cfg, command) == [
+        f"error: {problem}"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_refuse_a_request_with_no_route_before_any_run(
+        tmp_path, capsys, monkeypatch, command):
+    # nothing can drive to node 25: the sweep stops on the request, not on a
+    # NoPathError in the middle of a run
+    sections = one_way_exit(tmp_path, [RideRequest(0, 28800.0, 3, 25)])
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        sections, systems=[{"type": "dedicated_darp"}]))
+    assert refused_like_validate(tmp_path, capsys, monkeypatch, cfg, command) == [
+        "error: demand: no route for request 0 from 3 to 25"]
+
+
 # -- CLI: run and outputs ---------------------------------------------------------------
 
 
@@ -689,6 +741,27 @@ def test_skipped_crossings_warn_once(tmp_path, caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) == 1, warnings
     assert "17 system pairs" in warnings[0]
+
+
+def test_negative_compensation_warns_once_per_sweep(tmp_path, caplog):
+    # a 20 CAD fare beats every driver payout: three crowdsourced systems at
+    # two levels, each costed at three surge levels, still give one warning
+    def rich_fare(raw):
+        raw.update(costs={"fare": 20}, systems=[
+            {"type": "crowdsourced_exclusive"}, {"type": "crowdsourced_shared"},
+            {"type": "crowdsourced_exclusive", "alpha": 0.5}])
+        raw["analysis"]["surge_levels"] = [0, 20, 40]
+
+    cfg = write_scenario(tmp_path, mutate=rich_fare)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="odt_lab"):
+        assert run_cli(cfg, out) == 0
+    warnings = [r.getMessage() for r in caplog.records if "compensation" in r.getMessage()]
+    assert len(warnings) == 1, warnings
+    assert warnings[0].startswith("per-trip compensation is negative in 6 runs, e.g. "
+                                  "crowdsourced_exclusive_a1-L50 at -")
+    costs = (out / "costs.csv").read_text().splitlines()[1:]
+    assert len(costs) == 18 and all(float(row.split(",")[5]) < 0 for row in costs)
 
 
 def test_unconnected_network_warns_once_per_sweep(tmp_path, caplog):

@@ -46,13 +46,12 @@ def test_crowdsourced_surge_multiplies_whole_cost():
         assert got > base
 
 
-def test_negative_compensation_passes_with_warning(caplog):
-    # a high fare beating the driver payout: passed through, not clamped
+def test_negative_compensation_passes_with_warning():
+    # a high fare beating the driver payout: passed through, not clamped; a
+    # sweep warns of it once (test_cli)
     rich_fare = CostParameters().replace(fare=10)
-    with caplog.at_level("WARNING"):
-        got = crowdsourced_operating_cost(1.0, 0.5, 10, rich_fare, shared=True)
+    got = crowdsourced_operating_cost(1.0, 0.5, 10, rich_fare, shared=True)
     assert got < 0
-    assert any("negative" in r.message for r in caplog.records)
 
 
 def test_dedicated_annual_frozen():

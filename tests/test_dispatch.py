@@ -9,6 +9,7 @@ produce bit-identical floats and every comparison below can be exact.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -151,6 +152,23 @@ def test_greedy_tie_prefers_lower_vehicle_id(net5):
     req = RideRequest(0, 100.0, 0, 4)
     ((_, chosen),) = greedy_assign(net5, vehicles, [req])
     assert chosen.id == 1
+
+
+def test_greedy_assigns_alike_whatever_the_order_of_the_idle_list(net5):
+    # the grid's equal distances make ties, which go to the lowest id in any order
+    for seed in range(100):
+        rng = Random(f"greedy-order/{seed}")
+        idle_t, queue_t = make_greedy_instance(rng, 25)
+        vehicles = sorted((idle_vehicle(vid, node) for vid, node in idle_t),
+                          key=lambda v: v.id)
+        queue = [RideRequest(rid, 1000.0 + rid, origin, (origin + 1) % 25)
+                 for rid, origin in queue_t]
+        want = [(r.id, v.id) for r, v in greedy_assign(net5, vehicles, queue)]
+        shuffled = vehicles[:]
+        rng.shuffle(shuffled)
+        given = shuffled[:]
+        assert [(r.id, v.id) for r, v in greedy_assign(net5, shuffled, queue)] == want
+        assert shuffled == given  # the caller's list is left as it was
 
 
 def test_greedy_leaves_overflow_queued(net5):
@@ -433,6 +451,13 @@ def test_timetable_refuses_a_run_that_does_not_advance_the_clock(net5, speed):
                         window=(25200.0, 75600.0), dwell_s=0.0)
     with pytest.raises(ValueError, match="does not advance the clock"):
         build_timetable(net5, stalled, 2)
+
+
+def test_timetable_legs_are_kept_in_stop_order(net5):
+    # legs of 1000 m and 500 m: inbound leg k runs from stop k + 1 to stop k
+    tt = build_timetable(net5, replace(CORRIDOR, stops=(10, 12, 13)), 1)
+    assert tt.leg_m_out == tt.leg_m_in == (1000.0, 500.0)
+    assert [run.length_m for run in tt.runs[:2]] == [1500.0, 1500.0]
 
 
 def test_timetable_frozen_first_runs(timetable):

@@ -70,12 +70,12 @@ def test_exclusive_trip_times_exact(net5):
 
 
 def arrival_events(monkeypatch) -> list[float]:
-    """The times of the vehicle_arrives events the engine queues from now on."""
+    """The times of the arrival events the engine queues from now on."""
     times = []
     push = engine._Run._push
 
     def counted(self, time, kind, entity):
-        if kind == "vehicle_arrives":
+        if kind == engine.VEHICLE_ARRIVES:
             times.append(time)
         push(self, time, kind, entity)
 

@@ -163,7 +163,7 @@ def test_paths_pick_lexicographically_smallest_edge_sequence():
     rng = Random(7)
     for _ in range(60):
         a, b = rng.sample(range(16), 2)
-        got = [e.id for e in net.shortest_path(a, b).edges]
+        got = [e.id for e in net.shortest_path(a, b)]
         assert got == lexicographic_shortest_edges(net, a, b)
 
 
@@ -171,7 +171,7 @@ def test_paths_are_stable_across_instances():
     picks = []
     for _ in range(3):
         net = generate_grid(5, 5, 500.0, 10.0)
-        picks.append([e.id for e in net.shortest_path(0, 24).edges])
+        picks.append([e.id for e in net.shortest_path(0, 24)])
     assert picks[0] == picks[1] == picks[2]
 
 
@@ -179,16 +179,14 @@ def test_path_totals_consistent_with_edges():
     net = irregular_network(1)
     for a, b in ((0, 15), (3, 12), (15, 0)):
         path = net.shortest_path(a, b)
-        assert path.total_length_m == pytest.approx(
-            sum(e.length_m for e in path.edges))
-        assert path.total_length_m == pytest.approx(net.distance_m(a, b))
+        assert path[0].frm == a and path[-1].to == b
+        assert all(e.to == f.frm for e, f in zip(path, path[1:]))
+        assert sum(e.length_m for e in path) == pytest.approx(net.distance_m(a, b))
 
 
 def test_same_node_path_is_empty():
     net = generate_grid(2, 2, 500.0, 10.0)
-    path = net.shortest_path(3, 3)
-    assert path.edges == () or list(path.edges) == []
-    assert path.total_length_m == 0.0
+    assert net.shortest_path(3, 3) == ()
     assert net.distance_m(3, 3) == 0.0
 
 
@@ -299,8 +297,8 @@ def test_save_load_round_trip(tmp_path):
     assert sorted(back.nodes) == sorted(net.nodes)
     assert all(back.edges[i].length_m == net.edges[i].length_m for i in net.edges)
     for a, b in ((0, 8), (2, 6)):
-        assert [e.id for e in back.shortest_path(a, b).edges] == \
-               [e.id for e in net.shortest_path(a, b).edges]
+        assert [e.id for e in back.shortest_path(a, b)] == \
+               [e.id for e in net.shortest_path(a, b)]
 
 
 def test_zones_round_trip_and_lookup(tmp_path):
