@@ -93,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         cfg, code = _load(args.config)
         if code == EXIT_OK:
+            _resolve_seed(cfg, None)  # the day run and sweep would draw
             try:
                 sweep_inputs(cfg, cfg.demand.levels)
             except InputError as exc:

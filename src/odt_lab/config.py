@@ -114,6 +114,10 @@ class SystemConfig:
 
 @dataclass
 class CorridorConfig:
+    """The corridor: ordered stops, service window, staffing rule, and the
+    dedicated corridor fleet's supply. dispatch's gates, timetable and
+    boarding read it as given."""
+
     stops: list[int] = field(default_factory=list)
     cruise_speed_mps: float = 11.1
     window_h: list[float] = field(default_factory=lambda: [7.0, 21.0])
@@ -124,6 +128,15 @@ class CorridorConfig:
     dwell_s: float = 20.0
     supply: list[int] | None = None  # dedicated corridor fleet, hybrid_odt
     alpha: float = 0.5
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """The service window in seconds of the day."""
+        return self.window_h[0] * 3600.0, self.window_h[1] * 3600.0
+
+    def vehicle_count(self, demand_level_pct: float) -> int:
+        return (self.vehicles_high if demand_level_pct >= self.high_demand_threshold_pct
+                else self.vehicles_base)
 
 
 @dataclass
@@ -299,11 +312,7 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
     sup = cfg.supply
     if any(d.area for d in designs) and not sup.schedule and not sup.file:
         errors.append("supply: schedule or file required for on-demand systems")
-    if sup.schedule is not None:
-        if len(sup.schedule) != 24:
-            errors.append("supply: schedule needs 24 hourly counts")
-        elif any(c < 0 for c in sup.schedule):
-            errors.append("supply: hourly counts must be non-negative integers")
+    _check_hourly_counts(sup.schedule, "supply.schedule", errors)
     if sup.file and not Path(sup.file).exists():
         errors.append(f"supply: file '{sup.file}' not found")
 
@@ -348,10 +357,7 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append(f"corridor: alpha {cor.alpha} not in {ALPHA_CHOICES}")
         if cor.dwell_s < 0:
             errors.append("corridor.dwell_s: must not be negative")
-        if cor.supply is not None and len(cor.supply) != 24:
-            errors.append("corridor: supply needs 24 hourly counts")
-        elif cor.supply is not None and any(c < 0 for c in cor.supply):
-            errors.append("corridor.supply: hourly counts must be non-negative integers")
+        _check_hourly_counts(cor.supply, "corridor.supply", errors)
         if any(d.corridor == "dedicated" for d in designs) and cor.supply is None:
             errors.append("corridor: supply required for the dedicated corridor fleet")
 
@@ -379,6 +385,16 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
         cfg.emission_factors()
     except ValueError as exc:
         errors.append(f"emissions: {exc}")
+
+
+def _check_hourly_counts(counts: list[int] | None, path: str, errors: list[str]) -> None:
+    """The rule for a 24-hour vehicle schedule at a dotted path; unset passes."""
+    if counts is None:
+        return
+    if len(counts) != 24:
+        errors.append(f"{path}: needs 24 hourly counts")
+    elif any(c < 0 for c in counts):
+        errors.append(f"{path}: hourly counts must be non-negative integers")
 
 
 def load_config(path: str) -> ValidationReport:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .config import CorridorConfig
 from .costing import (crowdsourced_operating_cost, dedicated_operating_cost,
                       fixed_route_operating_cost)
 from .demand import RideRequest
@@ -183,7 +184,7 @@ class DarpInsertion:
 
 @dataclass(frozen=True)
 class FixedRoute:
-    spec: "RouteSpec"
+    spec: CorridorConfig
     vehicles: int = 2
     kind: str = "frt"
 
@@ -561,34 +562,6 @@ _END = _End()
 
 
 @dataclass(frozen=True)
-class RouteSpec:
-    """A fixed corridor service: ordered stops, window, and staffing rule."""
-
-    stops: tuple[int, ...]
-    cruise_speed_mps: float = 11.1
-    window: tuple[float, float] = (7 * 3600.0, 21 * 3600.0)
-    catchment_min: float = 7.0
-    vehicles_base: int = 2
-    vehicles_high: int = 3
-    high_demand_threshold_pct: float = 300.0
-    dwell_s: float = 20.0
-
-    def __post_init__(self):
-        if len(self.stops) < 2:
-            raise ValueError("route needs at least two stops")
-        if len(set(self.stops)) != len(self.stops):
-            raise ValueError("route stops must be distinct")
-        if not -math.inf < self.window[0] < self.window[1] < math.inf:
-            raise ValueError("route window must be a finite forward interval")
-        if self.dwell_s < 0:
-            raise ValueError("route dwell time cannot be negative")
-
-    def vehicle_count(self, demand_level_pct: float) -> int:
-        return (self.vehicles_high if demand_level_pct >= self.high_demand_threshold_pct
-                else self.vehicles_base)
-
-
-@dataclass(frozen=True)
 class TimetableRun:
     vehicle: int
     direction: int              # +1 outbound (stop order as listed), -1 inbound
@@ -604,7 +577,7 @@ class Timetable:
     runs: tuple[TimetableRun, ...]
 
 
-def build_timetable(net: Network, spec: RouteSpec, vehicles: int) -> Timetable:
+def build_timetable(net: Network, spec: CorridorConfig, vehicles: int) -> Timetable:
     """Lay out every run each vehicle drives inside the service window.
 
     Vehicles loop the corridor end to end and back, dwelling at each stop;
@@ -670,7 +643,7 @@ class Ineligible:
     reason: str
 
 
-def _corridor_ends(net: Network, spec: RouteSpec,
+def _corridor_ends(net: Network, spec: CorridorConfig,
                    request: RideRequest) -> tuple[int, float, int, float] | Ineligible:
     """The corridor's gates on a trip, in order: the service window, the
     walking catchment at both ends, and distinct boarding and alighting
@@ -688,7 +661,7 @@ def _corridor_ends(net: Network, spec: RouteSpec,
     return bi, walk_o, ai, walk_d
 
 
-def frt_board(net: Network, request: RideRequest, spec: RouteSpec, timetable: Timetable,
+def frt_board(net: Network, request: RideRequest, spec: CorridorConfig, timetable: Timetable,
               loads: dict[int, list[int]]) -> BoardingPlan | Ineligible:
     """Plan a fixed-route trip and take its seats: walk, wait for the next
     departure with a free seat, ride, walk.
@@ -733,7 +706,7 @@ def frt_board(net: Network, request: RideRequest, spec: RouteSpec, timetable: Ti
 # -- hybrid routing ------------------------------------------------------------
 
 
-def hybrid_route(net: Network, request: RideRequest, spec: RouteSpec,
+def hybrid_route(net: Network, request: RideRequest, spec: CorridorConfig,
                  two_stops: bool) -> bool:
     """Whether a hybrid's corridor fleet takes a request; its crowdsourced
     fleet takes the rest.

@@ -8,14 +8,11 @@ the two linearly by the share of electrified distance.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields
 
 from .costing import parse_number
 from .demand import RideRequest
 from .network import Network, NoPathError
-
-log = logging.getLogger(__name__)
 
 DAYS_PER_YEAR = 365
 GRAMS_PER_TON = 1e6
@@ -79,7 +76,8 @@ def private_vehicle_baseline(requests: list[RideRequest], net: Network,
     """Footprint if every request drove itself: one car, origin to destination.
 
     No deadheading and no detours, just the shortest path per request.
-    Requests without a network route are excluded and counted.
+    Requests without a network route are excluded and counted; the caller
+    reports them.
     """
     total_m = 0.0
     excluded = 0
@@ -88,8 +86,6 @@ def private_vehicle_baseline(requests: list[RideRequest], net: Network,
             total_m += net.distance_m(r.origin, r.destination)
         except NoPathError:
             excluded += 1
-    if excluded:
-        log.warning("baseline excludes %d unreachable requests", excluded)
     km_per_day = total_m / 1000.0
     served = len(requests) - excluded
     ghg_t = yearly_ghg(factors.ghg_km_private, km_per_day)

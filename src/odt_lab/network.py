@@ -71,7 +71,6 @@ class Zone:
     zone_id: str
     population: float
     attrs: dict[str, float] = field(default_factory=dict)
-    nodes: list[int] = field(default_factory=list)
 
 
 def _make_edge(eid: int, frm: int, to: int, length_m: float, speed_mps: float) -> Edge:
@@ -143,15 +142,11 @@ class Network:
                     raise NetworkValidationError(f"duplicate zone id {z.zone_id}")
                 self.zones[z.zone_id] = z
             for z in self.zones.values():
-                z.nodes = []
                 for a, share in z.attrs.items():
                     # pop_density is a zone-level value, not a share
                     if a != "pop_density" and not 0.0 <= share <= 1.0:
                         log.warning("zone %s attribute %s = %.3f is not a population share",
                                     z.zone_id, a, share)
-            for n in nodes:
-                if n.zone_id is not None and n.zone_id in self.zones:
-                    self.zones[n.zone_id].nodes.append(n.id)
 
         if area_km2 is None:
             area_km2 = self._bounding_box_km2()
@@ -221,10 +216,10 @@ class Network:
         na, nb = self.nodes[a], self.nodes[b]
         return math.hypot(na.x - nb.x, na.y - nb.y)
 
-    def nearest_stop(self, node: int, stops: tuple[int, ...]) -> tuple[int, float]:
+    def nearest_stop(self, node: int, stops: list[int]) -> tuple[int, float]:
         """The stop closest to node by straight line, lowest index on a tie,
         as (index into stops, metres); computed once per node and stops."""
-        by_node = self._nearest.setdefault(stops, {})
+        by_node = self._nearest.setdefault(tuple(stops), {})
         hit = by_node.get(node)
         if hit is None:
             walks = [self.straight_line_m(node, stop) for stop in stops]

@@ -5,10 +5,10 @@ output directory: merged trip and fleet logs, cost / emission / generalized
 cost / crossing / equity tables, per-run detail folders, and a manifest
 with a checksum per file. Everything is deterministic for a fixed config
 and seed: each sweep input (the network, the base day and its split
-between a hybrid's fleets, the day at each level, the base supply, the
-corridor) is built once, before any run, and read by every run, worker
-processes included; floats are written with fixed formats, and no
-timestamps appear anywhere. `sweep_inputs` builds and checks the inputs
+between a hybrid's fleets, the day at each level, the base supply) is
+built once, before any run, and read by every run, worker processes
+included, as is the config's corridor section; floats are written with
+fixed formats, and no timestamps appear anywhere. `sweep_inputs` builds and checks the inputs
 that `validate` checks, so a sweep refuses what `validate` refuses.
 """
 
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from . import dispatch as dp
-from .config import SYSTEM_TYPES, ScenarioConfig, SystemConfig
+from .config import SYSTEM_TYPES, CorridorConfig, ScenarioConfig, SystemConfig
 from .costing import CostParameters, capital_cost, net_annual_cost, per_trip_compensation
 from .demand import (RideRequest, SupplySchedule, check_level_sizes, demand_density,
                      generate_synthetic_demand, load_requests, load_supply,
@@ -71,22 +71,6 @@ def build_base_supply(cfg: ScenarioConfig) -> SupplySchedule | None:
     return None
 
 
-def corridor_spec(cfg: ScenarioConfig) -> dp.RouteSpec | None:
-    cor = cfg.corridor
-    if cor is None:
-        return None
-    return dp.RouteSpec(
-        stops=tuple(cor.stops),
-        cruise_speed_mps=cor.cruise_speed_mps,
-        window=(cor.window_h[0] * 3600.0, cor.window_h[1] * 3600.0),
-        catchment_min=cor.catchment_min,
-        vehicles_base=cor.vehicles_base,
-        vehicles_high=cor.vehicles_high,
-        high_demand_threshold_pct=cor.high_demand_threshold_pct,
-        dwell_s=cor.dwell_s,
-    )
-
-
 class InputError(ValueError):
     """Every problem that stops a sweep's inputs being built or run, one a line."""
 
@@ -96,9 +80,9 @@ class InputError(ValueError):
 
 
 def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
-        Network, list[RideRequest], SupplySchedule | None, dp.RouteSpec | None]:
-    """The network, base day, base supply and corridor of a sweep at the
-    given demand levels, built once and checked before any run.
+        Network, list[RideRequest], SupplySchedule | None]:
+    """The network, base day and base supply of a sweep at the given
+    demand levels, built once and checked with the corridor before any run.
 
     Raises InputError naming a level that is not configured, or the input
     that stops them being built, or two levels that scale the day to one
@@ -113,10 +97,11 @@ def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
         net = build_network(cfg)
         base = build_base_demand(cfg, net)
         check_level_sizes(len(base), levels)
-        supply, spec = build_base_supply(cfg), corridor_spec(cfg)
+        supply = build_base_supply(cfg)
     except ValueError as exc:  # CsvParseError and NetworkValidationError included
         raise InputError([str(exc)]) from None
-    stops = spec.stops if spec else ()
+    spec = cfg.corridor
+    stops = spec.stops if spec else []
     errors = [f"corridor: stop {s} is not a network node" for s in stops if s not in net.nodes]
     errors += [f"demand: request {r.id} {end} {node} is not a network node"
                for r in base for end, node in (("origin", r.origin),
@@ -144,7 +129,7 @@ def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
                    for r in base if r.id in driven and not _routable(net, r.origin, r.destination)]
     if errors:
         raise InputError(errors)
-    return net, base, supply, spec
+    return net, base, supply
 
 
 def _routable(net: Network, origin: int, dest: int) -> bool:
@@ -199,7 +184,7 @@ def _merge(parts: list[SimulationResult], demand_total: int) -> SimulationResult
     return summarize(trips, fleet, demand_total, rejections)
 
 
-def fleet_policy(fleet: str, system: SystemConfig, spec: dp.RouteSpec | None,
+def fleet_policy(fleet: str, system: SystemConfig, spec: CorridorConfig | None,
                  level: int):
     """The dispatch policy of a SYSTEM_TYPES fleet name, for one system at
     one demand level; "crowdsourced" rides as the system's
@@ -216,7 +201,7 @@ def fleet_policy(fleet: str, system: SystemConfig, spec: dp.RouteSpec | None,
     return dp.FixedRoute(spec, spec.vehicle_count(level))
 
 
-def hybrid_split(net: Network, reqs: list[RideRequest], spec: dp.RouteSpec,
+def hybrid_split(net: Network, reqs: list[RideRequest], spec: CorridorConfig,
                  corridor: str) -> list[list[RideRequest]]:
     """reqs split between a hybrid's corridor fleet, named by `corridor`,
     and its crowdsourced fleet, in that order."""
@@ -227,7 +212,7 @@ def hybrid_split(net: Network, reqs: list[RideRequest], spec: dp.RouteSpec,
 
 
 def spawn_pools(net: Network, system_type: str, base: list[RideRequest],
-                spec: dp.RouteSpec | None) -> list[list[RideRequest]]:
+                spec: CorridorConfig | None) -> list[list[RideRequest]]:
     """The base requests each fleet of a system type spawns its vehicles
     among, the corridor fleet first: a hybrid's split of the base day."""
     design = SYSTEM_TYPES[system_type]
@@ -239,7 +224,7 @@ def spawn_pools(net: Network, system_type: str, base: list[RideRequest],
 
 def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
             demand: list[RideRequest], spawn: list[list[RideRequest]],
-            base_supply: SupplySchedule | None, spec: dp.RouteSpec | None) -> RunOutput:
+            base_supply: SupplySchedule | None, spec: CorridorConfig | None) -> RunOutput:
     """Simulate one system at one demand level, components included, on
     the day at that level; `spawn` is `spawn_pools` of the system's type.
     Every input is the sweep's, and only read."""
@@ -270,7 +255,7 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
 
 
 def _run_spec(cfg: ScenarioConfig, net: Network, spawn: dict[str, list[list[RideRequest]]],
-              supply: SupplySchedule | None, spec: dp.RouteSpec | None,
+              supply: SupplySchedule | None,
               task: tuple[int, int, list[RideRequest]]) -> tuple[RunOutput, float]:
     """One (system index, level, day at that level) run of a sweep and its
     wall seconds, in this or a worker process; `spawn` holds the spawn
@@ -278,7 +263,7 @@ def _run_spec(cfg: ScenarioConfig, net: Network, spawn: dict[str, list[list[Ride
     system_index, level, day = task
     system = cfg.systems[system_index]
     start = time.perf_counter()
-    run = run_one(net, cfg, system, level, day, spawn[system.type], supply, spec)
+    run = run_one(net, cfg, system, level, day, spawn[system.type], supply, cfg.corridor)
     return run, time.perf_counter() - start
 
 
@@ -408,14 +393,14 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     stay untouched. Returns a small summary dict for the CLI.
     """
     run_levels = sorted(set(levels if levels is not None else cfg.demand.levels))
-    net, base, supply, spec = sweep_inputs(cfg, run_levels)
+    net, base, supply = sweep_inputs(cfg, run_levels)
     if net.unreachable_pairs:
         log.warning("network is not strongly connected: %d ordered node pairs "
                     "unreachable", net.unreachable_pairs)
     days = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in run_levels}
-    spawn = {t: spawn_pools(net, t, base, spec)
+    spawn = {t: spawn_pools(net, t, base, cfg.corridor)
              for t in dict.fromkeys(s.type for s in cfg.systems)}
-    run = partial(_run_spec, cfg, net, spawn, supply, spec)
+    run = partial(_run_spec, cfg, net, spawn, supply)
     tasks = [(si, lvl, days[lvl]) for si in range(len(cfg.systems)) for lvl in run_levels]
     workers = min(jobs, len(tasks))  # a pool starts every worker at its first map
     runs = []
@@ -495,10 +480,17 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
 
     # the everyone-drives baseline per demand level
     if ana.include_baseline:
+        excluded = {}  # level -> requests the baseline could not route
         for lvl, day in days.items():
             rep = private_vehicle_baseline(day, net, factors)
             emis_rows.append(_emission_row(f"baseline-L{lvl}", "private_baseline",
                                            lvl, 0.0, rep))
+            if rep.excluded_requests:
+                excluded[lvl] = rep.excluded_requests
+        if excluded:
+            log.warning("baseline excludes %d unreachable requests in %s",
+                        sum(excluded.values()),
+                        ", ".join(f"L{lvl} ({n})" for lvl, n in excluded.items()))
 
     cost_rows, gc_rows, switch_rows = cost_curves(
         runs, net.area_km2, cfg.cost_parameters(), ana.vot, ana.surge_levels,

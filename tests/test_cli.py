@@ -309,14 +309,19 @@ def test_validate_reports_a_bad_supply_file(tmp_path, capsys, row, problem):
 
 
 @pytest.mark.parametrize("corridor, problem", [
+    ({"stops": [10]}, "corridor: needs at least two stops"),
+    ({"stops": [10, 10]}, "corridor: stops must be distinct"),
     ({"dwell_s": -100.0}, "corridor.dwell_s: must not be negative"),
     ({"supply": [1] * 23 + [-1]}, "corridor.supply: hourly counts must be non-negative"),
     ({"window_h": [7, float("inf")]}, "corridor.window_h: must be"),
     ({"window_h": [7, 25]}, "corridor.window_h: must be"),
     ({"window_h": [-1, 21]}, "corridor.window_h: must be"),
+    ({"window_h": [9, 9]}, "corridor.window_h: must be"),
+    ({"window_h": [float("nan"), 21]}, "corridor.window_h: must be"),
     ({"cruise_speed_mps": float("inf"), "dwell_s": 0.0}, "corridor.cruise_speed_mps: must be"),
     ({"cruise_speed_mps": float("nan")}, "corridor.cruise_speed_mps: must be"),
-], ids=["dwell_s", "supply", "window-inf", "window-past-midnight", "window-before-midnight",
+], ids=["one-stop", "repeated-stop", "dwell_s", "supply", "window-inf",
+        "window-past-midnight", "window-before-midnight", "window-empty", "window-nan",
         "speed-inf", "speed-nan"])
 def test_validate_rejects_negative_corridor_values(tmp_path, capsys, corridor, problem):
     # a negative dwell never lets the timetable reach the end of the window,
@@ -328,6 +333,25 @@ def test_validate_rejects_negative_corridor_values(tmp_path, capsys, corridor, p
     assert main(["validate", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"error: {problem}" in err and "1 problem(s) found" in err
+
+
+@pytest.mark.parametrize("section", ["supply.schedule", "corridor.supply"])
+@pytest.mark.parametrize("counts, problem", [
+    ([1] * 23, "needs 24 hourly counts"),
+    ([1] * 23 + [-1], "hourly counts must be non-negative integers"),
+], ids=["23-counts", "negative"])
+def test_validate_checks_each_hourly_schedule_by_one_rule(tmp_path, capsys, section,
+                                                          counts, problem):
+    def schedule(raw):
+        raw.update(systems=[{"type": "hybrid_odt"}],
+                   corridor={"stops": [10, 12, 14], "supply": [1] * 24})
+        top, key = section.split(".")
+        raw[top][key] = counts
+
+    cfg = write_scenario(tmp_path, mutate=schedule)
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {section}: {problem}" in err and "1 problem(s) found" in err
 
 
 @pytest.mark.parametrize("system", ["frt", "hybrid_frt"])
@@ -525,6 +549,24 @@ def test_validate_checks_request_routes_for_on_demand_fleets(tmp_path, capsys, s
     assert err.count("error: demand: no route for request 0 from 3 to 25") == problems
 
 
+def test_validate_checks_the_day_the_seed_from_the_environment_draws(tmp_path, capsys,
+                                                                      monkeypatch):
+    # config seed 0 draws no trip to node 25, which nothing can drive to;
+    # ODT_LAB_SEED=6, which run and sweep apply, draws one
+    sections = one_way_exit(tmp_path, [])
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        sections, seed=0, systems=[{"type": "crowdsourced_exclusive"}],
+        demand={"synthetic": {"count": 12}, "levels": [100]}))
+    assert main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("ODT_LAB_SEED", "6")
+    assert main(["validate", str(cfg)]) == 2
+    validate_err = capsys.readouterr().err
+    assert re.search(r"error: demand: no route for request \d+ from \d+ to 25", validate_err)
+    assert run_cli(cfg, tmp_path / "out") == 3
+    assert capsys.readouterr().err == validate_err
+
+
 def refused_like_validate(tmp_path, capsys, monkeypatch, cfg: Path, command: str) -> list[str]:
     """The error lines `validate` prints for cfg, once `command` has printed
     the same lines and exited 3 before any run, writing no output directory."""
@@ -625,9 +667,9 @@ def one_system(system: dict, extra: list[RideRequest] = ()) -> tuple:
     base = runner.build_base_demand(cfg, net)
     days = {lvl: scale_demand(base, lvl, cfg.seed) + list(extra)
             for lvl in cfg.demand.levels}
-    supply, spec = runner.build_base_supply(cfg), runner.corridor_spec(cfg)
-    spawn = runner.spawn_pools(net, cfg.systems[0].type, base, spec)
-    runs = [runner.run_one(net, cfg, cfg.systems[0], lvl, day, spawn, supply, spec)
+    supply = runner.build_base_supply(cfg)
+    spawn = runner.spawn_pools(net, cfg.systems[0].type, base, cfg.corridor)
+    runs = [runner.run_one(net, cfg, cfg.systems[0], lvl, day, spawn, supply, cfg.corridor)
             for lvl, day in days.items()]
     return cfg, net, base, days, runs
 
@@ -663,10 +705,9 @@ def test_hybrid_frt_keeps_a_rider_with_no_departure_left_on_the_fixed_route():
     # it to the fixed route; its last outbound departure has left
     late = RideRequest(6, 75599.0, 11, 14)
     cfg, net, base, _, _ = one_system({"type": "hybrid_frt"})
-    spec = runner.corridor_spec(cfg)
     run = runner.run_one(net, cfg, cfg.systems[0], 100, [late],
-                         runner.spawn_pools(net, "hybrid_frt", base, spec),
-                         runner.build_base_supply(cfg), spec)
+                         runner.spawn_pools(net, "hybrid_frt", base, cfg.corridor),
+                         runner.build_base_supply(cfg), cfg.corridor)
     (trip,) = run.combined.trips
     assert (trip.mode, trip.served, trip.reject_reason) == ("frt", False, "no_departure")
     corridor, crowdsourced = run.components
@@ -762,6 +803,27 @@ def test_negative_compensation_warns_once_per_sweep(tmp_path, caplog):
                                   "crowdsourced_exclusive_a1-L50 at -")
     costs = (out / "costs.csv").read_text().splitlines()[1:]
     assert len(costs) == 18 and all(float(row.split(",")[5]) < 0 for row in costs)
+
+
+def test_baseline_exclusions_warn_once_per_sweep(tmp_path, caplog):
+    # nothing can drive to node 25: the car baseline leaves out every trip
+    # there, at each of three levels, and a fixed route needs no such trip
+    requests = [RideRequest(i, 28800.0 + 600 * i, i, 25 if i % 2 else 24) for i in range(8)]
+    sections = one_way_exit(tmp_path, requests)
+    sections["demand"]["levels"] = [50, 100, 200]
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        sections, systems=[{"type": "frt"}], corridor={"stops": [0, 2, 4]}))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="odt_lab"):
+        assert run_cli(cfg, out) == 0
+    warnings = [r.getMessage() for r in caplog.records if "baseline" in r.getMessage()]
+    assert len(warnings) == 1, warnings
+    rows = [row.split(",") for row in (out / "emissions.csv").read_text().splitlines()
+            if row.startswith("baseline-")]
+    excluded = {int(row[2]): int(row[-1]) for row in rows if row[-1] != "0"}
+    assert len(excluded) == 3
+    assert warnings[0] == "baseline excludes %d unreachable requests in %s" % (
+        sum(excluded.values()), ", ".join(f"L{lvl} ({n})" for lvl, n in excluded.items()))
 
 
 def test_unconnected_network_warns_once_per_sweep(tmp_path, caplog):

@@ -11,9 +11,9 @@ from __future__ import annotations
 import pytest
 
 from odt_lab import dispatch, engine
+from odt_lab.config import CorridorConfig
 from odt_lab.demand import (RideRequest, SupplySchedule, generate_synthetic_demand)
-from odt_lab.dispatch import (DarpInsertion, FixedRoute, GreedyExclusive,
-                              RouteSpec, SharedGreedy)
+from odt_lab.dispatch import DarpInsertion, FixedRoute, GreedyExclusive, SharedGreedy
 from odt_lab.engine import (REASON_HORIZON, REASON_NO_SLOT, SimulationResult,
                             VehicleLog, plan_shifts, run_scenario, summarize)
 from odt_lab.network import Network, generate_grid
@@ -416,9 +416,9 @@ def test_summarize_overlapping_service_union():
 # -- fixed-route day ------------------------------------------------------------------
 
 
-CORRIDOR = RouteSpec(stops=(10, 12, 14), cruise_speed_mps=10.0,
-                     window=(25200.0, 75600.0), catchment_min=7.0,
-                     vehicles_base=2, dwell_s=20.0)
+CORRIDOR = CorridorConfig(stops=[10, 12, 14], cruise_speed_mps=10.0,
+                          window_h=[7, 21], catchment_min=7.0,
+                          vehicles_base=2, dwell_s=20.0)
 
 
 def test_fixed_route_day_with_capacity_spill(net5):

@@ -144,7 +144,7 @@ def test_lorenz_needs_outcome_mass():
 
 
 def _zone(zid, population, share=0.5):
-    return Zone(zid, population, {a: share for a in ZONE_ATTRIBUTES}, [])
+    return Zone(zid, population, {a: share for a in ZONE_ATTRIBUTES})
 
 
 def _trip(rid, zone, served=True, wait=5.0, ivtt=10.0):
@@ -162,7 +162,7 @@ def test_group_weight_semantics():
     # density is zone-level, not a share: weight by full population
     assert group_weight(z, "pop_density") == pytest.approx(1000.0)
     with pytest.raises(ValueError):
-        group_weight(Zone("B", 10.0, {}, []), "income")
+        group_weight(Zone("B", 10.0, {}), "income")
 
 
 def test_zonal_outcomes_counts_and_means():

@@ -19,9 +19,10 @@ from random import Random
 import pytest
 
 from odt_lab import dispatch, engine
+from odt_lab.config import CorridorConfig
 from odt_lab.demand import DAY_S, RideRequest, SupplySchedule
 from odt_lab.dispatch import (BATCH_INTERVAL_S, DEFAULT_SEATS, DROPOFF, PICKUP, DarpInsertion,
-                              FixedRoute, GreedyExclusive, RouteSpec, SharedGreedy, Stop,
+                              FixedRoute, GreedyExclusive, SharedGreedy, Stop,
                               Vehicle, darp_insert, shared_greedy_match, trace_plan)
 from odt_lab.engine import run_scenario
 from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, generate_grid
@@ -125,9 +126,9 @@ def test_direct_ride_meets_a_detour_cap_of_one():
     assert refused == []
 
 
-PIN_ROUTE = FixedRoute(RouteSpec(stops=(0, 5, 10, 15, 20, 25), cruise_speed_mps=9.7,
-                                 window=(28800.0, 36000.0), catchment_min=15.0,
-                                 dwell_s=17.5), 2)
+PIN_ROUTE = FixedRoute(CorridorConfig(stops=[0, 5, 10, 15, 20, 25], cruise_speed_mps=9.7,
+                                      window_h=[8, 10], catchment_min=15.0,
+                                      dwell_s=17.5), 2)
 
 
 @pytest.mark.parametrize("policy, seats, digest", [

@@ -216,9 +216,13 @@ def test_grid_zones_are_near_equal_blocks():
     net = generate_grid(5, 5, 500.0, 10.0, zone_rows=2, zone_cols=2,
                         zone_population=250.0, area_km2=3.0)
     assert net.area_km2 == 3.0
-    assert {zid: z.nodes for zid, z in net.zones.items()} == {
+    blocks = {}
+    for n in sorted(net.nodes):
+        blocks.setdefault(net.zone_of(n), []).append(n)
+    assert blocks == {
         "Z00": [0, 1, 2, 5, 6, 7, 10, 11, 12], "Z01": [3, 4, 8, 9, 13, 14],
         "Z02": [15, 16, 17, 20, 21, 22], "Z03": [18, 19, 23, 24]}
+    assert set(net.zones) == set(blocks)
     assert all(z.population == 250.0 and set(z.attrs.values()) == {0.5}
                for z in net.zones.values())
     assert generate_grid(5, 5, 500.0, 10.0).zones == {}
@@ -312,8 +316,7 @@ def test_zones_round_trip_and_lookup(tmp_path):
                                ("income", "education", "employment", "young_adults",
                                 "seniors", "single_parents", "pop_density")})]
     net = Network(nodes, edges, zones, area_km2=2.0)
-    assert net.zone_of(0) == "A" and net.zone_of(2) == "B"
-    assert sorted(net.zones["A"].nodes) == [0, 1]
+    assert [net.zone_of(n) for n in (0, 1, 2)] == ["A", "A", "B"]
 
     nf, ef, zf = (tmp_path / x for x in ("n.csv", "e.csv", "z.csv"))
     save_network(net, str(nf), str(ef), str(zf))
