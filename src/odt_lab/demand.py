@@ -8,13 +8,12 @@ hourly O-D frequencies. Supply follows demand through a configurable slope.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .network import CsvParseError, Network, _parse_row
+from .network import CsvParseError, Network, read_table
 
 log = logging.getLogger(__name__)
 
@@ -177,20 +176,16 @@ def load_requests(path: str) -> list[RideRequest]:
     be unique."""
     out = []
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
-            vals = _parse_row(path, line_no, row, {"id": int, "time_s": float,
-                                                   "origin": int, "destination": int})
-            try:
-                req = RideRequest(vals["id"], vals["time_s"], vals["origin"],
-                                  vals["destination"])
-            except ValueError as exc:
-                raise CsvParseError(path, line_no, str(exc)) from None
-            if req.id in seen:
-                raise CsvParseError(path, line_no, f"duplicate request id {req.id}")
-            seen.add(req.id)
-            out.append(req)
+    for line_no, row in read_table(path, {"id": int, "time_s": float,
+                                          "origin": int, "destination": int}):
+        try:
+            req = RideRequest(row["id"], row["time_s"], row["origin"], row["destination"])
+        except ValueError as exc:
+            raise CsvParseError(path, line_no, str(exc)) from None
+        if req.id in seen:
+            raise CsvParseError(path, line_no, f"duplicate request id {req.id}")
+        seen.add(req.id)
+        out.append(req)
     return out
 
 
@@ -198,17 +193,14 @@ def load_supply(path: str) -> SupplySchedule:
     """Read an hourly schedule from CSV columns hour,vehicles."""
     counts = [0] * 24
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
-            vals = _parse_row(path, line_no, row, {"hour": int, "vehicles": int})
-            hour, vehicles = vals["hour"], vals["vehicles"]
-            if not 0 <= hour < 24:
-                raise CsvParseError(path, line_no, f"hour {hour} outside 0..23")
-            if vehicles < 0:
-                raise CsvParseError(path, line_no, f"negative vehicle count {vehicles}")
-            if hour in seen:
-                raise CsvParseError(path, line_no, f"duplicate hour {hour}")
-            seen.add(hour)
-            counts[hour] = vehicles
+    for line_no, row in read_table(path, {"hour": int, "vehicles": int}):
+        hour, vehicles = row["hour"], row["vehicles"]
+        if not 0 <= hour < 24:
+            raise CsvParseError(path, line_no, f"hour {hour} outside 0..23")
+        if vehicles < 0:
+            raise CsvParseError(path, line_no, f"negative vehicle count {vehicles}")
+        if hour in seen:
+            raise CsvParseError(path, line_no, f"duplicate hour {hour}")
+        seen.add(hour)
+        counts[hour] = vehicles
     return SupplySchedule(counts)

@@ -136,7 +136,7 @@ class Crowdsourced:
 
 @dataclass(frozen=True)
 class GreedyExclusive(Crowdsourced):
-    kind: str = "greedy_exclusive"
+    kind = "greedy_exclusive"
 
     def assign(self, net, vehicles, waiting, requests, now):
         idle = [v for v in vehicles if not v.schedule]
@@ -149,7 +149,7 @@ class GreedyExclusive(Crowdsourced):
 @dataclass(frozen=True)
 class SharedGreedy(Crowdsourced):
     max_detour: float = MAX_DETOUR_FACTOR
-    kind: str = "shared_greedy"
+    kind = "shared_greedy"
     shared = True
 
     def assign(self, net, vehicles, waiting, requests, now):
@@ -162,7 +162,7 @@ class SharedGreedy(Crowdsourced):
 class DarpInsertion:
     max_detour: float = MAX_DETOUR_FACTOR
     max_wait_s: float = MAX_WAIT_S
-    kind: str = "darp"
+    kind = "darp"
     batch_s = BATCH_INTERVAL_S
 
     def assign(self, net, vehicles, waiting, requests, now):
@@ -186,7 +186,7 @@ class DarpInsertion:
 class FixedRoute:
     spec: CorridorConfig
     vehicles: int = 2
-    kind: str = "frt"
+    kind = "frt"
 
     def vehicles_owned(self, supply) -> int:
         return self.vehicles

@@ -12,6 +12,7 @@ import csv
 import logging
 import math
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -38,6 +39,28 @@ class CsvParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = path
         self.line_no = line_no
+
+
+def read_table(path: str, fields: dict) -> Iterator[tuple[int, dict]]:
+    """Yield (line, row) for each row of a UTF-8 CSV, with or without a
+    byte-order mark, each field in fields converted by its function.
+
+    line is the file's own line where the row ends, blank lines counted.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            line = reader.line_num
+            for name, conv in fields.items():
+                raw = row.get(name)
+                if raw is None or raw == "":
+                    raise CsvParseError(path, line, f"missing field '{name}'")
+                try:
+                    row[name] = conv(raw)
+                except ValueError:
+                    raise CsvParseError(path, line,
+                                        f"bad value {raw!r} for field '{name}'") from None
+            yield line, row
 
 
 class NetworkValidationError(ValueError):
@@ -141,12 +164,13 @@ class Network:
                 if z.zone_id in self.zones:
                     raise NetworkValidationError(f"duplicate zone id {z.zone_id}")
                 self.zones[z.zone_id] = z
-            for z in self.zones.values():
-                for a, share in z.attrs.items():
-                    # pop_density is a zone-level value, not a share
-                    if a != "pop_density" and not 0.0 <= share <= 1.0:
-                        log.warning("zone %s attribute %s = %.3f is not a population share",
-                                    z.zone_id, a, share)
+            # pop_density is a zone-level value, not a share
+            bad = [(z.zone_id, a, share) for z in self.zones.values()
+                   for a, share in z.attrs.items()
+                   if a != "pop_density" and not 0.0 <= share <= 1.0]
+            if bad:
+                log.warning("%d zone attribute shares are not population shares in [0, 1]; "
+                            "the first, zone %s attribute %s, is %.3f", len(bad), *bad[0])
 
         if area_km2 is None:
             area_km2 = self._bounding_box_km2()
@@ -338,19 +362,6 @@ class Network:
 # -- module-level operations --------------------------------------------------
 
 
-def _parse_row(path: str, line_no: int, row: dict, fields: dict) -> dict:
-    out = {}
-    for name, conv in fields.items():
-        raw = row.get(name)
-        if raw is None or raw == "":
-            raise CsvParseError(path, line_no, f"missing field '{name}'")
-        try:
-            out[name] = conv(raw)
-        except ValueError:
-            raise CsvParseError(path, line_no, f"bad value {raw!r} for field '{name}'") from None
-    return out
-
-
 def load_network(nodes_file: str, edges_file: str, zones_file: str | None = None,
                  area_km2: float | None = None) -> Network:
     """Build a validated Network from CSV inputs.
@@ -358,34 +369,16 @@ def load_network(nodes_file: str, edges_file: str, zones_file: str | None = None
     nodes: id,x,y[,zone_id]; edges: id,from,to,length_m,speed_mps;
     zones (optional): zone_id,population plus the seven demographic columns.
     """
-    nodes = []
-    with open(nodes_file, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
-            vals = _parse_row(nodes_file, line_no, row,
-                              {"id": int, "x": float, "y": float})
-            zone = row.get("zone_id") or None
-            nodes.append(Node(vals["id"], vals["x"], vals["y"], zone))
-    edges = []
-    with open(edges_file, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
-            vals = _parse_row(edges_file, line_no, row,
-                              {"id": int, "from": int, "to": int,
-                               "length_m": float, "speed_mps": float})
-            edges.append(_make_edge(vals["id"], vals["from"], vals["to"],
-                                    vals["length_m"], vals["speed_mps"]))
+    nodes = [Node(row["id"], row["x"], row["y"], row.get("zone_id") or None)
+             for _, row in read_table(nodes_file, {"id": int, "x": float, "y": float})]
+    edges = [_make_edge(row["id"], row["from"], row["to"], row["length_m"], row["speed_mps"])
+             for _, row in read_table(edges_file, {"id": int, "from": int, "to": int,
+                                                   "length_m": float, "speed_mps": float})]
     zones = None
     if zones_file is not None:
-        zones = []
-        with open(zones_file, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for line_no, row in enumerate(reader, start=2):
-                spec = {"zone_id": str, "population": float}
-                spec.update({a: float for a in ZONE_ATTRIBUTES})
-                vals = _parse_row(zones_file, line_no, row, spec)
-                zones.append(Zone(vals["zone_id"], vals["population"],
-                                  {a: vals[a] for a in ZONE_ATTRIBUTES}))
+        spec = {"zone_id": str, "population": float, **dict.fromkeys(ZONE_ATTRIBUTES, float)}
+        zones = [Zone(row["zone_id"], row["population"], {a: row[a] for a in ZONE_ATTRIBUTES})
+                 for _, row in read_table(zones_file, spec)]
     return Network(nodes, edges, zones, area_km2=area_km2)
 
 

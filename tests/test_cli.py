@@ -296,6 +296,21 @@ def test_validate_names_a_mistyped_value(tmp_path, capsys):
     assert "1 problem(s) found" in err
 
 
+@pytest.mark.parametrize("mutate, problem", [
+    (lambda raw: raw.update(systems=[{"type": "crowdsourced_exclusive", "name": "a"},
+                                     {"type": "dedicated_darp", "name": "a"}]),
+     "systems[1]: duplicate system name 'a'"),
+    (lambda raw: raw.update(systems=[{"type": "hybrid_odt"}], corridor={"stops": [10, 12, 14]}),
+     "corridor: supply required for the dedicated corridor fleet"),
+    (lambda raw: raw["analysis"].update(electrification_levels=[0.0, 0.3]),
+     "analysis: electrification level 0.3 not in {0, 0.2, 0.4, 0.6, 0.8, 1.0}"),
+], ids=["duplicate-name", "no-corridor-supply", "electrification"])
+def test_validate_names_the_setting_it_rejects(tmp_path, capsys, mutate, problem):
+    assert main(["validate", str(write_scenario(tmp_path, mutate=mutate))]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {problem}\n" in err and "1 problem(s) found" in err
+
+
 @pytest.mark.parametrize("row, problem", [("0,x", "bad value 'x' for field 'vehicles'"),
                                           ("0,-2", "negative vehicle count -2")])
 def test_validate_reports_a_bad_supply_file(tmp_path, capsys, row, problem):
@@ -879,8 +894,8 @@ def test_one_network_build_per_sweep(tmp_path, monkeypatch, caplog):
 
 
 def test_bad_zone_share_and_short_edges_warn_once_per_sweep(tmp_path, caplog):
-    # one zone's income share is 1.5, and edges 0 and 1 are shorter than the
-    # straight line: 2 systems x 2 equity levels x 3 metrics read that share
+    # two zones' income shares are 1.5, and edges 0 and 1 are shorter than the
+    # straight line: 2 systems x 2 equity levels x 3 metrics read those shares
     nodes, edges, zones = (tmp_path / f"{name}.csv" for name in ("nodes", "edges", "zones"))
     net = runner.build_network(load_config(str(write_scenario(tmp_path))).config)
     save_network(net, str(nodes), str(edges), str(zones))
@@ -888,9 +903,10 @@ def test_bad_zone_share_and_short_edges_warn_once_per_sweep(tmp_path, caplog):
     assert lines[1:3] == ["0,0,1,500,10", "1,1,0,500,10"]
     edges.write_text("\n".join([lines[0], "0,0,1,400,10", "1,1,0,400,10", *lines[3:]]) + "\n")
     lines = zones.read_text().splitlines()
-    assert lines[0].startswith("zone_id,population,income,") and lines[1].startswith("Z00,")
-    zones.write_text("\n".join([lines[0], lines[1].replace(",0.5,", ",1.5,", 1),
-                                *lines[2:]]) + "\n")
+    assert lines[0].startswith("zone_id,population,income,")
+    assert lines[1].startswith("Z00,") and lines[2].startswith("Z01,")
+    zones.write_text("\n".join([lines[0], *(line.replace(",0.5,", ",1.5,", 1)
+                                             for line in lines[1:3]), *lines[3:]]) + "\n")
 
     def files_and_two_equity_levels(raw):
         raw["network"] = {"files": {"nodes": str(nodes), "edges": str(edges),
@@ -902,7 +918,8 @@ def test_bad_zone_share_and_short_edges_warn_once_per_sweep(tmp_path, caplog):
         assert run_cli(cfg, tmp_path / "out") == 0
     messages = [r.getMessage() for r in caplog.records]
     assert [m for m in messages if "population share" in m] == [
-        "zone Z00 attribute income = 1.500 is not a population share"]
+        "2 zone attribute shares are not population shares in [0, 1]; "
+        "the first, zone Z00 attribute income, is 1.500"]
     assert [m for m in messages if "straight-line" in m] == [
         "2 edge(s) are shorter than the straight-line distance between their endpoints; "
         "the first, edge 0, is 400.0 m against 500.0 m"]
@@ -1014,6 +1031,40 @@ def test_run_rerun_over_own_output_stays_consistent(tmp_path):
     assert run_cli(cfg, out) == 0
     assert sha256(out / "trips.csv") == first
     assert not (tmp_path / "out.stage").exists()
+
+
+def test_a_failed_publish_keeps_the_previous_outputs_and_a_stale_stage_is_replaced(
+        tmp_path, capsys, monkeypatch):
+    cfg = write_scenario(tmp_path)
+    out, stage = tmp_path / "out", tmp_path / "out.stage"
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert run_cli(cfg, out) == 0
+    first = tree(out)
+    written = []
+
+    def write_csv(path, header, rows, real=runner._write_csv):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError("disk full")
+        real(path, header, rows)
+
+    monkeypatch.setattr(runner, "_write_csv", write_csv)
+    assert run_cli(cfg, out) == 3
+    assert "error: disk full" in capsys.readouterr().err
+    assert len(written) == 2
+    assert tree(out) == first
+    assert not stage.exists()
+
+    monkeypatch.undo()
+    (stage / "lorenz").mkdir(parents=True)
+    (stage / "lorenz" / "junk.csv").write_text("junk")
+    (stage / "manifest.json").write_text("{}")
+    assert run_cli(cfg, out) == 0
+    assert tree(out) == first
+    assert not stage.exists()
 
 
 # -- CLI: report ------------------------------------------------------------------------

@@ -209,6 +209,10 @@ def test_request_validation(tmp_path):
     path.write_text("id,time_s,origin,destination\n1,5.0,0,1\n1,9.0,1,2\n")
     with pytest.raises(CsvParseError):
         load_requests(str(path))
+    path.write_text("id,time_s,origin,destination\n1,5.0,3,3\n")
+    with pytest.raises(CsvParseError) as err:
+        load_requests(str(path))
+    assert str(err.value) == f"{path}:2: request 1: origin equals destination"
 
 
 def test_requests_round_trip(tmp_path, base_177):
@@ -232,5 +236,9 @@ def test_supply_round_trip_and_errors(tmp_path):
     with pytest.raises(Exception) as err:
         load_supply(str(path))
     assert "duplicate" in str(err.value)
+    path.write_text("hour,vehicles\n7,2\n25,1\n")
+    with pytest.raises(CsvParseError) as err:
+        load_supply(str(path))
+    assert str(err.value) == f"{path}:3: hour 25 outside 0..23"
     with pytest.raises(ValueError):
         SupplySchedule([1] * 23)

@@ -404,13 +404,18 @@ def test_zero_demand_runs_clean(net5):
 
 
 def test_summarize_overlapping_service_union():
-    fleet = [VehicleLog(0, 2.0, 10.0, 0.0, 0.0, 7200.0, 0.0),
-             VehicleLog(1, 2.0, 5.0, 0.0, 3600.0, 10800.0, 0.0)]
-    res = summarize([], fleet, demand_total=0)
-    assert res.operating_hours == 3.0
-    assert res.avg_vehicles == pytest.approx(14400.0 / 10800.0, abs=1e-12)
-    assert res.total_km == 15.0
-    assert res.served_fraction == 1.0
+    # overlapping shifts (0-2 h and 1-3 h), then disjoint ones (6-8 h and 10-12 h)
+    # whose gap is not operating time: dedicated and fixed-route costs are
+    # priced from these hours
+    for (a, b), (c, d), hours, avg in [((0.0, 7200.0), (3600.0, 10800.0), 3.0, 4.0 / 3.0),
+                                       ((21600.0, 28800.0), (36000.0, 43200.0), 4.0, 1.0)]:
+        fleet = [VehicleLog(0, 2.0, 10.0, 0.0, a, b, 0.0),
+                 VehicleLog(1, 2.0, 5.0, 0.0, c, d, 0.0)]
+        res = summarize([], fleet, demand_total=0)
+        assert res.operating_hours == hours
+        assert res.avg_vehicles == pytest.approx(avg, abs=1e-12)
+        assert res.total_km == 15.0
+        assert res.served_fraction == 1.0
 
 
 # -- fixed-route day ------------------------------------------------------------------

@@ -7,9 +7,10 @@ from random import Random
 
 import pytest
 
-from odt_lab.network import (CsvParseError, Edge, Network, NetworkValidationError,
-                             Node, NoPathError, Zone, _make_edge, generate_grid,
-                             load_network)
+from odt_lab.demand import load_requests, load_supply
+from odt_lab.network import (ZONE_ATTRIBUTES, CsvParseError, Edge, Network,
+                             NetworkValidationError, Node, NoPathError, Zone, _make_edge,
+                             generate_grid, load_network)
 
 from oracles import (dijkstra_from, distance_matrix, floyd_warshall,
                      lexicographic_shortest_edges, reverse_dijkstra)
@@ -341,6 +342,65 @@ def test_csv_errors_carry_file_and_line(tmp_path):
     with pytest.raises(CsvParseError) as err:
         load_network(str(nodes), str(edges))
     assert err.value.line_no == 2
+
+    # a quoted field may span lines: a row is named by the line it ends on
+    nodes.write_text('id,x,y,zone_id\n0,0,0,"north\nend"\n1,oops,0,"a\nb"\n')
+    edges.write_text("id,from,to,length_m,speed_mps\n")
+    with pytest.raises(CsvParseError) as err:
+        load_network(str(nodes), str(edges))
+    assert str(err.value) == f"{nodes}:5: bad value 'oops' for field 'x'"
+
+
+SHARES = ",0.5" * (len(ZONE_ATTRIBUTES) - 1)
+# table -> (header, two good rows, a bad row, its message)
+TABLES = {
+    "nodes": ("id,x,y,zone_id", ["0,0,0,A", "1,500,0,B"], "2,oops,0,A",
+              "bad value 'oops' for field 'x'"),
+    "edges": ("id,from,to,length_m,speed_mps", ["0,0,1,500,10", "1,1,0,500,10"], "2,0,1,500",
+              "missing field 'speed_mps'"),
+    "zones": ("zone_id,population," + ",".join(ZONE_ATTRIBUTES),
+              ["A,100" + SHARES + ",3", "B,200" + SHARES + ",4"], "C,many" + SHARES + ",5",
+              "bad value 'many' for field 'population'"),
+    "requests": ("id,time_s,origin,destination", ["1,5.0,0,1", "2,9.0,1,0"], "3,x,1,2",
+                 "bad value 'x' for field 'time_s'"),
+    "supply": ("hour,vehicles", ["7,2", "8,3"], "9,x", "bad value 'x' for field 'vehicles'"),
+}
+
+
+def load_table(table: str, path, tmp_path):
+    """Load path as the named table, the other network files good, and
+    return what was read of it."""
+    if table == "requests":
+        return load_requests(str(path))
+    if table == "supply":
+        return load_supply(str(path)).hourly_counts
+    files = {}
+    for name in ("nodes", "edges", "zones"):
+        files[name] = tmp_path / f"good_{name}.csv"
+        header, rows = TABLES[name][:2]
+        files[name].write_text("\n".join([header, *rows]) + "\n")
+    files[table] = path
+    net = load_network(*(str(files[n]) for n in ("nodes", "edges", "zones")), area_km2=1.0)
+    return {"nodes": net.nodes, "edges": net.edges, "zones": net.zones}[table]
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_every_input_table_names_the_files_own_line_and_reads_a_byte_order_mark(
+        tmp_path, table):
+    header, rows, bad, message = TABLES[table]
+    path = tmp_path / f"{table}.csv"
+    # a blank line counts: the bad row is the file's fifth line
+    path.write_text("\n".join([header, rows[0], "", rows[1], bad]) + "\n")
+    with pytest.raises(CsvParseError) as err:
+        load_table(table, path, tmp_path)
+    assert str(err.value) == f"{path}:5: {message}"
+    assert (err.value.path, err.value.line_no) == (str(path), 5)
+
+    path.write_text("\n".join([header, *rows]) + "\n")
+    plain = load_table(table, path, tmp_path)
+    # the same file as Excel's "CSV UTF-8" export writes it
+    path.write_text("\ufeff" + "\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert load_table(table, path, tmp_path) == plain
 
 
 def test_straight_line_distance():
