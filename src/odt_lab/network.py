@@ -46,11 +46,15 @@ def read_table(path: str, fields: dict) -> Iterator[tuple[int, dict]]:
     byte-order mark, each field in fields converted by its function.
 
     line is the file's own line where the row ends, blank lines counted.
+    A row with more values than the header has columns is refused.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             line = reader.line_num
+            if None in row:  # DictReader's key for the values past the header's
+                n = len(reader.fieldnames)
+                raise CsvParseError(path, line, f"{n + len(row[None])} values for {n} columns")
             for name, conv in fields.items():
                 raw = row.get(name)
                 if raw is None or raw == "":
@@ -159,11 +163,15 @@ class Network:
         self._delta = sorted([e.length_m for e in edges])[len(edges) // 2] if edges else 1.0
 
         self.zones: dict[str, Zone] = {}
-        if zones:
+        if zones is not None:
             for z in zones:
                 if z.zone_id in self.zones:
                     raise NetworkValidationError(f"duplicate zone id {z.zone_id}")
                 self.zones[z.zone_id] = z
+            if unknown := [n for n in nodes if n.zone_id and n.zone_id not in self.zones]:
+                raise NetworkValidationError(
+                    f"{len(unknown)} node(s) have a zone_id that names no zone; the first, "
+                    f"node {unknown[0].id}, has zone_id {unknown[0].zone_id!r}")
             # pop_density is a zone-level value, not a share
             bad = [(z.zone_id, a, share) for z in self.zones.values()
                    for a, share in z.attrs.items()

@@ -1,14 +1,16 @@
 """Scenario orchestration: demand sweeps, analysis tables, and output files.
 
-One execute() call takes a validated config and produces a self-contained
-output directory: merged trip and fleet logs, cost / emission / generalized
-cost / crossing / equity tables, per-run detail folders, and a manifest
-with a checksum per file. Everything is deterministic for a fixed config
-and seed: each sweep input (the network, the base day and its split
-between a hybrid's fleets, the day at each level, the base supply) is
-built once, before any run, and read by every run, worker processes
-included, as is the config's corridor section; floats are written with
-fixed formats, and no timestamps appear anywhere. `sweep_inputs` builds and checks the inputs
+A sweep is three steps. `simulate` builds and checks the sweep's inputs
+and runs every (system, level); `tables` turns the runs into every output
+file: merged trip and fleet logs, cost / emission / generalized cost /
+crossing / equity tables and per-run detail folders; `_publish` writes
+them with a manifest that holds a checksum per file. `execute` is the
+three in a row. Everything is deterministic for a fixed config and seed:
+each sweep input (the network, the base day and its split between a
+hybrid's fleets, the day at each level, the base supply) is built once,
+before any run, and read by every run, worker processes included, as is
+the config's corridor section; floats are written with fixed formats, and
+no timestamps appear anywhere. `sweep_inputs` builds and checks the inputs
 that `validate` checks, so a sweep refuses what `validate` refuses.
 """
 
@@ -26,6 +28,7 @@ from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from functools import partial
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -224,18 +227,17 @@ def spawn_pools(net: Network, system_type: str, base: list[RideRequest],
 
 def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
             demand: list[RideRequest], spawn: list[list[RideRequest]],
-            base_supply: SupplySchedule | None, spec: CorridorConfig | None) -> RunOutput:
+            base_supply: SupplySchedule | None) -> RunOutput:
     """Simulate one system at one demand level, components included, on
     the day at that level; `spawn` is `spawn_pools` of the system's type.
     Every input is the sweep's, and only read."""
     seed = f"{cfg.seed}/{system.name}/L{level}"
-    design = SYSTEM_TYPES[system.type]
+    design, spec = SYSTEM_TYPES[system.type], cfg.corridor
     fleets = []  # (policy, supply schedule), the corridor fleet first
     if design.corridor:
-        cor = cfg.corridor
         fleets.append((fleet_policy(design.corridor, system, spec, level),
-                       None if cor.supply is None else
-                       scale_supply(SupplySchedule(list(cor.supply)), level - 100, cor.alpha)))
+                       None if spec.supply is None else
+                       scale_supply(SupplySchedule(list(spec.supply)), level - 100, spec.alpha)))
     if design.area:
         fleets.append((fleet_policy(design.area, system, spec, level),
                        scale_supply(base_supply, level - 100, system.alpha)))
@@ -263,7 +265,7 @@ def _run_spec(cfg: ScenarioConfig, net: Network, spawn: dict[str, list[list[Ride
     system_index, level, day = task
     system = cfg.systems[system_index]
     start = time.perf_counter()
-    run = run_one(net, cfg, system, level, day, spawn[system.type], supply, cfg.corridor)
+    run = run_one(net, cfg, system, level, day, spawn[system.type], supply)
     return run, time.perf_counter() - start
 
 
@@ -382,15 +384,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
-            levels: list[int] | None = None) -> dict:
-    """Run the scenario and write the full output tree.
+def simulate(cfg: ScenarioConfig, levels: list[int] | None = None,
+             jobs: int = 1) -> tuple[Network, dict[int, list[RideRequest]], list[RunOutput]]:
+    """Run every (system, level) of the sweep, over `jobs` worker processes.
 
-    Three steps: simulate every (system, level) run, turn the runs into
-    tables, and publish them. Files land in out_dir (default: the config's
-    output_dir) only after every run and table succeeded; on failure the
-    partially built staging directory is removed and the previous outputs
-    stay untouched. Returns a small summary dict for the CLI.
+    Returns the network, the day at each level in level order and the runs
+    in (system, level) order. Raises InputError, from `sweep_inputs`,
+    before any run.
     """
     run_levels = sorted(set(levels if levels is not None else cfg.demand.levels))
     net, base, supply = sweep_inputs(cfg, run_levels)
@@ -409,7 +409,20 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
             log.info("%s: served %d/%d in %.2f s", r.run_id, r.combined.served,
                      r.combined.demand_total, secs)
             runs.append(r)
+    return net, days, runs
 
+
+def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
+            levels: list[int] | None = None) -> dict:
+    """Run the scenario and write the full output tree.
+
+    Three steps: `simulate` every (system, level) run, turn the runs into
+    `tables`, and `_publish` them. Files land in out_dir (default: the
+    config's output_dir) only after every run and table succeeded; on
+    failure the partially built staging directory is removed and the
+    previous outputs stay untouched. Returns a small summary dict for the CLI.
+    """
+    net, days, runs = simulate(cfg, levels, jobs)
     out = Path(out_dir or cfg.output_dir)
     _publish(out, tables(cfg, net, days, runs), {
         "scenario": cfg.name,
@@ -417,7 +430,7 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
         "seed": cfg.seed,
         "config_sha256": cfg.config_hash(),
         "config": asdict(cfg),
-        "levels": run_levels,
+        "levels": list(days),
         "systems": [s.name for s in cfg.systems],
     })
     return {
@@ -551,11 +564,6 @@ def _publish(out: Path, files: dict, manifest: dict) -> None:
 # -- report rendering -----------------------------------------------------------
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def _table(header: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in header]
     for row in rows:
@@ -568,6 +576,26 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
+# (file, section title, column headers, table row of one CSV row), in report order
+REPORT_SECTIONS = (
+    ("gc_curve.csv", "generalized cost (CAD/year)",
+     ["system", "level%", "density", "gc", "served_frac", "flag"],
+     itemgetter("system", "demand_level_pct", "demand_density", "gc_cad",
+                "served_fraction", "flag")),
+    ("switching_points.csv", "cost crossings (requests/day/km^2)",
+     ["system_a", "system_b", "density", "bracket"],
+     lambda r: [r["system_a"], r["system_b"], r["density"],
+                f"[{r['bracket_lo']}, {r['bracket_hi']}]"]),
+    ("costs.csv", "costs (CAD)", ["run", "surge%", "capital", "operating", "net_annual"],
+     itemgetter("run_id", "surge_pct", "capital_cad", "operating_cad", "net_annual_cad")),
+    ("emissions.csv", "emissions", ["run", "electrified", "t_CO2e/yr", "vkm/pax", "g/pax-km"],
+     itemgetter("run_id", "electrification", "total_yearly_ghg_t", "vkm_per_passenger",
+                "ghg_g_per_passenger_km")),
+    ("gini.csv", "equity (Gini)", ["system", "level%", "attribute", "metric", "gini"],
+     itemgetter("system", "demand_level_pct", "attribute", "metric", "gini")),
+)
+
+
 def render_report(out_dir: str, show_params: bool = False) -> str:
     """Human-readable summary of a finished output directory."""
     out = Path(out_dir)
@@ -578,43 +606,13 @@ def render_report(out_dir: str, show_params: bool = False) -> str:
     sections = [f"scenario: {manifest['scenario']}   seed: {manifest['seed']}   "
                 f"version: {manifest['package_version']}"]
 
-    gc = _read_csv(out / "gc_curve.csv")
-    if gc:
-        rows = [[r["system"], r["demand_level_pct"], r["demand_density"],
-                 r["gc_cad"], r["served_fraction"], r["flag"]] for r in gc]
-        sections.append("generalized cost (CAD/year)\n" + _table(
-            ["system", "level%", "density", "gc", "served_frac", "flag"], rows))
-
-    sw = _read_csv(out / "switching_points.csv")
-    if sw:
-        rows = [[r["system_a"], r["system_b"], r["density"],
-                 f"[{r['bracket_lo']}, {r['bracket_hi']}]"] for r in sw]
-        sections.append("cost crossings (requests/day/km^2)\n" + _table(
-            ["system_a", "system_b", "density", "bracket"], rows))
-    else:
-        sections.append("cost crossings: none found")
-
-    costs = _read_csv(out / "costs.csv")
-    if costs:
-        rows = [[r["run_id"], r["surge_pct"], r["capital_cad"],
-                 r["operating_cad"], r["net_annual_cad"]] for r in costs]
-        sections.append("costs (CAD)\n" + _table(
-            ["run", "surge%", "capital", "operating", "net_annual"], rows))
-
-    emis = _read_csv(out / "emissions.csv")
-    if emis:
-        rows = [[r["run_id"], r["electrification"], r["total_yearly_ghg_t"],
-                 r["vkm_per_passenger"], r["ghg_g_per_passenger_km"]]
-                for r in emis]
-        sections.append("emissions\n" + _table(
-            ["run", "electrified", "t_CO2e/yr", "vkm/pax", "g/pax-km"], rows))
-
-    gini = _read_csv(out / "gini.csv")
-    if gini:
-        rows = [[r["system"], r["demand_level_pct"], r["attribute"], r["metric"],
-                 r["gini"]] for r in gini]
-        sections.append("equity (Gini)\n" + _table(
-            ["system", "level%", "attribute", "metric", "gini"], rows))
+    for file, title, header, row in REPORT_SECTIONS:
+        with open(out / file, newline="") as fh:
+            rows = [row(r) for r in csv.DictReader(fh)]
+        if rows:
+            sections.append(f"{title}\n" + _table(header, rows))
+        elif file == "switching_points.csv":
+            sections.append("cost crossings: none found")
 
     if show_params:
         cfg_raw = manifest.get("config", {})

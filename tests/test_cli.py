@@ -487,6 +487,20 @@ def test_validate_reports_a_bad_network_file(tmp_path, capsys):
         assert problem in err and "1 problem(s) found" in err
 
 
+def test_validate_rejects_a_node_zone_that_names_no_zone(tmp_path, capsys):
+    nodes, edges, zones = (tmp_path / f"{x}.csv" for x in ("nodes", "edges", "zones"))
+    save_network(generate_grid(5, 5, 500.0, 10.0, zone_rows=1, zone_cols=1),
+                 str(nodes), str(edges), str(zones))
+    nodes.write_text(nodes.read_text().replace("0,0,0,Z00", "0,0,0,Q"))
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(network={"files": {
+        "nodes": str(nodes), "edges": str(edges), "zones": str(zones)}}))
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert ("error: 1 node(s) have a zone_id that names no zone; the first, node 0, "
+            "has zone_id 'Q'") in err
+    assert "1 problem(s) found" in err
+
+
 def test_validate_rejects_edges_whose_total_overflows(tmp_path, capsys):
     # nodes 0 - 1 - 2 joined both ways by 1e308 m edges: 0 -> 2 sums to inf
     nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
@@ -684,7 +698,7 @@ def one_system(system: dict, extra: list[RideRequest] = ()) -> tuple:
             for lvl in cfg.demand.levels}
     supply = runner.build_base_supply(cfg)
     spawn = runner.spawn_pools(net, cfg.systems[0].type, base, cfg.corridor)
-    runs = [runner.run_one(net, cfg, cfg.systems[0], lvl, day, spawn, supply, cfg.corridor)
+    runs = [runner.run_one(net, cfg, cfg.systems[0], lvl, day, spawn, supply)
             for lvl, day in days.items()]
     return cfg, net, base, days, runs
 
@@ -722,7 +736,7 @@ def test_hybrid_frt_keeps_a_rider_with_no_departure_left_on_the_fixed_route():
     cfg, net, base, _, _ = one_system({"type": "hybrid_frt"})
     run = runner.run_one(net, cfg, cfg.systems[0], 100, [late],
                          runner.spawn_pools(net, "hybrid_frt", base, cfg.corridor),
-                         runner.build_base_supply(cfg), cfg.corridor)
+                         runner.build_base_supply(cfg))
     (trip,) = run.combined.trips
     assert (trip.mode, trip.served, trip.reject_reason) == ("frt", False, "no_departure")
     corridor, crowdsourced = run.components

@@ -327,6 +327,28 @@ def test_zones_round_trip_and_lookup(tmp_path):
     assert back.zones["B"].attrs["income"] == 0.5
 
 
+def test_a_node_zone_must_name_a_given_zone(tmp_path):
+    nodes, edges, zones = (tmp_path / x for x in ("n.csv", "e.csv", "z.csv"))
+    edges.write_text("id,from,to,length_m,speed_mps\n0,0,1,500,10\n1,1,0,500,10\n"
+                     "2,0,2,500,10\n3,2,0,500,10\n")
+    zones.write_text("zone_id,population," + ",".join(ZONE_ATTRIBUTES) + "\n"
+                     "A,100" + ",0.5" * (len(ZONE_ATTRIBUTES) - 1) + ",3\n")
+    nodes.write_text("id,x,y,zone_id\n0,0,0,Q\n1,500,0,A\n2,0,500,R\n")
+    with pytest.raises(NetworkValidationError) as err:
+        load_network(str(nodes), str(edges), str(zones))
+    assert str(err.value) == ("2 node(s) have a zone_id that names no zone; the first, "
+                              "node 0, has zone_id 'Q'")
+    # a node with no zone stays allowed, and with no zones every zone_id is kept
+    nodes.write_text("id,x,y,zone_id\n0,0,0,\n1,500,0,A\n2,0,500,A\n")
+    assert load_network(str(nodes), str(edges), str(zones)).zone_of(0) is None
+    nodes.write_text("id,x,y,zone_id\n0,0,0,Q\n1,500,0,A\n2,0,500,A\n")
+    assert load_network(str(nodes), str(edges)).zone_of(0) == "Q"
+    # a zones file with a header alone gives no zone to name
+    zones.write_text(zones.read_text().splitlines()[0] + "\n")
+    with pytest.raises(NetworkValidationError, match="^3 node"):
+        load_network(str(nodes), str(edges), str(zones))
+
+
 def test_csv_errors_carry_file_and_line(tmp_path):
     nodes = tmp_path / "n.csv"
     nodes.write_text("id,x,y\n0,0,0\n1,oops,0\n")
@@ -395,6 +417,13 @@ def test_every_input_table_names_the_files_own_line_and_reads_a_byte_order_mark(
         load_table(table, path, tmp_path)
     assert str(err.value) == f"{path}:5: {message}"
     assert (err.value.path, err.value.line_no) == (str(path), 5)
+
+    # a stray comma: one value more than the header has columns
+    path.write_text("\n".join([header, rows[0], rows[1] + ",99"]) + "\n")
+    with pytest.raises(CsvParseError) as err:
+        load_table(table, path, tmp_path)
+    n = header.count(",") + 1
+    assert str(err.value) == f"{path}:3: {n + 1} values for {n} columns"
 
     path.write_text("\n".join([header, *rows]) + "\n")
     plain = load_table(table, path, tmp_path)
