@@ -203,9 +203,9 @@ _hints = cache(get_type_hints)  # each dataclass's field types, resolved once
 def _read(tp, value, path: str, errors: list[str], warnings: list[str]):
     """Read a raw YAML value as type tp, walking dataclasses field by field.
 
-    A wrongly typed value adds one error naming its dotted path and returns
-    _BAD; unknown mapping keys warn. Values are stored as given, so an int
-    read for a float field stays an int.
+    A wrongly typed value or a non-finite float adds one error naming its
+    dotted path and returns _BAD; unknown mapping keys warn. Values are
+    stored as given, so an int read for a float field stays an int.
     """
     if isinstance(tp, UnionType):  # X | None
         if value is None:
@@ -225,6 +225,9 @@ def _read(tp, value, path: str, errors: list[str], warnings: list[str]):
         items = [_read(item_tp, v, f"{path}[{i}]", errors, warnings)
                  for i, v in enumerate(value)]
         return _BAD if any(v is _BAD for v in items) else items
+    if kind is float and isinstance(value, float) and not math.isfinite(value):
+        errors.append(f"{path}: must be a finite number")
+        return _BAD
     if not section:
         return str(value) if kind is str else value
     if tp is dict:
@@ -349,14 +352,16 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append("corridor: stops must be distinct")
         if len(cor.window_h) != 2 or not 0 <= cor.window_h[0] < cor.window_h[1] <= 24:
             errors.append("corridor.window_h: must be [open_hour, close_hour] within 0..24")
-        if not 0 < cor.cruise_speed_mps < math.inf:
-            errors.append("corridor.cruise_speed_mps: must be positive and finite")
+        if cor.cruise_speed_mps <= 0:
+            errors.append("corridor.cruise_speed_mps: must be positive")
         if cor.vehicles_base < 1 or cor.vehicles_high < 1:
             errors.append("corridor: vehicle counts must be at least 1")
         if cor.alpha not in ALPHA_CHOICES:
             errors.append(f"corridor: alpha {cor.alpha} not in {ALPHA_CHOICES}")
         if cor.dwell_s < 0:
             errors.append("corridor.dwell_s: must not be negative")
+        if cor.catchment_min < 0:
+            errors.append("corridor.catchment_min: must not be negative")
         _check_hourly_counts(cor.supply, "corridor.supply", errors)
         if any(d.corridor == "dedicated" for d in designs) and cor.supply is None:
             errors.append("corridor: supply required for the dedicated corridor fleet")

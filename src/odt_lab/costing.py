@@ -10,6 +10,7 @@ identical cents on every platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -25,11 +26,13 @@ def as_money(value) -> Decimal:
 
 
 def parse_number(name: str, value, convert):
-    """convert(value) for a number or a numeric string such as "4.00"; for
-    anything else, bools included, a ValueError naming name and value."""
+    """convert(value) for a finite number or numeric string such as "4.00";
+    for anything else, bools included, a ValueError naming name and value."""
     if isinstance(value, (int, float, str, Decimal)) and not isinstance(value, bool):
         try:
-            return convert(value)
+            number = convert(value)
+            if math.isfinite(number):
+                return number
         except (ValueError, ArithmeticError):
             pass
     raise ValueError(f"{name} must be a number, got {value!r}")

@@ -275,17 +275,20 @@ def greedy_assign(net: Network, idle_vehicles: list[Vehicle],
     """First come, first served: each waiting request takes the nearest idle vehicle.
 
     Distance is driven network distance from the vehicle's position to the
-    request origin; ties go to the lowest vehicle id. Requests beyond the
-    idle fleet stay queued.
+    request origin; ties go to the lowest vehicle id. A vehicle with no route
+    there is no candidate; a request beyond the idle fleet's reach stays queued.
     """
     idle = list(idle_vehicles)
+    slot = net._slot
     assignments = []
     for req in waiting_queue:
         if not idle:
             break
-        best = min(idle, key=lambda v: (net.distance_m(v.position, req.origin), v.id))
-        idle.remove(best)
-        assignments.append((req, best))
+        to_o = net._distances_to(req.origin)
+        best = min(idle, key=lambda v: (to_o[slot[v.position]], v.id))
+        if to_o[slot[best.position]] < math.inf:
+            idle.remove(best)
+            assignments.append((req, best))
     return assignments
 
 
@@ -404,8 +407,8 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
     survivors are walked in increasing (estimate, vehicle id, i, j) order,
     and the search stops once an estimate exceeds the best exact added_m by
     more than the slack, so the winner and its key are those of walking
-    every slot. A slot that needs a leg with no route is always walked, so
-    a search raises NoPathError exactly when walking every slot would.
+    every slot. A slot that needs a leg with no route, estimated at inf, is
+    infeasible like one that overfills a seat, and is never walked.
     """
     pickup = Stop(request.origin, PICKUP, request.id)
     drop = Stop(request.destination, DROPOFF, request.id)
@@ -414,23 +417,19 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
     direct = to_d[so]
     cap = max_detour * direct
     bound = cap + _EPS * max(1.0, cap)  # the walk's own bound on the new ride
-    queue = []        # (estimate, vehicle id, i, j, vehicle, where its walk starts)
-    unroutable = []   # (vehicle, where its walk starts, i, j)
+    queue = []  # (estimate, vehicle id, i, j, vehicle, where its walk starts)
     cut = 0.0  # the widest slack of the vehicles searched
     for v, slots in candidates:
         if not v.schedule:
             # an empty plan's one slot, (0, 1): to the pickup, then the ride
             anchor, clock, odometer_m = v.anchor(now)
-            start = (anchor, clock, odometer_m, 0.0)
             slack = 1e-6 * max(1.0, odometer_m + cap)
             if slack > cut:
                 cut = slack
             est = to_o[net._slot[anchor]] + direct
-            if est == math.inf:
-                unroutable.append((v, start, 0, 1))
-            elif (direct - bound <= slack and len(v.picked_at_m) < v.capacity
-                  and clock - request.request_time <= max_wait_s):
-                queue.append((est, v.id, 0, 1, v, start))
+            if (est < math.inf and direct - bound <= slack and len(v.picked_at_m) < v.capacity
+                    and clock - request.request_time <= max_wait_s):
+                queue.append((est, v.id, 0, 1, v, (anchor, clock, odometer_m, 0.0)))
             continue
         b = _base_plan(net, v, now, requests, max_detour)
         slack = 1e-6 * max(1.0, b.odo[-1] + cap)
@@ -452,28 +451,21 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
                 ride = o_next + odo[k] - odo[i + 1] + to_d[at[k]]
                 over = max(add_o - riders[i][i + 1], add_d - riders[k][j],
                            est - riders[i][j], ride - bound)
-            if est == math.inf:
-                unroutable.append((v, b.start, i, j))
-            elif (over <= slack and b.full_from[i] >= j
-                  and b.arrivals[i] - request.request_time <= max_wait_s):
+            # with a leg of no route, over may be finite: inf - inf is NaN
+            if (est < math.inf and over <= slack and b.full_from[i] >= j
+                    and b.arrivals[i] - request.request_time <= max_wait_s):
                 queue.append((est, v.id, i, j, v, b.start))
-
-    def walk(v, start, i, j):
-        anchor, clock, odometer_m, _plan_m = start
-        cand = list(v.schedule)
-        cand.insert(i, pickup)
-        cand.insert(j, drop)
-        return cand, trace_plan(net, anchor, clock, cand, v.picked_at_m, odometer_m,
-                                (requests, v.capacity, max_wait_s, max_detour))
-
-    for slot in unroutable:
-        walk(*slot)  # raises NoPathError, unless a promise breaks first
     best = None
     queue.sort(key=lambda q: q[:4])
     for est, vid, i, j, v, start in queue:
         if best is not None and est - best[0][0] > cut:
             break
-        cand, tr = walk(v, start, i, j)
+        anchor, clock, odometer_m, _plan_m = start
+        cand = list(v.schedule)
+        cand.insert(i, pickup)
+        cand.insert(j, drop)
+        tr = trace_plan(net, anchor, clock, cand, v.picked_at_m, odometer_m,
+                        (requests, v.capacity, max_wait_s, max_detour))
         if tr is not None:
             key = (tr.plan_m - start[3], vid, i, j)
             if best is None or key < best[0]:

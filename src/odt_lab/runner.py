@@ -284,9 +284,9 @@ def cost_curves(runs: list[RunOutput], area_km2: float, params: CostParameters, 
                 surge_levels, threshold: float):
     """The rows of costs.csv, gc_curve.csv and switching_points.csv for one
     set of cost parameters and value of time, `vot`. A surge-priced run is
-    also costed at each surge level, on a curve tagged "<system>+s<surge>";
-    curves are crossed pairwise at each surge level, each pair once."""
-    surge_levels = sorted(set(surge_levels))
+    also costed at 0 and each surge level, on a curve tagged "<system>+s<surge>";
+    curves are crossed pairwise at each of those levels, each pair once."""
+    surge_levels = sorted({0, *surge_levels})
     surge_priced = {run.system for run in runs if run.surge_priced}
 
     def tag_for(name: str, surge: int) -> str:
@@ -295,7 +295,7 @@ def cost_curves(runs: list[RunOutput], area_km2: float, params: CostParameters, 
     cost_rows, points = [], []
     for run in runs:
         c = run.combined
-        for s in sorted({0, *surge_levels}) if run.surge_priced else [0]:
+        for s in surge_levels if run.surge_priced else [0]:
             capital, operating, nac = run_cost(run, params, s)
             cost_rows.append([run.run_id, run.system, run.level, s,
                               str(capital), str(operating), str(nac)])

@@ -6,6 +6,7 @@ run -> files -> report loop is fast enough to exercise repeatedly.
 
 from __future__ import annotations
 
+import csv
 import gc
 import hashlib
 import json
@@ -166,7 +167,8 @@ def test_every_mistyped_field_is_one_error_naming_its_path():
 
 @pytest.mark.parametrize("section, key, kind", [
     ("costs", "fare", "cost parameter"), ("emissions", "ev_kwh_per_km", "emission factor")])
-@pytest.mark.parametrize("value", ["abc", [1], None, True, "4.00"])
+@pytest.mark.parametrize("value", ["abc", [1], None, True, "4.00", float("nan"), float("inf"),
+                                   "NaN"])
 def test_cost_and_emission_values_name_their_key(section, key, kind, value):
     raw = json.loads(json.dumps(BASE))
     raw[section] = {key: value}
@@ -296,6 +298,36 @@ def test_validate_names_a_mistyped_value(tmp_path, capsys):
     assert "1 problem(s) found" in err
 
 
+def test_validate_prints_each_unknown_key_as_a_warning(tmp_path, capsys):
+    def typos(raw):
+        raw["typo_key"] = 1
+        raw["systems"][0]["seats"] = 4
+
+    assert main(["validate", str(write_scenario(tmp_path, mutate=typos))]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: systems[0]: unknown key 'seats' ignored",
+                   "warning: unknown top-level key 'typo_key' ignored"]
+
+
+def test_validate_refuses_a_file_whose_top_level_is_a_list(tmp_path, capsys):
+    cfg = tmp_path / "listed.yaml"
+    cfg.write_text("- name: town\n- seed: 5\n")
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: listed: top level must be a mapping", "1 problem(s) found"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_exit_2_on_a_config_that_fails_validation(tmp_path, capsys, command):
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw["network"]["grid"].update(
+        rows="ten"))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out", str(out), "-q"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: network.grid.rows: expected an integer, got str", "1 problem(s) found"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mutate, problem", [
     (lambda raw: raw.update(systems=[{"type": "crowdsourced_exclusive", "name": "a"},
                                      {"type": "dedicated_darp", "name": "a"}]),
@@ -304,7 +336,16 @@ def test_validate_names_a_mistyped_value(tmp_path, capsys):
      "corridor: supply required for the dedicated corridor fleet"),
     (lambda raw: raw["analysis"].update(electrification_levels=[0.0, 0.3]),
      "analysis: electrification level 0.3 not in {0, 0.2, 0.4, 0.6, 0.8, 1.0}"),
-], ids=["duplicate-name", "no-corridor-supply", "electrification"])
+    (lambda raw: raw["analysis"].update(vot=float("nan")),
+     "analysis.vot: must be a finite number"),
+    (lambda raw: raw["network"].update(area_km2=float("nan")),
+     "network.area_km2: must be a finite number"),
+    (lambda raw: raw["systems"][1].update(max_detour=float("inf")),
+     "systems[1].max_detour: must be a finite number"),
+    (lambda raw: raw.update(emissions={"grid_g_per_kwh": float("inf")}),
+     "emissions: emission factor 'grid_g_per_kwh' must be a number, got inf"),
+], ids=["duplicate-name", "no-corridor-supply", "electrification", "vot-nan", "area-nan",
+        "detour-inf", "grid-inf"])
 def test_validate_names_the_setting_it_rejects(tmp_path, capsys, mutate, problem):
     assert main(["validate", str(write_scenario(tmp_path, mutate=mutate))]) == 2
     err = capsys.readouterr().err
@@ -328,20 +369,23 @@ def test_validate_reports_a_bad_supply_file(tmp_path, capsys, row, problem):
     ({"stops": [10, 10]}, "corridor: stops must be distinct"),
     ({"dwell_s": -100.0}, "corridor.dwell_s: must not be negative"),
     ({"supply": [1] * 23 + [-1]}, "corridor.supply: hourly counts must be non-negative"),
-    ({"window_h": [7, float("inf")]}, "corridor.window_h: must be"),
+    ({"window_h": [7, float("inf")]}, "corridor.window_h[1]: must be a finite number"),
     ({"window_h": [7, 25]}, "corridor.window_h: must be"),
     ({"window_h": [-1, 21]}, "corridor.window_h: must be"),
     ({"window_h": [9, 9]}, "corridor.window_h: must be"),
-    ({"window_h": [float("nan"), 21]}, "corridor.window_h: must be"),
+    ({"window_h": [float("nan"), 21]}, "corridor.window_h[0]: must be a finite number"),
     ({"cruise_speed_mps": float("inf"), "dwell_s": 0.0}, "corridor.cruise_speed_mps: must be"),
     ({"cruise_speed_mps": float("nan")}, "corridor.cruise_speed_mps: must be"),
+    ({"catchment_min": -5.0}, "corridor.catchment_min: must not be negative"),
+    ({"catchment_min": float("nan")}, "corridor.catchment_min: must be a finite number"),
 ], ids=["one-stop", "repeated-stop", "dwell_s", "supply", "window-inf",
         "window-past-midnight", "window-before-midnight", "window-empty", "window-nan",
-        "speed-inf", "speed-nan"])
+        "speed-inf", "speed-nan", "catchment-negative", "catchment-nan"])
 def test_validate_rejects_negative_corridor_values(tmp_path, capsys, corridor, problem):
     # a negative dwell never lets the timetable reach the end of the window,
-    # nor does an endless window or runs that take no time, and a negative
-    # count fails the run in the middle of the sweep
+    # nor does an endless window or runs that take no time, a negative
+    # count fails the run in the middle of the sweep, and a negative
+    # catchment takes no rider while a NaN one takes every trip
     cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
         systems=[{"type": "hybrid_odt"}],
         corridor={"stops": [10, 12, 14], "supply": [1] * 24, **corridor}))
@@ -533,16 +577,17 @@ def test_validate_rejects_an_empty_base_day_at_one_level(tmp_path, capsys, monke
     assert runs == [] and not (tmp_path / "out").exists()
 
 
-def one_way_exit(tmp_path: Path, requests: list[RideRequest]) -> dict:
+def one_way_exit(tmp_path: Path, requests: list[RideRequest], edge=(25, 4)) -> dict:
     """Network and demand sections for a 5x5 grid plus node 25, east of
-    node 4, whose only edge is 25 -> 4: nothing can drive to node 25."""
+    node 4, whose only edge is `edge`: by default 25 -> 4, so nothing can
+    drive to node 25."""
     nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
     grid = generate_grid(5, 5, 500.0, 10.0)
     save_network(grid, str(nodes), str(edges))
     with open(nodes, "a") as fh:
         fh.write("25,2500,0,\n")
     with open(edges, "a") as fh:
-        fh.write(f"{len(grid.edges)},25,4,500,10\n")
+        fh.write(f"{len(grid.edges)},{edge[0]},{edge[1]},500,10\n")
     save_requests(requests, str(tmp_path / "requests.csv"))
     return {"network": {"files": {"nodes": str(nodes), "edges": str(edges)}},
             "demand": {"file": str(tmp_path / "requests.csv"), "levels": [100]}}
@@ -576,6 +621,27 @@ def test_validate_checks_request_routes_for_on_demand_fleets(tmp_path, capsys, s
     err = capsys.readouterr().err
     assert err.count("error:") == problems
     assert err.count("error: demand: no route for request 0 from 3 to 25") == problems
+
+
+@pytest.mark.parametrize("system", [
+    "crowdsourced_exclusive", "crowdsourced_shared", "dedicated_darp"])
+@pytest.mark.parametrize("edge, rider", [((25, 4), (25, 3)), ((4, 25), (3, 25))],
+                         ids=["no-way-in", "no-way-out"])
+def test_run_records_riders_at_a_one_way_node(tmp_path, capsys, system, edge, rider):
+    # request 0 starts where no vehicle can drive to, or ends where a
+    # vehicle that drops it can drive nowhere; both have a route, so validate
+    # passes them, and run records every rider instead of stopping mid-sweep
+    day = [RideRequest(k, 28800.0 + 1800.0 * k, k, 24 - k) for k in range(1, 10)]
+    sections = one_way_exit(tmp_path, [RideRequest(0, 28800.0, *rider), *day], edge)
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        sections, systems=[{"type": system}], supply={"schedule": [0] * 6 + [3] * 16 + [0] * 2}))
+    assert main(["validate", str(cfg)]) == 0
+    assert run_cli(cfg, tmp_path / "out") == 0
+    with open(tmp_path / "out" / "trips.csv", newline="") as fh:
+        trips = list(csv.DictReader(fh))
+    assert sorted(int(t["request_id"]) for t in trips) == list(range(10))
+    # served, rejected or waiting at the horizon, each rider once
+    assert all((t["served"] == "1") != bool(t["reject_reason"]) for t in trips)
 
 
 def test_validate_checks_the_day_the_seed_from_the_environment_draws(tmp_path, capsys,
@@ -853,6 +919,38 @@ def test_baseline_exclusions_warn_once_per_sweep(tmp_path, caplog):
     assert len(excluded) == 3
     assert warnings[0] == "baseline excludes %d unreachable requests in %s" % (
         sum(excluded.values()), ", ".join(f"L{lvl} ({n})" for lvl, n in excluded.items()))
+
+
+def test_no_baseline_when_include_baseline_is_false(tmp_path, caplog):
+    # the day above, whose baseline would warn, with the baseline left out
+    requests = [RideRequest(i, 28800.0 + 600 * i, i, 25 if i % 2 else 24) for i in range(8)]
+    sections = one_way_exit(tmp_path, requests)
+    cfg = write_scenario(tmp_path, mutate=lambda raw: (raw.update(
+        sections, systems=[{"type": "frt"}], corridor={"stops": [0, 2, 4]}),
+        raw["analysis"].update(include_baseline=False)))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="odt_lab"):
+        assert run_cli(cfg, out) == 0
+    assert [r for r in caplog.records if "baseline" in r.getMessage()] == []
+    emissions = (out / "emissions.csv").read_text().splitlines()
+    assert len(emissions) > 1 and not any("private_baseline" in row for row in emissions)
+
+
+def test_a_fixed_route_alone_needs_no_supply_section(tmp_path):
+    # a diagonal corridor, whose catchment 50 trips a day reach
+    def frt_only(raw):
+        raw.update(systems=[{"type": "frt"}], corridor={**CORRIDOR, "stops": [0, 6, 12, 18, 24]})
+        raw["demand"]["synthetic"]["count"] = 50
+        del raw["supply"]
+
+    cfg = write_scenario(tmp_path, mutate=frt_only)
+    assert runner.build_base_supply(load_config(str(cfg)).config) is None
+    out = tmp_path / "out"
+    assert run_cli(cfg, out) == 0
+    with open(out / "trips.csv", newline="") as fh:
+        trips = list(csv.DictReader(fh))
+    assert {t["run_id"] for t in trips} == {"frt_a1-L50", "frt_a1-L100"}
+    assert any(t["served"] == "1" for t in trips)
 
 
 def test_unconnected_network_warns_once_per_sweep(tmp_path, caplog):

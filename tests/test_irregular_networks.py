@@ -23,7 +23,8 @@ from odt_lab.config import CorridorConfig
 from odt_lab.demand import DAY_S, RideRequest, SupplySchedule
 from odt_lab.dispatch import (BATCH_INTERVAL_S, DEFAULT_SEATS, DROPOFF, PICKUP, DarpInsertion,
                               FixedRoute, GreedyExclusive, SharedGreedy, Stop,
-                              Vehicle, darp_insert, shared_greedy_match, trace_plan)
+                              Vehicle, darp_insert, greedy_assign, shared_greedy_match,
+                              trace_plan)
 from odt_lab.engine import run_scenario
 from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, generate_grid
 
@@ -216,7 +217,7 @@ def test_no_pass_between_events_would_match(monkeypatch, policy):
 def reference_insertion(net, candidates, request, requests, now, max_detour, max_wait_s):
     """The cheapest feasible slot found by tracing every slot in full and
     only then checking seats, waits and the detour slack: (key, schedule),
-    or None."""
+    or None. A slot with a leg of no route is infeasible."""
     best = None
     for v, slots in candidates:
         anchor, start, odometer_m = v.anchor(now)
@@ -225,7 +226,10 @@ def reference_insertion(net, candidates, request, requests, now, max_detour, max
             cand = list(v.schedule)
             cand.insert(i, Stop(request.origin, PICKUP, request.id))
             cand.insert(j, Stop(request.destination, DROPOFF, request.id))
-            tr = trace_plan(net, anchor, start, cand, v.picked_at_m, odometer_m)
+            try:
+                tr = trace_plan(net, anchor, start, cand, v.picked_at_m, odometer_m)
+            except NoPathError:
+                continue
             load = peak = len(v.picked_at_m)
             for stop in cand:
                 load += 1 if stop.action == PICKUP else -1
@@ -331,17 +335,16 @@ def test_empty_plans_are_screened_from_the_anchor_without_tables():
     assert found > 20 and refused > 20, (found, refused)
 
 
-def test_an_empty_plan_that_cannot_reach_the_pickup_raises_past_the_wait_bound():
-    """An unroutable slot is walked before any screen, so a rider who has
-    already waited past the bound still raises NoPathError, as walking
-    every slot does, rather than being screened out."""
+def test_an_empty_plan_that_cannot_reach_the_pickup_is_no_candidate():
+    """An idle vehicle with no route to the pickup has no feasible slot,
+    whether or not the rider has waited past the bound: the search finds
+    nothing, as the reference does, and raises nothing."""
     net = grid_with_dead_end()
-    req = RideRequest(0, NOW - 2000.0, 25, 3)  # nothing drives to node 25
-    args = (net, [(Vehicle(0, 12), [(0, 1)])], req, {0: req}, NOW, 2.0, 1800.0)
-    with pytest.raises(NoPathError):
-        reference_insertion(*args)
-    with pytest.raises(NoPathError):
-        dispatch._cheapest_insertion(*args)
+    for waited_s in (60.0, 2000.0):
+        req = RideRequest(0, NOW - waited_s, 25, 3)  # nothing drives to node 25
+        args = (net, [(Vehicle(0, 12), [(0, 1)])], req, {0: req}, NOW, 2.0, 1800.0)
+        assert reference_insertion(*args) is None
+        assert dispatch._cheapest_insertion(*args) is None
 
 
 def grid_with_dead_end() -> Network:
@@ -353,13 +356,24 @@ def grid_with_dead_end() -> Network:
     return Network(nodes, edges, area_km2=grid.area_km2)
 
 
-@pytest.mark.parametrize("origin, destination, raises", [
-    (3, 25, True), (25, 3, True), (3, 8, False),
+def test_greedy_passes_over_an_idle_vehicle_with_no_route_to_the_pickup():
+    """Only vehicle 1, standing at node 25, can reach a pickup there, so it
+    wins over vehicle 0 with its lower id; the next rider at node 25 stays
+    queued, since vehicle 0 cannot reach it, and a later rider takes vehicle 0."""
+    net = grid_with_dead_end()
+    queue = [RideRequest(0, NOW, 25, 3), RideRequest(1, NOW, 25, 8),
+             RideRequest(2, NOW, 8, 3)]
+    got = greedy_assign(net, [Vehicle(0, 12), Vehicle(1, 25)], queue)
+    assert [(r.id, v.id) for r, v in got] == [(0, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("origin, destination, found", [
+    (3, 25, False), (25, 3, False), (3, 8, True),
 ], ids=["to-dead-end", "from-dead-end", "routable"])
-def test_unroutable_request_raises_like_the_reference(origin, destination, raises):
-    """A slot whose legs include one with no route is never screened out or
-    cut, so the search raises NoPathError exactly when tracing every slot
-    does, and otherwise finds the same winner."""
+def test_unroutable_slots_are_infeasible_like_the_reference(origin, destination, found):
+    """A slot whose legs include one with no route is infeasible, so the
+    search finds what tracing every slot finds: no slot when every one
+    needs such a leg, and otherwise the same winner."""
     net = grid_with_dead_end()
     now = 36000.0
     aboard = RideRequest(1, now - 100.0, 10, 14)
@@ -369,11 +383,6 @@ def test_unroutable_request_raises_like_the_reference(origin, destination, raise
     host = Vehicle(1, 11, schedule=[Stop(14, DROPOFF, 1)], picked_at_m={1: -500.0})
     candidates = [(idle, [(0, 1)]), (host, [(0, 1), (0, 2), (1, 2)])]
     args = (net, candidates, req, requests, now, 2.0, 1800.0)
-    if raises:
-        with pytest.raises(NoPathError):
-            reference_insertion(*args)
-        with pytest.raises(NoPathError):
-            dispatch._cheapest_insertion(*args)
-    else:
-        best = dispatch._cheapest_insertion(*args)
-        assert (best[0], best[3]) == reference_insertion(*args)
+    best = dispatch._cheapest_insertion(*args)
+    assert (best is not None) == found
+    assert (None if best is None else (best[0], best[3])) == reference_insertion(*args)

@@ -88,6 +88,22 @@ def test_the_findings_hold_their_shape_on_the_paper_scenario(seed):
     assert {(s.name, m) for s in cfg.systems for m in ("wait", "ivtt")} <= metrics
 
 
+def test_surge_zero_is_costed_and_crossed_whatever_the_surge_levels():
+    cfg = paper_config()
+    net, days, runs = runner.simulate(cfg)
+
+    def surge_zero(levels: list[int]) -> dict:
+        analysis = replace(cfg.analysis, surge_levels=levels)
+        files = runner.tables(replace(cfg, analysis=analysis), net, days, runs)
+        return {name: [row for row in files[name][1] if "+s" not in f"{row[0]} {row[1]}"]
+                for name in ("gc_curve.csv", "switching_points.csv")}
+
+    listed = surge_zero([0, 50])
+    assert listed["switching_points.csv"]
+    assert surge_zero([50]) == listed
+    assert surge_zero([]) == listed
+
+
 def test_one_simulation_gives_the_tables_at_two_values_of_time(monkeypatch):
     cfg = paper_config()
     calls = []
