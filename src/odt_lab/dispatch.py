@@ -262,7 +262,7 @@ def trace_plan(net: Network, anchor: int, start_time: float, stops: list[Stop],
                 # rounding, so a direct ride meets a cap of 1.0.
                 r = requests[rid]
                 cap = max_detour * net.distance_m(r.origin, r.destination)
-                if ridden - cap > _EPS * max(1.0, cap):
+                if ridden - cap > _EPS * (cap if cap > 1.0 else 1.0):
                     return None
     return PlanTrace(arrivals, odometers, final_m, pickup_times, odo - odometer_m)
 
@@ -403,27 +403,28 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
     cap. A slot is skipped only when it provably breaks a promise: a full
     seat on a leg the new rider would ride, a pickup after a stop already
     too late for the new rider's wait, or a ride, the new rider's or one
-    aboard on a changed leg, over its cap by more than the slack. The
-    survivors are walked in increasing (estimate, vehicle id, i, j) order,
-    and the search stops once an estimate exceeds the best exact added_m by
-    more than the slack, so the winner and its key are those of walking
-    every slot. A slot that needs a leg with no route, estimated at inf, is
-    infeasible like one that overfills a seat, and is never walked.
+    aboard on a changed leg, over its cap by more than the slack, one
+    comparison per ride. The estimate is checked finite first; then each
+    term's metres are finite and each table entry finite or inf, so no term
+    is NaN and passing every one is passing their max. A slot that needs a
+    leg with no route, estimated at inf, is infeasible like one that
+    overfills a seat, and is never walked. The survivors are walked in
+    increasing (estimate, vehicle id, i, j) order, and the search stops
+    once an estimate exceeds the best exact added_m by more than the slack,
+    so the winner and its key are those of walking every slot.
     """
-    pickup = Stop(request.origin, PICKUP, request.id)
-    drop = Stop(request.destination, DROPOFF, request.id)
     so, sd = net._slot[request.origin], net._slot[request.destination]
     to_o, to_d = net._distances_to(request.origin), net._distances_to(request.destination)
     direct = to_d[so]
     cap = max_detour * direct
-    bound = cap + _EPS * max(1.0, cap)  # the walk's own bound on the new ride
+    bound = cap + _EPS * (cap if cap > 1.0 else 1.0)  # the walk's own bound on the new ride
     queue = []  # (estimate, vehicle id, i, j, vehicle, where its walk starts)
     cut = 0.0  # the widest slack of the vehicles searched
     for v, slots in candidates:
         if not v.schedule:
             # an empty plan's one slot, (0, 1): to the pickup, then the ride
             anchor, clock, odometer_m = v.anchor(now)
-            slack = 1e-6 * max(1.0, odometer_m + cap)
+            slack = 1e-6 * (end if (end := odometer_m + cap) > 1.0 else 1.0)
             if slack > cut:
                 cut = slack
             est = to_o[net._slot[anchor]] + direct
@@ -432,29 +433,32 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
                 queue.append((est, v.id, 0, 1, v, (anchor, clock, odometer_m, 0.0)))
             continue
         b = _base_plan(net, v, now, requests, max_detour)
-        slack = 1e-6 * max(1.0, b.odo[-1] + cap)
+        slack = 1e-6 * (end if (end := b.odo[-1] + cap) > 1.0 else 1.0)
         if slack > cut:
             cut = slack
         at, legs, into, riders, odo = b.slots, b.legs, b.trees, b.rider_slack, b.odo
         for i, j in slots:
-            # metres added around leg i by the pickup and leg k by the dropoff,
-            # and the most any ride goes over its bound
+            # metres added around leg i by the pickup and leg k by the
+            # dropoff, and each ride they stretch against its bound
             k = j - 1
             if k == i:
                 est = to_o[at[i]] + direct + into[i][sd] - legs[i]
-                over = max(est - riders[i][j], direct - bound)
+                fits = est < math.inf and est - riders[i][j] <= slack and direct - bound <= slack
             else:
                 o_next = into[i][so]
                 add_o = to_o[at[i]] + o_next - legs[i]
                 add_d = to_d[at[k]] + into[k][sd] - legs[k]
                 est = add_o + add_d
-                ride = o_next + odo[k] - odo[i + 1] + to_d[at[k]]
-                over = max(add_o - riders[i][i + 1], add_d - riders[k][j],
-                           est - riders[i][j], ride - bound)
-            # with a leg of no route, over may be finite: inf - inf is NaN
-            if (est < math.inf and over <= slack and b.full_from[i] >= j
+                fits = (est < math.inf and add_o - riders[i][i + 1] <= slack
+                        and add_d - riders[k][j] <= slack and est - riders[i][j] <= slack
+                        and o_next + odo[k] - odo[i + 1] + to_d[at[k]] - bound <= slack)
+            if (fits and b.full_from[i] >= j
                     and b.arrivals[i] - request.request_time <= max_wait_s):
                 queue.append((est, v.id, i, j, v, b.start))
+    if not queue:
+        return None
+    pickup = Stop(request.origin, PICKUP, request.id)
+    drop = Stop(request.destination, DROPOFF, request.id)
     best = None
     queue.sort(key=lambda q: q[:4])
     for est, vid, i, j, v, start in queue:
@@ -533,15 +537,17 @@ def _base_plan(net: Network, v: Vehicle, now: float, requests: dict[int, RideReq
         loads.append(loads[-1] - 1)
         r = requests[s.request_id]
         cap = max_detour * net.distance_m(r.origin, r.destination)
-        left = cap + _EPS * max(1.0, cap) - tr.final_m[s.request_id]
+        left = cap + _EPS * (cap if cap > 1.0 else 1.0) - tr.final_m[s.request_id]
         for leg in range(boarded.pop(s.request_id), k):
-            rider_slack[leg][k] = min(rider_slack[leg][k], left)
+            if left < rider_slack[leg][k]:
+                rider_slack[leg][k] = left
     full_from = [n + 1] * (n + 2)
     for k in range(n, -1, -1):
         full_from[k] = k if loads[k] >= v.capacity else full_from[k + 1]
     for row in rider_slack[:n]:
         for j in range(n, 0, -1):
-            row[j] = min(row[j], row[j + 1])
+            if row[j + 1] < row[j]:
+                row[j] = row[j + 1]
     v.base_plan = _BasePlan(key, (anchor, clock, odometer_m, odo[-1] - odometer_m), slots,
                             trees + [_END], odo, arrivals, legs + [0.0], full_from, rider_slack)
     return v.base_plan

@@ -341,9 +341,10 @@ class Network:
         here = dist[slot[current]]
         if here == math.inf:
             raise NoPathError(f"no route from {current} to {dest}")
+        tol = _EPS * (here if here > 1.0 else 1.0)
         for e in self.out_edges[current]:  # sorted by edge id
             # an edge into a node with no route gives inf, which never matches
-            if abs(e.length_m + dist[slot[e.to]] - here) <= _EPS * max(1.0, here):
+            if abs(e.length_m + dist[slot[e.to]] - here) <= tol:
                 return e
         raise NoPathError(f"no route from {current} to {dest}")  # pragma: no cover
 

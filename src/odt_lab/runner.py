@@ -257,16 +257,28 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
 
 
 def _run_spec(cfg: ScenarioConfig, net: Network, spawn: dict[str, list[list[RideRequest]]],
-              supply: SupplySchedule | None,
-              task: tuple[int, int, list[RideRequest]]) -> tuple[RunOutput, float]:
-    """One (system index, level, day at that level) run of a sweep and its
-    wall seconds, in this or a worker process; `spawn` holds the spawn
-    pools of each system type."""
-    system_index, level, day = task
+              supply: SupplySchedule | None, days: dict[int, list[RideRequest]],
+              task: tuple[int, int]) -> tuple[RunOutput, float]:
+    """One (system index, level) run of a sweep and its wall seconds, in
+    this or a worker process; `spawn` holds the spawn pools of each system
+    type, and `days` the day at each level."""
+    system_index, level = task
     system = cfg.systems[system_index]
     start = time.perf_counter()
-    run = run_one(net, cfg, system, level, day, spawn[system.type], supply)
+    run = run_one(net, cfg, system, level, days[level], spawn[system.type], supply)
     return run, time.perf_counter() - start
+
+
+_worker_run = None  # a worker process's `_run_spec` partial, set once by its pool
+
+
+def _init_worker(run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _run_in_worker(task: tuple[int, int]) -> tuple[RunOutput, float]:
+    return _worker_run(task)
 
 
 # -- costing --------------------------------------------------------------------
@@ -400,12 +412,20 @@ def simulate(cfg: ScenarioConfig, levels: list[int] | None = None,
     days = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in run_levels}
     spawn = {t: spawn_pools(net, t, base, cfg.corridor)
              for t in dict.fromkeys(s.type for s in cfg.systems)}
-    run = partial(_run_spec, cfg, net, spawn, supply)
-    tasks = [(si, lvl, days[lvl]) for si in range(len(cfg.systems)) for lvl in run_levels]
-    workers = min(jobs, len(tasks))  # a pool starts every worker at its first map
+    run = partial(_run_spec, cfg, net, spawn, supply, days)
+    tasks = [(si, lvl) for si in range(len(cfg.systems)) for lvl in run_levels]
+    workers = min(jobs, len(tasks))  # a pool starts every worker at its first submit
     runs = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as ex:
-        for r, secs in (ex.map if workers > 1 else map)(run, tasks):  # in task order
+    # each worker is handed the sweep's inputs once, when it starts
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(run,)) \
+            if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            results = map(run, tasks)
+        else:  # the largest days first, so that no long run starts last
+            futures = {t: pool.submit(_run_in_worker, t)
+                       for t in sorted(tasks, key=lambda t: -len(days[t[1]]))}
+            results = (futures[t].result() for t in tasks)
+        for r, secs in results:  # in task order
             log.info("%s: served %d/%d in %.2f s", r.run_id, r.combined.served,
                      r.combined.demand_total, secs)
             runs.append(r)

@@ -209,6 +209,79 @@ def darp_oracle(dist, speed, vehicles, request, requests, now,
     return best
 
 
+def insertion_screen(net, candidates, request, requests, now, max_detour, max_wait_s):
+    """The cheapest-insertion screen with each slot's ride bounds taken
+    together by `max`, over plan tables built here from their definitions.
+
+    candidates is [(vehicle, [(i, j), ...])], as the search takes it.
+    Returns the slots that pass, as (estimate, vehicle id, i, j, vehicle,
+    walk start) in walk order, and the widest slack; walk start is (anchor,
+    clock, odometer, metres of the current plan). A slot is refused when its
+    estimate is not finite, when its largest ride bound exceeds the slack
+    (`max` keeps its first argument against a NaN later one, so the finite
+    check comes first), when a leg the new rider rides is full, or when its
+    pickup leg starts past the new rider's wait.
+    """
+    from odt_lab.dispatch import PICKUP, trace_plan
+    from odt_lab.network import _EPS
+
+    so, sd = net._slot[request.origin], net._slot[request.destination]
+    to_o, to_d = net._distances_to(request.origin), net._distances_to(request.destination)
+    direct = to_d[so]
+    cap = max_detour * direct
+    bound = cap + _EPS * max(1.0, cap)
+    zeros = [0.0] * len(net._slot)  # nothing is driven after the last stop
+    passed, cut = [], 0.0
+    for v, slots in candidates:
+        anchor, clock, odometer_m = v.anchor(now)
+        stops = v.schedule
+        n = len(stops)
+        tr = trace_plan(net, anchor, clock, stops, v.picked_at_m, odometer_m)
+        odo, arrivals = [odometer_m, *tr.odometers], [clock, *tr.arrivals]
+        at = [net._slot[anchor]] + [net._slot[s.node] for s in stops]
+        into = [net._distances_to(s.node) for s in stops] + [zeros]  # per leg
+        legs = [odo[k + 1] - odo[k] for k in range(n)] + [0.0]
+        slack = 1e-6 * max(1.0, odo[-1] + cap)
+        cut = max(cut, slack)
+        # riders[i][j]: least detour slack of a rider on leg i who still
+        # rides leg j - 1; loads[k]: riders on leg k
+        riders = [[INF] * (n + 2) for _ in range(n + 1)]
+        loads = [len(v.picked_at_m)] * (n + 1)
+        board = dict.fromkeys(v.picked_at_m, 0)
+        for k, s in enumerate(stops, 1):
+            if s.action == PICKUP:
+                board[s.request_id] = k
+                for m in range(k, n + 1):
+                    loads[m] += 1
+                continue
+            for m in range(k, n + 1):
+                loads[m] -= 1
+            r = requests[s.request_id]
+            rcap = max_detour * net.distance_m(r.origin, r.destination)
+            left = rcap + _EPS * max(1.0, rcap) - tr.final_m[s.request_id]
+            for i in range(board[s.request_id], k):
+                for j in range(1, k + 1):
+                    riders[i][j] = min(riders[i][j], left)
+        start = (anchor, clock, odometer_m, odo[-1] - odometer_m)
+        for i, j in slots:
+            k = j - 1
+            if k == i:
+                est = to_o[at[i]] + direct + into[i][sd] - legs[i]
+                over = max(est - riders[i][j], direct - bound)
+            else:
+                add_o = to_o[at[i]] + into[i][so] - legs[i]
+                add_d = to_d[at[k]] + into[k][sd] - legs[k]
+                est = add_o + add_d
+                ride = into[i][so] + odo[k] - odo[i + 1] + to_d[at[k]]
+                over = max(add_o - riders[i][i + 1], add_d - riders[k][j],
+                           est - riders[i][j], ride - bound)
+            if (est < INF and over <= slack and all(loads[m] < v.capacity for m in range(i, j))
+                    and arrivals[i] - request.request_time <= max_wait_s):
+                passed.append((est, v.id, i, j, v, start))
+    passed.sort(key=lambda q: q[:4])
+    return passed, cut
+
+
 # -- inequality ------------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import re
+from concurrent.futures import Future
 from dataclasses import is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -1072,13 +1073,14 @@ def test_verbose_logs_one_line_per_run_in_spec_order(tmp_path, caplog, jobs):
 
 
 def test_jobs_are_capped_at_the_number_of_runs(tmp_path, monkeypatch):
-    # a pool starts every worker at its first map, so --jobs 64 for four
-    # runs would start 64 processes; the fake pool maps in this process
-    workers = []
+    # a pool starts every worker at its first submit, so --jobs 64 for four
+    # runs would start 64 processes; the fake pool runs tasks in this process
+    workers, submitted = [], []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             workers.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -1086,12 +1088,20 @@ def test_jobs_are_capped_at_the_number_of_runs(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def submit(self, fn, *args):
+            submitted.append(args[0])
+            done = Future()
+            done.set_result(fn(*args))
+            return done
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
     cfg = parse_config(json.loads(json.dumps(BASE))).config
     summary = runner.execute(cfg, out_dir=str(tmp_path / "out"), jobs=64)
     assert workers == [4] and len(summary["runs"]) == 4
+    # the larger level's day goes first, each system in spec order; the runs
+    # come back in (system, level) order
+    assert submitted == [(0, 100), (1, 100), (0, 50), (1, 50)]
+    assert summary["runs"] == [f"{s.name}-L{lvl}" for s in cfg.systems for lvl in (50, 100)]
 
 
 def test_run_level_subset(tmp_path):

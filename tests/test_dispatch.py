@@ -9,13 +9,17 @@ produce bit-identical floats and every comparison below can be exact.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
+import yaml
 
-from odt_lab import dispatch
-from odt_lab.config import CorridorConfig
+from odt_lab import dispatch, runner
+from odt_lab.config import CorridorConfig, parse_config
 from odt_lab.demand import RideRequest
 from odt_lab.dispatch import (DROPOFF, Ineligible, PICKUP, Stop, Vehicle,
                               build_timetable, catchment_m, darp_insert, frt_board,
@@ -295,6 +299,34 @@ def test_darp_walks_only_up_to_the_first_feasible_slot(monkeypatch, net5):
     res = darp_insert(net5, [far, along, near], requests[21], requests, NOW)
     assert (res.vehicle_id, res.pickup_index, res.dropoff_index, res.added_m) == (1, 0, 2, 0.0)
     assert walked == [list(res.schedule)]
+
+
+def test_insertion_work_on_the_readme_day_is_pinned(monkeypatch):
+    """The README town day at levels 50 and 500: the number of `trace_plan`
+    calls of each shared and DARP run, as (walks with promises, base plans
+    traced). Both are deterministic; a change that walks or tabulates more
+    or fewer plans must update the pin and say why."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    town = next(b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S)
+                if b.startswith("name: town"))
+    cfg = parse_config(yaml.safe_load(town)).config
+    calls, run = Counter(), []
+    run_one, trace = runner.run_one, dispatch.trace_plan
+
+    def labelled(net, cfg, system, level, *args):
+        run[:] = [f"{system.type}@{level}"]
+        return run_one(net, cfg, system, level, *args)
+
+    def counted(net, anchor, start, stops, picked_at_m, odometer_m=0.0, promises=None):
+        calls[run[0], promises is not None] += 1
+        return trace(net, anchor, start, stops, picked_at_m, odometer_m, promises)
+
+    monkeypatch.setattr(runner, "run_one", labelled)
+    monkeypatch.setattr(dispatch, "trace_plan", counted)
+    runner.simulate(cfg, [50, 500])
+    got = {name: (calls[name, True], calls[name, False]) for name, _walk in calls}
+    assert got == {"crowdsourced_shared@50": (46, 19), "crowdsourced_shared@500": (859, 457),
+                   "dedicated_darp@50": (33, 6), "dedicated_darp@500": (1177, 470)}
 
 
 # -- shared greedy ------------------------------------------------------------------

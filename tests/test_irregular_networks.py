@@ -28,6 +28,7 @@ from odt_lab.dispatch import (BATCH_INTERVAL_S, DEFAULT_SEATS, DROPOFF, PICKUP, 
 from odt_lab.engine import run_scenario
 from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, generate_grid
 
+from oracles import insertion_screen
 from test_dispatch import NOW, ODOMETER_M, make_vehicle
 
 
@@ -285,6 +286,89 @@ def test_winner_matches_full_trace_reference(monkeypatch, policy, seats, count, 
         hours = [0] * 8 + [3] * (end_h - 8) + [0] * (24 - end_h)
         run_scenario(net, reqs, SupplySchedule(hours), policy, seed=seed)
     assert len(seen) >= searches and sum(seen) >= found, (len(seen), sum(seen))
+
+
+def with_dead_ends(net: Network) -> Network:
+    """net plus node n, whose only edge leaves it for node 0, so nothing can
+    drive to it, and node n + 1, whose only edge comes from node 1, so
+    nothing can drive from it."""
+    n, e = len(net.nodes), len(net.edges)
+    a, b = net.nodes[0], net.nodes[1]
+    nodes = [*net.nodes.values(), Node(n, a.x + 600.0, a.y), Node(n + 1, b.x, b.y + 800.0)]
+    edges = [*net.edges.values(), Edge(e, n, 0, 900.0, 10.0, 90.0),
+             Edge(e + 1, 1, n + 1, 1000.0, 10.0, 100.0)]
+    return Network(nodes, edges)
+
+
+@pytest.mark.parametrize("policy, seats, count, end_h, searches, walked, deep", [
+    (DarpInsertion(), DEFAULT_SEATS, 80, 10, 200, 400, 100),
+    (DarpInsertion(max_detour=1.2, max_wait_s=600.0), 2, 80, 10, 200, 300, 100),
+    (SharedGreedy(), DEFAULT_SEATS, 200, 20, 40000, 200, 5),
+], ids=["darp", "darp-tight-2-seats", "shared"])
+def test_search_walks_the_slots_the_max_form_screen_passes(monkeypatch, policy, seats, count,
+                                                           end_h, searches, walked, deep):
+    """Every insertion search walks exactly the slots that a reference
+    screen, bounding each slot's rides by their `max` over tables built
+    from their definitions, lets through, in (estimate, vehicle id, i, j)
+    order, up to the same stopping rule. The days run on irregular networks
+    with a node nothing drives to and one nothing drives from, so requests,
+    and vehicles stranded at the second, give legs of no route, whose terms
+    are inf or NaN. Each DARP search is checked again under a detour cap of
+    0.9, which no ride meets, so that the new rider's direct ride is the
+    only bound an appended slot breaks. deep counts searches that walk two
+    slots or more."""
+    search, trace = dispatch._cheapest_insertion, dispatch.trace_plan
+    walks = []  # (riders aboard, stops) of each promise-checking walk
+    seen = []
+
+    def spy_trace(net, anchor, start, stops, picked_at_m, odometer_m=0.0, promises=None):
+        if promises is not None:
+            walks.append((picked_at_m, stops))
+        return trace(net, anchor, start, stops, picked_at_m, odometer_m, promises)
+
+    def checked(net, candidates, request, requests, now, max_detour, max_wait_s):
+        walks.clear()
+        best = search(net, candidates, request, requests, now, max_detour, max_wait_s)
+        vid = {id(v.picked_at_m): v.id for v, _slots in candidates}
+        got = []
+        for aboard, stops in walks:
+            at = [k for k, stop in enumerate(stops) if stop.request_id == request.id]
+            got.append((vid[id(aboard)], *at))
+        passed, cut = insertion_screen(net, candidates, request, requests, now,
+                                       max_detour, max_wait_s)
+        want, least = [], math.inf
+        for est, v_id, i, j, v, (anchor, clock, odometer_m, plan_m) in passed:
+            if est - least > cut:
+                break
+            want.append((v_id, i, j))
+            cand = list(v.schedule)
+            cand.insert(i, Stop(request.origin, PICKUP, request.id))
+            cand.insert(j, Stop(request.destination, DROPOFF, request.id))
+            tr = trace(net, anchor, clock, cand, v.picked_at_m, odometer_m,
+                       (requests, v.capacity, max_wait_s, max_detour))
+            if tr is not None:
+                least = min(least, tr.plan_m - plan_m)
+        assert got == want
+        return best, got
+
+    def spy(net, candidates, request, requests, now, max_detour, max_wait_s):
+        candidates = [(v, list(slots)) for v, slots in candidates]  # darp passes a generator
+        best, got = checked(net, candidates, request, requests, now, max_detour, max_wait_s)
+        seen.append(len(got))
+        if isinstance(policy, DarpInsertion):
+            checked(net, candidates, request, requests, now, 0.9, max_wait_s)
+        return best
+
+    monkeypatch.setattr(dispatch, "Vehicle", partial(Vehicle, capacity=seats))
+    monkeypatch.setattr(dispatch, "trace_plan", spy_trace)
+    monkeypatch.setattr(dispatch, "_cheapest_insertion", spy)
+    for seed in range(3):
+        net = with_dead_ends(irregular_network(seed))
+        reqs = _requests(Random(f"screen/{seed}"), net, count, end_h)
+        hours = [0] * 8 + [3] * (end_h - 8) + [0] * (24 - end_h)
+        run_scenario(net, reqs, SupplySchedule(hours), policy, seed=seed)
+    counts = (len(seen), sum(seen), sum(n > 1 for n in seen))
+    assert all(got >= floor for got, floor in zip(counts, (searches, walked, deep))), counts
 
 
 def test_empty_plans_are_screened_from_the_anchor_without_tables():
