@@ -57,13 +57,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> tuple[ScenarioConfig | None, int]:
+def _load(path: str, flag_seed: int | None) -> tuple[ScenarioConfig | None, int]:
+    """The scenario at path with its seed resolved: the --seed flag, else
+    ODT_LAB_SEED, else the file's; or the exit code of its problems."""
     report = load_config(path)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not report.ok:
         return None, _problems(report.errors)
-    return report.config, EXIT_OK
+    cfg = report.config
+    env = os.environ.get("ODT_LAB_SEED")
+    if flag_seed is not None:
+        cfg.seed = flag_seed
+    elif env is not None:
+        try:
+            cfg.seed = int(env)
+        except ValueError:
+            return None, _problems([f"ODT_LAB_SEED must be an integer, got '{env}'"])
+    return cfg, EXIT_OK
 
 
 def _problems(errors: list[str], code: int = EXIT_CONFIG) -> int:
@@ -73,27 +84,14 @@ def _problems(errors: list[str], code: int = EXIT_CONFIG) -> int:
     return code
 
 
-def _resolve_seed(cfg: ScenarioConfig, flag_seed: int | None) -> None:
-    if flag_seed is not None:
-        cfg.seed = flag_seed
-        return
-    env = os.environ.get("ODT_LAB_SEED")
-    if env is not None:
-        try:
-            cfg.seed = int(env)
-        except ValueError:
-            raise SystemExit(f"ODT_LAB_SEED must be an integer, got '{env}'")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
     if args.command == "validate":
-        cfg, code = _load(args.config)
+        cfg, code = _load(args.config, None)  # seeded as run and sweep would be
         if code == EXIT_OK:
-            _resolve_seed(cfg, None)  # the day run and sweep would draw
             try:
                 sweep_inputs(cfg, cfg.demand.levels)
             except InputError as exc:
@@ -104,10 +102,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
     if args.command in ("run", "sweep"):
-        cfg, code = _load(args.config)
+        cfg, code = _load(args.config, args.seed)
         if code != EXIT_OK:
             return code
-        _resolve_seed(cfg, args.seed)
         levels = getattr(args, "levels", None)
         try:
             summary = execute(cfg, out_dir=args.out, jobs=args.jobs, levels=levels)

@@ -408,7 +408,10 @@ def load_config(path: str) -> ValidationReport:
     if not p.exists():
         return ValidationReport(None, [f"config file '{path}' not found"], [])
     try:
-        raw = yaml.load(p.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        raw = yaml.load(p.read_text(encoding="utf-8"),
+                        Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (OSError, UnicodeDecodeError) as exc:
+        return ValidationReport(None, [f"config file '{path}' cannot be read: {exc}"], [])
     except yaml.YAMLError as exc:
         return ValidationReport(None, [f"config file '{path}' is not valid YAML: {exc}"], [])
     return parse_config(raw or {}, source_name=p.stem)

@@ -28,6 +28,7 @@ promise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .config import CorridorConfig
@@ -185,7 +186,7 @@ class DarpInsertion:
 @dataclass(frozen=True)
 class FixedRoute:
     spec: CorridorConfig
-    vehicles: int = 2
+    vehicles: int
     kind = "frt"
 
     def vehicles_owned(self, supply) -> int:
@@ -559,10 +560,9 @@ _END = _End()
 # -- fixed route ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a run is its own key in a loads map
 class TimetableRun:
     vehicle: int
-    direction: int              # +1 outbound (stop order as listed), -1 inbound
     arrivals: tuple[float, ...]  # by stop position in travel order
     departures: tuple[float, ...]
     length_m: float
@@ -570,9 +570,12 @@ class TimetableRun:
 
 @dataclass(frozen=True)
 class Timetable:
-    leg_m_out: tuple[float, ...]   # metres of leg k, from stop k to stop k + 1
-    leg_m_in: tuple[float, ...]    # metres of leg k, from stop k + 1 to stop k
-    runs: tuple[TimetableRun, ...]
+    """Each direction, outbound (stops as listed) then inbound, as one line
+    in travel order: its legs' metres, and its runs by (first departure,
+    vehicle)."""
+
+    leg_m: tuple[tuple[float, ...], tuple[float, ...]]
+    runs: tuple[tuple[TimetableRun, ...], tuple[TimetableRun, ...]]
 
 
 def build_timetable(net: Network, spec: CorridorConfig, vehicles: int) -> Timetable:
@@ -589,46 +592,41 @@ def build_timetable(net: Network, spec: CorridorConfig, vehicles: int) -> Timeta
         raise ValueError("need at least one vehicle")
     stops = spec.stops
     n = len(stops)
-    # each leg's edges summed left to right, and the legs kept in stop order
-    leg_m_out = tuple(sum(e.length_m for e in net.shortest_path(stops[k], stops[k + 1]))
-                      for k in range(n - 1))
-    leg_m_in = tuple(sum(e.length_m for e in net.shortest_path(stops[k + 1], stops[k]))
-                     for k in range(n - 1))
-    leg_s_out = tuple(m / spec.cruise_speed_mps for m in leg_m_out)
-    leg_s_in = tuple(m / spec.cruise_speed_mps for m in reversed(leg_m_in))  # travel order
+    # each leg's edges summed left to right
+    leg_m = tuple(tuple(sum(e.length_m for e in net.shortest_path(a, b))
+                        for a, b in zip(line, line[1:]))
+                  for line in (stops, stops[::-1]))
+    leg_s = [tuple(m / spec.cruise_speed_mps for m in legs) for legs in leg_m]
     # one-way block: drive every leg, dwell at every stop reached
-    block_out = sum(leg_s_out) + spec.dwell_s * (n - 1)
-    block_in = sum(leg_s_in) + spec.dwell_s * (n - 1)
+    block_out, block_in = (sum(legs) + spec.dwell_s * (n - 1) for legs in leg_s)
     headway = (block_out + block_in) / vehicles
     w0, w1 = spec.window
 
-    runs = []
+    runs = ([], [])
     for v in range(vehicles):
         t = w0 + v * headway
-        direction = +1
+        d = 0
         while t < w1:
-            legs = leg_s_out if direction > 0 else leg_s_in
-            length = sum(leg_m_out) if direction > 0 else sum(reversed(leg_m_in))
             arr = [t]
             dep = [t]
-            for leg in legs:
+            for leg in leg_s[d]:
                 a = dep[-1] + leg
                 arr.append(a)
                 dep.append(a + spec.dwell_s)
             if not dep[-1] > t:
                 raise ValueError(f"a corridor run leaving at {t} s does not advance the clock")
-            runs.append(TimetableRun(v, direction, tuple(arr), tuple(dep), length))
+            runs[d].append(TimetableRun(v, tuple(arr), tuple(dep), sum(leg_m[d])))
             t = dep[-1]  # last dwell doubles as the turnaround
-            direction = -direction
-    runs.sort(key=lambda r: (r.departures[0], r.vehicle))
-    return Timetable(leg_m_out, leg_m_in, tuple(runs))
+            d = 1 - d
+    return Timetable(leg_m, tuple(tuple(sorted(line, key=lambda r: (r.departures[0], r.vehicle)))
+                                  for line in runs))
 
 
 @dataclass(frozen=True)
 class BoardingPlan:
     board_stop: int            # route stop index
     alight_stop: int
-    run_index: int             # index into timetable.runs
+    run: TimetableRun
     departure_s: float
     walk_min: float            # both ends together
     wait_min: float            # at the stop, after walking
@@ -660,7 +658,7 @@ def _corridor_ends(net: Network, spec: CorridorConfig,
 
 
 def frt_board(net: Network, request: RideRequest, spec: CorridorConfig, timetable: Timetable,
-              loads: dict[int, list[int]]) -> BoardingPlan | Ineligible:
+              loads: dict[TimetableRun, list[int]]) -> BoardingPlan | Ineligible:
     """Plan a fixed-route trip and take its seats: walk, wait for the next
     departure with a free seat, ride, walk.
 
@@ -668,36 +666,35 @@ def frt_board(net: Network, request: RideRequest, spec: CorridorConfig, timetabl
     stop and the request falls inside the service window. The rider walks
     to the nearest stop, takes the first departure in the right direction
     at or after arriving that has a seat on every leg ridden, and walks
-    from the alighting stop. loads maps a run index to its riders per leg
-    in travel order; the seats of the run returned are added to it.
+    from the alighting stop. loads maps a run to its riders per leg in
+    travel order; the seats of the run returned are added to it.
+
+    The search bisects the rider's direction to its first departure at or
+    after the rider is ready, then walks forward past full runs. That is
+    exact: every run of a direction applies the same float additions to its
+    first departure, and rounding is monotone, so its departure from any
+    stop is non-decreasing in the direction's run order.
     """
     ends = _corridor_ends(net, spec, request)
     if isinstance(ends, Ineligible):
         return ends
     bi, walk_o, ai, walk_d = ends
-    direction = +1 if bi < ai else -1
     n = len(spec.stops)
-    # stop positions in the run's travel order
-    pb, pa = (bi, ai) if direction > 0 else (n - 1 - bi, n - 1 - ai)
+    d = int(bi > ai)  # 0 outbound, 1 inbound
+    pb, pa = (n - 1 - bi, n - 1 - ai) if d else (bi, ai)  # stop positions in travel order
     ready = request.request_time + walk_seconds(walk_o)
-    for idx, run in enumerate(timetable.runs):
-        if run.direction != direction:
-            continue
-        dep = run.departures[pb]
-        if dep < ready:
-            continue
-        taken = loads.setdefault(idx, [0] * (n - 1))
+    runs = timetable.runs[d]
+    for run in runs[bisect_left(runs, ready, key=lambda r: r.departures[pb]):]:
+        taken = loads.setdefault(run, [0] * (n - 1))
         if any(taken[k] >= DEFAULT_SEATS for k in range(pb, pa)):
             continue
         for k in range(pb, pa):
             taken[k] += 1
-        ivtt_s = run.arrivals[pa] - dep
-        lo, hi = min(bi, ai), max(bi, ai)
-        legs = timetable.leg_m_out if direction > 0 else timetable.leg_m_in
-        ride_m = sum(legs[lo:hi])
-        return BoardingPlan(bi, ai, idx, dep,
-                            walk_minutes(walk_o) + walk_minutes(walk_d),
-                            (dep - ready) / 60.0, ivtt_s / 60.0, ride_m / 1000.0)
+        dep = run.departures[pb]
+        legs = timetable.leg_m[d][pb:pa]  # added in stop order as listed: it fixes the last bits
+        return BoardingPlan(bi, ai, run, dep, walk_minutes(walk_o) + walk_minutes(walk_d),
+                            (dep - ready) / 60.0, (run.arrivals[pa] - dep) / 60.0,
+                            sum(legs[::-1] if d else legs) / 1000.0)
     return Ineligible("no_departure")
 
 

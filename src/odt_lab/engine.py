@@ -359,14 +359,14 @@ def _run_fixed_route(net: Network, demand: list[RideRequest], policy) -> Simulat
     spec = policy.spec
     timetable = dp.build_timetable(net, spec, policy.vehicles)
     trips: list[TripRecord] = []
-    loads: dict[int, list[int]] = {}
+    loads: dict[dp.TimetableRun, list[int]] = {}
     pax_s_by_vehicle = [0.0] * policy.vehicles
     for r in sorted(demand, key=lambda r: (r.request_time, r.id)):
         plan = dp.frt_board(net, r, spec, timetable, loads)
         if isinstance(plan, dp.Ineligible):
             trips.append(_trip(net, r, policy.kind, False, reason=plan.reason))
             continue
-        pax_s_by_vehicle[timetable.runs[plan.run_index].vehicle] += plan.ivtt_min * 60.0
+        pax_s_by_vehicle[plan.run.vehicle] += plan.ivtt_min * 60.0
         trips.append(_trip(net, r, policy.kind, True, plan.walk_min, plan.wait_min,
                            plan.ivtt_min, plan.ride_km))
     trips.sort(key=lambda t: t.request_id)
@@ -374,7 +374,8 @@ def _run_fixed_route(net: Network, demand: list[RideRequest], policy) -> Simulat
     fleet = []
     w0, w1 = spec.window
     for vid in range(policy.vehicles):
-        my_runs = [run for run in timetable.runs if run.vehicle == vid]
+        my_runs = sorted((run for line in timetable.runs for run in line if run.vehicle == vid),
+                         key=lambda run: run.departures[0])  # km added as driven
         km = sum(run.length_m for run in my_runs) / 1000.0
         end = max([w1] + [run.arrivals[-1] for run in my_runs])
         fleet.append(_vehicle_log(vid, w0, end, km, pax_s_by_vehicle[vid]))

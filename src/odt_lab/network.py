@@ -9,6 +9,7 @@ identical paths.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from array import array
@@ -46,25 +47,33 @@ def read_table(path: str, fields: dict) -> Iterator[tuple[int, dict]]:
     byte-order mark, each field in fields converted by its function.
 
     line is the file's own line where the row ends, blank lines counted.
-    A row with more values than the header has columns is refused.
+    A row with more values than the header has columns is refused, and so
+    is a file that is not UTF-8, at the line of its first such byte.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            line = reader.line_num
-            if None in row:  # DictReader's key for the values past the header's
-                n = len(reader.fieldnames)
-                raise CsvParseError(path, line, f"{n + len(row[None])} values for {n} columns")
-            for name, conv in fields.items():
-                raw = row.get(name)
-                if raw is None or raw == "":
-                    raise CsvParseError(path, line, f"missing field '{name}'")
-                try:
-                    row[name] = conv(raw)
-                except ValueError:
-                    raise CsvParseError(path, line,
-                                        f"bad value {raw!r} for field '{name}'") from None
-            yield line, row
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # decoded whole, so the offset is the file's
+        line = len((exc.object[:exc.start] + b".").splitlines())
+        raise CsvParseError(path, line,
+                            f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for row in reader:
+        line = reader.line_num
+        if None in row:  # DictReader's key for the values past the header's
+            n = len(reader.fieldnames)
+            raise CsvParseError(path, line, f"{n + len(row[None])} values for {n} columns")
+        for name, conv in fields.items():
+            raw = row.get(name)
+            if raw is None or raw == "":
+                raise CsvParseError(path, line, f"missing field '{name}'")
+            try:
+                row[name] = conv(raw)
+            except ValueError:
+                raise CsvParseError(path, line,
+                                    f"bad value {raw!r} for field '{name}'") from None
+        yield line, row
 
 
 class NetworkValidationError(ValueError):

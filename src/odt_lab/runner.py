@@ -101,7 +101,7 @@ def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
         base = build_base_demand(cfg, net)
         check_level_sizes(len(base), levels)
         supply = build_base_supply(cfg)
-    except ValueError as exc:  # CsvParseError and NetworkValidationError included
+    except (OSError, ValueError) as exc:  # CsvParseError and NetworkValidationError included
         raise InputError([str(exc)]) from None
     spec = cfg.corridor
     stops = spec.stops if spec else []

@@ -282,6 +282,53 @@ def insertion_screen(net, candidates, request, requests, now, max_detour, max_wa
     return passed, cut
 
 
+# -- fixed-route boarding ----------------------------------------------------------
+
+
+def frt_board_scan(net, request, spec, timetable, loads):
+    """Fixed-route boarding by scanning the day's runs from the first, in one
+    flat list by (first departure, vehicle): skip a run of the other
+    direction, one that leaves before the rider is ready and one full on a
+    leg ridden, and book the seats of the first run left in loads. Ride
+    metres add the ridden legs in stop order as listed, each leg summed
+    edge by edge along the network's path in the direction driven.
+
+    Returns (run, departure, wait min, ride min, ride km), or the gate's
+    reason when the corridor refuses the trip, or "no_departure".
+    """
+    from odt_lab.dispatch import DEFAULT_SEATS, Ineligible, _corridor_ends, walk_seconds
+
+    ends = _corridor_ends(net, spec, request)
+    if isinstance(ends, Ineligible):
+        return ends.reason
+    bi, walk_o, ai, _walk_d = ends
+    stops = spec.stops
+    n = len(stops)
+    direction = +1 if bi < ai else -1
+    pb, pa = (bi, ai) if direction > 0 else (n - 1 - bi, n - 1 - ai)
+    ready = request.request_time + walk_seconds(walk_o)
+    flat = sorted(((run, +1 if d == 0 else -1) for d, line in enumerate(timetable.runs)
+                   for run in line), key=lambda rd: (rd[0].departures[0], rd[0].vehicle))
+    for run, run_direction in flat:
+        if run_direction != direction:
+            continue
+        dep = run.departures[pb]
+        if dep < ready:
+            continue
+        taken = loads.setdefault(run, [0] * (n - 1))
+        if any(taken[k] >= DEFAULT_SEATS for k in range(pb, pa)):
+            continue
+        for k in range(pb, pa):
+            taken[k] += 1
+        ride_m = 0
+        for k in range(min(bi, ai), max(bi, ai)):
+            a, b = (stops[k], stops[k + 1]) if direction > 0 else (stops[k + 1], stops[k])
+            ride_m += sum(e.length_m for e in net.shortest_path(a, b))
+        return (run, dep, (dep - ready) / 60.0, (run.arrivals[pa] - dep) / 60.0,
+                ride_m / 1000.0)
+    return "no_departure"
+
+
 # -- inequality ------------------------------------------------------------------
 
 

@@ -715,6 +715,50 @@ def test_run_and_sweep_refuse_a_request_with_no_route_before_any_run(
         "error: demand: no route for request 0 from 3 to 25"]
 
 
+
+def test_a_scenario_file_that_is_not_utf8_is_one_error_naming_it(tmp_path, capsys):
+    cfg = write_scenario(tmp_path)
+    cfg.write_bytes(cfg.read_bytes().replace(b"name: town", "name: café".encode("utf-8")))
+    assert main(["validate", str(cfg)]) == 0  # UTF-8 whatever the locale
+    capsys.readouterr()
+    cfg.write_bytes(cfg.read_bytes().replace("café".encode("utf-8"), "café".encode("latin-1")))
+    assert main(["validate", str(cfg)]) == 2
+    error, count = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"error: config file '{cfg}' cannot be read: 'utf-8' codec "
+                            "can't decode byte 0xe9")
+    assert count == "1 problem(s) found"
+
+
+def test_a_directory_given_as_the_scenario_is_one_error_naming_it(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config file '{tmp_path}' cannot be read: [Errno 21] Is a directory: "
+        f"'{tmp_path}'", "1 problem(s) found"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_directory_given_as_a_network_file_is_an_input_problem(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    edges = tmp_path / "edges.csv"
+    save_network(generate_grid(5, 5, 500.0, 10.0), str(tmp_path / "nodes.csv"), str(edges))
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        network={"files": {"nodes": str(tmp_path), "edges": str(edges)}}))
+    assert refused_like_validate(tmp_path, capsys, monkeypatch, cfg, command) == [
+        f"error: [Errno 21] Is a directory: '{tmp_path}'"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_requests_file_that_is_not_utf8_is_named_with_its_line(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    requests = tmp_path / "requests.csv"
+    save_requests([RideRequest(0, 28800.0, 0, 24), RideRequest(1, 29400.0, 7, 3)],
+                  str(requests))
+    requests.write_bytes(requests.read_bytes().replace(b"1,29400", b"1\xe9,29400"))
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        demand={"file": str(requests), "levels": [100]}))
+    assert refused_like_validate(tmp_path, capsys, monkeypatch, cfg, command) == [
+        f"error: {requests}:3: byte 0xe9 is not UTF-8"]
+
 # -- CLI: run and outputs ---------------------------------------------------------------
 
 
@@ -1115,7 +1159,7 @@ def test_run_level_subset(tmp_path):
     assert run_cli(cfg, tmp_path / "oops", "--level", "75") == 3
 
 
-def test_seed_flag_beats_env_beats_config(tmp_path, monkeypatch):
+def test_seed_flag_beats_env_beats_config(tmp_path, monkeypatch, capsys):
     cfg = write_scenario(tmp_path)
 
     def seed_of(out, *extra):
@@ -1127,8 +1171,12 @@ def test_seed_flag_beats_env_beats_config(tmp_path, monkeypatch):
     assert seed_of(tmp_path / "o2") == 11
     assert seed_of(tmp_path / "o3", "--seed", "12") == 12
     monkeypatch.setenv("ODT_LAB_SEED", "pi")
-    with pytest.raises(SystemExit):
-        run_cli(cfg, tmp_path / "o4")
+    capsys.readouterr()
+    for argv in (["run", str(cfg), "--out", str(tmp_path / "o4"), "-q"], ["validate", str(cfg)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ODT_LAB_SEED must be an integer, got 'pi'", "1 problem(s) found"]
+    assert not (tmp_path / "o4").exists()
 
 
 def test_run_refuses_to_clobber_foreign_dir(tmp_path, capsys):

@@ -466,13 +466,12 @@ def timetable(net5):
 
 def test_timetable_frozen_geometry(timetable):
     tt = timetable
-    assert tt.leg_m_out == (1000.0, 1000.0)
-    assert tt.leg_m_in == (1000.0, 1000.0)
+    assert tt.leg_m == ((1000.0, 1000.0), (1000.0, 1000.0))
     # block = 2 legs * 100 s + 2 dwells = 240 s each way: a vehicle's
     # outbound runs leave a 480 s cycle apart, and the two vehicles' runs
     # are staggered by a 240 s headway
-    outbound = {v: [run.departures[0] for run in tt.runs
-                    if run.vehicle == v and run.direction > 0][:2] for v in (0, 1)}
+    outbound = {v: [run.departures[0] for run in tt.runs[0] if run.vehicle == v][:2]
+                for v in (0, 1)}
     assert outbound == {0: [25200.0, 25680.0], 1: [25440.0, 25920.0]}
 
 
@@ -486,37 +485,41 @@ def test_timetable_refuses_a_run_that_does_not_advance_the_clock(net5, speed):
         build_timetable(net5, stalled, 2)
 
 
-def test_timetable_legs_are_kept_in_stop_order(net5):
-    # legs of 1000 m and 500 m: inbound leg k runs from stop k + 1 to stop k
+def test_timetable_legs_are_kept_in_travel_order(net5):
+    # legs of 1000 m and 500 m: inbound leg k runs from stop 2 - k to stop 1 - k
     tt = build_timetable(net5, replace(CORRIDOR, stops=[10, 12, 13]), 1)
-    assert tt.leg_m_out == tt.leg_m_in == (1000.0, 500.0)
-    assert [run.length_m for run in tt.runs[:2]] == [1500.0, 1500.0]
+    assert tt.leg_m == ((1000.0, 500.0), (500.0, 1000.0))
+    assert [line[0].length_m for line in tt.runs] == [1500.0, 1500.0]
 
 
 def test_timetable_frozen_first_runs(timetable):
-    first = timetable.runs[0]
-    assert (first.vehicle, first.direction) == (0, +1)
+    outbound, inbound = timetable.runs
+    first = outbound[0]
+    assert first.vehicle == 0
     assert first.arrivals == (25200.0, 25300.0, 25420.0)
     assert first.departures == (25200.0, 25320.0, 25440.0)
     assert first.length_m == 2000.0
     # next departures: vehicle 0 turns at 25440, vehicle 1 starts one headway in
-    second, third = timetable.runs[1], timetable.runs[2]
-    assert (second.vehicle, second.direction, second.departures[0]) == (0, -1, 25440.0)
-    assert (third.vehicle, third.direction, third.departures[0]) == (1, +1, 25440.0)
+    second, third = inbound[0], outbound[1]
+    assert (second.vehicle, second.departures[0]) == (0, 25440.0)
+    assert (third.vehicle, third.departures[0]) == (1, 25440.0)
 
 
 def test_timetable_alternates_and_covers_window(timetable):
     # starts every 240 s until the window closes: 210 runs for vehicle 0
     # (25200 + 240k < 75600) and 209 for vehicle 1
-    assert len(timetable.runs) == 419
+    assert sum(map(len, timetable.runs)) == 419
+    for line in timetable.runs:  # each direction by (first departure, vehicle)
+        keys = [(r.departures[0], r.vehicle) for r in line]
+        assert keys == sorted(keys)
     for v, n_runs in ((0, 210), (1, 209)):
-        runs = [r for r in timetable.runs if r.vehicle == v]
+        runs = sorted(((r.departures[0], d) for d, line in enumerate(timetable.runs)
+                       for r in line if r.vehicle == v))
         assert len(runs) == n_runs
-        assert [r.direction for r in runs[:4]] == [+1, -1, +1, -1]
-        starts = [r.departures[0] for r in runs]
-        assert starts == sorted(starts)
+        assert [d for _start, d in runs[:4]] == [0, 1, 0, 1]  # out, back, out, back
+        starts = [start for start, _d in runs]
         assert all(b - a == 240.0 for a, b in zip(starts, starts[1:]))
-    assert timetable.runs[-1].departures[0] < 75600.0
+    assert max(line[-1].departures[0] for line in timetable.runs) < 75600.0
 
 
 def test_timetable_rejects_empty_fleet(net5):
@@ -552,11 +555,10 @@ def test_frt_board_frozen_outbound(net5, timetable):
     req = RideRequest(1, 26000.0, 11, 14)
     loads = {}
     plan = frt_board(net5, req, CORRIDOR, timetable, loads)
-    assert loads == {plan.run_index: [1, 1]}
+    assert loads == {plan.run: [1, 1]}
     assert (plan.board_stop, plan.alight_stop) == (0, 2)
     assert plan.departure_s == 26400.0
-    run = timetable.runs[plan.run_index]
-    assert (run.vehicle, run.direction) == (1, +1)
+    assert plan.run.vehicle == 1 and plan.run in timetable.runs[0]
     assert plan.ride_km == 2.0
     assert plan.walk_min == pytest.approx(6.0, abs=1e-9)
     assert plan.wait_min == pytest.approx(40.0 / 60.0, abs=1e-9)
@@ -568,8 +570,7 @@ def test_frt_board_frozen_inbound(net5, timetable):
     plan = frt_board(net5, req, CORRIDOR, timetable, {})
     assert (plan.board_stop, plan.alight_stop) == (2, 0)
     assert plan.departure_s == 26400.0
-    run = timetable.runs[plan.run_index]
-    assert (run.vehicle, run.direction) == (0, -1)
+    assert plan.run.vehicle == 0 and plan.run in timetable.runs[1]
     assert plan.ride_km == 2.0
 
 
@@ -579,17 +580,17 @@ def test_frt_board_skips_a_full_run(net5, timetable):
     Legs count in travel order, so inbound the first leg leaves stop 2."""
     seats = dispatch.DEFAULT_SEATS
     req = RideRequest(1, 26000.0, 11, 14)
-    first = frt_board(net5, req, CORRIDOR, timetable, {}).run_index
+    first = frt_board(net5, req, CORRIDOR, timetable, {}).run
     loads = {first: [seats - 1, seats]}
     retry = frt_board(net5, req, CORRIDOR, timetable, loads)
     assert retry.departure_s == 26640.0
-    assert timetable.runs[retry.run_index].vehicle == 0
-    assert loads == {first: [seats - 1, seats], retry.run_index: [1, 1]}
+    assert retry.run.vehicle == 0
+    assert loads == {first: [seats - 1, seats], retry.run: [1, 1]}
 
     def boards(req, taken):
-        run = frt_board(net5, req, CORRIDOR, timetable, {}).run_index
+        run = frt_board(net5, req, CORRIDOR, timetable, {}).run
         loads = {run: list(taken)}
-        return frt_board(net5, req, CORRIDOR, timetable, loads).run_index == run
+        return frt_board(net5, req, CORRIDOR, timetable, loads).run is run
 
     # outbound from stop 1 and to stop 1
     assert boards(RideRequest(2, 26300.0, 12, 14), [seats, 0])
@@ -617,7 +618,7 @@ def test_frt_board_gates(net5, timetable):
     # in window but every remaining departure leaves before the rider is ready
     assert reason(RideRequest(6, 75599.0, 11, 14)) == "no_departure"
     # or every run is full
-    full = {idx: [dispatch.DEFAULT_SEATS] * 2 for idx in range(len(timetable.runs))}
+    full = {run: [dispatch.DEFAULT_SEATS] * 2 for line in timetable.runs for run in line}
     assert reason(RideRequest(7, 26000.0, 11, 14), full) == "no_departure"
     # window start itself is eligible
     assert not isinstance(frt_board(net5, RideRequest(8, 25200.0, 11, 14),

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import astuple, replace
 from functools import partial
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -23,12 +25,12 @@ from odt_lab.config import CorridorConfig
 from odt_lab.demand import DAY_S, RideRequest, SupplySchedule
 from odt_lab.dispatch import (BATCH_INTERVAL_S, DEFAULT_SEATS, DROPOFF, PICKUP, DarpInsertion,
                               FixedRoute, GreedyExclusive, SharedGreedy, Stop,
-                              Vehicle, darp_insert, greedy_assign, shared_greedy_match,
-                              trace_plan)
+                              Vehicle, build_timetable, darp_insert, frt_board,
+                              greedy_assign, shared_greedy_match, trace_plan)
 from odt_lab.engine import run_scenario
 from odt_lab.network import _EPS, Edge, Network, Node, NoPathError, generate_grid
 
-from oracles import insertion_screen
+from oracles import frt_board_scan, insertion_screen
 from test_dispatch import NOW, ODOMETER_M, make_vehicle
 
 
@@ -158,6 +160,72 @@ def test_engine_outputs_are_pinned(monkeypatch, policy, seats, digest):
                        seed=1)
     rows = [astuple(t) for t in res.trips] + [astuple(v) for v in res.fleet]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def _boarded(plan):
+    """frt_board's answer in the form of the reference scan's."""
+    if isinstance(plan, dispatch.Ineligible):
+        return plan.reason
+    return plan.run, plan.departure_s, plan.wait_min, plan.ivtt_min, plan.ride_km
+
+
+BOARD_ROUTE = replace(PIN_ROUTE.spec, window_h=[6, 22])
+
+
+def test_boarding_matches_a_scan_of_every_run():
+    """frt_board picks the run, departure, wait, ride time and ride metres
+    that a scan of the day's runs from the first picks, and books the same
+    seats. PIN_ROUTE's corridor has unequal legs; here it runs three
+    vehicles from 06:00 to 22:00, and loads are pre-filled at random, so
+    that some runs are full on some legs."""
+    net = irregular_network(2)
+    spec = BOARD_ROUTE
+    tt = build_timetable(net, spec, 3)
+    rng = Random("board/2")
+    loads = {run: [rng.choice([0, 0, 3, DEFAULT_SEATS - 1, DEFAULT_SEATS])
+                   for _ in spec.stops[1:]] for line in tt.runs for run in line}
+    scan_loads = {run: list(taken) for run, taken in loads.items()}
+    outcomes = Counter()
+    for req in _requests(rng, net, 300, end_h=22):
+        want = frt_board_scan(net, req, spec, tt, scan_loads)
+        assert _boarded(frt_board(net, req, spec, tt, loads)) == want
+        if isinstance(want, str):
+            outcomes[want] += 1
+        else:  # the first run in reach, had it a seat
+            outcomes["boarded", frt_board_scan(net, req, spec, tt, {})[0] is want[0]] += 1
+    assert loads == scan_loads
+    # 77 boardings pass over a run full on a leg ridden, 39 do not
+    assert outcomes == {("boarded", False): 77, ("boarded", True): 39, "no_departure": 47,
+                        "walk_too_far": 94, "same_stop": 43}
+    for o, d in permutations(spec.stops, 2):  # every ride, from a stop to a stop
+        req = RideRequest(0, 30000.0, o, d)
+        assert _boarded(frt_board(net, req, spec, tt, {})) == frt_board_scan(net, req, spec,
+                                                                             tt, {})
+
+
+def test_boarding_at_and_just_after_a_departure():
+    """A rider standing at a stop, so ready as the request is made, boards
+    a run that leaves at that instant; one ready a float later waits for
+    the line's next run, and after the line's last run finds none."""
+    net = irregular_network(2)
+    spec = BOARD_ROUTE
+    tt = build_timetable(net, spec, 3)
+    stops = spec.stops
+    outbound, inbound = tt.runs
+    # between the second stop and the fifth, each the second in its travel order
+    for line, o, d in ((outbound, stops[1], stops[4]), (inbound, stops[4], stops[1])):
+        for run, after in zip(line, line[1:]):
+            dep = run.departures[1]
+            plan = frt_board(net, RideRequest(0, dep, o, d), spec, tt, {})
+            assert (plan.run, plan.departure_s, plan.wait_min) == (run, dep, 0.0)
+            late = math.nextafter(dep, math.inf)
+            plan = frt_board(net, RideRequest(0, late, o, d), spec, tt, {})
+            assert (plan.run, plan.departure_s) == (after, after.departures[1])
+    # from the first stop, whose departures all fall inside the window
+    last = outbound[-1].departures[0]
+    late = RideRequest(0, math.nextafter(last, math.inf), stops[0], stops[3])
+    assert late.request_time < spec.window[1]
+    assert frt_board(net, late, spec, tt, {}) == dispatch.Ineligible("no_departure")
 
 
 @pytest.mark.parametrize("policy", [SharedGreedy(), SharedGreedy(max_detour=1.0),

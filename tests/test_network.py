@@ -10,7 +10,7 @@ import pytest
 from odt_lab.demand import load_requests, load_supply
 from odt_lab.network import (ZONE_ATTRIBUTES, CsvParseError, Edge, Network,
                              NetworkValidationError, Node, NoPathError, Zone, _make_edge,
-                             generate_grid, load_network)
+                             generate_grid, load_network, read_table)
 
 from oracles import (dijkstra_from, distance_matrix, floyd_warshall,
                      lexicographic_shortest_edges, reverse_dijkstra)
@@ -430,6 +430,21 @@ def test_every_input_table_names_the_files_own_line_and_reads_a_byte_order_mark(
     # the same file as Excel's "CSV UTF-8" export writes it
     path.write_text("\ufeff" + "\n".join([header, *rows]) + "\n", encoding="utf-8")
     assert load_table(table, path, tmp_path) == plain
+
+
+
+@pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+def test_a_table_that_is_not_utf8_is_named_at_the_line_of_its_first_such_byte(tmp_path, mark):
+    # past the first block the decoder reads, whose offsets are not the file's
+    path = tmp_path / "nodes.csv"
+    rows = [f"{i},{i}.5,0" for i in range(3000)]
+    rows[1500] = "1500,1500.5,0,Montréal"
+    rows[2500] = "2500,2500.5,0,Montréal"
+    text = mark + "\n".join(["id,x,y,zone_id", *rows]) + "\n"
+    path.write_bytes(text.encode("utf-8").replace("é".encode("utf-8"), b"\xe9"))
+    with pytest.raises(CsvParseError) as err:
+        list(read_table(str(path), {"id": int}))
+    assert str(err.value) == f"{path}:1502: byte 0xe9 is not UTF-8"
 
 
 def test_straight_line_distance():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -129,6 +129,28 @@ def test_one_simulation_gives_the_tables_at_two_values_of_time(monkeypatch):
     gc_low, gc_high = low["gc_curve.csv"][1], high["gc_curve.csv"][1]
     assert [row[:3] for row in gc_low] == [row[:3] for row in gc_high]
     assert all(a[3] != b[3] for a, b in zip(gc_low, gc_high))
+
+
+# sha256 of each run's trip and fleet logs, every float as repr prints it
+FIXED_ROUTE_SHA256 = {
+    "frt_a1-L150": "376fa2c2d7c4e491cd052657a2603bd51ef58eb9e00f96a746b188100c8a82c1",
+    "frt_a1-L450": "eb3a396337792a09a2da2dbe01a779a985ae82b51c3b61b97c75742b18cd61a1",
+    "hybrid_frt_a1-L150": "59e4d1098490259e3e74a20cf8a74c48149fc884fbb02d9f8799c5adec5f4404",
+    "hybrid_frt_a1-L450": "67d5735d7e5d205ab60c0974e996a13db118374d98e85d049ea8e9ef1c9a4be4",
+}
+
+
+def test_fixed_route_days_of_the_paper_scenario_are_pinned():
+    """frt and hybrid_frt at 150 and 450 %, whose riders board the corridor:
+    1,144 boardings, 60 of which pass over a run full on a leg ridden."""
+    raw = yaml.safe_load(PAPER.read_text())
+    raw["systems"] = [{"type": "frt"}, {"type": "hybrid_frt"}]
+    _net, _days, runs = runner.simulate(parse_config(raw).config, [150, 450])
+    digests = {}
+    for run in runs:
+        rows = [astuple(t) for t in run.combined.trips] + [astuple(v) for v in run.combined.fleet]
+        digests[run.run_id] = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digests == FIXED_ROUTE_SHA256
 
 
 # sha256 of `odt-lab report` and `report --show-params` on two sweeps: the
