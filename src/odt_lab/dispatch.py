@@ -12,17 +12,17 @@ single-rider hosts, with pickup-first slots and no wait bound, and leaves
 a request no vehicle can take queued. The dedicated door-to-door fleet
 offers every slot of every vehicle, bounds waits, and rejects such a
 request. The search screens each slot in O(1) from leg distances and
-per-vehicle tables of its current plan, or, for an idle vehicle's one
-slot, from its anchor alone, then walks the survivors best-first by
-estimated added metres, and stops once no estimate left can beat the best
-walk. The walk, `trace_plan`, is the only exact feasibility check. It
-drives the same legs the vehicles later drive, each the cached canonical
-path `Network.shortest_path` gives, with clock and odometer summed edge by
-edge as the engine sums a vehicle's leg, and reads ridden metres off one
-plan odometer as the engine does, so a feasibility prediction and the
-realized trip agree to the last bit. It checks seats and waits at each
-pickup and the detour cap at each dropoff, and stops at the first broken
-promise.
+per-vehicle tables of its current plan, which follow the plan as the
+vehicle drives and serves stops, or, for an idle vehicle's one slot, from
+its anchor alone, then walks the survivors best-first by estimated added
+metres, and stops once no estimate left can beat the best walk. The walk,
+`trace_plan`, is the only exact feasibility check. It drives the same legs
+the vehicles later drive, each the cached canonical path
+`Network.shortest_path` gives, with clock and odometer summed edge by edge
+as the engine sums a vehicle's leg, and reads ridden metres off one plan
+odometer as the engine does, so a feasibility prediction and the realized
+trip agree to the last bit. It checks seats and waits at each pickup and
+the detour cap at each dropoff, and stops at the first broken promise.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 
 from .config import CorridorConfig
 from .costing import (crowdsourced_operating_cost, dedicated_operating_cost,
@@ -299,6 +300,9 @@ def ride_stops(req: RideRequest) -> list[Stop]:
 
 # -- shared greedy -------------------------------------------------------------
 
+# the pickup-first slots of an idle vehicle and of a single-rider host
+_PICKUP_FIRST = (((0, 1),), ((0, 1), (0, 2)))
+
 
 @dataclass(frozen=True)
 class SharedAssignment:
@@ -324,7 +328,7 @@ def shared_greedy_match(net: Network, vehicles: list[Vehicle],
     """
     # idle vehicles and single-rider hosts, fixed for the pass; each leaves
     # the pool once matched
-    pool = {v.id: (v, [(0, j) for j in range(1, len(v.schedule) + 2)])
+    pool = {v.id: (v, _PICKUP_FIRST[len(v.schedule)])
             for v in vehicles
             if not v.schedule or (len(v.picked_at_m) == 1 and len(v.schedule) == 1
                                   and v.schedule[0].action == DROPOFF)}
@@ -342,6 +346,13 @@ def shared_greedy_match(net: Network, vehicles: list[Vehicle],
 
 
 # -- dedicated fleet insertion ---------------------------------------------------
+
+
+@cache
+def _every_slot(n: int) -> tuple[tuple[int, int], ...]:
+    """Every (pickup, dropoff) index pair of a new rider in an n-stop plan,
+    one shared tuple per plan length."""
+    return tuple((i, j) for i in range(n + 1) for j in range(i + 1, n + 2))
 
 
 @dataclass(frozen=True)
@@ -367,9 +378,7 @@ def darp_insert(net: Network, vehicles: list[Vehicle], request: RideRequest,
     order, and walks only the pairs its screen cannot rule out. If nothing
     is feasible the request is rejected.
     """
-    fleet = ((v, [(i, j) for i in range(len(v.schedule) + 1)
-                  for j in range(i + 1, len(v.schedule) + 2)])
-             for v in vehicles)
+    fleet = ((v, _every_slot(len(v.schedule))) for v in vehicles)
     best = _cheapest_insertion(net, fleet, request, requests, now,
                                max_detour, max_wait_s)
     if best is None:
@@ -461,7 +470,7 @@ def _cheapest_insertion(net: Network, candidates, request: RideRequest,
     pickup = Stop(request.origin, PICKUP, request.id)
     drop = Stop(request.destination, DROPOFF, request.id)
     best = None
-    queue.sort(key=lambda q: q[:4])
+    queue.sort()  # (estimate, vehicle id, i, j) is unique: no vehicle is compared
     for est, vid, i, j, v, start in queue:
         if best is not None and est - best[0][0] > cut:
             break
@@ -491,8 +500,9 @@ class _BasePlan:
 
     Position 0 is the anchor and position k the k-th of n stops. Leg k runs
     from position k to k + 1; leg n is the open end after the last stop,
-    0 m long, into `_End`. Built from one `trace_plan` walk and kept on the
-    vehicle while `key` holds.
+    0 m long, into `_End`. Built from one `trace_plan` walk, or derived from
+    the vehicle's last tables as it drives and serves stops (`_base_plan`),
+    and kept on the vehicle while `key` holds.
     """
 
     key: tuple          # (anchor, clock, odometer, stops, riders aboard, max_detour)
@@ -504,20 +514,53 @@ class _BasePlan:
     legs: list[float]   # metres of each leg
     full_from: list[int]  # first leg at or after k whose riders fill the seats, n + 1 if none
     # [i][j]: least detour slack in metres, the walk's tolerance included,
-    # of the riders on leg i who still ride leg j - 1; inf with none
+    # of the riders on leg i dropped at position j or later; inf with none
     rider_slack: list[list[float]]
 
 
 def _base_plan(net: Network, v: Vehicle, now: float, requests: dict[int, RideRequest],
                max_detour: float) -> _BasePlan:
-    """v's base plan tables, for a non-empty schedule, rebuilt only when its
-    anchor, clock, odometer, schedule, riders aboard or the detour cap changed
-    since the last call."""
+    """v's base plan tables, for a non-empty schedule, kept while its anchor,
+    clock, odometer, schedule, riders aboard and the detour cap stay, and
+    derived from the last ones when the vehicle has only driven along its leg
+    and served the first s stops of their plan (s >= 0).
+
+    Derived means: the schedule is the old one less its first s stops, the
+    riders aboard are the old ones after those stops (a pickup adds its rider
+    at the odometer the tables give it), and the leg ends at the clock and
+    odometer the tables give stop s + 1. Then a walk from the anchor drives
+    the rest of the leg, the canonical path from any node on it, to the same
+    floats, and every position after the anchor is the old chain: the
+    tables are the old ones shifted by s, with the anchor's own entries read
+    afresh. Anything else, such as a host that picked up and dropped a second
+    rider and came back to the same schedule on a different leg, is built
+    from one `trace_plan` walk."""
     anchor, clock, odometer_m = v.anchor(now)
     key = (anchor, clock, odometer_m, tuple(v.schedule), tuple(v.picked_at_m.items()),
            max_detour)
-    if v.base_plan is not None and v.base_plan.key == key:
-        return v.base_plan
+    old = v.base_plan
+    if old is not None:
+        if old.key == key:
+            return old
+        done = old.key[3]
+        s = len(done) - len(key[3])
+        if (s >= 0 and v.leg and v.leg[0][:2] == (old.arrivals[s + 1], old.odo[s + 1])
+                and old.key[5] == max_detour and done[s:] == key[3]):
+            aboard = dict(old.key[4])
+            for k, stop in enumerate(done[:s], 1):
+                if stop.action == PICKUP:
+                    aboard[stop.request_id] = old.odo[k]
+                else:
+                    del aboard[stop.request_id]
+            if aboard == v.picked_at_m:
+                v.base_plan = _BasePlan(
+                    key, (anchor, clock, odometer_m, old.odo[-1] - odometer_m),
+                    [net._slot[anchor], *old.slots[s + 1:]], old.trees[s:],
+                    [odometer_m, *old.odo[s + 1:]], [clock, *old.arrivals[s + 1:]],
+                    [old.odo[s + 1] - odometer_m, *old.legs[s + 1:]],
+                    [f - s for f in old.full_from[s:]],
+                    [row[s:] for row in old.rider_slack[s:]] if s else old.rider_slack)
+                return v.base_plan
     stops = v.schedule
     n = len(stops)
     tr = trace_plan(net, anchor, clock, stops, v.picked_at_m, odometer_m)
@@ -546,7 +589,7 @@ def _base_plan(net: Network, v: Vehicle, now: float, requests: dict[int, RideReq
     for k in range(n, -1, -1):
         full_from[k] = k if loads[k] >= v.capacity else full_from[k + 1]
     for row in rider_slack[:n]:
-        for j in range(n, 0, -1):
+        for j in range(n, -1, -1):
             if row[j + 1] < row[j]:
                 row[j] = row[j + 1]
     v.base_plan = _BasePlan(key, (anchor, clock, odometer_m, odo[-1] - odometer_m), slots,

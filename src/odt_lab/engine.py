@@ -257,7 +257,10 @@ class _Run:
     def _on_arrive(self, t: float, vid: int):
         v = self.vehicles[vid]
         if v.leg and v.leg[0][0] == t:  # else stale: the leg was re-routed
-            v.anchor(t)  # passes the whole leg
+            # the whole leg is passed at once: its clocks never decrease
+            _t, v.odometer_m, e = v.leg[0]
+            v.position = e.to
+            v.leg.clear()
             self._advance(v, t)
 
     def _drive(self, v: dp.Vehicle, t: float):

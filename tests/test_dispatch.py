@@ -305,7 +305,9 @@ def test_insertion_work_on_the_readme_day_is_pinned(monkeypatch):
     """The README town day at levels 50 and 500: the number of `trace_plan`
     calls of each shared and DARP run, as (walks with promises, base plans
     traced). Both are deterministic; a change that walks or tabulates more
-    or fewer plans must update the pin and say why."""
+    or fewer plans must update the pin and say why. A base plan is traced
+    only when it cannot be derived from the vehicle's last tables, which
+    follow it as it drives and serves stops."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     town = next(b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S)
                 if b.startswith("name: town"))
@@ -325,8 +327,39 @@ def test_insertion_work_on_the_readme_day_is_pinned(monkeypatch):
     monkeypatch.setattr(dispatch, "trace_plan", counted)
     runner.simulate(cfg, [50, 500])
     got = {name: (calls[name, True], calls[name, False]) for name, _walk in calls}
-    assert got == {"crowdsourced_shared@50": (46, 19), "crowdsourced_shared@500": (859, 457),
-                   "dedicated_darp@50": (33, 6), "dedicated_darp@500": (1177, 470)}
+    assert got == {"crowdsourced_shared@50": (46, 15), "crowdsourced_shared@500": (859, 289),
+                   "dedicated_darp@50": (33, 6), "dedicated_darp@500": (1177, 273)}
+
+
+def test_tables_shift_past_a_pickup_only_at_the_odometer_they_give_it(monkeypatch):
+    """A vehicle that served the first stop of its tables' plan, a pickup,
+    and drives a leg that ends where the tables put the next stop, gets the
+    tables shifted past that stop, with no walk, when the rider was picked
+    up at the odometer the tables give. Picked up at another reading, the
+    rider's ride, and so its detour slack, differ, and the plan is walked
+    afresh."""
+    net = generate_grid(5, 5, 500.0, 10.0)  # nodes 0-4 along the first row, 50 s an edge
+    requests = {1: RideRequest(1, NOW - 60.0, 2, 4)}
+    e23, e34 = (next(e for e in net.out_edges[a] if e.to == a + 1) for a in (2, 3))
+    trace, walks = dispatch.trace_plan, []
+    monkeypatch.setattr(dispatch, "trace_plan",
+                        lambda *args: walks.append(args) or trace(*args))
+    for picked_m, walked in ((ODOMETER_M + 1000.0, 0), (ODOMETER_M + 900.0, 1)):
+        v = Vehicle(0, 0, schedule=[Stop(2, PICKUP, 1), Stop(4, DROPOFF, 1)],
+                    odometer_m=ODOMETER_M)
+        old = dispatch._base_plan(net, v, NOW, requests, 2.0)
+        assert old.odo == [ODOMETER_M, ODOMETER_M + 1000.0, ODOMETER_M + 2000.0]
+        # the pickup at node 2 is served, and the vehicle is on the edge 2 -> 3
+        v.schedule.pop(0)
+        v.position, v.odometer_m, v.picked_at_m = 2, ODOMETER_M + 1000.0, {1: picked_m}
+        v.leg = [(old.arrivals[2], old.odo[2], e34), (NOW + 150.0, ODOMETER_M + 1500.0, e23)]
+        walks.clear()
+        got = dispatch._base_plan(net, v, NOW + 120.0, requests, 2.0)
+        assert len(walks) == walked
+        fresh = dispatch._base_plan(net, replace(v, leg=list(v.leg), base_plan=None),
+                                    NOW + 120.0, requests, 2.0)
+        assert got == fresh
+        assert (got.rider_slack[0][1] == old.rider_slack[1][2]) == (not walked)
 
 
 # -- shared greedy ------------------------------------------------------------------

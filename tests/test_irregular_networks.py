@@ -439,6 +439,67 @@ def test_search_walks_the_slots_the_max_form_screen_passes(monkeypatch, policy, 
     assert all(got >= floor for got, floor in zip(counts, (searches, walked, deep))), counts
 
 
+@pytest.mark.parametrize("policy, seats, count, end_h, floors", [
+    (DarpInsertion(), DEFAULT_SEATS, 40, 10, {"driven": 20, "served": 30}),
+    (DarpInsertion(), 2, 40, 10, {"driven": 20, "served": 30}),
+    (SharedGreedy(), DEFAULT_SEATS, 200, 20, {"driven": 20, "another leg": 20}),
+], ids=["darp", "darp-2-seats", "shared"])
+def test_plan_tables_follow_the_vehicle_as_a_fresh_build(monkeypatch, policy, seats, count,
+                                                         end_h, floors):
+    """Every `_base_plan` result equals, in every field, the tables built
+    from one walk of the vehicle's plan as it stands. Tables are derived
+    without a walk when the vehicle has only driven along its leg
+    ("driven") or also served the first stops of the last tables' plan
+    ("served"). A vehicle back on the schedule and riders of its last
+    tables, on a leg that ends elsewhere ("another leg"), such as a pooled
+    host that picked up and dropped a second rider in between, is walked
+    afresh. Pooled matching tabulates only a host's one-stop plan, so it
+    serves no stop between two tables of one plan."""
+    base_plan, trace = dispatch._base_plan, dispatch.trace_plan
+    walks = []
+    cases = Counter()
+
+    def counted(net, anchor, start, stops, picked_at_m, odometer_m=0.0, promises=None):
+        if promises is None:
+            walks.append(stops)
+        return trace(net, anchor, start, stops, picked_at_m, odometer_m, promises)
+
+    def checked(net, v, now, requests, max_detour):
+        old = v.base_plan
+        walks.clear()
+        got = base_plan(net, v, now, requests, max_detour)
+        walked = len(walks)
+        fresh = base_plan(net, replace(v, leg=list(v.leg), base_plan=None), now, requests,
+                          max_detour)
+        assert got == fresh
+        if old is None or old is got:
+            return got
+        done = old.key[3]
+        s = len(done) - len(v.schedule)
+        aboard = {rid for rid, _m in old.key[4]}
+        for stop in done[:max(s, 0)]:
+            (aboard.add if stop.action == PICKUP else aboard.remove)(stop.request_id)
+        if s < 0 or done[s:] != tuple(v.schedule) or aboard != set(v.picked_at_m):
+            cases["rebuilt"] += 1
+        elif v.leg[0][:2] == (old.arrivals[s + 1], old.odo[s + 1]):
+            assert walked == 0
+            cases["served" if s else "driven"] += 1
+        else:
+            assert walked == 1
+            cases["another leg"] += 1
+        return got
+
+    monkeypatch.setattr(dispatch, "Vehicle", partial(Vehicle, capacity=seats))
+    monkeypatch.setattr(dispatch, "trace_plan", counted)
+    monkeypatch.setattr(dispatch, "_base_plan", checked)
+    for seed in range(2):
+        net = irregular_network(seed)
+        reqs = _requests(Random(f"predict/{seed}"), net, count, end_h)
+        hours = [0] * 8 + [3] * (end_h - 8) + [0] * (24 - end_h)
+        run_scenario(net, reqs, SupplySchedule(hours), policy, seed=seed)
+    assert all(cases[name] >= floor for name, floor in floors.items()), cases
+
+
 def test_empty_plans_are_screened_from_the_anchor_without_tables():
     """An idle vehicle's one slot is screened from `Vehicle.anchor`, standing
     or mid-edge, and builds no `_BasePlan`; the search still picks the

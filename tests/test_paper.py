@@ -140,17 +140,40 @@ FIXED_ROUTE_SHA256 = {
 }
 
 
-def test_fixed_route_days_of_the_paper_scenario_are_pinned():
-    """frt and hybrid_frt at 150 and 450 %, whose riders board the corridor:
-    1,144 boardings, 60 of which pass over a run full on a leg ridden."""
+def run_digests(systems: list[dict]) -> dict[str, str]:
+    """The paper scenario's given systems at 150 and 450 %: each run's id
+    and the sha256 of its trip and fleet rows."""
     raw = yaml.safe_load(PAPER.read_text())
-    raw["systems"] = [{"type": "frt"}, {"type": "hybrid_frt"}]
+    raw["systems"] = systems
     _net, _days, runs = runner.simulate(parse_config(raw).config, [150, 450])
     digests = {}
     for run in runs:
         rows = [astuple(t) for t in run.combined.trips] + [astuple(v) for v in run.combined.fleet]
         digests[run.run_id] = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digests == FIXED_ROUTE_SHA256
+    return digests
+
+
+def test_fixed_route_days_of_the_paper_scenario_are_pinned():
+    """frt and hybrid_frt at 150 and 450 %, whose riders board the corridor:
+    1,144 boardings, 60 of which pass over a run full on a leg ridden."""
+    assert run_digests([{"type": "frt"}, {"type": "hybrid_frt"}]) == FIXED_ROUTE_SHA256
+
+
+# the same digests of the dial-a-ride runs, whose insertion search keeps
+# each vehicle's plan tables as it drives and serves stops
+DIAL_A_RIDE_SHA256 = {
+    "dedicated_darp_a0.5-L150": "6a344ec4f65091c00789377d122353e01d2fc2f807502aae7c8bf33e07e8dd33",
+    "dedicated_darp_a0.5-L450": "03c8ae00bf5ade256973a81542aa72a9962200b58f1def222c64612ac9f99034",
+    "hybrid_odt_a1-L150": "7a8d586527c265ee0ab18fd3ed7ff58aaa4c4500dc45af2ae4ce831394b77207",
+    "hybrid_odt_a1-L450": "9db07bdb4c58b52bc9d3c12fe0fe25836bf5bef073bdea07f2b81c43ef0c551e",
+}
+
+
+def test_dial_a_ride_days_of_the_paper_scenario_are_pinned():
+    """dedicated_darp (alpha 0.5) and hybrid_odt at 150 and 450 %: the long
+    door-to-door plans of the paper's dedicated fleets."""
+    systems = [{"type": "dedicated_darp", "alpha": 0.5}, {"type": "hybrid_odt"}]
+    assert run_digests(systems) == DIAL_A_RIDE_SHA256
 
 
 # sha256 of `odt-lab report` and `report --show-params` on two sweeps: the
