@@ -376,6 +376,9 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
         if not any(abs(e - lvl) < 1e-9 for lvl in ELECTRIFICATION_LEVELS):
             errors.append(f"analysis: electrification level {e} not in "
                           f"{{0, 0.2, 0.4, 0.6, 0.8, 1.0}}")
+    levels = ana.electrification_levels
+    if any(abs(e - d) < 1e-9 for i, e in enumerate(levels) for d in levels[:i]):
+        errors.append(f"analysis.electrification_levels: {levels} repeats a level")
     if not 0.0 < ana.served_fraction_threshold <= 1.0:
         errors.append("analysis: served_fraction_threshold must be in (0, 1]")
     for lvl in ana.equity_levels:

@@ -11,7 +11,7 @@ identical cents on every platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 
 CENT = Decimal("0.01")
@@ -38,6 +38,18 @@ def parse_number(name: str, value, convert):
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def override(params, what: str, overrides: dict, convert):
+    """A copy of the dataclass `params` with each named field set to
+    convert(value); a ValueError names an unknown field, or a value that is
+    not a number, as "<what> '<field>'"."""
+    names, vals = {f.name for f in fields(params)}, {}
+    for key, val in overrides.items():
+        if key not in names:
+            raise ValueError(f"unknown {what} '{key}'")
+        vals[key] = parse_number(f"{what} '{key}'", val, convert)
+    return replace(params, **vals)
+
+
 def to_cents(value: Decimal) -> Decimal:
     return value.quantize(CENT, rounding=ROUND_HALF_UP)
 
@@ -58,12 +70,7 @@ class CostParameters:
     other_costs: Decimal = Decimal("200000")         # yearly administration overhead
 
     def replace(self, **overrides) -> "CostParameters":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, val in overrides.items():
-            if key not in vals:
-                raise ValueError(f"unknown cost parameter '{key}'")
-            vals[key] = parse_number(f"cost parameter '{key}'", val, as_money)
-        return CostParameters(**vals)
+        return override(self, "cost parameter", overrides, as_money)
 
 
 def capital_cost(vehicle_count: int, params: CostParameters = CostParameters()) -> Decimal:

@@ -8,9 +8,9 @@ the two linearly by the share of electrified distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .costing import parse_number
+from .costing import override
 from .demand import RideRequest
 from .network import Network, NoPathError
 
@@ -28,12 +28,7 @@ class EmissionFactors:
     grid_g_per_kwh: float = 25.0       # grid carbon intensity, grams CO2e per kWh
 
     def replace(self, **overrides) -> "EmissionFactors":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, val in overrides.items():
-            if key not in vals:
-                raise ValueError(f"unknown emission factor '{key}'")
-            vals[key] = parse_number(f"emission factor '{key}'", val, float)
-        return EmissionFactors(**vals)
+        return override(self, "emission factor", overrides, float)
 
 
 @dataclass(frozen=True)

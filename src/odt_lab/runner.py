@@ -2,8 +2,8 @@
 
 A sweep is three steps. `simulate` builds and checks the sweep's inputs
 and runs every (system, level); `tables` turns the runs into every output
-file: merged trip and fleet logs, cost / emission / generalized cost /
-crossing / equity tables and per-run detail folders; `_publish` writes
+file: merged trip and fleet logs, rejections, cost / emission / generalized
+cost / crossing / equity tables and each run's trips; `_publish` writes
 them with a manifest that holds a checksum per file. `execute` is the
 three in a row. Everything is deterministic for a fixed config and seed:
 each sweep input (the network, the base day and its split between a
@@ -466,28 +466,26 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
     """Every output file of a sweep but the manifest, by relative path.
 
     A CSV file maps to its (header, rows), a JSON file to its text. One pass
-    over the runs renders each run's trip and fleet rows, which the
-    top-level trips.csv and fleet.csv concatenate, and adds the run's
-    emissions, Gini indices and Lorenz curves; the car baseline follows from
-    the day at each level, `days`, and the cost, curve and crossing tables
-    from `cost_curves`.
+    over the runs renders each run's trip rows, which runs/<id>/trips.csv
+    holds and the top-level trips.csv concatenates, and adds the run's fleet
+    rows, rejections, emissions, Gini indices and Lorenz curve points; the
+    car baseline follows from the day at each level, `days`, and the cost,
+    curve and crossing tables from `cost_curves`.
     """
     factors = cfg.emission_factors()
     ana = cfg.analysis
     files: dict[str, tuple[list[str], list[list]] | str] = {}
-    all_trips, all_fleet, emis_rows, gini_rows = [], [], [], []
+    all_trips, all_fleet, emis_rows, gini_rows, lorenz_rows = [], [], [], [], []
+    rejections = {}  # run id -> its rejection snapshots, for runs that refused anyone
     unzoned = {}  # run id -> served trips the equity analysis skipped
     for run in runs:
         c = run.combined
-        run_dir = f"runs/{run.run_id}"
-        trips, fleet = trip_rows(run), fleet_rows(run)
+        trips = trip_rows(run)
         all_trips += trips
-        all_fleet += fleet
-        files[f"{run_dir}/trips.csv"] = (TRIPS_HEADER, trips)
-        files[f"{run_dir}/fleet.csv"] = (FLEET_HEADER, fleet)
+        all_fleet += fleet_rows(run)
+        files[f"runs/{run.run_id}/trips.csv"] = (TRIPS_HEADER, trips)
         if c.rejections:
-            files[f"{run_dir}/rejections.json"] = json.dumps(
-                [asdict(r) for r in c.rejections], indent=2, sort_keys=True, default=str)
+            rejections[run.run_id] = [asdict(r) for r in c.rejections]
 
         # emissions across the electrification ladder
         pax_km = sum(t.length_km or 0.0 for t in c.trips if t.served)
@@ -500,11 +498,10 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
             if outside := sum(t.served and t.origin_zone not in net.zones for t in c.trips):
                 unzoned[run.run_id] = outside
             for res in equity_report(c.trips, net.zones):
-                gini_rows.append([run.system, run.level, res.attribute,
-                                  res.metric, _fmt(res.gini, "%.6f")])
-                files[f"{run_dir}/lorenz_{res.attribute}_{res.metric}.csv"] = (
-                    ["cum_weight_share", "cum_outcome_share"],
-                    [[_fmt(x, "%.6f"), _fmt(y, "%.6f")] for x, y in res.curve.points])
+                key = [run.system, run.level, res.attribute, res.metric]
+                gini_rows.append([*key, _fmt(res.gini, "%.6f")])
+                lorenz_rows += [[*key, _fmt(x, "%.6f"), _fmt(y, "%.6f")]
+                                for x, y in res.curve.points]
 
     if unzoned:
         log.warning("equity analysis skipped %d served trips outside any zone in %s",
@@ -543,6 +540,9 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
                            "ghg_g_per_passenger_km", "excluded_requests"], emis_rows),
         "gini.csv": (["system", "demand_level_pct", "attribute", "metric", "gini"],
                      gini_rows),
+        "lorenz.csv": (["system", "demand_level_pct", "attribute", "metric",
+                        "cum_weight_share", "cum_outcome_share"], lorenz_rows),
+        "rejections.json": json.dumps(rejections, indent=2, sort_keys=True, default=str),
     })
     return files
 
@@ -553,6 +553,7 @@ def _publish(out: Path, files: dict, manifest: dict) -> None:
 
     An existing out is replaced only if it holds a manifest or nothing.
     """
+    out = out.resolve()  # so that the stage is out's sibling, also for "."
     stage = out.parent / (out.name + ".stage")
     if out.exists() and not (out / "manifest.json").exists() and any(out.iterdir()):
         raise RuntimeError(

@@ -13,7 +13,7 @@ import json
 import logging
 import re
 from concurrent.futures import Future
-from dataclasses import is_dataclass
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -62,6 +62,11 @@ def write_scenario(tmp_path: Path, mutate=None, filename="scenario.yaml") -> Pat
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def read_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # -- config parsing -------------------------------------------------------------
@@ -337,6 +342,8 @@ def test_run_and_sweep_exit_2_on_a_config_that_fails_validation(tmp_path, capsys
      "corridor: supply required for the dedicated corridor fleet"),
     (lambda raw: raw["analysis"].update(electrification_levels=[0.0, 0.3]),
      "analysis: electrification level 0.3 not in {0, 0.2, 0.4, 0.6, 0.8, 1.0}"),
+    (lambda raw: raw["analysis"].update(electrification_levels=[0.0, 0.0, 1.0]),
+     "analysis.electrification_levels: [0.0, 0.0, 1.0] repeats a level"),
     (lambda raw: raw["analysis"].update(vot=float("nan")),
      "analysis.vot: must be a finite number"),
     (lambda raw: raw["network"].update(area_km2=float("nan")),
@@ -345,8 +352,8 @@ def test_run_and_sweep_exit_2_on_a_config_that_fails_validation(tmp_path, capsys
      "systems[1].max_detour: must be a finite number"),
     (lambda raw: raw.update(emissions={"grid_g_per_kwh": float("inf")}),
      "emissions: emission factor 'grid_g_per_kwh' must be a number, got inf"),
-], ids=["duplicate-name", "no-corridor-supply", "electrification", "vot-nan", "area-nan",
-        "detour-inf", "grid-inf"])
+], ids=["duplicate-name", "no-corridor-supply", "electrification",
+        "repeated-electrification", "vot-nan", "area-nan", "detour-inf", "grid-inf"])
 def test_validate_names_the_setting_it_rejects(tmp_path, capsys, mutate, problem):
     assert main(["validate", str(write_scenario(tmp_path, mutate=mutate))]) == 2
     err = capsys.readouterr().err
@@ -763,7 +770,8 @@ def test_a_requests_file_that_is_not_utf8_is_named_with_its_line(tmp_path, capsy
 
 
 EXPECTED_FILES = ["trips.csv", "fleet.csv", "costs.csv", "gc_curve.csv",
-                  "switching_points.csv", "emissions.csv", "gini.csv"]
+                  "switching_points.csv", "emissions.csv", "gini.csv", "lorenz.csv",
+                  "rejections.json"]
 
 
 def run_cli(cfg: Path, out: Path, *extra) -> int:
@@ -785,12 +793,15 @@ def test_run_produces_verified_outputs(tmp_path):
     assert manifest["files"]
     for rel, digest in manifest["files"].items():
         assert sha256(out / rel) == digest, rel
-    # per-run directories carry their own canonical records
-    for system in manifest["systems"]:
-        for level in (50, 100):
-            run_dir = out / "runs" / f"{system}-L{level}"
-            assert (run_dir / "trips.csv").exists()
-            assert (run_dir / "fleet.csv").exists()
+    # each run has its trips.csv, and its vehicles numbered from 0 in fleet.csv
+    run_ids = [f"{system}-L{level}" for system in manifest["systems"] for level in (50, 100)]
+    for run_id in run_ids:
+        assert (out / "runs" / run_id / "trips.csv").exists()
+    fleet = [(row["run_id"], int(row["vehicle_id"])) for row in read_rows(out / "fleet.csv")]
+    assert sorted(dict.fromkeys(run_id for run_id, _ in fleet)) == sorted(run_ids)
+    for run_id in run_ids:
+        ids = [vid for rid, vid in fleet if rid == run_id]
+        assert ids == list(range(len(ids)))
 
 
 CORRIDOR = {"stops": [10, 12, 14], "cruise_speed_mps": 10.0, "supply": [1] * 24}
@@ -900,6 +911,59 @@ def test_six_system_outputs_match_golden(tmp_path, jobs):
     golden = json.loads(GOLDEN.read_text())
     assert sorted(files) == sorted(golden)
     assert [rel for rel in sorted(golden) if files[rel] != golden[rel]] == []
+
+
+@pytest.fixture(scope="module")
+def six_system_sweep(tmp_path_factory):
+    """The runs of the six-system sweep, and the directory they are published to."""
+    tmp = tmp_path_factory.mktemp("six")
+    cfg = load_config(str(write_scenario(tmp, mutate=six_systems))).config
+    net, days, runs = runner.simulate(cfg)
+    out = tmp / "out"
+    runner._publish(out, runner.tables(cfg, net, days, runs), {})
+    return runs, out
+
+
+def test_lorenz_points_give_the_gini_of_their_group(six_system_sweep):
+    _, out = six_system_sweep
+    curves = {}  # gini.csv's key -> its Lorenz points, in file order
+    for row in read_rows(out / "lorenz.csv"):
+        key = (row["system"], row["demand_level_pct"], row["attribute"], row["metric"])
+        curves.setdefault(key, []).append((float(row["cum_weight_share"]),
+                                           float(row["cum_outcome_share"])))
+    gini_rows = read_rows(out / "gini.csv")
+    assert gini_rows
+    assert list(curves) == [(r["system"], r["demand_level_pct"], r["attribute"], r["metric"])
+                            for r in gini_rows]
+    for row, pts in zip(gini_rows, curves.values()):
+        area = sum((x1 - x0) * (y0 + y1) / 2 for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
+        # points are printed to 6 decimals
+        assert 1 - 2 * area == pytest.approx(float(row["gini"]), abs=1e-5), row
+
+
+def test_a_run_directory_holds_only_its_trips_and_rejections_are_keyed_by_run(
+        six_system_sweep):
+    runs, out = six_system_sweep
+    assert sorted(p.name for p in (out / "runs").iterdir()) == sorted(r.run_id for r in runs)
+    for run in runs:
+        assert [p.name for p in (out / "runs" / run.run_id).iterdir()] == ["trips.csv"]
+    refused = {run.run_id: run.combined.rejections for run in runs if run.combined.rejections}
+    rejections = json.loads((out / "rejections.json").read_text())
+    assert refused and sorted(rejections) == sorted(refused)
+    for run_id, snapshots in rejections.items():
+        # through JSON, as written: int keys become strings, tuples lists
+        assert snapshots == json.loads(json.dumps([asdict(r) for r in refused[run_id]],
+                                                  default=str))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_outputs_table_names_what_a_sweep_writes(six_system_sweep):
+    _, out = six_system_sweep
+    section = README.read_text().split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    assert sorted(name.split("/")[0] for name in named) == sorted(p.name for p in out.iterdir())
 
 
 def test_skipped_crossings_warn_once(tmp_path, caplog):
@@ -1200,6 +1264,23 @@ def test_run_rerun_over_own_output_stays_consistent(tmp_path):
     first = sha256(out / "trips.csv")
     assert run_cli(cfg, out) == 0
     assert sha256(out / "trips.csv") == first
+    assert not (tmp_path / "out.stage").exists()
+
+
+def test_run_into_the_results_directory_it_is_started_from(tmp_path, monkeypatch):
+    # the stage of "--out ." is a sibling of the directory, not inside it
+    cfg = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(cfg, out) == 0
+    first = json.loads((out / "manifest.json").read_text())["files"]
+    monkeypatch.chdir(out)
+    assert main(["run", str(cfg), "--out", ".", "-q"]) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert files == first
+    assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == {
+        *files, "manifest.json"}
+    for rel, digest in files.items():
+        assert sha256(out / rel) == digest, rel
     assert not (tmp_path / "out.stage").exists()
 
 
