@@ -67,20 +67,18 @@ class GridSpec:
 
 
 @dataclass
-class NetworkConfig:
-    grid: GridSpec | None = None
-    nodes_file: str | None = None
-    edges_file: str | None = None
-    zones_file: str | None = None
-    area_km2: float | None = None
-
-
-@dataclass
 class NetworkFiles:
-    """network.files, read into NetworkConfig's three *_file fields."""
+    """network.files: the nodes, edges and optional zones CSVs."""
     nodes: str | None = None
     edges: str | None = None
     zones: str | None = None
+
+
+@dataclass
+class NetworkConfig:
+    grid: GridSpec | None = None
+    files: NetworkFiles | None = None
+    area_km2: float | None = None
 
 
 @dataclass
@@ -256,23 +254,16 @@ def parse_config(raw: dict, source_name: str = "config") -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
     raw = {"name": source_name, **raw}  # a scenario without a name takes the source's
-    net = raw.get("network")
-    if isinstance(net, dict) and "files" in net:  # the one renamed section
-        net = dict(net)
-        files = _read(NetworkFiles, net.pop("files"), "network.files", errors, warnings)
-        if files is not _BAD:
-            net.update(nodes_file=files.nodes, edges_file=files.edges, zones_file=files.zones)
-        raw["network"] = net
     cfg = _read(ScenarioConfig, raw, "", errors, warnings)
     _validate(cfg, errors, warnings)
     return ValidationReport(cfg if not errors else None, errors, warnings)
 
 
 def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> None:
-    net = cfg.network
-    if net.grid is None and not (net.nodes_file and net.edges_file):
+    net, files = cfg.network, cfg.network.files or NetworkFiles()
+    if net.grid is None and not (files.nodes and files.edges):
         errors.append("network: provide either grid or files with nodes and edges")
-    if net.grid is not None and (net.nodes_file or net.edges_file):
+    if net.grid is not None and net.files is not None:
         errors.append("network: grid and files are mutually exclusive")
     if net.grid is not None:
         if net.grid.rows < 2 or net.grid.cols < 2:
@@ -284,10 +275,10 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
         for attr in ("zone_rows", "zone_cols"):
             if getattr(net.grid, attr) < 0:
                 errors.append(f"network.grid.{attr}: must not be negative")
-    for attr in ("nodes_file", "edges_file", "zones_file"):
-        f = getattr(net, attr)
+    for attr in ("nodes", "edges", "zones"):
+        f = getattr(files, attr)
         if f and not Path(f).exists():
-            errors.append(f"network: {attr.replace('_file', '')} file '{f}' not found")
+            errors.append(f"network: {attr} file '{f}' not found")
     if net.area_km2 is not None and net.area_km2 <= 0:
         errors.append("network: area_km2 must be positive")
 
@@ -338,7 +329,10 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append(f"{where}: max_wait_min must be positive")
         if not s.name:
             s.name = f"{s.type}_a{s.alpha:g}"
-        if s.name in names:
+        # a name becomes a directory under runs/, and '+' starts a curve's surge tag
+        if any(c in s.name for c in "/\\+"):
+            errors.append(f"{where}: name '{s.name}' must not contain '/', '\\' or '+'")
+        elif s.name in names:
             errors.append(f"{where}: duplicate system name '{s.name}'")
         names.add(s.name)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .network import CsvParseError, Network, read_table
+from .network import CsvParseError, Network, read_keyed
 
 log = logging.getLogger(__name__)
 
@@ -175,32 +175,24 @@ def load_requests(path: str) -> list[RideRequest]:
     """Read requests from CSV columns id,time_s,origin,destination; ids must
     be unique."""
     out = []
-    seen = set()
-    for line_no, row in read_table(path, {"id": int, "time_s": float,
-                                          "origin": int, "destination": int}):
+    for line_no, row in read_keyed(path, {"id": int, "time_s": float, "origin": int,
+                                          "destination": int}, "id", "request id"):
         try:
-            req = RideRequest(row["id"], row["time_s"], row["origin"], row["destination"])
+            out.append(RideRequest(row["id"], row["time_s"], row["origin"],
+                                   row["destination"]))
         except ValueError as exc:
             raise CsvParseError(path, line_no, str(exc)) from None
-        if req.id in seen:
-            raise CsvParseError(path, line_no, f"duplicate request id {req.id}")
-        seen.add(req.id)
-        out.append(req)
     return out
 
 
 def load_supply(path: str) -> SupplySchedule:
     """Read an hourly schedule from CSV columns hour,vehicles."""
     counts = [0] * 24
-    seen = set()
-    for line_no, row in read_table(path, {"hour": int, "vehicles": int}):
+    for line_no, row in read_keyed(path, {"hour": int, "vehicles": int}, "hour", "hour"):
         hour, vehicles = row["hour"], row["vehicles"]
         if not 0 <= hour < 24:
             raise CsvParseError(path, line_no, f"hour {hour} outside 0..23")
         if vehicles < 0:
             raise CsvParseError(path, line_no, f"negative vehicle count {vehicles}")
-        if hour in seen:
-            raise CsvParseError(path, line_no, f"duplicate hour {hour}")
-        seen.add(hour)
         counts[hour] = vehicles
     return SupplySchedule(counts)

@@ -76,6 +76,17 @@ def read_table(path: str, fields: dict) -> Iterator[tuple[int, dict]]:
         yield line, row
 
 
+def read_keyed(path: str, fields: dict, key: str, what: str) -> Iterator[tuple[int, dict]]:
+    """read_table, refusing at its line the first row whose key repeats an
+    earlier row's, as "duplicate <what> <key>"."""
+    seen = set()
+    for line, row in read_table(path, fields):
+        if row[key] in seen:
+            raise CsvParseError(path, line, f"duplicate {what} {row[key]}")
+        seen.add(row[key])
+        yield line, row
+
+
 class NetworkValidationError(ValueError):
     pass
 
@@ -131,6 +142,8 @@ class Network:
 
     def __init__(self, nodes: list[Node], edges: list[Edge],
                  zones: list[Zone] | None = None, area_km2: float | None = None):
+        if not nodes:  # the connectivity searches start from slot 0
+            raise NetworkValidationError("network has no nodes")
         self.nodes: dict[int, Node] = {n.id: n for n in nodes}
         if len(self.nodes) != len(nodes):
             raise NetworkValidationError("duplicate node ids")
@@ -196,7 +209,9 @@ class Network:
         self.area_km2 = area_km2
 
         self._check_geometry()
-        self.unreachable_pairs = self._check_connectivity()
+        # node ids, in id order, that cannot both reach and be reached from
+        # the lowest-id node: none exactly when the network is strongly connected
+        self.outside_component = self._check_connectivity()
 
         # dest node id -> metres into dest, by slot
         self._dist_to: dict[int, array] = {}
@@ -210,8 +225,6 @@ class Network:
     def _bounding_box_km2(self) -> float:
         xs = [n.x for n in self.nodes.values()]
         ys = [n.y for n in self.nodes.values()]
-        if not xs:
-            raise NetworkValidationError("network has no nodes")
         w = max(xs) - min(xs)
         h = max(ys) - min(ys)
         area = w * h / 1e6
@@ -226,19 +239,16 @@ class Network:
                         "their endpoints; the first, edge %d, is %.1f m against %.1f m",
                         len(short), e.id, e.length_m, self.straight_line_m(e.frm, e.to))
 
-    def _check_connectivity(self) -> int:
-        """Count ordered node pairs with no directed route; the runner
-        reports the count once per sweep, before its runs start."""
-        n = len(self._in_slots)
+    def _check_connectivity(self) -> tuple[int, ...]:
+        """The ids of the nodes outside slot 0's strongly connected component,
+        from one search each way; the runner reports them once per sweep."""
         pred = [[u for u, _ in ins] for ins in self._in_slots]
         succ = [[] for _ in pred]
         for v, us in enumerate(pred):
             for u in us:
                 succ[u].append(v)
-        if len(self._reach(0, succ)) == n == len(self._reach(0, pred)):
-            return 0
-        # Only bother with the full count when the cheap check fails.
-        return sum(n - len(self._reach(o, succ)) for o in range(n))
+        inside = self._reach(0, succ) & self._reach(0, pred)
+        return tuple(nid for nid, k in self._slot.items() if k not in inside)
 
     @staticmethod
     def _reach(start: int, adjacency: list[list[int]]) -> set[int]:
@@ -388,15 +398,17 @@ def load_network(nodes_file: str, edges_file: str, zones_file: str | None = None
     zones (optional): zone_id,population plus the seven demographic columns.
     """
     nodes = [Node(row["id"], row["x"], row["y"], row.get("zone_id") or None)
-             for _, row in read_table(nodes_file, {"id": int, "x": float, "y": float})]
+             for _, row in read_keyed(nodes_file, {"id": int, "x": float, "y": float},
+                                      "id", "node id")]
     edges = [_make_edge(row["id"], row["from"], row["to"], row["length_m"], row["speed_mps"])
-             for _, row in read_table(edges_file, {"id": int, "from": int, "to": int,
-                                                   "length_m": float, "speed_mps": float})]
+             for _, row in read_keyed(edges_file, {"id": int, "from": int, "to": int,
+                                                   "length_m": float, "speed_mps": float},
+                                      "id", "edge id")]
     zones = None
     if zones_file is not None:
         spec = {"zone_id": str, "population": float, **dict.fromkeys(ZONE_ATTRIBUTES, float)}
         zones = [Zone(row["zone_id"], row["population"], {a: row[a] for a in ZONE_ATTRIBUTES})
-                 for _, row in read_table(zones_file, spec)]
+                 for _, row in read_keyed(zones_file, spec, "zone_id", "zone id")]
     return Network(nodes, edges, zones, area_km2=area_km2)
 
 

@@ -55,8 +55,8 @@ def build_network(cfg: ScenarioConfig) -> Network:
     nc = cfg.network
     if nc.grid is not None:
         return generate_grid(**asdict(nc.grid), area_km2=nc.area_km2)
-    return load_network(nc.nodes_file, nc.edges_file, nc.zones_file,
-                        area_km2=nc.area_km2)
+    f = nc.files
+    return load_network(f.nodes, f.edges, f.zones, area_km2=nc.area_km2)
 
 
 def build_base_demand(cfg: ScenarioConfig, net: Network) -> list[RideRequest]:
@@ -121,7 +121,7 @@ def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
             errors.append(f"corridor: {exc}")
         except NoPathError:
             pass  # a corridor leg with no route, named below
-    if net.unreachable_pairs:  # else every route exists
+    if net.outside_component:  # else every route exists
         legs = [*zip(stops, stops[1:]), *zip(stops[1:], stops)]  # out, then back
         errors += [f"corridor: no route from stop {a} to stop {b}"
                    for a, b in legs if not _routable(net, a, b)]
@@ -406,9 +406,10 @@ def simulate(cfg: ScenarioConfig, levels: list[int] | None = None,
     """
     run_levels = sorted(set(levels if levels is not None else cfg.demand.levels))
     net, base, supply = sweep_inputs(cfg, run_levels)
-    if net.unreachable_pairs:
-        log.warning("network is not strongly connected: %d ordered node pairs "
-                    "unreachable", net.unreachable_pairs)
+    if outside := net.outside_component:
+        log.warning("network is not strongly connected: %d of %d nodes cannot both reach "
+                    "and be reached from node %d, e.g. node %d", len(outside), len(net.nodes),
+                    min(net.nodes), outside[0])
     days = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in run_levels}
     spawn = {t: spawn_pools(net, t, base, cfg.corridor)
              for t in dict.fromkeys(s.type for s in cfg.systems)}

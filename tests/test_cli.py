@@ -168,7 +168,7 @@ def test_every_mistyped_field_is_one_error_naming_its_path():
                 assert len(type_errors) == 1, (dotted, junk, report.errors)
                 assert type_errors[0].startswith((f"{dotted}:", f"{dotted}[")), type_errors
             cases += 1
-    assert cases == 520  # 52 fields of nine dataclasses, ten values each
+    assert cases == 530  # 53 fields of ten dataclasses, ten values each
 
 
 @pytest.mark.parametrize("section, key, kind", [
@@ -229,7 +229,7 @@ def test_config_hash_tracks_content():
     assert c.config_hash() != a.config_hash()
     # parsing stores values as given, so the hash of a config keeps its bytes
     assert a.config_hash() == (
-        "49bb635da3b1b4d25a1b5e1a853ff68755aba7f146444822ea66b126abf1da8f")
+        "a2d2c47933e67d2544b61557f79f7fb70bd1bca26003bd4ab04f928c3f287328")
 
 
 def test_load_config_missing_and_invalid(tmp_path):
@@ -271,7 +271,7 @@ def test_readme_examples_are_valid():
     report = parse_config(yaml.safe_load(town))
     assert report.ok and not report.warnings, (report.errors, report.warnings)
     assert report.config.config_hash() == (
-        "9e51aa5e2bea379661ac394efc75d75af64a6820200c160602961f1879bfe4b1")
+        "ded3d0b81ebab2db0bd806504396ddc7bd5ca2d57ba75243ac170fdf0c2f6fe1")
     overrides = yaml.safe_load(next(b for b in blocks if b.startswith("costs:")))
     CostParameters().replace(**overrides["costs"])
     EmissionFactors().replace(**overrides["emissions"])
@@ -334,6 +334,42 @@ def test_run_and_sweep_exit_2_on_a_config_that_fails_validation(tmp_path, capsys
     assert not out.exists()
 
 
+def test_run_refuses_a_system_name_that_leaves_the_results_directory(tmp_path, capsys):
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        systems=[{"type": "crowdsourced_exclusive", "name": "../../escaped"}]))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out / "res"), "-q"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: systems[0]: name '../../escaped' must not contain '/', '\\' or '+'",
+        "1 problem(s) found"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.yaml"]
+
+
+def test_network_files_are_one_section_beside_grid(tmp_path, capsys):
+    zones = tmp_path / "zones.csv"
+    zones.write_text("zone_id,population\n")
+    # a zones file beside a grid is refused, not silently ignored
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw["network"].update(
+        files={"zones": str(zones)}))
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: network: grid and files are mutually exclusive", "1 problem(s) found"]
+    # the flat spelling of a network file is an unknown key
+    raw = json.loads(json.dumps(BASE))
+    raw["network"]["nodes_file"] = "nodes.csv"
+    report = parse_config(raw)
+    assert report.ok and report.warnings == ["network: unknown key 'nodes_file' ignored"]
+    # files alone: a missing file is named by its role
+    raw["network"] = {"files": {name: str(tmp_path / f"{name}.txt")
+                                for name in ("nodes", "edges", "zones")}}
+    assert parse_config(raw).errors == [
+        f"network: {name} file '{tmp_path / f'{name}.txt'}' not found"
+        for name in ("nodes", "edges", "zones")]
+    raw["network"] = {"files": {"zones": str(zones)}}
+    assert parse_config(raw).errors == [
+        "network: provide either grid or files with nodes and edges"]
+
+
 @pytest.mark.parametrize("mutate, problem", [
     (lambda raw: raw.update(systems=[{"type": "crowdsourced_exclusive", "name": "a"},
                                      {"type": "dedicated_darp", "name": "a"}]),
@@ -352,8 +388,16 @@ def test_run_and_sweep_exit_2_on_a_config_that_fails_validation(tmp_path, capsys
      "systems[1].max_detour: must be a finite number"),
     (lambda raw: raw.update(emissions={"grid_g_per_kwh": float("inf")}),
      "emissions: emission factor 'grid_g_per_kwh' must be a number, got inf"),
+    (lambda raw: raw["systems"][0].update(name="../../escaped"),
+     "systems[0]: name '../../escaped' must not contain '/', '\\' or '+'"),
+    (lambda raw: raw["systems"][1].update(name="a\\b"),
+     "systems[1]: name 'a\\b' must not contain '/', '\\' or '+'"),
+    (lambda raw: raw.update(systems=[{"type": "crowdsourced_exclusive", "name": "x"},
+                                     {"type": "crowdsourced_shared", "name": "x+s20"}]),
+     "systems[1]: name 'x+s20' must not contain '/', '\\' or '+'"),
 ], ids=["duplicate-name", "no-corridor-supply", "electrification",
-        "repeated-electrification", "vot-nan", "area-nan", "detour-inf", "grid-inf"])
+        "repeated-electrification", "vot-nan", "area-nan", "detour-inf", "grid-inf",
+        "name-path", "name-backslash", "name-surge-tag"])
 def test_validate_names_the_setting_it_rejects(tmp_path, capsys, mutate, problem):
     assert main(["validate", str(write_scenario(tmp_path, mutate=mutate))]) == 2
     err = capsys.readouterr().err
@@ -966,6 +1010,22 @@ def test_readme_outputs_table_names_what_a_sweep_writes(six_system_sweep):
     assert sorted(name.split("/")[0] for name in named) == sorted(p.name for p in out.iterdir())
 
 
+def test_readme_layout_lists_every_module_where_it_lives():
+    block = README.read_text().split("\n## Layout\n", 1)[1].split("```")[1]
+    listed, folder = {}, None
+    for line in block.splitlines():
+        if line.endswith("/"):
+            folder = line
+        elif line.startswith("  ") and line[2] != " ":
+            listed.setdefault(folder, []).append(line.split()[0])
+    root = README.parent
+    assert sorted(listed["src/odt_lab/"]) == sorted(
+        p.name for p in (root / "src/odt_lab").glob("*.py"))
+    for folder, names in listed.items():
+        for name in names:  # test_*.py stands for the suites
+            assert any((root / folder).glob(name)), folder + name
+
+
 def test_skipped_crossings_warn_once(tmp_path, caplog):
     cfg = write_scenario(tmp_path, mutate=six_systems)
 
@@ -1063,8 +1123,8 @@ def test_a_fixed_route_alone_needs_no_supply_section(tmp_path):
 
 
 def test_unconnected_network_warns_once_per_sweep(tmp_path, caplog):
-    # a 5x5 grid plus node 25, which has a way out and no way in: 25 node
-    # pairs are unreachable, and no request or vehicle ever needs one
+    # a 5x5 grid plus node 25, which has a way out and no way in: node 25
+    # is outside node 0's component, and no request or vehicle ever needs it
     nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
     grid = generate_grid(5, 5, 500.0, 10.0)
     save_network(grid, str(nodes), str(edges))
@@ -1084,7 +1144,8 @@ def test_unconnected_network_warns_once_per_sweep(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="odt_lab"):
         assert run_cli(cfg, tmp_path / "out") == 0
     assert [r.getMessage() for r in caplog.records if "strongly" in r.getMessage()] == [
-        "network is not strongly connected: 25 ordered node pairs unreachable"]
+        "network is not strongly connected: 1 of 26 nodes cannot both reach and be "
+        "reached from node 0, e.g. node 25"]
 
 
 def test_one_network_build_per_sweep(tmp_path, monkeypatch, caplog):

@@ -48,7 +48,7 @@ def irregular_network(seed: int, n: int = 30) -> Network:
         speed = rng.uniform(6.0, 15.0)
         edges.append(Edge(eid, a, b, length, speed, length / speed))
     net = Network(nodes, edges)
-    assert net.unreachable_pairs == 0
+    assert net.outside_component == ()
     return net
 
 

@@ -107,7 +107,7 @@ def test_trees_equal_the_edge_object_reference_bit_for_bit():
                    for out in net.out_edges.values())
         for dest in net.nodes:
             assert net._distances_to(dest) == reverse_dijkstra(net, dest)
-        unreachable = 0
+        reach = {}
         for origin in net.nodes:
             seen, stack = {origin}, [origin]
             while stack:
@@ -115,9 +115,14 @@ def test_trees_equal_the_edge_object_reference_bit_for_bit():
                     if e.to not in seen:
                         seen.add(e.to)
                         stack.append(e.to)
-            unreachable += len(net.nodes) - len(seen)
+            reach[origin] = seen
             dead_ends += len(seen) == 1
-        assert net.unreachable_pairs == unreachable
+        # the lowest-id node's strongly connected component, from every reach set
+        first = min(net.nodes)
+        component = {v for v in net.nodes if v in reach[first] and first in reach[v]}
+        assert net.outside_component == tuple(sorted(set(net.nodes) - component))
+        unreachable = sum(len(net.nodes) - len(seen) for seen in reach.values())
+        assert (net.outside_component == ()) == (unreachable == 0)
     assert dead_ends >= 30
 
     # Lengths over six orders of magnitude, so that slots in one bucket of
@@ -269,7 +274,7 @@ def test_edges_whose_total_overflows_are_rejected():
     with pytest.raises(NetworkValidationError, match="the edges sum to inf s"):
         line_of_three(1e300, 1e-8)
     net = line_of_three(4e307, 10.0)  # 1.6e308 m in all
-    assert net.unreachable_pairs == 0 and net.distance_m(0, 2) == 8e307
+    assert net.outside_component == () and net.distance_m(0, 2) == 8e307
 
 
 def test_geometry_warning_for_too_short_edge(caplog):
@@ -280,15 +285,35 @@ def test_geometry_warning_for_too_short_edge(caplog):
     assert any("straight-line" in r.message for r in caplog.records)
 
 
-def test_disconnected_network_counts_unreachable_pairs(caplog):
+def test_disconnected_network_names_the_nodes_outside_the_first_component():
     n = [Node(i, float(i), 0.0) for i in range(4)]
     edges = [Edge(0, 0, 1, 10.0, 10.0, 1.0), Edge(1, 1, 0, 10.0, 10.0, 1.0),
              Edge(2, 2, 3, 10.0, 10.0, 1.0), Edge(3, 3, 2, 10.0, 10.0, 1.0)]
-    with caplog.at_level("WARNING"):
-        net = Network(n, edges)
-    assert net.unreachable_pairs == 8  # 2 components of 2, both directions
+    net = Network(n, edges)
+    assert net.outside_component == (2, 3)  # 2 components of 2
     with pytest.raises(NoPathError):
         net.distance_m(0, 3)
+
+
+@pytest.mark.parametrize("area_km2", [None, 1.0])
+def test_a_network_without_nodes_is_refused(area_km2):
+    with pytest.raises(NetworkValidationError, match="network has no nodes"):
+        Network([], [], area_km2=area_km2)
+
+
+def test_connectivity_costs_two_searches_however_many_nodes(monkeypatch):
+    # a 20x20 grid and a one-way spur into it: the spur's node is outside
+    # node 0's component, found by one search forward and one backward
+    grid = generate_grid(20, 20, 500.0, 10.0)
+    nodes = [*grid.nodes.values(), Node(400, -500.0, 0.0)]
+    edges = [*grid.edges.values(), _make_edge(len(grid.edges), 400, 0, 500.0, 10.0)]
+    searches = []
+    reach = Network._reach
+    monkeypatch.setattr(Network, "_reach", staticmethod(
+        lambda start, adjacency: searches.append(start) or reach(start, adjacency)))
+    net = Network(nodes, edges)
+    assert searches == [0, 0]
+    assert net.outside_component == (400,)
 
 
 # -- CSV round trip -----------------------------------------------------------------
@@ -431,6 +456,24 @@ def test_every_input_table_names_the_files_own_line_and_reads_a_byte_order_mark(
     path.write_text("\ufeff" + "\n".join([header, *rows]) + "\n", encoding="utf-8")
     assert load_table(table, path, tmp_path) == plain
 
+
+# table -> a row that repeats the first good row's key, and its message
+REPEATS = {"nodes": ("0,900,900,B", "duplicate node id 0"),
+           "edges": ("0,1,0,700,10", "duplicate edge id 0"),
+           "zones": ("A,50" + SHARES + ",1", "duplicate zone id A"),
+           "requests": ("1,7.0,1,0", "duplicate request id 1"),
+           "supply": ("7,4", "duplicate hour 7")}
+
+
+@pytest.mark.parametrize("table", REPEATS)
+def test_a_repeated_key_is_named_with_its_file_and_line(tmp_path, table):
+    header, rows = TABLES[table][:2]
+    repeat, message = REPEATS[table]
+    path = tmp_path / f"{table}.csv"
+    path.write_text("\n".join([header, *rows, repeat]) + "\n")
+    with pytest.raises(CsvParseError) as err:
+        load_table(table, path, tmp_path)
+    assert str(err.value) == f"{path}:4: {message}"
 
 
 @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
