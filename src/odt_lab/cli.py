@@ -22,6 +22,13 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odt-lab",
@@ -41,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="scenario YAML file")
         p.add_argument("--out", help="output directory (default: config output_dir)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=positive_int, default=1,
                        help="worker processes for the sweep (default 1)")
         p.add_argument("-q", "--quiet", action="store_true",
                        help="suppress the run summary")

@@ -22,6 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .costing import CostParameters
+from .efficiency import SERVED_FRACTION_THRESHOLD
 from .emissions import ELECTRIFICATION_LEVELS, EmissionFactors
 
 
@@ -143,7 +144,7 @@ class AnalysisConfig:
     surge_levels: list[int] = field(default_factory=lambda: [0])
     electrification_levels: list[float] = field(
         default_factory=lambda: list(ELECTRIFICATION_LEVELS))
-    served_fraction_threshold: float = 0.8
+    served_fraction_threshold: float = SERVED_FRACTION_THRESHOLD
     equity_levels: list[int] = field(default_factory=lambda: [100, 500])
     include_baseline: bool = True
 

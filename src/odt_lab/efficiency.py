@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from statistics import fmean, stdev
 
-from .costing import as_money, to_cents
+from .costing import DAYS_PER_YEAR, as_money, to_cents
 
 SERVED_FRACTION_THRESHOLD = 0.8
 CAPACITY_FLAG = "capacity_exceeded"
@@ -68,10 +68,10 @@ def generalized_cost(walk_min, wait_min, ivtt_min, served_per_day, value_of_time
     """Yearly generalized cost: rider time monetized plus net annual cost.
 
     Time terms are per-trip averages in minutes; the time block is
-    (walk + wait + ivtt) / 60 * served_per_day * 365 * value_of_time.
+    (walk + wait + ivtt) / 60 * served_per_day * DAYS_PER_YEAR * value_of_time.
     """
     hours = (as_money(walk_min) + as_money(wait_min) + as_money(ivtt_min)) / 60
-    time_cost = hours * as_money(served_per_day) * 365 * as_money(value_of_time)
+    time_cost = hours * as_money(served_per_day) * DAYS_PER_YEAR * as_money(value_of_time)
     return to_cents(time_cost + as_money(net_annual_cost))
 
 

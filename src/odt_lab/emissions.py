@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costing import override
+from .costing import DAYS_PER_YEAR, override
 from .demand import RideRequest
 from .network import Network, NoPathError
 
-DAYS_PER_YEAR = 365
 GRAMS_PER_TON = 1e6
 
 ELECTRIFICATION_LEVELS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)

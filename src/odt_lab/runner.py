@@ -1,17 +1,19 @@
 """Scenario orchestration: demand sweeps, analysis tables, and output files.
 
-A sweep is three steps. `simulate` builds and checks the sweep's inputs
-and runs every (system, level); `tables` turns the runs into every output
-file: merged trip and fleet logs, rejections, cost / emission / generalized
-cost / crossing / equity tables and each run's trips; `_publish` writes
-them with a manifest that holds a checksum per file. `execute` is the
-three in a row. Everything is deterministic for a fixed config and seed:
-each sweep input (the network, the base day and its split between a
-hybrid's fleets, the day at each level, the base supply) is built once,
-before any run, and read by every run, worker processes included, as is
-the config's corridor section; floats are written with fixed formats, and
-no timestamps appear anywhere. `sweep_inputs` builds and checks the inputs
-that `validate` checks, so a sweep refuses what `validate` refuses.
+A sweep is three steps. `simulate` runs every (system, level) on the
+inputs `sweep_inputs` builds and checks; `tables` turns the runs into every
+output file: merged trip and fleet logs, rejections, cost / emission /
+generalized cost / crossing / equity tables and each run's trips;
+`_publish` writes them with a manifest that holds a checksum per file.
+`execute` is the three in a row. Everything is deterministic for a fixed
+config and seed: each sweep input (the network, the day at each level, each
+system type's spawn pools, the base supply) is built once, in
+`sweep_inputs`, before any run, and read by every run, worker processes
+included, as is the config's corridor section; floats are written with
+fixed formats, and no timestamps appear anywhere. `validate` checks the
+inputs `sweep_inputs` builds, so a sweep refuses what `validate` refuses.
+`fleet_riders` is the one rule for which riders each fleet of a system
+takes, read by the route checks, the spawn pools and every run.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 
 from . import __version__
 from . import dispatch as dp
-from .config import SYSTEM_TYPES, CorridorConfig, ScenarioConfig, SystemConfig
+from .config import SYSTEM_TYPES, CorridorConfig, ScenarioConfig, SystemConfig, SystemType
 from .costing import CostParameters, capital_cost, net_annual_cost, per_trip_compensation
 from .demand import (RideRequest, SupplySchedule, check_level_sizes, demand_density,
                      generate_synthetic_demand, load_requests, load_supply,
@@ -83,15 +85,19 @@ class InputError(ValueError):
 
 
 def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
-        Network, list[RideRequest], SupplySchedule | None]:
-    """The network, base day and base supply of a sweep at the given
-    demand levels, built once and checked with the corridor before any run.
+        Network, dict[int, list[RideRequest]], dict[str, list[list[RideRequest]]],
+        SupplySchedule | None]:
+    """Every input of a sweep at the given demand levels, built once and
+    checked with the corridor before any run: the network, the day at each
+    level, each system type's spawn pools and the base supply.
 
     Raises InputError naming a level that is not configured, or the input
     that stops them being built, or two levels that scale the day to one
     size; or else every corridor stop and request end that is not a node;
     or else a corridor timetable that cannot be laid out, and every corridor
-    leg and door-to-door trip that cannot be routed.
+    leg and door-to-door trip that cannot be routed: a trip any fleet but a
+    fixed route takes, on the base day or the day at a level, named by each
+    base request with the same ends.
     """
     unknown = [l for l in levels if l not in cfg.demand.levels]
     if unknown:
@@ -100,6 +106,7 @@ def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
         net = build_network(cfg)
         base = build_base_demand(cfg, net)
         check_level_sizes(len(base), levels)
+        days = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in levels}
         supply = build_base_supply(cfg)
     except (OSError, ValueError) as exc:  # CsvParseError and NetworkValidationError included
         raise InputError([str(exc)]) from None
@@ -112,8 +119,8 @@ def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
                if node not in net.nodes]
     if errors:  # routes need known nodes
         raise InputError(errors)
-    designs = [SYSTEM_TYPES[s.type] for s in cfg.systems]
-    if any(d.corridor == "frt" for d in designs):
+    designs = {t: SYSTEM_TYPES[t] for t in dict.fromkeys(s.type for s in cfg.systems)}
+    if any(d.corridor == "frt" for d in designs.values()):
         try:
             for vehicles in (spec.vehicles_base, spec.vehicles_high):
                 dp.build_timetable(net, spec, vehicles)
@@ -125,14 +132,20 @@ def sweep_inputs(cfg: ScenarioConfig, levels: list[int]) -> tuple[
         legs = [*zip(stops, stops[1:]), *zip(stops[1:], stops)]  # out, then back
         errors += [f"corridor: no route from stop {a} to stop {b}"
                    for a, b in legs if not _routable(net, a, b)]
-        # every request but those a fixed route takes is driven door to door
-        driven = {r.id for d in designs if d.area for r in (
-            hybrid_split(net, base, spec, d.corridor)[1] if d.corridor == "frt" else base)}
+        # every fleet's riders but a fixed route's are driven door to door
+        driven = {(r.origin, r.destination) for d in designs.values()
+                  for day in (base, *days.values())
+                  for riders in fleet_riders(net, day, d, spec)[d.corridor == "frt":]
+                  for r in riders}
         errors += [f"demand: no route for request {r.id} from {r.origin} to {r.destination}"
-                   for r in base if r.id in driven and not _routable(net, r.origin, r.destination)]
+                   for r in base if (r.origin, r.destination) in driven
+                   and not _routable(net, r.origin, r.destination)]
     if errors:
         raise InputError(errors)
-    return net, base, supply
+    # a fleet spawns among its base riders, or the whole base day if it has none
+    spawn = {t: [part or base for part in fleet_riders(net, base, d, spec)]
+             for t, d in designs.items()}
+    return net, days, spawn, supply
 
 
 def _routable(net: Network, origin: int, dest: int) -> bool:
@@ -204,33 +217,25 @@ def fleet_policy(fleet: str, system: SystemConfig, spec: CorridorConfig | None,
     return dp.FixedRoute(spec, spec.vehicle_count(level))
 
 
-def hybrid_split(net: Network, reqs: list[RideRequest], spec: CorridorConfig,
-                 corridor: str) -> list[list[RideRequest]]:
-    """reqs split between a hybrid's corridor fleet, named by `corridor`,
-    and its crowdsourced fleet, in that order."""
-    parts = [[], []]
-    for r in reqs:
-        parts[not dp.hybrid_route(net, r, spec, corridor == "frt")].append(r)
-    return parts
-
-
-def spawn_pools(net: Network, system_type: str, base: list[RideRequest],
-                spec: CorridorConfig | None) -> list[list[RideRequest]]:
-    """The base requests each fleet of a system type spawns its vehicles
-    among, the corridor fleet first: a hybrid's split of the base day."""
-    design = SYSTEM_TYPES[system_type]
+def fleet_riders(net: Network, day: list[RideRequest], design: SystemType,
+                 spec: CorridorConfig | None) -> list[list[RideRequest]]:
+    """A day's riders of each fleet of a SYSTEM_TYPES design, the corridor
+    fleet first: the whole day for a single fleet, or a hybrid's split, in
+    which dispatch.hybrid_route picks the corridor fleet's riders."""
     if not (design.area and design.corridor):
-        return [base]
-    # an empty part would leave its fleet nowhere to spawn
-    return [part or base for part in hybrid_split(net, base, spec, design.corridor)]
+        return [day]
+    parts = [[], []]
+    for r in day:
+        parts[not dp.hybrid_route(net, r, spec, design.corridor == "frt")].append(r)
+    return parts
 
 
 def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
             demand: list[RideRequest], spawn: list[list[RideRequest]],
             base_supply: SupplySchedule | None) -> RunOutput:
     """Simulate one system at one demand level, components included, on
-    the day at that level; `spawn` is `spawn_pools` of the system's type.
-    Every input is the sweep's, and only read."""
+    the day at that level; `spawn` is the spawn pools of the system's type,
+    from `sweep_inputs`. Every input is the sweep's, and only read."""
     seed = f"{cfg.seed}/{system.name}/L{level}"
     design, spec = SYSTEM_TYPES[system.type], cfg.corridor
     fleets = []  # (policy, supply schedule), the corridor fleet first
@@ -242,11 +247,8 @@ def run_one(net: Network, cfg: ScenarioConfig, system: SystemConfig, level: int,
         fleets.append((fleet_policy(design.area, system, spec, level),
                        scale_supply(base_supply, level - 100, system.alpha)))
 
-    # each fleet's riders and its seed
-    riders, seeds = [demand], [seed]
-    if design.area and design.corridor:  # a hybrid
-        riders = hybrid_split(net, demand, spec, design.corridor)
-        seeds = [f"{seed}/corridor", f"{seed}/crowdsourced"]
+    riders = fleet_riders(net, demand, design, spec)  # each fleet's, and its seed
+    seeds = [seed] if len(riders) == 1 else [f"{seed}/corridor", f"{seed}/crowdsourced"]
 
     components = []
     for (policy, supply), reqs, pool, fleet_seed in zip(fleets, riders, spawn, seeds):
@@ -398,21 +400,19 @@ def _sha256(path: Path) -> str:
 
 def simulate(cfg: ScenarioConfig, levels: list[int] | None = None,
              jobs: int = 1) -> tuple[Network, dict[int, list[RideRequest]], list[RunOutput]]:
-    """Run every (system, level) of the sweep, over `jobs` worker processes.
+    """Run every (system, level) of the sweep, over `jobs` worker processes,
+    on the inputs `sweep_inputs` builds; it builds none itself.
 
     Returns the network, the day at each level in level order and the runs
     in (system, level) order. Raises InputError, from `sweep_inputs`,
     before any run.
     """
     run_levels = sorted(set(levels if levels is not None else cfg.demand.levels))
-    net, base, supply = sweep_inputs(cfg, run_levels)
+    net, days, spawn, supply = sweep_inputs(cfg, run_levels)
     if outside := net.outside_component:
         log.warning("network is not strongly connected: %d of %d nodes cannot both reach "
                     "and be reached from node %d, e.g. node %d", len(outside), len(net.nodes),
                     min(net.nodes), outside[0])
-    days = {lvl: scale_demand(base, lvl, cfg.seed) for lvl in run_levels}
-    spawn = {t: spawn_pools(net, t, base, cfg.corridor)
-             for t in dict.fromkeys(s.type for s in cfg.systems)}
     run = partial(_run_spec, cfg, net, spawn, supply, days)
     tasks = [(si, lvl) for si in range(len(cfg.systems)) for lvl in run_levels]
     workers = min(jobs, len(tasks))  # a pool starts every worker at its first submit

@@ -675,6 +675,50 @@ def test_validate_checks_request_routes_for_on_demand_fleets(tmp_path, capsys, s
     assert err.count("error: demand: no route for request 0 from 3 to 25") == problems
 
 
+def copy_at_200(tmp_path: Path, seed: int) -> tuple[Path, RideRequest]:
+    """A hybrid_frt scenario at levels 100 and 200 whose one request, from 3
+    to node 25 at 07:05, the split sends to the fixed route, and the copy
+    of it that level 200 adds at `seed`."""
+    request = RideRequest(0, 25500.0, 3, 25)
+    (copy,) = [r for r in scale_demand([request], 200, seed) if r.id != 0]
+    sections = one_way_exit(tmp_path, [request])
+    sections["demand"]["levels"] = [100, 200]
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        sections, seed=seed, systems=[{"type": "hybrid_frt"}], corridor={"stops": [0, 2, 4]}))
+    return cfg, copy
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_validate_checks_routes_on_the_day_at_every_level(tmp_path, capsys, monkeypatch,
+                                                          command, seed):
+    # the copy falls before the corridor opens at 07:00, so the crowdsourced
+    # fleet would drive it to node 25, which nothing can drive to
+    cfg, copy = copy_at_200(tmp_path, seed)
+    assert copy.request_time < 25200.0
+    assert refused_like_validate(tmp_path, capsys, monkeypatch, cfg, command) == [
+        "error: demand: no route for request 0 from 3 to 25"]
+
+
+def test_a_copy_the_fixed_route_takes_needs_no_route(tmp_path, capsys):
+    cfg, copy = copy_at_200(tmp_path, 0)
+    assert copy.request_time >= 25200.0  # 07:06, in the corridor's window
+    assert main(["validate", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith(f"{cfg}: ok")
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "-q"]) == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_refused_at_parse_time(tmp_path, capsys, jobs):
+    cfg = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(cfg), "--out", str(out), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("system", [
     "crowdsourced_exclusive", "crowdsourced_shared", "dedicated_darp"])
 @pytest.mark.parametrize("edge, rider", [((25, 4), (25, 3)), ((4, 25), (3, 25))],
@@ -852,21 +896,18 @@ CORRIDOR = {"stops": [10, 12, 14], "cruise_speed_mps": 10.0, "supply": [1] * 24}
 
 
 def one_system(system: dict, extra: list[RideRequest] = ()) -> tuple:
-    """The config, network, base day, days by level and runs of BASE with
-    the corridor above, one system in place of BASE's two, and the extra
-    requests added to the day at each level."""
+    """The config, network, the system's spawn pools, days by level and runs
+    of BASE with the corridor above, one system in place of BASE's two, and
+    the extra requests added to the day at each level."""
     raw = json.loads(json.dumps(BASE))
     raw.update(systems=[system], corridor=CORRIDOR)
     cfg = parse_config(raw).config
-    net = runner.build_network(cfg)
-    base = runner.build_base_demand(cfg, net)
-    days = {lvl: scale_demand(base, lvl, cfg.seed) + list(extra)
-            for lvl in cfg.demand.levels}
-    supply = runner.build_base_supply(cfg)
-    spawn = runner.spawn_pools(net, cfg.systems[0].type, base, cfg.corridor)
+    net, days, spawn, supply = runner.sweep_inputs(cfg, cfg.demand.levels)
+    days = {lvl: day + list(extra) for lvl, day in days.items()}
+    spawn = spawn[cfg.systems[0].type]
     runs = [runner.run_one(net, cfg, cfg.systems[0], lvl, day, spawn, supply)
             for lvl, day in days.items()]
-    return cfg, net, base, days, runs
+    return cfg, net, spawn, days, runs
 
 
 @pytest.mark.parametrize("service", ["exclusive", "shared"])
@@ -899,9 +940,8 @@ def test_hybrid_frt_keeps_a_rider_with_no_departure_left_on_the_fixed_route():
     # request 6 is in the window and in the catchment, so the split sends
     # it to the fixed route; its last outbound departure has left
     late = RideRequest(6, 75599.0, 11, 14)
-    cfg, net, base, _, _ = one_system({"type": "hybrid_frt"})
-    run = runner.run_one(net, cfg, cfg.systems[0], 100, [late],
-                         runner.spawn_pools(net, "hybrid_frt", base, cfg.corridor),
+    cfg, net, spawn, _, _ = one_system({"type": "hybrid_frt"})
+    run = runner.run_one(net, cfg, cfg.systems[0], 100, [late], spawn,
                          runner.build_base_supply(cfg))
     (trip,) = run.combined.trips
     assert (trip.mode, trip.served, trip.reject_reason) == ("frt", False, "no_departure")
