@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         try:
             print(render_report(args.out_dir, show_params=args.show_params), end="")
-        except (FileNotFoundError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         return EXIT_OK

@@ -1,11 +1,13 @@
 """Scenario configuration: YAML schema, defaults, and full validation.
 
 A scenario file is one YAML document with named sections, read by one typed
-reader that walks the dataclass annotations below. A mistyped value is an
-error naming its dotted path, such as network.grid.rows, and its field keeps
-the default, so the range checks still run: every problem is returned at
-once, and a config can be fixed in one pass. Unknown keys warn instead of
-failing to keep older configs usable.
+reader that walks the dataclass annotations below, Annotated with the rules
+of each setting. A mistyped value, or the first rule a value (given or
+default) breaks, is one error naming its dotted path, such as
+network.grid.rows; a mistyped field keeps its default, so the rules that span
+settings still run: every problem is returned at once, and a config can be
+fixed in one pass. Unknown keys warn instead of failing to keep older configs
+usable.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, Any, Callable, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .costing import CostParameters
+from .costing import MAX_MAGNITUDE, CostParameters
 from .efficiency import SERVED_FRACTION_THRESHOLD
 from .emissions import ELECTRIFICATION_LEVELS, EmissionFactors
 
@@ -51,20 +53,58 @@ SYSTEM_TYPES = {
     "hybrid_frt": SystemType(area="crowdsourced", corridor="frt"),
     "hybrid_odt": SystemType(area="crowdsourced", corridor="dedicated"),
 }
-ALPHA_CHOICES = (0.0, 0.5, 1.0)
-SURGE_CHOICES = (0, 20, 40, 50)
 FLAT_PROFILE = [1.0] * 24
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A rule of one setting, written on its field as Annotated metadata: the
+    value keeps it if ok(value), else the setting's error says text. A rule
+    that reads a module name is a constant here, as an annotation is
+    evaluated with its class's namespace as globals."""
+
+    ok: Callable[[Any], bool]
+    text: str
+
+
+def at_least(n: int) -> Rule:
+    return Rule(lambda v: v >= n, f"must be at least {n}")
+
+
+def one_of(choices: tuple) -> Rule:
+    return Rule(lambda v: v in choices, f"must be one of {', '.join(map(str, choices))}")
+
+
+POSITIVE = Rule(lambda v: v > 0, "must be positive")
+NOT_NEGATIVE = Rule(lambda v: v >= 0, "must not be negative")
+NOT_EMPTY = Rule(bool, "must not be empty")
+DISTINCT = Rule(lambda v: len(set(v)) == len(v), "must be distinct")
+TWO_STOPS = Rule(lambda v: len(v) >= 2, "needs at least two stops")
+# the 24-hour vehicle schedule pair, in this order
+HOURLY_COUNTS = Rule(lambda v: len(v) == 24, "needs 24 hourly counts")
+COUNTS = Rule(lambda v: min(v) >= 0, "hourly counts must be non-negative integers")
+HOURLY_WEIGHTS = Rule(lambda v: len(v) == 24, "needs 24 weights")
+WEIGHTS = Rule(lambda w: min(w) >= 0 and 0 < sum(w) < math.inf,
+               "weights must be non-negative with a positive, finite sum")
+LEVEL = Rule(lambda v: 50 <= v <= 500, "must be within the supported 50..500 range")
+ALPHA = one_of((0.0, 0.5, 1.0))
+SURGE = one_of((0, 20, 40, 50))
+ELECTRIFICATION = one_of(ELECTRIFICATION_LEVELS)
+SHARE = Rule(lambda v: 0 < v <= 1, "must be in (0, 1]")
+PRICEABLE = Rule(lambda v: v < MAX_MAGNITUDE, "must be below 1e12 to be priced in cents")
+WINDOW = Rule(lambda w: len(w) == 2 and 0 <= w[0] < w[1] <= 24,
+              "must be [open_hour, close_hour] within 0..24")
 
 
 @dataclass
 class GridSpec:
-    rows: int = 10
-    cols: int = 10
-    spacing_m: float = 500.0
-    speed_mps: float = 11.1
-    zone_rows: int = 0          # > 0 carves the grid into zone blocks
-    zone_cols: int = 0
-    zone_population: float = 1000.0
+    rows: Annotated[int, at_least(2)] = 10
+    cols: Annotated[int, at_least(2)] = 10
+    spacing_m: Annotated[float, POSITIVE] = 500.0
+    speed_mps: Annotated[float, POSITIVE] = 11.1
+    zone_rows: Annotated[int, NOT_NEGATIVE] = 0  # > 0 carves the grid into zone blocks
+    zone_cols: Annotated[int, NOT_NEGATIVE] = 0
+    zone_population: Annotated[float, NOT_NEGATIVE] = 1000.0
 
 
 @dataclass
@@ -79,25 +119,27 @@ class NetworkFiles:
 class NetworkConfig:
     grid: GridSpec | None = None
     files: NetworkFiles | None = None
-    area_km2: float | None = None
+    area_km2: Annotated[float | None, POSITIVE] = None
 
 
 @dataclass
 class SyntheticDemand:
-    count: int = 100
-    hourly_profile: list[float] = field(default_factory=lambda: list(FLAT_PROFILE))
+    count: Annotated[int, POSITIVE] = 100
+    hourly_profile: Annotated[list[float], HOURLY_WEIGHTS, WEIGHTS] = field(
+        default_factory=lambda: list(FLAT_PROFILE))
 
 
 @dataclass
 class DemandConfig:
     file: str | None = None
     synthetic: SyntheticDemand | None = None
-    levels: list[int] = field(default_factory=lambda: [100])
+    levels: Annotated[list[Annotated[int, LEVEL]], NOT_EMPTY] = field(
+        default_factory=lambda: [100])
 
 
 @dataclass
 class SupplyConfig:
-    schedule: list[int] | None = None
+    schedule: Annotated[list[int] | None, HOURLY_COUNTS, COUNTS] = None
     file: str | None = None
 
 
@@ -105,10 +147,11 @@ class SupplyConfig:
 class SystemConfig:
     type: str = "crowdsourced_exclusive"
     name: str = ""
-    alpha: float = 1.0
-    crowdsourced_service: str = "exclusive"  # hybrid component ride style
-    max_detour: float = 2.0
-    max_wait_min: float = 30.0
+    alpha: Annotated[float, ALPHA] = 1.0
+    # hybrid component ride style
+    crowdsourced_service: Annotated[str, one_of(("exclusive", "shared"))] = "exclusive"
+    max_detour: Annotated[float, at_least(1)] = 2.0  # below 1 rejects every trip
+    max_wait_min: Annotated[float, POSITIVE] = 30.0
 
 
 @dataclass
@@ -117,16 +160,16 @@ class CorridorConfig:
     dedicated corridor fleet's supply. dispatch's gates, timetable and
     boarding read it as given."""
 
-    stops: list[int] = field(default_factory=list)
-    cruise_speed_mps: float = 11.1
-    window_h: list[float] = field(default_factory=lambda: [7.0, 21.0])
-    catchment_min: float = 7.0
-    vehicles_base: int = 2
-    vehicles_high: int = 3
+    stops: Annotated[list[int], TWO_STOPS, DISTINCT] = field(default_factory=list)
+    cruise_speed_mps: Annotated[float, POSITIVE] = 11.1
+    window_h: Annotated[list[float], WINDOW] = field(default_factory=lambda: [7.0, 21.0])
+    catchment_min: Annotated[float, NOT_NEGATIVE] = 7.0
+    vehicles_base: Annotated[int, at_least(1)] = 2
+    vehicles_high: Annotated[int, at_least(1)] = 3
     high_demand_threshold_pct: float = 300.0
-    dwell_s: float = 20.0
-    supply: list[int] | None = None  # dedicated corridor fleet, hybrid_odt
-    alpha: float = 0.5
+    dwell_s: Annotated[float, NOT_NEGATIVE] = 20.0
+    supply: Annotated[list[int] | None, HOURLY_COUNTS, COUNTS] = None  # hybrid_odt's fleet
+    alpha: Annotated[float, ALPHA] = 0.5
 
     @property
     def window(self) -> tuple[float, float]:
@@ -140,11 +183,11 @@ class CorridorConfig:
 
 @dataclass
 class AnalysisConfig:
-    vot: float = 15.0
-    surge_levels: list[int] = field(default_factory=lambda: [0])
-    electrification_levels: list[float] = field(
-        default_factory=lambda: list(ELECTRIFICATION_LEVELS))
-    served_fraction_threshold: float = SERVED_FRACTION_THRESHOLD
+    vot: Annotated[float, NOT_NEGATIVE, PRICEABLE] = 15.0
+    surge_levels: list[Annotated[int, SURGE]] = field(default_factory=lambda: [0])
+    electrification_levels: Annotated[list[Annotated[float, ELECTRIFICATION]], DISTINCT] = \
+        field(default_factory=lambda: list(ELECTRIFICATION_LEVELS))
+    served_fraction_threshold: Annotated[float, SHARE] = SERVED_FRACTION_THRESHOLD
     equity_levels: list[int] = field(default_factory=lambda: [100, 500])
     include_baseline: bool = True
 
@@ -157,7 +200,7 @@ class ScenarioConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     demand: DemandConfig = field(default_factory=DemandConfig)
     supply: SupplyConfig = field(default_factory=SupplyConfig)
-    systems: list[SystemConfig] = field(default_factory=list)
+    systems: Annotated[list[SystemConfig], NOT_EMPTY] = field(default_factory=list)
     corridor: CorridorConfig | None = None
     costs: dict = field(default_factory=dict)
     emissions: dict = field(default_factory=dict)
@@ -196,52 +239,84 @@ _KINDS = {
     dict: ("a mapping", (dict,)),
 }
 _BAD = object()  # a value that failed its type check; its field keeps the default
-_hints = cache(get_type_hints)  # each dataclass's field types, resolved once
 
 
-def _read(tp, value, path: str, errors: list[str], warnings: list[str]):
-    """Read a raw YAML value as type tp, walking dataclasses field by field.
-
-    A wrongly typed value or a non-finite float adds one error naming its
-    dotted path and returns _BAD; unknown mapping keys warn. Values are
-    stored as given, so an int read for a float field stays an int.
-    """
-    if isinstance(tp, UnionType):  # X | None
-        if value is None:
-            return None
+@cache
+def _spec(tp) -> tuple:
+    """How _read reads a value of type tp, worked out once: (the type without
+    its rules and `| None`, the rules, whether it may be None, the _KINDS key
+    it is checked as (dict for a section), a list's item spec)."""
+    rules = ()
+    if get_origin(tp) is Annotated:
+        tp, rules = get_args(tp)[0], tp.__metadata__
+    optional = isinstance(tp, UnionType)  # X | None
+    if optional:
         tp = get_args(tp)[0]
-    section = tp is dict or is_dataclass(tp)
-    if value is None and section:
-        value = {}  # a null section reads as an empty one
-    kind = dict if section else (get_origin(tp) or tp)
+    kind = dict if tp is dict or is_dataclass(tp) else (get_origin(tp) or tp)
+    return tp, rules, optional, kind, _spec(get_args(tp)[0]) if kind is list else None
+
+
+@cache
+def _fields(cls) -> dict[str, tuple]:
+    """Each field of a dataclass by name, with its spec, resolved once."""
+    return {name: _spec(tp) for name, tp in get_type_hints(cls, include_extras=True).items()}
+
+
+def _check(rules: tuple[Rule, ...], value, path: str, errors: list[str]) -> None:
+    """One error for the first rule a value breaks; null keeps every rule."""
+    for rule in rules:
+        if value is not None and not rule.ok(value):
+            errors.append(f"{path}: {rule.text}, got {value!r}")
+            return
+
+
+def _read(spec: tuple, value, path: str, errors: list[str], warnings: list[str]):
+    """Read a raw YAML value as spec says, walking dataclasses field by field.
+
+    A wrongly typed value or a non-finite float is one error naming its dotted
+    path, and returns _BAD; a value that breaks a rule, given or default, is
+    one error. Unknown mapping keys warn. Values are stored as given."""
+    tp, rules, optional, kind, item = spec
+    if value is None:
+        if optional:
+            return None
+        if kind is dict:
+            value = {}  # a null section reads as an empty one
     expected, takes = _KINDS[kind]
     if not isinstance(value, takes) or isinstance(value, bool) != (kind is bool):
         got = "null" if value is None else type(value).__name__
         errors.append(f"{path}: expected {expected}, got {got}")
         return _BAD
     if kind is list:
-        item_tp = get_args(tp)[0]
-        items = [_read(item_tp, v, f"{path}[{i}]", errors, warnings)
-                 for i, v in enumerate(value)]
-        return _BAD if any(v is _BAD for v in items) else items
-    if kind is float and isinstance(value, float) and not math.isfinite(value):
+        value = [_read(item, v, f"{path}[{i}]", errors, warnings) for i, v in enumerate(value)]
+        if any(v is _BAD for v in value):
+            return _BAD
+    elif kind is float and isinstance(value, float) and not math.isfinite(value):
         errors.append(f"{path}: must be a finite number")
         return _BAD
-    if not section:
-        return str(value) if kind is str else value
-    if tp is dict:
-        return dict(value)
-    hints = _hints(tp)
-    kwargs = {}
-    for key, val in value.items():
-        if key not in hints:
-            warnings.append(f"{path}: unknown key '{key}' ignored" if path
-                            else f"unknown top-level key '{key}' ignored")
-            continue
-        val = _read(hints[key], val, f"{path}.{key}" if path else key, errors, warnings)
-        if val is not _BAD:
-            kwargs[key] = val
-    return tp(**kwargs)
+    elif kind is str:
+        value = str(value)
+    elif tp is dict:
+        value = dict(value)
+    elif kind is dict:  # a section
+        fields, kwargs = _fields(tp), {}
+        for key, val in value.items():
+            if key not in fields:
+                warnings.append(f"{path}: unknown key '{key}' ignored" if path
+                                else f"unknown top-level key '{key}' ignored")
+                continue
+            val = _read(fields[key], val, f"{path}.{key}" if path else key, errors, warnings)
+            if val is not _BAD:
+                kwargs[key] = val
+        obj = tp(**kwargs)
+        for key, (_, field_rules, *_) in fields.items():
+            if field_rules and key not in value:  # the default keeps the rules too
+                _check(field_rules, getattr(obj, key), f"{path}.{key}" if path else key,
+                       errors)
+        value = obj
+    if rules:
+        _check(rules, value, path, errors)
+    return value
 
 
 def parse_config(raw: dict, source_name: str = "config") -> ValidationReport:
@@ -255,64 +330,37 @@ def parse_config(raw: dict, source_name: str = "config") -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
     raw = {"name": source_name, **raw}  # a scenario without a name takes the source's
-    cfg = _read(ScenarioConfig, raw, "", errors, warnings)
+    cfg = _read(_spec(ScenarioConfig), raw, "", errors, warnings)
     _validate(cfg, errors, warnings)
     return ValidationReport(cfg if not errors else None, errors, warnings)
 
 
 def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> None:
+    """The rules that span settings or read files; a rule that reads one
+    setting is on that setting's field."""
     net, files = cfg.network, cfg.network.files or NetworkFiles()
     if net.grid is None and not (files.nodes and files.edges):
         errors.append("network: provide either grid or files with nodes and edges")
     if net.grid is not None and net.files is not None:
         errors.append("network: grid and files are mutually exclusive")
-    if net.grid is not None:
-        if net.grid.rows < 2 or net.grid.cols < 2:
-            errors.append("network.grid: rows and cols must be at least 2")
-        if net.grid.spacing_m <= 0 or net.grid.speed_mps <= 0:
-            errors.append("network.grid: spacing and speed must be positive")
-        if (net.grid.zone_rows > 0) != (net.grid.zone_cols > 0):
-            errors.append("network.grid: zone_rows and zone_cols go together")
-        for attr in ("zone_rows", "zone_cols"):
-            if getattr(net.grid, attr) < 0:
-                errors.append(f"network.grid.{attr}: must not be negative")
+    if net.grid is not None and (net.grid.zone_rows > 0) != (net.grid.zone_cols > 0):
+        errors.append("network.grid: zone_rows and zone_cols go together")
     for attr in ("nodes", "edges", "zones"):
         f = getattr(files, attr)
         if f and not Path(f).exists():
             errors.append(f"network: {attr} file '{f}' not found")
-    if net.area_km2 is not None and net.area_km2 <= 0:
-        errors.append("network: area_km2 must be positive")
 
-    dem = cfg.demand
+    dem, sup = cfg.demand, cfg.supply
     if bool(dem.file) == bool(dem.synthetic):
         errors.append("demand: provide exactly one of file or synthetic")
     if dem.file and not Path(dem.file).exists():
         errors.append(f"demand: file '{dem.file}' not found")
-    if dem.synthetic:
-        if dem.synthetic.count <= 0:
-            errors.append("demand.synthetic: count must be positive")
-        profile = dem.synthetic.hourly_profile
-        if len(profile) != 24:
-            errors.append("demand.synthetic: hourly_profile needs 24 weights")
-        elif any(w < 0 for w in profile) or not 0 < sum(profile) < math.inf:
-            errors.append("demand.synthetic.hourly_profile: weights must be non-negative "
-                          "with a positive, finite sum")
-    if not dem.levels:
-        errors.append("demand: levels cannot be empty")
-    for lvl in dem.levels:
-        if not 50 <= lvl <= 500:
-            errors.append(f"demand: level {lvl} outside the supported 50..500 range")
-
     designs = [SYSTEM_TYPES.get(s.type, SystemType()) for s in cfg.systems]
-    sup = cfg.supply
     if any(d.area for d in designs) and not sup.schedule and not sup.file:
         errors.append("supply: schedule or file required for on-demand systems")
-    _check_hourly_counts(sup.schedule, "supply.schedule", errors)
     if sup.file and not Path(sup.file).exists():
         errors.append(f"supply: file '{sup.file}' not found")
 
-    if not cfg.systems:
-        errors.append("systems: at least one system is required")
     names = set()
     for i, s in enumerate(cfg.systems):
         where = f"systems[{i}]"
@@ -320,14 +368,6 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append(f"{where}: unknown type '{s.type}' "
                           f"(choose from {', '.join(SYSTEM_TYPES)})")
             continue
-        if s.alpha not in ALPHA_CHOICES:
-            errors.append(f"{where}: alpha {s.alpha} not in {ALPHA_CHOICES}")
-        if s.crowdsourced_service not in ("exclusive", "shared"):
-            errors.append(f"{where}: crowdsourced_service must be exclusive or shared")
-        if s.max_detour < 1.0:
-            errors.append(f"{where}: max_detour below 1 rejects every trip")
-        if s.max_wait_min <= 0:
-            errors.append(f"{where}: max_wait_min must be positive")
         if not s.name:
             s.name = f"{s.type}_a{s.alpha:g}"
         # a name becomes a directory under runs/, and '+' starts a curve's surge tag
@@ -337,67 +377,21 @@ def _validate(cfg: ScenarioConfig, errors: list[str], warnings: list[str]) -> No
             errors.append(f"{where}: duplicate system name '{s.name}'")
         names.add(s.name)
 
-    if any(d.corridor for d in designs) and cfg.corridor is None:
+    corridors = {d.corridor for d in designs} - {None}
+    if corridors and cfg.corridor is None:
         errors.append("corridor: required by fixed-route and hybrid systems")
-    if cfg.corridor is not None:
-        cor = cfg.corridor
-        if len(cor.stops) < 2:
-            errors.append("corridor: needs at least two stops")
-        if len(set(cor.stops)) != len(cor.stops):
-            errors.append("corridor: stops must be distinct")
-        if len(cor.window_h) != 2 or not 0 <= cor.window_h[0] < cor.window_h[1] <= 24:
-            errors.append("corridor.window_h: must be [open_hour, close_hour] within 0..24")
-        if cor.cruise_speed_mps <= 0:
-            errors.append("corridor.cruise_speed_mps: must be positive")
-        if cor.vehicles_base < 1 or cor.vehicles_high < 1:
-            errors.append("corridor: vehicle counts must be at least 1")
-        if cor.alpha not in ALPHA_CHOICES:
-            errors.append(f"corridor: alpha {cor.alpha} not in {ALPHA_CHOICES}")
-        if cor.dwell_s < 0:
-            errors.append("corridor.dwell_s: must not be negative")
-        if cor.catchment_min < 0:
-            errors.append("corridor.catchment_min: must not be negative")
-        _check_hourly_counts(cor.supply, "corridor.supply", errors)
-        if any(d.corridor == "dedicated" for d in designs) and cor.supply is None:
-            errors.append("corridor: supply required for the dedicated corridor fleet")
-
-    ana = cfg.analysis
-    if ana.vot < 0:
-        errors.append("analysis: vot cannot be negative")
-    for s in ana.surge_levels:
-        if s not in SURGE_CHOICES:
-            errors.append(f"analysis: surge level {s} not in {SURGE_CHOICES}")
-    for e in ana.electrification_levels:
-        if not any(abs(e - lvl) < 1e-9 for lvl in ELECTRIFICATION_LEVELS):
-            errors.append(f"analysis: electrification level {e} not in "
-                          f"{{0, 0.2, 0.4, 0.6, 0.8, 1.0}}")
-    levels = ana.electrification_levels
-    if any(abs(e - d) < 1e-9 for i, e in enumerate(levels) for d in levels[:i]):
-        errors.append(f"analysis.electrification_levels: {levels} repeats a level")
-    if not 0.0 < ana.served_fraction_threshold <= 1.0:
-        errors.append("analysis: served_fraction_threshold must be in (0, 1]")
-    for lvl in ana.equity_levels:
+    elif "dedicated" in corridors and cfg.corridor.supply is None:
+        errors.append("corridor: supply required for the dedicated corridor fleet")
+    for lvl in cfg.analysis.equity_levels:
         if lvl not in cfg.demand.levels:
             warnings.append(f"analysis: equity level {lvl} is not among demand levels; skipped")
 
-    try:
-        cfg.cost_parameters()
-    except ValueError as exc:
-        errors.append(f"costs: {exc}")
-    try:
-        cfg.emission_factors()
-    except ValueError as exc:
-        errors.append(f"emissions: {exc}")
-
-
-def _check_hourly_counts(counts: list[int] | None, path: str, errors: list[str]) -> None:
-    """The rule for a 24-hour vehicle schedule at a dotted path; unset passes."""
-    if counts is None:
-        return
-    if len(counts) != 24:
-        errors.append(f"{path}: needs 24 hourly counts")
-    elif any(c < 0 for c in counts):
-        errors.append(f"{path}: hourly counts must be non-negative integers")
+    for section, build in (("costs", cfg.cost_parameters),
+                           ("emissions", cfg.emission_factors)):
+        try:
+            build()
+        except ValueError as exc:
+            errors.append(f"{section}: {exc}")
 
 
 def load_config(path: str) -> ValidationReport:

@@ -16,6 +16,8 @@ from decimal import ROUND_HALF_UP, Decimal
 
 CENT = Decimal("0.01")
 DAYS_PER_YEAR = 365
+# Money at or above this cannot be priced in cents: Decimal keeps 28 digits
+MAX_MAGNITUDE = 1e12
 
 
 def as_money(value) -> Decimal:
@@ -26,15 +28,19 @@ def as_money(value) -> Decimal:
 
 
 def parse_number(name: str, value, convert):
-    """convert(value) for a finite number or numeric string such as "4.00";
-    for anything else, bools included, a ValueError naming name and value."""
+    """convert(value) for a finite number or numeric string such as "4.00"
+    below MAX_MAGNITUDE in magnitude; for anything else, bools included, a
+    ValueError naming name and value."""
     if isinstance(value, (int, float, str, Decimal)) and not isinstance(value, bool):
         try:
             number = convert(value)
-            if math.isfinite(number):
-                return number
+            finite = math.isfinite(number)
         except (ValueError, ArithmeticError):
-            pass
+            finite = False
+        if finite and abs(number) < MAX_MAGNITUDE:
+            return number
+        if finite:
+            raise ValueError(f"{name} must be below 1e12 in magnitude, got {value!r}")
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 

@@ -407,8 +407,13 @@ def load_network(nodes_file: str, edges_file: str, zones_file: str | None = None
     zones = None
     if zones_file is not None:
         spec = {"zone_id": str, "population": float, **dict.fromkeys(ZONE_ATTRIBUTES, float)}
-        zones = [Zone(row["zone_id"], row["population"], {a: row[a] for a in ZONE_ATTRIBUTES})
-                 for _, row in read_keyed(zones_file, spec, "zone_id", "zone id")]
+        zones = []
+        for line_no, row in read_keyed(zones_file, spec, "zone_id", "zone id"):
+            if row["population"] < 0:
+                raise CsvParseError(zones_file, line_no,
+                                    f"negative population {row['population']:g}")
+            zones.append(Zone(row["zone_id"], row["population"],
+                              {a: row[a] for a in ZONE_ATTRIBUTES}))
     return Network(nodes, edges, zones, area_km2=area_km2)
 
 

@@ -31,7 +31,7 @@ from decimal import Decimal
 from functools import partial
 from itertools import combinations
 from operator import itemgetter
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from . import __version__
 from . import dispatch as dp
@@ -441,10 +441,12 @@ def execute(cfg: ScenarioConfig, out_dir: str | None = None, jobs: int = 1,
     `tables`, and `_publish` them. Files land in out_dir (default: the
     config's output_dir) only after every run and table succeeded; on
     failure the partially built staging directory is removed and the
-    previous outputs stay untouched. Returns a small summary dict for the CLI.
+    previous outputs stay untouched. An out or stage that `_claim` refuses
+    is refused before any run. Returns a small summary dict for the CLI.
     """
-    net, days, runs = simulate(cfg, levels, jobs)
     out = Path(out_dir or cfg.output_dir)
+    _claim(out)  # a directory that cannot be replaced costs no run
+    net, days, runs = simulate(cfg, levels, jobs)
     _publish(out, tables(cfg, net, days, runs), {
         "scenario": cfg.name,
         "package_version": __version__,
@@ -548,17 +550,53 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
     return files
 
 
-def _publish(out: Path, files: dict, manifest: dict) -> None:
-    """Write the files into a staging directory, add their checksums to the
-    manifest, and swap the staging directory in for out.
+def read_manifest(path: Path) -> dict:
+    """The manifest at path: a JSON mapping whose 'files' is a mapping.
+    Raises ValueError naming path if it is not one, OSError if unreadable."""
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: not a JSON mapping")
+    if not isinstance(manifest.get("files"), dict):
+        raise ValueError(f"{path}: no key 'files' holding a mapping")
+    return manifest
 
-    An existing out is replaced only if it holds a manifest or nothing.
-    """
+
+def _written_by_a_run(d: Path) -> bool:
+    """Whether the existing d is an empty directory, or holds exactly the
+    files its manifest lists, the directories they are in and the manifest."""
+    if d.is_dir() and not any(d.iterdir()):
+        return True
+    try:
+        listed = read_manifest(d / "manifest.json")["files"]
+    except (OSError, ValueError):
+        return False
+    wanted = {"manifest.json"}
+    for rel in listed:
+        wanted.update([rel, *map(str, PurePosixPath(rel).parents[:-1])])
+    return {p.relative_to(d).as_posix() for p in d.rglob("*")} == wanted
+
+
+def _claim(out: Path) -> tuple[Path, Path]:
+    """out, resolved, and its staging directory `<out>.stage` beside it; a
+    RuntimeError if either exists and was not `_written_by_a_run`, as only
+    such a directory may be replaced."""
     out = out.resolve()  # so that the stage is out's sibling, also for "."
     stage = out.parent / (out.name + ".stage")
-    if out.exists() and not (out / "manifest.json").exists() and any(out.iterdir()):
-        raise RuntimeError(
-            f"output dir '{out}' exists with unknown content; refusing to replace it")
+    for what, d in (("output", out), ("staging", stage)):
+        if d.exists() and not _written_by_a_run(d):
+            raise RuntimeError(f"{what} dir '{d}' holds files that no run wrote; "
+                               f"refusing to replace it")
+    return out, stage
+
+
+def _publish(out: Path, files: dict, manifest: dict) -> None:
+    """Write the files into a staging directory, add their checksums to the
+    manifest, and swap the staging directory in for out, as `_claim` allows.
+    """
+    out, stage = _claim(out)
     if stage.exists():
         shutil.rmtree(stage)
     stage.mkdir(parents=True)
@@ -624,13 +662,19 @@ def render_report(out_dir: str, show_params: bool = False) -> str:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"'{out_dir}' has no manifest.json; not a results dir")
-    manifest = json.loads(manifest_path.read_text())
-    sections = [f"scenario: {manifest['scenario']}   seed: {manifest['seed']}   "
-                f"version: {manifest['package_version']}"]
+    manifest = read_manifest(manifest_path)
+    try:
+        sections = [f"scenario: {manifest['scenario']}   seed: {manifest['seed']}   "
+                    f"version: {manifest['package_version']}"]
+    except KeyError as exc:
+        raise ValueError(f"{manifest_path}: no key {exc}") from None
 
     for file, title, header, row in REPORT_SECTIONS:
         with open(out / file, newline="") as fh:
-            rows = [row(r) for r in csv.DictReader(fh)]
+            try:
+                rows = [row(r) for r in csv.DictReader(fh)]
+            except KeyError as exc:
+                raise ValueError(f"{out / file}: no column {exc}") from None
         if rows:
             sections.append(f"{title}\n" + _table(header, rows))
         elif file == "switching_points.csv":

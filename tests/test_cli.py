@@ -12,11 +12,12 @@ import hashlib
 import json
 import logging
 import re
+import shutil
 from concurrent.futures import Future
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
@@ -171,6 +172,87 @@ def test_every_mistyped_field_is_one_error_naming_its_path():
     assert cases == 530  # 53 fields of ten dataclasses, ten values each
 
 
+def config_rules(tp=ScenarioConfig, path=()):
+    """(path, rule) of every Rule on a config field or list item, from
+    ScenarioConfig down; a list item's path ends in its index, 0."""
+    if get_origin(tp) is Annotated:
+        yield from ((path, rule) for rule in tp.__metadata__)
+        tp = get_args(tp)[0]
+    if get_origin(tp) is UnionType:  # X | None
+        tp = get_args(tp)[0]
+    if get_origin(tp) is list:
+        yield from config_rules(get_args(tp)[0], (*path, 0))
+    elif is_dataclass(tp):
+        for name, field_tp in get_type_hints(tp, include_extras=True).items():
+            yield from config_rules(field_tp, (*path, name))
+
+
+# (dotted path, rule text) -> a value the rule refuses, one for every rule
+REFUSED = {
+    ("network.grid.rows", "must be at least 2"): 1,
+    ("network.grid.cols", "must be at least 2"): 0,
+    ("network.grid.spacing_m", "must be positive"): 0.0,
+    ("network.grid.speed_mps", "must be positive"): -10.0,
+    ("network.grid.zone_rows", "must not be negative"): -2,
+    ("network.grid.zone_cols", "must not be negative"): -2,
+    ("network.grid.zone_population", "must not be negative"): -5.0,
+    ("network.area_km2", "must be positive"): 0,
+    ("demand.synthetic.count", "must be positive"): 0,
+    ("demand.synthetic.hourly_profile", "needs 24 weights"): [1.0] * 23,
+    ("demand.synthetic.hourly_profile",
+     "weights must be non-negative with a positive, finite sum"): [0.0] * 24,
+    ("demand.levels", "must not be empty"): [],
+    ("demand.levels[0]", "must be within the supported 50..500 range"): 17,
+    ("supply.schedule", "needs 24 hourly counts"): [1] * 23,
+    ("supply.schedule", "hourly counts must be non-negative integers"): [1] * 23 + [-1],
+    ("systems", "must not be empty"): [],
+    ("systems[0].alpha", "must be one of 0.0, 0.5, 1.0"): 0.3,
+    ("systems[0].crowdsourced_service", "must be one of exclusive, shared"): "pooled",
+    ("systems[0].max_detour", "must be at least 1"): 0.5,
+    ("systems[0].max_wait_min", "must be positive"): 0,
+    ("corridor.stops", "needs at least two stops"): [10],
+    ("corridor.stops", "must be distinct"): [10, 12, 10],
+    ("corridor.cruise_speed_mps", "must be positive"): 0.0,
+    ("corridor.window_h", "must be [open_hour, close_hour] within 0..24"): [9, 9],
+    ("corridor.catchment_min", "must not be negative"): -5.0,
+    ("corridor.vehicles_base", "must be at least 1"): 0,
+    ("corridor.vehicles_high", "must be at least 1"): 0,
+    ("corridor.dwell_s", "must not be negative"): -100.0,
+    ("corridor.supply", "needs 24 hourly counts"): [1] * 25,
+    ("corridor.supply", "hourly counts must be non-negative integers"): [-1] * 24,
+    ("corridor.alpha", "must be one of 0.0, 0.5, 1.0"): 0.25,
+    ("analysis.vot", "must not be negative"): -1.0,
+    ("analysis.vot", "must be below 1e12 to be priced in cents"): 1.0e12,
+    ("analysis.surge_levels[0]", "must be one of 0, 20, 40, 50"): 33,
+    ("analysis.electrification_levels[0]", "must be one of 0.0, 0.2, 0.4, 0.6, 0.8, 1.0"):
+        0.3,
+    ("analysis.electrification_levels", "must be distinct"): [0.0, 1.0, 0.0],
+    ("analysis.served_fraction_threshold", "must be in (0, 1]"): 1.5,
+}
+
+
+def test_every_rule_refuses_its_example_with_one_error_naming_its_path():
+    # every section given; no zones, so a negative zone count breaks only its rule
+    base = {**json.loads(json.dumps(BASE)),
+            "corridor": {"stops": [10, 12, 14], "supply": [1] * 24}}
+    base["network"]["grid"].update(zone_rows=0, zone_cols=0)
+    assert parse_config(base).errors == []
+    seen = set()
+    for path, rule in config_rules():
+        dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        assert (dotted, rule.text) in REFUSED, f"no refused example for {dotted}: {rule.text}"
+        value = REFUSED[dotted, rule.text]
+        assert not rule.ok(value)
+        raw = json.loads(json.dumps(base))
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        assert parse_config(raw).errors == [f"{dotted}: {rule.text}, got {value!r}"]
+        seen.add((dotted, rule.text))
+    assert seen == set(REFUSED)
+
+
 @pytest.mark.parametrize("section, key, kind", [
     ("costs", "fare", "cost parameter"), ("emissions", "ev_kwh_per_km", "emission factor")])
 @pytest.mark.parametrize("value", ["abc", [1], None, True, "4.00", float("nan"), float("inf"),
@@ -184,6 +266,28 @@ def test_cost_and_emission_values_name_their_key(section, key, kind, value):
     else:
         assert report.errors == [f"{section}: {kind} '{key}' must be a number, "
                                  f"got {value!r}"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("mutate, problem", [
+    (lambda raw: raw.update(costs={"vehicle_price": "1e26"}),
+     "costs: cost parameter 'vehicle_price' must be below 1e12 in magnitude, got '1e26'"),
+    (lambda raw: raw.update(emissions={"grid_g_per_kwh": -1.0e13}),
+     "emissions: emission factor 'grid_g_per_kwh' must be below 1e12 in magnitude, "
+     "got -10000000000000.0"),
+    (lambda raw: raw["analysis"].update(vot=1.0e30),
+     "analysis.vot: must be below 1e12 to be priced in cents, got 1e+30"),
+], ids=["vehicle-price", "grid-factor", "vot"])
+def test_money_too_large_to_price_in_cents_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch, command, mutate, problem):
+    # Decimal keeps 28 digits, so such a value failed every run's costing
+    runs = []
+    monkeypatch.setattr(runner, "run_one", lambda *args: runs.append(args))
+    out = tmp_path / "out"
+    argv = [command, str(write_scenario(tmp_path, mutate=mutate))]
+    assert main(argv if command == "validate" else [*argv, "--out", str(out), "-q"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {problem}", "1 problem(s) found"]
+    assert runs == [] and not out.exists()
 
 
 def test_parse_warns_on_unknown_keys():
@@ -202,8 +306,8 @@ def test_parse_rejects_negative_zone_counts():
     report = parse_config(raw)
     assert not report.ok
     assert [e for e in report.errors if "zone" in e] == [
-        "network.grid.zone_rows: must not be negative",
-        "network.grid.zone_cols: must not be negative"]
+        "network.grid.zone_rows: must not be negative, got -2",
+        "network.grid.zone_cols: must not be negative, got -2"]
 
 
 def test_corridor_required_for_fixed_route():
@@ -377,9 +481,10 @@ def test_network_files_are_one_section_beside_grid(tmp_path, capsys):
     (lambda raw: raw.update(systems=[{"type": "hybrid_odt"}], corridor={"stops": [10, 12, 14]}),
      "corridor: supply required for the dedicated corridor fleet"),
     (lambda raw: raw["analysis"].update(electrification_levels=[0.0, 0.3]),
-     "analysis: electrification level 0.3 not in {0, 0.2, 0.4, 0.6, 0.8, 1.0}"),
+     "analysis.electrification_levels[1]: must be one of 0.0, 0.2, 0.4, 0.6, 0.8, 1.0, "
+     "got 0.3"),
     (lambda raw: raw["analysis"].update(electrification_levels=[0.0, 0.0, 1.0]),
-     "analysis.electrification_levels: [0.0, 0.0, 1.0] repeats a level"),
+     "analysis.electrification_levels: must be distinct, got [0.0, 0.0, 1.0]"),
     (lambda raw: raw["analysis"].update(vot=float("nan")),
      "analysis.vot: must be a finite number"),
     (lambda raw: raw["network"].update(area_km2=float("nan")),
@@ -417,8 +522,8 @@ def test_validate_reports_a_bad_supply_file(tmp_path, capsys, row, problem):
 
 
 @pytest.mark.parametrize("corridor, problem", [
-    ({"stops": [10]}, "corridor: needs at least two stops"),
-    ({"stops": [10, 10]}, "corridor: stops must be distinct"),
+    ({"stops": [10]}, "corridor.stops: needs at least two stops, got [10]"),
+    ({"stops": [10, 10]}, "corridor.stops: must be distinct, got [10, 10]"),
     ({"dwell_s": -100.0}, "corridor.dwell_s: must not be negative"),
     ({"supply": [1] * 23 + [-1]}, "corridor.supply: hourly counts must be non-negative"),
     ({"window_h": [7, float("inf")]}, "corridor.window_h[1]: must be a finite number"),
@@ -595,6 +700,19 @@ def test_validate_rejects_a_node_zone_that_names_no_zone(tmp_path, capsys):
     assert ("error: 1 node(s) have a zone_id that names no zone; the first, node 0, "
             "has zone_id 'Q'") in err
     assert "1 problem(s) found" in err
+
+
+def test_validate_refuses_a_negative_population_in_a_zones_file(tmp_path, capsys):
+    # at its file and line, as a grid's zone_population is refused by its rule
+    nodes, edges, zones = (tmp_path / f"{x}.csv" for x in ("nodes", "edges", "zones"))
+    save_network(generate_grid(5, 5, 500.0, 10.0, zone_rows=1, zone_cols=2),
+                 str(nodes), str(edges), str(zones))
+    zones.write_text(zones.read_text().replace("Z01,1000,", "Z01,-5,"))
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(network={"files": {
+        "nodes": str(nodes), "edges": str(edges), "zones": str(zones)}}))
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {zones}:3: negative population -5", "1 problem(s) found"]
 
 
 def test_validate_rejects_edges_whose_total_overflows(tmp_path, capsys):
@@ -1344,15 +1462,36 @@ def test_seed_flag_beats_env_beats_config(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o4").exists()
 
 
-def test_run_refuses_to_clobber_foreign_dir(tmp_path, capsys):
+def test_run_refuses_to_clobber_foreign_dir(tmp_path, capsys, monkeypatch):
     cfg = write_scenario(tmp_path)
     out = tmp_path / "precious"
     out.mkdir()
     (out / "thesis.txt").write_text("irreplaceable")
+    runs = []
+    real_run_one = runner.run_one
+    monkeypatch.setattr(runner, "run_one", lambda *args: runs.append(args))
     assert run_cli(cfg, out) == 3
     assert (out / "thesis.txt").read_text() == "irreplaceable"
     assert "error:" in capsys.readouterr().err
+    # a file named manifest.json does not make a directory a run's outputs
+    app = tmp_path / "webapp"
+    (app / "src").mkdir(parents=True)
+    (app / "manifest.json").write_text('{"name": "my extension"}')
+    (app / "src" / "app.js").write_text("main();")
+    assert run_cli(cfg, app) == 3
+    assert (app / "src" / "app.js").read_text() == "main();"
+    assert f"error: output dir '{app}' holds files that no run wrote" in capsys.readouterr().err
+    # nor is a stage beside out whose files no run wrote replaced
+    stage = tmp_path / "data.stage"
+    stage.mkdir()
+    (stage / "notes.txt").write_text("mine")
+    assert run_cli(cfg, tmp_path / "data") == 3
+    assert f"error: staging dir '{stage}' holds files that no run wrote" in \
+        capsys.readouterr().err
+    assert (stage / "notes.txt").read_text() == "mine"
+    assert runs == [] and not (tmp_path / "data").exists()
     # a directory we produced ourselves is safely replaced
+    monkeypatch.setattr(runner, "run_one", real_run_one)
     ok = tmp_path / "mine"
     assert run_cli(cfg, ok) == 0
     assert run_cli(cfg, ok) == 0
@@ -1411,9 +1550,18 @@ def test_a_failed_publish_keeps_the_previous_outputs_and_a_stale_stage_is_replac
     assert not stage.exists()
 
     monkeypatch.undo()
+    # a stage holding anything but a run's outputs is refused and kept
     (stage / "lorenz").mkdir(parents=True)
     (stage / "lorenz" / "junk.csv").write_text("junk")
     (stage / "manifest.json").write_text("{}")
+    assert run_cli(cfg, out) == 3
+    assert f"error: staging dir '{stage}' holds files that no run wrote" in \
+        capsys.readouterr().err
+    assert tree(stage) == {Path("lorenz/junk.csv"): b"junk", Path("manifest.json"): b"{}"}
+    assert tree(out) == first
+    # a complete stale results tree is replaced
+    shutil.rmtree(stage)
+    shutil.copytree(out, stage)
     assert run_cli(cfg, out) == 0
     assert tree(out) == first
     assert not stage.exists()
@@ -1440,6 +1588,31 @@ def test_report_round_trip(tmp_path, capsys):
 
     assert main(["report", str(tmp_path / "missing")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest, problem", [
+    ("{}", "no key 'files' holding a mapping"),
+    ("[1]", "not a JSON mapping"),
+    ('{"files": {}, "seed": 5}', "no key 'scenario'"),
+], ids=["empty", "list", "no-scenario"])
+def test_report_names_what_a_manifest_lacks(tmp_path, capsys, manifest, problem):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(manifest)
+    assert main(["report", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out / 'manifest.json'}: {problem}"]
+
+
+def test_report_names_a_missing_column_and_its_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(write_scenario(tmp_path), out) == 0
+    gc_curve = out / "gc_curve.csv"
+    rows = gc_curve.read_text().splitlines(keepends=True)
+    gc_curve.write_text("".join(["system,demand_level_pct\n", *rows[1:]]))
+    assert main(["report", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {gc_curve}: no column 'demand_density'"]
 
 
 @pytest.mark.parametrize("section, key, message", [
