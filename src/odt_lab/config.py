@@ -15,17 +15,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from pathlib import Path
-from types import UnionType
-from typing import Annotated, Any, Callable, get_args, get_origin, get_type_hints
+from typing import Annotated, get_type_hints
 
 import yaml
 
 from .costing import MAX_MAGNITUDE, CostParameters
 from .efficiency import SERVED_FRACTION_THRESHOLD
 from .emissions import ELECTRIFICATION_LEVELS, EmissionFactors
+from .rules import FINITE, NOT_NEGATIVE, POSITIVE, Rule, _check, _spec, at_least, one_of
 
 
 @dataclass(frozen=True)
@@ -56,27 +56,6 @@ SYSTEM_TYPES = {
 FLAT_PROFILE = [1.0] * 24
 
 
-@dataclass(frozen=True)
-class Rule:
-    """A rule of one setting, written on its field as Annotated metadata: the
-    value keeps it if ok(value), else the setting's error says text. A rule
-    that reads a module name is a constant here, as an annotation is
-    evaluated with its class's namespace as globals."""
-
-    ok: Callable[[Any], bool]
-    text: str
-
-
-def at_least(n: int) -> Rule:
-    return Rule(lambda v: v >= n, f"must be at least {n}")
-
-
-def one_of(choices: tuple) -> Rule:
-    return Rule(lambda v: v in choices, f"must be one of {', '.join(map(str, choices))}")
-
-
-POSITIVE = Rule(lambda v: v > 0, "must be positive")
-NOT_NEGATIVE = Rule(lambda v: v >= 0, "must not be negative")
 NOT_EMPTY = Rule(bool, "must not be empty")
 DISTINCT = Rule(lambda v: len(set(v)) == len(v), "must be distinct")
 TWO_STOPS = Rule(lambda v: len(v) >= 2, "needs at least two stops")
@@ -242,32 +221,9 @@ _BAD = object()  # a value that failed its type check; its field keeps the defau
 
 
 @cache
-def _spec(tp) -> tuple:
-    """How _read reads a value of type tp, worked out once: (the type without
-    its rules and `| None`, the rules, whether it may be None, the _KINDS key
-    it is checked as (dict for a section), a list's item spec)."""
-    rules = ()
-    if get_origin(tp) is Annotated:
-        tp, rules = get_args(tp)[0], tp.__metadata__
-    optional = isinstance(tp, UnionType)  # X | None
-    if optional:
-        tp = get_args(tp)[0]
-    kind = dict if tp is dict or is_dataclass(tp) else (get_origin(tp) or tp)
-    return tp, rules, optional, kind, _spec(get_args(tp)[0]) if kind is list else None
-
-
-@cache
 def _fields(cls) -> dict[str, tuple]:
     """Each field of a dataclass by name, with its spec, resolved once."""
     return {name: _spec(tp) for name, tp in get_type_hints(cls, include_extras=True).items()}
-
-
-def _check(rules: tuple[Rule, ...], value, path: str, errors: list[str]) -> None:
-    """One error for the first rule a value breaks; null keeps every rule."""
-    for rule in rules:
-        if value is not None and not rule.ok(value):
-            errors.append(f"{path}: {rule.text}, got {value!r}")
-            return
 
 
 def _read(spec: tuple, value, path: str, errors: list[str], warnings: list[str]):
@@ -291,8 +247,8 @@ def _read(spec: tuple, value, path: str, errors: list[str], warnings: list[str])
         value = [_read(item, v, f"{path}[{i}]", errors, warnings) for i, v in enumerate(value)]
         if any(v is _BAD for v in value):
             return _BAD
-    elif kind is float and isinstance(value, float) and not math.isfinite(value):
-        errors.append(f"{path}: must be a finite number")
+    elif kind is float and isinstance(value, float) and not FINITE.ok(value):
+        errors.append(f"{path}: {FINITE.text}")
         return _BAD
     elif kind is str:
         value = str(value)

@@ -12,13 +12,22 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Annotated
 
 from .network import CsvParseError, Network, read_keyed
+from .rules import NOT_NEGATIVE, Rule
 
 log = logging.getLogger(__name__)
 
 DAY_S = 86400.0
 JITTER_S = 600.0  # +/- 10 minutes on bootstrapped request times
+
+# the request and supply tables' columns, read by network.read_table
+TIME_OF_DAY = Rule(lambda v: 0 <= v < DAY_S, "must be in [0, 86400)")
+REQUEST_COLUMNS = {"id": int, "time_s": Annotated[float, TIME_OF_DAY], "origin": int,
+                   "destination": int}
+SUPPLY_COLUMNS = {"hour": Annotated[int, Rule(lambda v: 0 <= v < 24, "must be in 0..23")],
+                  "vehicles": Annotated[int, NOT_NEGATIVE]}
 
 
 @dataclass(frozen=True)
@@ -172,11 +181,10 @@ def generate_synthetic_demand(net: Network, count: int, hourly_profile: list[flo
 
 
 def load_requests(path: str) -> list[RideRequest]:
-    """Read requests from CSV columns id,time_s,origin,destination; ids must
-    be unique."""
+    """Read requests from the columns REQUEST_COLUMNS names; ids must be
+    unique, and a request's origin and destination differ."""
     out = []
-    for line_no, row in read_keyed(path, {"id": int, "time_s": float, "origin": int,
-                                          "destination": int}, "id", "request id"):
+    for line_no, row in read_keyed(path, REQUEST_COLUMNS, "id", "request id"):
         try:
             out.append(RideRequest(row["id"], row["time_s"], row["origin"],
                                    row["destination"]))
@@ -186,13 +194,8 @@ def load_requests(path: str) -> list[RideRequest]:
 
 
 def load_supply(path: str) -> SupplySchedule:
-    """Read an hourly schedule from CSV columns hour,vehicles."""
+    """Read an hourly schedule from the columns SUPPLY_COLUMNS names."""
     counts = [0] * 24
-    for line_no, row in read_keyed(path, {"hour": int, "vehicles": int}, "hour", "hour"):
-        hour, vehicles = row["hour"], row["vehicles"]
-        if not 0 <= hour < 24:
-            raise CsvParseError(path, line_no, f"hour {hour} outside 0..23")
-        if vehicles < 0:
-            raise CsvParseError(path, line_no, f"negative vehicle count {vehicles}")
-        counts[hour] = vehicles
+    for _, row in read_keyed(path, SUPPLY_COLUMNS, "hour", "hour"):
+        counts[row["hour"]] = row["vehicles"]
     return SupplySchedule(counts)

@@ -43,7 +43,7 @@ def group_weight(zone: Zone, attribute: str) -> float:
     Demographic attributes hold the group's population share, so the weight
     is share times population. Population density is a zone-level value
     rather than a share; its analysis weights zones by plain population.
-    The network warns once about a share outside [0, 1].
+    A zones file refuses a share outside [0, 1] at its cell.
     """
     if attribute == "pop_density":
         return zone.population

@@ -16,6 +16,9 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import Annotated
+
+from .rules import FINITE, NOT_NEGATIVE, POSITIVE, Rule, _check, _spec
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +34,16 @@ ZONE_ATTRIBUTES = (
     "single_parents",
     "pop_density",
 )
+GROUP_SHARE = Rule(lambda v: 0 <= v <= 1, "must be in [0, 1]")
+
+# each input table's columns, read by read_table; every float must be finite
+NODE_COLUMNS = {"id": int, "x": float, "y": float, "zone_id": str | None}
+EDGE_COLUMNS = {"id": int, "from": int, "to": int, "length_m": Annotated[float, POSITIVE],
+                "speed_mps": Annotated[float, POSITIVE]}
+# pop_density is a zone-level value; the other attributes are population shares
+ZONE_COLUMNS = {"zone_id": str, "population": Annotated[float, NOT_NEGATIVE],
+                **{a: Annotated[float, NOT_NEGATIVE if a == "pop_density" else GROUP_SHARE]
+                   for a in ZONE_ATTRIBUTES}}
 
 
 class CsvParseError(ValueError):
@@ -42,13 +55,16 @@ class CsvParseError(ValueError):
         self.line_no = line_no
 
 
-def read_table(path: str, fields: dict) -> Iterator[tuple[int, dict]]:
+def read_table(path: str, columns: dict) -> Iterator[tuple[int, dict]]:
     """Yield (line, row) for each row of a UTF-8 CSV, with or without a
-    byte-order mark, each field in fields converted by its function.
+    byte-order mark, each cell of columns read by its column's type: int,
+    float or str, `| None` if it may be empty, Annotated with its rules.
 
     line is the file's own line where the row ends, blank lines counted.
-    A row with more values than the header has columns is refused, and so
-    is a file that is not UTF-8, at the line of its first such byte.
+    A row with more values than the header has columns is refused, as is a
+    file that is not UTF-8, at the line of its first such byte, and a cell
+    that breaks FINITE (every float) or its rules, as "<column>: <rule
+    text>, got <value>".
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -58,29 +74,37 @@ def read_table(path: str, fields: dict) -> Iterator[tuple[int, dict]]:
         line = len((exc.object[:exc.start] + b".").splitlines())
         raise CsvParseError(path, line,
                             f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+    specs = {name: _spec(tp) for name, tp in columns.items()}
     reader = csv.DictReader(io.StringIO(text, newline=""))
     for row in reader:
         line = reader.line_num
         if None in row:  # DictReader's key for the values past the header's
             n = len(reader.fieldnames)
             raise CsvParseError(path, line, f"{n + len(row[None])} values for {n} columns")
-        for name, conv in fields.items():
+        for name, (_, rules, optional, kind, _) in specs.items():
             raw = row.get(name)
             if raw is None or raw == "":
-                raise CsvParseError(path, line, f"missing field '{name}'")
+                if not optional:
+                    raise CsvParseError(path, line, f"missing field '{name}'")
+                row[name] = None
+                continue
             try:
-                row[name] = conv(raw)
+                value = row[name] = kind(raw)
             except ValueError:
                 raise CsvParseError(path, line,
                                     f"bad value {raw!r} for field '{name}'") from None
+            errors = []
+            _check((FINITE, *rules) if kind is float else rules, value, name, errors)
+            if errors:
+                raise CsvParseError(path, line, errors[0])
         yield line, row
 
 
-def read_keyed(path: str, fields: dict, key: str, what: str) -> Iterator[tuple[int, dict]]:
+def read_keyed(path: str, columns: dict, key: str, what: str) -> Iterator[tuple[int, dict]]:
     """read_table, refusing at its line the first row whose key repeats an
     earlier row's, as "duplicate <what> <key>"."""
     seen = set()
-    for line, row in read_table(path, fields):
+    for line, row in read_table(path, columns):
         if row[key] in seen:
             raise CsvParseError(path, line, f"duplicate {what} {row[key]}")
         seen.add(row[key])
@@ -151,6 +175,9 @@ class Network:
         if len(self.edges) != len(edges):
             raise NetworkValidationError("duplicate edge ids")
         inf = math.inf
+        for n in nodes:  # else the area, and so every density, is inf or nan
+            if not (-inf < n.x < inf and -inf < n.y < inf):
+                raise NetworkValidationError(f"node {n.id} at ({n.x}, {n.y}) is not finite")
         for e in edges:
             for endpoint in (e.frm, e.to):
                 if endpoint not in self.nodes:
@@ -194,18 +221,11 @@ class Network:
                 raise NetworkValidationError(
                     f"{len(unknown)} node(s) have a zone_id that names no zone; the first, "
                     f"node {unknown[0].id}, has zone_id {unknown[0].zone_id!r}")
-            # pop_density is a zone-level value, not a share
-            bad = [(z.zone_id, a, share) for z in self.zones.values()
-                   for a, share in z.attrs.items()
-                   if a != "pop_density" and not 0.0 <= share <= 1.0]
-            if bad:
-                log.warning("%d zone attribute shares are not population shares in [0, 1]; "
-                            "the first, zone %s attribute %s, is %.3f", len(bad), *bad[0])
 
         if area_km2 is None:
             area_km2 = self._bounding_box_km2()
-        if area_km2 <= 0:
-            raise NetworkValidationError("service area must be positive")
+        if not 0 < area_km2 < inf:
+            raise NetworkValidationError(f"service area {area_km2} is not positive and finite")
         self.area_km2 = area_km2
 
         self._check_geometry()
@@ -225,9 +245,7 @@ class Network:
     def _bounding_box_km2(self) -> float:
         xs = [n.x for n in self.nodes.values()]
         ys = [n.y for n in self.nodes.values()]
-        w = max(xs) - min(xs)
-        h = max(ys) - min(ys)
-        area = w * h / 1e6
+        area = (max(xs) - min(xs)) * (max(ys) - min(ys)) / 1e6
         return area if area > 0 else 1.0
 
     def _check_geometry(self) -> None:
@@ -392,28 +410,16 @@ class Network:
 
 def load_network(nodes_file: str, edges_file: str, zones_file: str | None = None,
                  area_km2: float | None = None) -> Network:
-    """Build a validated Network from CSV inputs.
-
-    nodes: id,x,y[,zone_id]; edges: id,from,to,length_m,speed_mps;
-    zones (optional): zone_id,population plus the seven demographic columns.
-    """
-    nodes = [Node(row["id"], row["x"], row["y"], row.get("zone_id") or None)
-             for _, row in read_keyed(nodes_file, {"id": int, "x": float, "y": float},
-                                      "id", "node id")]
+    """Build a validated Network from CSV inputs, whose columns and their
+    rules are NODE_COLUMNS, EDGE_COLUMNS and, for the optional zones file,
+    ZONE_COLUMNS."""
+    nodes = [Node(row["id"], row["x"], row["y"], row["zone_id"])
+             for _, row in read_keyed(nodes_file, NODE_COLUMNS, "id", "node id")]
     edges = [_make_edge(row["id"], row["from"], row["to"], row["length_m"], row["speed_mps"])
-             for _, row in read_keyed(edges_file, {"id": int, "from": int, "to": int,
-                                                   "length_m": float, "speed_mps": float},
-                                      "id", "edge id")]
-    zones = None
-    if zones_file is not None:
-        spec = {"zone_id": str, "population": float, **dict.fromkeys(ZONE_ATTRIBUTES, float)}
-        zones = []
-        for line_no, row in read_keyed(zones_file, spec, "zone_id", "zone id"):
-            if row["population"] < 0:
-                raise CsvParseError(zones_file, line_no,
-                                    f"negative population {row['population']:g}")
-            zones.append(Zone(row["zone_id"], row["population"],
-                              {a: row[a] for a in ZONE_ATTRIBUTES}))
+             for _, row in read_keyed(edges_file, EDGE_COLUMNS, "id", "edge id")]
+    zones = None if zones_file is None else [
+        Zone(row["zone_id"], row["population"], {a: row[a] for a in ZONE_ATTRIBUTES})
+        for _, row in read_keyed(zones_file, ZONE_COLUMNS, "zone_id", "zone id")]
     return Network(nodes, edges, zones, area_km2=area_km2)
 
 

@@ -682,6 +682,9 @@ def render_report(out_dir: str, show_params: bool = False) -> str:
 
     if show_params:
         cfg_raw = manifest.get("config", {})
+        for key in ("config", "costs", "emissions", "analysis"):  # the last three in config
+            if not isinstance(cfg_raw if key == "config" else cfg_raw.get(key, {}), dict):
+                raise ValueError(f"{manifest_path}: key '{key}' does not hold a mapping")
         params = CostParameters().replace(**cfg_raw.get("costs", {}))
         lines = ["resolved parameters"]
         for name in params.__dataclass_fields__:

@@ -11,6 +11,7 @@ import gc
 import hashlib
 import json
 import logging
+import math
 import re
 import shutil
 from concurrent.futures import Future
@@ -22,13 +23,14 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 import pytest
 import yaml
 
-from odt_lab import runner
+from odt_lab import demand, network, runner
 from odt_lab.cli import main
 from odt_lab.config import SYSTEM_TYPES, ScenarioConfig, load_config, parse_config
 from odt_lab.costing import CostParameters
 from odt_lab.demand import RideRequest, scale_demand
 from odt_lab.emissions import EmissionFactors
-from odt_lab.network import generate_grid
+from odt_lab.network import ZONE_ATTRIBUTES, generate_grid
+from odt_lab.rules import FINITE
 from odt_lab.runner import RunOutput
 
 from writers import save_network, save_requests
@@ -251,6 +253,121 @@ def test_every_rule_refuses_its_example_with_one_error_naming_its_path():
         assert parse_config(raw).errors == [f"{dotted}: {rule.text}, got {value!r}"]
         seen.add((dotted, rule.text))
     assert seen == set(REFUSED)
+
+
+def table_files(tmp_path: Path) -> dict[str, Path]:
+    """Good nodes, edges, zones, requests and supply files for the 5x5 town
+    with 2x2 zones, by table name."""
+    files = {t: tmp_path / f"{t}.csv" for t in ("nodes", "edges", "zones", "requests", "supply")}
+    save_network(generate_grid(5, 5, 500.0, 10.0, zone_rows=2, zone_cols=2),
+                 *(str(files[t]) for t in ("nodes", "edges", "zones")))
+    save_requests([RideRequest(i, 28800.0 + 600.0 * i, i, 24 - i) for i in range(12)],
+                  str(files["requests"]))
+    files["supply"].write_text("hour,vehicles\n" + "".join(f"{h},1\n" for h in range(24)))
+    return files
+
+
+def read_from(files: dict[str, Path], **network):
+    """A scenario mutation that reads every input from files."""
+    def mutate(raw):
+        raw["network"] = {"files": {t: str(files[t]) for t in ("nodes", "edges", "zones")},
+                          **network}
+        raw["demand"] = {"file": str(files["requests"]), "levels": [100]}
+        raw["supply"] = {"file": str(files["supply"])}
+    return mutate
+
+
+def set_cell(path: Path, column: str, cell: str) -> None:
+    """Write cell into the column of the first row of path, the file's line 2."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[1][rows[0].index(column)] = cell
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+# each *_COLUMNS constant of the table readers -> the table it reads
+TABLES = {"NODE_COLUMNS": "nodes", "EDGE_COLUMNS": "edges", "ZONE_COLUMNS": "zones",
+          "REQUEST_COLUMNS": "requests", "SUPPLY_COLUMNS": "supply"}
+
+
+def column_rules():
+    """(table, column, rule) of every rule a table reader checks: FINITE on a
+    float column, then the column's Annotated rules, for every *_COLUMNS."""
+    for module in (network, demand):
+        for name, columns in vars(module).items():
+            if name.endswith("_COLUMNS"):
+                for column, tp in columns.items():
+                    rules = tp.__metadata__ if get_origin(tp) is Annotated else ()
+                    base = get_args(tp)[0] if rules else tp
+                    for rule in ((FINITE,) if base is float else ()) + rules:
+                        yield TABLES[name], column, rule
+
+
+# (table, column, rule text) -> a value the rule refuses, one for every rule
+REFUSED_CELLS = {
+    ("nodes", "x", "must be a finite number"): math.inf,
+    ("nodes", "y", "must be a finite number"): math.nan,
+    ("edges", "length_m", "must be a finite number"): math.nan,
+    ("edges", "length_m", "must be positive"): 0.0,
+    ("edges", "speed_mps", "must be a finite number"): math.inf,
+    ("edges", "speed_mps", "must be positive"): -10.0,
+    ("zones", "population", "must be a finite number"): math.inf,
+    ("zones", "population", "must not be negative"): -5.0,
+    **{("zones", a, "must be a finite number"): math.nan for a in ZONE_ATTRIBUTES},
+    **{("zones", a, "must be in [0, 1]"): 1.5 for a in ZONE_ATTRIBUTES if a != "pop_density"},
+    ("zones", "pop_density", "must not be negative"): -1.0,
+    ("requests", "time_s", "must be a finite number"): -math.inf,
+    ("requests", "time_s", "must be in [0, 86400)"): 86400.0,
+    ("supply", "hour", "must be in 0..23"): 24,
+    ("supply", "vehicles", "must not be negative"): -1,
+}
+
+
+def test_every_column_rule_refuses_its_example_with_one_error_naming_its_cell(
+        tmp_path, capsys):
+    files = table_files(tmp_path)
+    good = {table: path.read_text() for table, path in files.items()}
+    cfg = write_scenario(tmp_path, mutate=read_from(files))
+    assert main(["validate", str(cfg)]) == 0
+    seen = set()
+    for table, column, rule in column_rules():
+        assert (table, column, rule.text) in REFUSED_CELLS, \
+            f"no refused cell for {table} {column}: {rule.text}"
+        value = REFUSED_CELLS[table, column, rule.text]
+        assert not rule.ok(value)
+        for name, text in good.items():
+            files[name].write_text(text)
+        set_cell(files[table], column, str(value))
+        capsys.readouterr()
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {files[table]}:2: {column}: {rule.text}, got {value!r}",
+            "1 problem(s) found"]
+        seen.add((table, column, rule.text))
+    assert seen == set(REFUSED_CELLS)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("table, column, cell, area_km2, problem", [
+    ("nodes", "x", "inf", None, "x: must be a finite number, got inf"),
+    ("nodes", "x", "nan", 26.5, "x: must be a finite number, got nan"),
+    ("zones", "income", "nan", None, "income: must be a finite number, got nan"),
+    ("zones", "income", "-1", None, "income: must be in [0, 1], got -1.0"),
+    ("zones", "income", "7", None, "income: must be in [0, 1], got 7.0"),
+    ("zones", "population", "inf", None, "population: must be a finite number, got inf"),
+    ("zones", "population", "nan", None, "population: must be a finite number, got nan"),
+], ids=["x-inf", "x-nan-with-area", "share-nan", "share-negative", "share-7",
+        "population-inf", "population-nan"])
+def test_a_cell_that_would_poison_densities_or_ginis_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch, command, table, column, cell, area_km2, problem):
+    # an inf x made every density 0, and a nan one went unnoticed beside
+    # area_km2; a nan share or population made every Gini 0, and a share
+    # outside [0, 1] only warned
+    files = table_files(tmp_path)
+    set_cell(files[table], column, cell)
+    area = {"area_km2": area_km2} if area_km2 else {}
+    cfg = write_scenario(tmp_path, mutate=read_from(files, **area))
+    assert refused_like_validate(tmp_path, capsys, monkeypatch, cfg, command) == [
+        f"error: {files[table]}:2: {problem}"]
 
 
 @pytest.mark.parametrize("section, key, kind", [
@@ -510,7 +627,7 @@ def test_validate_names_the_setting_it_rejects(tmp_path, capsys, mutate, problem
 
 
 @pytest.mark.parametrize("row, problem", [("0,x", "bad value 'x' for field 'vehicles'"),
-                                          ("0,-2", "negative vehicle count -2")])
+                                          ("0,-2", "vehicles: must not be negative, got -2")])
 def test_validate_reports_a_bad_supply_file(tmp_path, capsys, row, problem):
     supply = tmp_path / "supply.csv"
     supply.write_text(f"hour,vehicles\n{row}\n")
@@ -673,10 +790,13 @@ def test_validate_rejects_duplicate_request_ids(tmp_path, capsys):
 
 
 def test_validate_reports_a_bad_network_file(tmp_path, capsys):
+    # the appended row is line 82, after the header and the grid's 80 edges
     nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
-    for row, problem in (("999,0,1,fast,10", "bad value 'fast' for field 'length_m'"),
-                         ("999,0,1,nan,10", "edge 999 has length_m nan"),
-                         ("999,0,1,500,inf", "edge 999 has speed_mps inf"),
+    for row, problem in (("999,0,1,fast,10", f"{edges}:82: bad value 'fast' for field 'length_m'"),
+                         ("999,0,1,nan,10", f"{edges}:82: length_m: must be a finite number, "
+                                            "got nan"),
+                         ("999,0,1,500,inf", f"{edges}:82: speed_mps: must be a finite number, "
+                                             "got inf"),
                          ("999,0,1,1e10,1e-300", "edge 999 has travel_time_s inf")):
         save_network(generate_grid(5, 5, 500.0, 10.0), str(nodes), str(edges))
         with open(edges, "a") as fh:
@@ -712,7 +832,7 @@ def test_validate_refuses_a_negative_population_in_a_zones_file(tmp_path, capsys
         "nodes": str(nodes), "edges": str(edges), "zones": str(zones)}}))
     assert main(["validate", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {zones}:3: negative population -5", "1 problem(s) found"]
+        f"error: {zones}:3: population: must not be negative, got -5.0", "1 problem(s) found"]
 
 
 def test_validate_rejects_edges_whose_total_overflows(tmp_path, capsys):
@@ -1333,20 +1453,15 @@ def test_one_network_build_per_sweep(tmp_path, monkeypatch, caplog):
                 if "shorter than the straight-line" in r.getMessage()]) == 1
 
 
-def test_bad_zone_share_and_short_edges_warn_once_per_sweep(tmp_path, caplog):
-    # two zones' income shares are 1.5, and edges 0 and 1 are shorter than the
-    # straight line: 2 systems x 2 equity levels x 3 metrics read those shares
+def test_short_edges_warn_once_per_sweep(tmp_path, caplog):
+    # edges 0 and 1 are shorter than the straight line, read by 2 systems at
+    # 2 equity levels; a zone share outside [0, 1] is refused, as below
     nodes, edges, zones = (tmp_path / f"{name}.csv" for name in ("nodes", "edges", "zones"))
     net = runner.build_network(load_config(str(write_scenario(tmp_path))).config)
     save_network(net, str(nodes), str(edges), str(zones))
     lines = edges.read_text().splitlines()
     assert lines[1:3] == ["0,0,1,500,10", "1,1,0,500,10"]
     edges.write_text("\n".join([lines[0], "0,0,1,400,10", "1,1,0,400,10", *lines[3:]]) + "\n")
-    lines = zones.read_text().splitlines()
-    assert lines[0].startswith("zone_id,population,income,")
-    assert lines[1].startswith("Z00,") and lines[2].startswith("Z01,")
-    zones.write_text("\n".join([lines[0], *(line.replace(",0.5,", ",1.5,", 1)
-                                             for line in lines[1:3]), *lines[3:]]) + "\n")
 
     def files_and_two_equity_levels(raw):
         raw["network"] = {"files": {"nodes": str(nodes), "edges": str(edges),
@@ -1357,9 +1472,6 @@ def test_bad_zone_share_and_short_edges_warn_once_per_sweep(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="odt_lab"):
         assert run_cli(cfg, tmp_path / "out") == 0
     messages = [r.getMessage() for r in caplog.records]
-    assert [m for m in messages if "population share" in m] == [
-        "2 zone attribute shares are not population shares in [0, 1]; "
-        "the first, zone Z00 attribute income, is 1.500"]
     assert [m for m in messages if "straight-line" in m] == [
         "2 edge(s) are shorter than the straight-line distance between their endpoints; "
         "the first, edge 0, is 400.0 m against 500.0 m"]
@@ -1630,6 +1742,22 @@ def test_report_show_params_rejects_unknown_parameter(tmp_path, capsys, section,
     capsys.readouterr()
     assert main(["report", str(out), "--show-params"]) == 3
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["config", "costs", "emissions", "analysis"])
+def test_report_show_params_names_a_config_part_that_is_not_a_mapping(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    assert run_cli(write_scenario(tmp_path), out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    if key == "config":
+        manifest["config"] = [1]
+    else:
+        manifest["config"][key] = [1]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["report", str(out), "--show-params"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out / 'manifest.json'}: key '{key}' does not hold a mapping"]
 
 
 def test_run_summary_lists_runs(tmp_path, capsys):

@@ -239,6 +239,22 @@ def test_supply_round_trip_and_errors(tmp_path):
     path.write_text("hour,vehicles\n7,2\n25,1\n")
     with pytest.raises(CsvParseError) as err:
         load_supply(str(path))
-    assert str(err.value) == f"{path}:3: hour 25 outside 0..23"
+    assert str(err.value) == f"{path}:3: hour: must be in 0..23, got 25"
     with pytest.raises(ValueError):
         SupplySchedule([1] * 23)
+
+
+def test_supply_schedule_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="hourly vehicle counts cannot be negative"):
+        SupplySchedule([1] * 23 + [-1])
+
+
+@pytest.mark.parametrize("count, profile, problem", [
+    (-1, [1.0] * 24, "request count cannot be negative"),
+    (10, [1.0] * 23, "hourly profile needs exactly 24 weights"),
+    (10, [0.0] * 24, "weights must be non-negative with a positive sum"),
+    (10, [-1.0] + [1.0] * 23, "weights must be non-negative with a positive sum"),
+], ids=["negative-count", "23-weights", "zero-sum", "negative-weight"])
+def test_synthetic_demand_refuses_a_bad_count_or_profile(count, profile, problem):
+    with pytest.raises(ValueError, match=problem):
+        generate_synthetic_demand(generate_grid(3, 3, 500.0, 10.0), count, profile, seed=0)

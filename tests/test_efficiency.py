@@ -87,6 +87,13 @@ def test_insufficient_comparable_points():
         switching_points(a[:1], a[:1])
 
 
+def test_an_empty_curve_has_no_crossing_analysis():
+    a = _line_curve("a", 1.0, 0.0, [0, 1, 2])
+    for pair in ((a, []), ([], a)):
+        with pytest.raises(InsufficientDataError, match="empty curve"):
+            switching_points(*pair)
+
+
 def test_multiple_crossings_all_found():
     xs = list(range(7))
     gc_a = {0: 0.0, 1: 2.0, 2: 0.5, 3: 3.0, 4: 1.0, 5: 5.0, 6: 6.0}

@@ -140,6 +140,11 @@ def test_lorenz_needs_outcome_mass():
         lorenz([])
 
 
+def test_lorenz_refuses_a_negative_weight():
+    with pytest.raises(ValueError, match="outcomes and weights must be non-negative"):
+        lorenz(_outcomes([(2.0, 2.0), (-1.0, 3.0)]))
+
+
 # -- zone aggregation --------------------------------------------------------------
 
 
@@ -183,6 +188,11 @@ def test_zones_without_trips_stay_in_usage_but_not_times():
     assert {o.zone_id for o in usage} == {"A", "B"}
     wait = zonal_outcomes(trips, zones, "wait", "income")
     assert {o.zone_id for o in wait} == {"A"}
+
+
+def test_zonal_outcomes_refuses_an_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric 'fare'"):
+        zonal_outcomes([_trip(0, "A")], {"A": _zone("A", 100.0)}, "fare", "income")
 
 
 def test_equity_report_skips_degenerate_combinations():

@@ -257,6 +257,51 @@ def test_duplicate_and_dangling_inputs_rejected():
         Network(n, [_make_edge(0, 0, 1, 1e10, 1e-300)])
 
 
+@pytest.mark.parametrize("x, y", [(math.inf, 0.0), (0.0, math.nan), (-math.inf, 1.0)])
+@pytest.mark.parametrize("area_km2", [None, 1.0])
+def test_a_node_whose_coordinates_are_not_finite_is_refused(x, y, area_km2):
+    # an inf coordinate made the bounding box, and so every density, inf or
+    # nan; with area_km2 given it went unnoticed
+    nodes = [Node(0, 0.0, 0.0), Node(1, x, y)]
+    edges = [_make_edge(0, 0, 1, 100.0, 10.0), _make_edge(1, 1, 0, 100.0, 10.0)]
+    with pytest.raises(NetworkValidationError) as err:
+        Network(nodes, edges, area_km2=area_km2)
+    assert str(err.value) == f"node 1 at ({x}, {y}) is not finite"
+
+
+@pytest.mark.parametrize("nodes, area_km2", [
+    ([Node(0, 0.0, 0.0), Node(1, 100.0, 0.0)], 0.0),
+    ([Node(0, 0.0, 0.0), Node(1, 100.0, 0.0)], -1.0),
+    ([Node(0, 0.0, 0.0), Node(1, 100.0, 0.0)], math.inf),
+    ([Node(0, 0.0, 0.0), Node(1, 100.0, 0.0)], math.nan),
+    ([Node(0, -1e300, -1e300), Node(1, 1e300, 1e300)], None),  # a box past the largest float
+], ids=["zero", "negative", "inf", "nan", "box-overflows"])
+def test_a_service_area_that_is_not_positive_and_finite_is_refused(nodes, area_km2):
+    edges = [_make_edge(0, 0, 1, 100.0, 10.0), _make_edge(1, 1, 0, 100.0, 10.0)]
+    with pytest.raises(NetworkValidationError) as err:
+        Network(nodes, edges, area_km2=area_km2)
+    area = math.inf if area_km2 is None else area_km2
+    assert str(err.value) == f"service area {area} is not positive and finite"
+
+
+def test_a_repeated_zone_id_is_refused():
+    nodes = [Node(0, 0.0, 0.0, "A"), Node(1, 100.0, 0.0, "A")]
+    edges = [_make_edge(0, 0, 1, 100.0, 10.0), _make_edge(1, 1, 0, 100.0, 10.0)]
+    with pytest.raises(NetworkValidationError, match="^duplicate zone id A$"):
+        Network(nodes, edges, [Zone("A", 10.0), Zone("A", 20.0)])
+
+
+def test_queries_refuse_an_unknown_node_and_a_step_from_the_destination():
+    net = generate_grid(2, 2, 500.0, 10.0)
+    for query in (lambda: net._distances_to(9), lambda: net.distance_m(9, 0),
+                  lambda: net.distance_m(0, 9), lambda: net.shortest_path(9, 9),
+                  lambda: net.shortest_path(0, 9), lambda: net.next_edge(0, 9)):
+        with pytest.raises(KeyError, match="unknown node 9"):
+            query()
+    with pytest.raises(ValueError, match="already at destination"):
+        net.next_edge(3, 3)
+
+
 def line_of_three(length_m: float, speed_mps: float) -> Network:
     """Nodes 0 - 1 - 2 joined both ways by edges of one length and speed."""
     nodes = [Node(i, 1000.0 * i, 0.0) for i in range(3)]
