@@ -10,14 +10,18 @@ identical cents on every platform.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import Annotated
+
+from .rules import Rule
 
 CENT = Decimal("0.01")
 DAYS_PER_YEAR = 365
 # Money at or above this cannot be priced in cents: Decimal keeps 28 digits
 MAX_MAGNITUDE = 1e12
+PRICEABLE = Rule(lambda v: abs(v) < MAX_MAGNITUDE, "must be below 1e12 in magnitude")
+MONEY = Annotated[Decimal, PRICEABLE]
 
 
 def as_money(value) -> Decimal:
@@ -25,35 +29,6 @@ def as_money(value) -> Decimal:
     if isinstance(value, Decimal):
         return value
     return Decimal(str(value))
-
-
-def parse_number(name: str, value, convert):
-    """convert(value) for a finite number or numeric string such as "4.00"
-    below MAX_MAGNITUDE in magnitude; for anything else, bools included, a
-    ValueError naming name and value."""
-    if isinstance(value, (int, float, str, Decimal)) and not isinstance(value, bool):
-        try:
-            number = convert(value)
-            finite = math.isfinite(number)
-        except (ValueError, ArithmeticError):
-            finite = False
-        if finite and abs(number) < MAX_MAGNITUDE:
-            return number
-        if finite:
-            raise ValueError(f"{name} must be below 1e12 in magnitude, got {value!r}")
-    raise ValueError(f"{name} must be a number, got {value!r}")
-
-
-def override(params, what: str, overrides: dict, convert):
-    """A copy of the dataclass `params` with each named field set to
-    convert(value); a ValueError names an unknown field, or a value that is
-    not a number, as "<what> '<field>'"."""
-    names, vals = {f.name for f in fields(params)}, {}
-    for key, val in overrides.items():
-        if key not in names:
-            raise ValueError(f"unknown {what} '{key}'")
-        vals[key] = parse_number(f"{what} '{key}'", val, convert)
-    return replace(params, **vals)
 
 
 def to_cents(value: Decimal) -> Decimal:
@@ -64,19 +39,16 @@ def to_cents(value: Decimal) -> Decimal:
 class CostParameters:
     """Operating-cost constants, CAD."""
 
-    fixed_fees_exclusive: Decimal = Decimal("5.25")  # booking + base + service, solo ride
-    fixed_fees_shared: Decimal = Decimal("4.25")     # pooled rides forgo the base fee
-    per_minute: Decimal = Decimal("0.18")
-    per_km: Decimal = Decimal("0.81")
-    fare: Decimal = Decimal("4.00")                  # flat fare collected per trip
-    vehicle_price: Decimal = Decimal("41050")        # purchase price per dedicated vehicle
-    hourly_vehicle_cost: Decimal = Decimal("83.95")  # dedicated fleet, per vehicle-hour
-    frt_cost_per_km: Decimal = Decimal("0.73")
-    driver_wage: Decimal = Decimal("15.00")          # fixed-route driver, per hour
-    other_costs: Decimal = Decimal("200000")         # yearly administration overhead
-
-    def replace(self, **overrides) -> "CostParameters":
-        return override(self, "cost parameter", overrides, as_money)
+    fixed_fees_exclusive: MONEY = Decimal("5.25")  # booking + base + service, solo ride
+    fixed_fees_shared: MONEY = Decimal("4.25")     # pooled rides forgo the base fee
+    per_minute: MONEY = Decimal("0.18")
+    per_km: MONEY = Decimal("0.81")
+    fare: MONEY = Decimal("4.00")                  # flat fare collected per trip
+    vehicle_price: MONEY = Decimal("41050")        # purchase price per dedicated vehicle
+    hourly_vehicle_cost: MONEY = Decimal("83.95")  # dedicated fleet, per vehicle-hour
+    frt_cost_per_km: MONEY = Decimal("0.73")
+    driver_wage: MONEY = Decimal("15.00")          # fixed-route driver, per hour
+    other_costs: MONEY = Decimal("200000")         # yearly administration overhead
 
 
 def capital_cost(vehicle_count: int, params: CostParameters = CostParameters()) -> Decimal:

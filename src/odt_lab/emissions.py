@@ -9,25 +9,24 @@ the two linearly by the share of electrified distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
-from .costing import DAYS_PER_YEAR, override
+from .costing import DAYS_PER_YEAR, PRICEABLE
 from .demand import RideRequest
 from .network import Network, NoPathError
 
 GRAMS_PER_TON = 1e6
 
 ELECTRIFICATION_LEVELS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+FACTOR = Annotated[float, PRICEABLE]
 
 
 @dataclass(frozen=True)
 class EmissionFactors:
-    ghg_km_transit: float = 0.000237   # tons CO2e per km, gasoline transit vehicle
-    ghg_km_private: float = 0.000192   # tons CO2e per km, representative private car
-    ev_kwh_per_km: float = 0.18        # electricity drawn per km
-    grid_g_per_kwh: float = 25.0       # grid carbon intensity, grams CO2e per kWh
-
-    def replace(self, **overrides) -> "EmissionFactors":
-        return override(self, "emission factor", overrides, float)
+    ghg_km_transit: FACTOR = 0.000237   # tons CO2e per km, gasoline transit vehicle
+    ghg_km_private: FACTOR = 0.000192   # tons CO2e per km, representative private car
+    ev_kwh_per_km: FACTOR = 0.18        # electricity drawn per km
+    grid_g_per_kwh: FACTOR = 25.0       # grid carbon intensity, grams CO2e per kWh
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,10 @@ class Network:
         xs = [n.x for n in self.nodes.values()]
         ys = [n.y for n in self.nodes.values()]
         area = (max(xs) - min(xs)) * (max(ys) - min(ys)) / 1e6
-        return area if area > 0 else 1.0
+        if area <= 0:
+            raise NetworkValidationError(
+                "the nodes span no area; give area_km2 (network.area_km2 in a scenario)")
+        return area
 
     def _check_geometry(self) -> None:
         short = [e for e in self.edges.values()
@@ -375,7 +378,10 @@ class Network:
         if current == dest:
             raise ValueError("already at destination")
         dist, slot = self._distances_to(dest), self._slot
-        here = dist[slot[current]]
+        try:
+            here = dist[slot[current]]
+        except KeyError:
+            raise KeyError(f"unknown node {current}") from None
         if here == math.inf:
             raise NoPathError(f"no route from {current} to {dest}")
         tol = _EPS * (here if here > 1.0 else 1.0)

@@ -4,7 +4,7 @@ in Annotated[float, POSITIVE], and a broken one is one error naming its value.""
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, is_dataclass
 from functools import cache
 from types import UnionType
@@ -31,7 +31,9 @@ def one_of(choices: tuple) -> Rule:
 
 POSITIVE = Rule(lambda v: v > 0, "must be positive")
 NOT_NEGATIVE = Rule(lambda v: v >= 0, "must not be negative")
-FINITE = Rule(math.isfinite, "must be a finite number")  # every float, before its rules
+# every float, and an int given for a number, before its rules; an int too
+# large for a float is refused, and nan breaks every comparison
+FINITE = Rule(lambda v: abs(v) <= sys.float_info.max, "must be a finite number")
 
 
 @cache
@@ -45,7 +47,7 @@ def _spec(tp) -> tuple:
     optional = isinstance(tp, UnionType)  # X | None
     if optional:
         tp = get_args(tp)[0]
-    kind = dict if tp is dict or is_dataclass(tp) else (get_origin(tp) or tp)
+    kind = dict if is_dataclass(tp) else (get_origin(tp) or tp)
     return tp, rules, optional, kind, _spec(get_args(tp)[0]) if kind is list else None
 
 

@@ -41,7 +41,7 @@ from .demand import (RideRequest, SupplySchedule, check_level_sizes, demand_dens
                      generate_synthetic_demand, load_requests, load_supply,
                      scale_demand, scale_supply)
 from .efficiency import InsufficientDataError, gc_point, sweep, switching_points
-from .emissions import EmissionFactors, private_vehicle_baseline, per_passenger_metrics
+from .emissions import private_vehicle_baseline, per_passenger_metrics
 from .engine import SimulationResult, run_scenario, summarize
 from .equity import equity_report
 from .network import Network, NoPathError, generate_grid, load_network
@@ -475,7 +475,6 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
     car baseline follows from the day at each level, `days`, and the cost,
     curve and crossing tables from `cost_curves`.
     """
-    factors = cfg.emission_factors()
     ana = cfg.analysis
     files: dict[str, tuple[list[str], list[list]] | str] = {}
     all_trips, all_fleet, emis_rows, gini_rows, lorenz_rows = [], [], [], [], []
@@ -493,7 +492,7 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
         # emissions across the electrification ladder
         pax_km = sum(t.length_km or 0.0 for t in c.trips if t.served)
         for lvl in ana.electrification_levels:
-            rep = per_passenger_metrics(c.total_km, c.served, pax_km, lvl, factors)
+            rep = per_passenger_metrics(c.total_km, c.served, pax_km, lvl, cfg.emissions)
             emis_rows.append(_emission_row(run.run_id, run.system, run.level, lvl, rep))
 
         # equity: Gini and Lorenz curve per attribute and metric
@@ -515,7 +514,7 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
     if ana.include_baseline:
         excluded = {}  # level -> requests the baseline could not route
         for lvl, day in days.items():
-            rep = private_vehicle_baseline(day, net, factors)
+            rep = private_vehicle_baseline(day, net, cfg.emissions)
             emis_rows.append(_emission_row(f"baseline-L{lvl}", "private_baseline",
                                            lvl, 0.0, rep))
             if rep.excluded_requests:
@@ -526,7 +525,7 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
                         ", ".join(f"L{lvl} ({n})" for lvl, n in excluded.items()))
 
     cost_rows, gc_rows, switch_rows = cost_curves(
-        runs, net.area_km2, cfg.cost_parameters(), ana.vot, ana.surge_levels,
+        runs, net.area_km2, cfg.costs, ana.vot, ana.surge_levels,
         ana.served_fraction_threshold)
 
     files.update({
@@ -681,20 +680,13 @@ def render_report(out_dir: str, show_params: bool = False) -> str:
             sections.append("cost crossings: none found")
 
     if show_params:
-        cfg_raw = manifest.get("config", {})
+        cfg_raw, lines = manifest.get("config", {}), ["resolved parameters"]
         for key in ("config", "costs", "emissions", "analysis"):  # the last three in config
-            if not isinstance(cfg_raw if key == "config" else cfg_raw.get(key, {}), dict):
+            part = cfg_raw if key == "config" else cfg_raw.get(key, {})
+            if not isinstance(part, dict):
                 raise ValueError(f"{manifest_path}: key '{key}' does not hold a mapping")
-        params = CostParameters().replace(**cfg_raw.get("costs", {}))
-        lines = ["resolved parameters"]
-        for name in params.__dataclass_fields__:
-            lines.append(f"  cost.{name} = {getattr(params, name)}")
-        factors = EmissionFactors().replace(**cfg_raw.get("emissions", {}))
-        for name in factors.__dataclass_fields__:
-            lines.append(f"  emissions.{name} = {getattr(factors, name)}")
-        ana = cfg_raw.get("analysis", {})
-        for key in sorted(ana):
-            lines.append(f"  analysis.{key} = {ana[key]}")
+            if key != "config":
+                lines += [f"  {key}.{name} = {value}" for name, value in part.items()]
         sections.append("\n".join(lines))
 
     return "\n\n".join(sections) + "\n"

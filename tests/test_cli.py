@@ -16,6 +16,7 @@ import re
 import shutil
 from concurrent.futures import Future
 from dataclasses import asdict, is_dataclass
+from decimal import Decimal
 from pathlib import Path
 from types import UnionType
 from typing import Annotated, get_args, get_origin, get_type_hints
@@ -128,18 +129,19 @@ JUNK = ["x", 1.5, 7, [1], [], {"a": 1}, True, None, ["a"], -3]
 
 def well_typed(tp, value) -> bool:
     """The reader's type rules on their own: a section takes a mapping or
-    null, a bool is never a number, and a string field also takes a number."""
+    null, a bool is never a number, a money setting (Decimal) takes only a
+    number, and a string field also takes a number."""
     if get_origin(tp) is UnionType:  # X | None
         return value is None or well_typed(get_args(tp)[0], value)
-    if tp is dict or is_dataclass(tp):
+    if is_dataclass(tp):
         return value is None or isinstance(value, dict)
     if get_origin(tp) is list:
         return isinstance(value, list) and all(well_typed(get_args(tp)[0], v)
                                                for v in value)
     if isinstance(value, bool):
         return tp is bool
-    return isinstance(value, {int: int, float: (int, float), str: (str, int, float),
-                              bool: bool}[tp])
+    return isinstance(value, {int: int, float: (int, float), Decimal: (int, float),
+                              str: (str, int, float), bool: bool}[tp])
 
 
 def config_fields(cls=ScenarioConfig, path=()):
@@ -171,7 +173,13 @@ def test_every_mistyped_field_is_one_error_naming_its_path():
                 assert len(type_errors) == 1, (dotted, junk, report.errors)
                 assert type_errors[0].startswith((f"{dotted}:", f"{dotted}[")), type_errors
             cases += 1
-    assert cases == 530  # 53 fields of ten dataclasses, ten values each
+    assert cases == 670  # 67 fields of twelve dataclasses, ten values each
+
+
+def test_no_config_field_is_a_bare_mapping():
+    # a bare dict would escape the typed reader: its keys and values unchecked
+    assert [path for path, tp in config_fields()
+            if dict in (tp, get_origin(tp), *get_args(tp))] == []
 
 
 def config_rules(tp=ScenarioConfig, path=()):
@@ -208,6 +216,8 @@ REFUSED = {
     ("supply.schedule", "needs 24 hourly counts"): [1] * 23,
     ("supply.schedule", "hourly counts must be non-negative integers"): [1] * 23 + [-1],
     ("systems", "must not be empty"): [],
+    ("systems[0].type", "must be one of crowdsourced_exclusive, crowdsourced_shared, "
+     "dedicated_darp, frt, hybrid_frt, hybrid_odt"): "teleporter",
     ("systems[0].alpha", "must be one of 0.0, 0.5, 1.0"): 0.3,
     ("systems[0].crowdsourced_service", "must be one of exclusive, shared"): "pooled",
     ("systems[0].max_detour", "must be at least 1"): 0.5,
@@ -224,19 +234,34 @@ REFUSED = {
     ("corridor.supply", "hourly counts must be non-negative integers"): [-1] * 24,
     ("corridor.alpha", "must be one of 0.0, 0.5, 1.0"): 0.25,
     ("analysis.vot", "must not be negative"): -1.0,
-    ("analysis.vot", "must be below 1e12 to be priced in cents"): 1.0e12,
+    ("analysis.vot", "must be below 1e12 in magnitude"): 1.0e12,
     ("analysis.surge_levels[0]", "must be one of 0, 20, 40, 50"): 33,
     ("analysis.electrification_levels[0]", "must be one of 0.0, 0.2, 0.4, 0.6, 0.8, 1.0"):
         0.3,
     ("analysis.electrification_levels", "must be distinct"): [0.0, 1.0, 0.0],
     ("analysis.served_fraction_threshold", "must be in (0, 1]"): 1.5,
+    ("costs.fixed_fees_exclusive", "must be below 1e12 in magnitude"): 10 ** 12,
+    ("costs.fixed_fees_shared", "must be below 1e12 in magnitude"): -10 ** 12,
+    ("costs.per_minute", "must be below 1e12 in magnitude"): 1.0e12,
+    ("costs.per_km", "must be below 1e12 in magnitude"): -1.0e12,
+    ("costs.fare", "must be below 1e12 in magnitude"): 4.0e15,
+    ("costs.vehicle_price", "must be below 1e12 in magnitude"): 10 ** 26,
+    ("costs.hourly_vehicle_cost", "must be below 1e12 in magnitude"): 1.0e300,
+    ("costs.frt_cost_per_km", "must be below 1e12 in magnitude"): -7.3e13,
+    ("costs.driver_wage", "must be below 1e12 in magnitude"): 1_500_000_000_000,
+    ("costs.other_costs", "must be below 1e12 in magnitude"): 2.0e12,
+    ("emissions.ghg_km_transit", "must be below 1e12 in magnitude"): 1.0e12,
+    ("emissions.ghg_km_private", "must be below 1e12 in magnitude"): -1.0e12,
+    ("emissions.ev_kwh_per_km", "must be below 1e12 in magnitude"): 10 ** 13,
+    ("emissions.grid_g_per_kwh", "must be below 1e12 in magnitude"): 2.5e13,
 }
 
 
 def test_every_rule_refuses_its_example_with_one_error_naming_its_path():
     # every section given; no zones, so a negative zone count breaks only its rule
     base = {**json.loads(json.dumps(BASE)),
-            "corridor": {"stops": [10, 12, 14], "supply": [1] * 24}}
+            "corridor": {"stops": [10, 12, 14], "supply": [1] * 24},
+            "costs": {}, "emissions": {}}
     base["network"]["grid"].update(zone_rows=0, zone_cols=0)
     assert parse_config(base).errors == []
     seen = set()
@@ -375,46 +400,81 @@ def test_a_cell_that_would_poison_densities_or_ginis_is_refused_before_any_run(
 @pytest.mark.parametrize("value", ["abc", [1], None, True, "4.00", float("nan"), float("inf"),
                                    "NaN"])
 def test_cost_and_emission_values_name_their_key(section, key, kind, value):
+    # a cost parameter or an emission factor is read like every number
+    # setting: text, numeric text such as "4.00" included, is refused
     raw = json.loads(json.dumps(BASE))
     raw[section] = {key: value}
-    report = parse_config(raw)
-    if value == "4.00":  # a numeric string is a number
-        assert report.ok, report.errors
-    else:
-        assert report.errors == [f"{section}: {kind} '{key}' must be a number, "
-                                 f"got {value!r}"]
+    problem = ("must be a finite number" if isinstance(value, float) else
+               f"expected a number, got {'null' if value is None else type(value).__name__}")
+    assert parse_config(raw).errors == [f"{section}.{key}: {problem}"], kind
 
 
-@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
-@pytest.mark.parametrize("mutate, problem", [
-    (lambda raw: raw.update(costs={"vehicle_price": "1e26"}),
-     "costs: cost parameter 'vehicle_price' must be below 1e12 in magnitude, got '1e26'"),
-    (lambda raw: raw.update(emissions={"grid_g_per_kwh": -1.0e13}),
-     "emissions: emission factor 'grid_g_per_kwh' must be below 1e12 in magnitude, "
-     "got -10000000000000.0"),
-    (lambda raw: raw["analysis"].update(vot=1.0e30),
-     "analysis.vot: must be below 1e12 to be priced in cents, got 1e+30"),
-], ids=["vehicle-price", "grid-factor", "vot"])
-def test_money_too_large_to_price_in_cents_is_refused_before_any_run(
-        tmp_path, capsys, monkeypatch, command, mutate, problem):
-    # Decimal keeps 28 digits, so such a value failed every run's costing
+def refused_before_any_run(tmp_path, capsys, monkeypatch, command, mutate) -> list[str]:
+    """What `command` prints on stderr for the scenario mutate makes, once
+    it has exited 2 before any run, writing no output directory."""
     runs = []
     monkeypatch.setattr(runner, "run_one", lambda *args: runs.append(args))
     out = tmp_path / "out"
     argv = [command, str(write_scenario(tmp_path, mutate=mutate))]
     assert main(argv if command == "validate" else [*argv, "--out", str(out), "-q"]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {problem}", "1 problem(s) found"]
     assert runs == [] and not out.exists()
+    return capsys.readouterr().err.splitlines()
 
 
-def test_parse_warns_on_unknown_keys():
-    raw = json.loads(json.dumps(BASE))
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("mutate, problem", [
+    (lambda raw: raw.update(costs={"vehicle_price": 10 ** 26}),
+     "costs.vehicle_price: must be below 1e12 in magnitude, "
+     "got 100000000000000000000000000"),
+    (lambda raw: raw.update(emissions={"grid_g_per_kwh": -1.0e13}),
+     "emissions.grid_g_per_kwh: must be below 1e12 in magnitude, got -10000000000000.0"),
+    (lambda raw: raw["analysis"].update(vot=1.0e30),
+     "analysis.vot: must be below 1e12 in magnitude, got 1e+30"),
+], ids=["vehicle-price", "grid-factor", "vot"])
+def test_money_too_large_to_price_in_cents_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch, command, mutate, problem):
+    # Decimal keeps 28 digits, so such a value failed every run's costing
+    assert refused_before_any_run(tmp_path, capsys, monkeypatch, command, mutate) == [
+        f"error: {problem}", "1 problem(s) found"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("mutate, problem", [
+    (lambda raw: raw["analysis"].update(vott=20), "analysis: unknown key 'vott'"),
+    (lambda raw: raw.update(costs={"fare_typo": 3}), "costs: unknown key 'fare_typo'"),
+    (lambda raw: raw.update(sytems=[]), "unknown top-level key 'sytems'"),
+    (lambda raw: raw.update(costs={"fare": "4.00"}), "costs.fare: expected a number, got str"),
+    (lambda raw: raw["network"].update(area_km2=10 ** 330),
+     "network.area_km2: must be a finite number"),
+], ids=["vott", "fare-typo", "top-level-typo", "fare-text", "area-past-float"])
+def test_a_setting_the_reader_refuses_stops_every_command_before_any_run(
+        tmp_path, capsys, monkeypatch, command, mutate, problem):
+    # a misspelt key only warned, so the sweep priced time at the default vot;
+    # an int too large for a float passed, and every density read 0
+    assert refused_before_any_run(tmp_path, capsys, monkeypatch, command, mutate) == [
+        f"error: {problem}", "1 problem(s) found"]
+
+
+def unknown_keys(raw):
+    """A typo in every kind of place: the top level, a list item, a section,
+    and the costs and emissions sections."""
     raw["typo_key"] = 1
     raw["systems"][0]["seats"] = 4
+    raw["analysis"]["vott"] = 20
+    raw["costs"] = {"fare_typo": 3}
+    raw["emissions"] = {"coal_g_per_km": 1.0}
+
+
+UNKNOWN_KEYS = ["systems[0]: unknown key 'seats'", "analysis: unknown key 'vott'",
+                "unknown top-level key 'typo_key'", "costs: unknown key 'fare_typo'",
+                "emissions: unknown key 'coal_g_per_km'"]
+
+
+def test_parse_refuses_unknown_keys():
+    raw = json.loads(json.dumps(BASE))
+    unknown_keys(raw)
     report = parse_config(raw)
-    assert report.ok
-    assert any("typo_key" in w for w in report.warnings)
-    assert any("seats" in w for w in report.warnings)
+    assert (report.config, report.errors, report.warnings) == (None, UNKNOWN_KEYS, [])
 
 
 def test_parse_rejects_negative_zone_counts():
@@ -448,9 +508,9 @@ def test_config_hash_tracks_content():
     raw["seed"] = 6
     c = parse_config(raw).config
     assert c.config_hash() != a.config_hash()
-    # parsing stores values as given, so the hash of a config keeps its bytes
+    # the hash covers every resolved setting, each cost and emission factor too
     assert a.config_hash() == (
-        "a2d2c47933e67d2544b61557f79f7fb70bd1bca26003bd4ab04f928c3f287328")
+        "1d06bb0d0fe6d552f496f3defd71b43a5c3fb54650a0900de308a1acbf1aae17")
 
 
 def test_load_config_missing_and_invalid(tmp_path):
@@ -492,10 +552,13 @@ def test_readme_examples_are_valid():
     report = parse_config(yaml.safe_load(town))
     assert report.ok and not report.warnings, (report.errors, report.warnings)
     assert report.config.config_hash() == (
-        "ded3d0b81ebab2db0bd806504396ddc7bd5ca2d57ba75243ac170fdf0c2f6fe1")
+        "b8d9379676922d02895462585c85e82574ed0c8dcadd892ef4ef01ae6d85b037")
     overrides = yaml.safe_load(next(b for b in blocks if b.startswith("costs:")))
-    CostParameters().replace(**overrides["costs"])
-    EmissionFactors().replace(**overrides["emissions"])
+    report = parse_config({**yaml.safe_load(town), **overrides})
+    assert report.ok and not report.warnings, (report.errors, report.warnings)
+    # the block restates the built-in constants
+    assert (report.config.costs, report.config.emissions) == (CostParameters(),
+                                                              EmissionFactors())
 
 
 # -- CLI: validate --------------------------------------------------------------------
@@ -525,15 +588,11 @@ def test_validate_names_a_mistyped_value(tmp_path, capsys):
     assert "1 problem(s) found" in err
 
 
-def test_validate_prints_each_unknown_key_as_a_warning(tmp_path, capsys):
-    def typos(raw):
-        raw["typo_key"] = 1
-        raw["systems"][0]["seats"] = 4
-
-    assert main(["validate", str(write_scenario(tmp_path, mutate=typos))]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["warning: systems[0]: unknown key 'seats' ignored",
-                   "warning: unknown top-level key 'typo_key' ignored"]
+def test_validate_prints_each_unknown_key_as_an_error(tmp_path, capsys):
+    assert main(["validate", str(write_scenario(tmp_path, mutate=unknown_keys))]) == 2
+    # in the file's order, which safe_dump sorts by key
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"error: {problem}" for problem in sorted(UNKNOWN_KEYS)), "5 problem(s) found"]
 
 
 def test_validate_refuses_a_file_whose_top_level_is_a_list(tmp_path, capsys):
@@ -578,8 +637,7 @@ def test_network_files_are_one_section_beside_grid(tmp_path, capsys):
     # the flat spelling of a network file is an unknown key
     raw = json.loads(json.dumps(BASE))
     raw["network"]["nodes_file"] = "nodes.csv"
-    report = parse_config(raw)
-    assert report.ok and report.warnings == ["network: unknown key 'nodes_file' ignored"]
+    assert parse_config(raw).errors == ["network: unknown key 'nodes_file'"]
     # files alone: a missing file is named by its role
     raw["network"] = {"files": {name: str(tmp_path / f"{name}.txt")
                                 for name in ("nodes", "edges", "zones")}}
@@ -609,7 +667,7 @@ def test_network_files_are_one_section_beside_grid(tmp_path, capsys):
     (lambda raw: raw["systems"][1].update(max_detour=float("inf")),
      "systems[1].max_detour: must be a finite number"),
     (lambda raw: raw.update(emissions={"grid_g_per_kwh": float("inf")}),
-     "emissions: emission factor 'grid_g_per_kwh' must be a number, got inf"),
+     "emissions.grid_g_per_kwh: must be a finite number"),
     (lambda raw: raw["systems"][0].update(name="../../escaped"),
      "systems[0]: name '../../escaped' must not contain '/', '\\' or '+'"),
     (lambda raw: raw["systems"][1].update(name="a\\b"),
@@ -725,8 +783,8 @@ def test_levels_that_scale_the_day_to_one_size_stop_a_sweep_before_any_run(
     assert runs == [] and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("profile", [[0.0] * 24, [1.0] * 23 + [-1.0]],
-                         ids=["all-zero", "negative"])
+@pytest.mark.parametrize("profile", [[0.0] * 24, [1.0] * 23 + [-1.0], [10 ** 308] * 24],
+                         ids=["all-zero", "negative", "int-sum-past-float"])
 def test_validate_rejects_an_hourly_profile_no_day_can_be_drawn_from(tmp_path, capsys,
                                                                      profile):
     cfg = write_scenario(tmp_path, mutate=lambda raw: raw["demand"]["synthetic"].update(
@@ -1727,21 +1785,26 @@ def test_report_names_a_missing_column_and_its_file(tmp_path, capsys):
         f"error: {gc_curve}: no column 'demand_density'"]
 
 
-@pytest.mark.parametrize("section, key, message", [
-    ("costs", "surge_levels", "unknown cost parameter 'surge_levels'"),
-    ("costs", "value_of_time", "unknown cost parameter 'value_of_time'"),
-    ("emissions", "coal_g_per_km", "unknown emission factor 'coal_g_per_km'"),
-])
-def test_report_show_params_rejects_unknown_parameter(tmp_path, capsys, section, key,
-                                                      message):
+def test_manifest_records_every_cost_and_emission_value_and_show_params_prints_them(
+        tmp_path, capsys):
     out = tmp_path / "out"
-    assert run_cli(write_scenario(tmp_path), out) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"][section] = {key: 1}
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    cfg = write_scenario(tmp_path, mutate=lambda raw: raw.update(
+        costs={"fare": 4.5}, emissions={"grid_g_per_kwh": 30}))
+    assert run_cli(cfg, out) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["config"]
+    # a Decimal is written as its digits
+    assert recorded["costs"] == {**{name: str(value)
+                                    for name, value in asdict(CostParameters()).items()},
+                                 "fare": "4.5"}
+    assert recorded["emissions"] == {**asdict(EmissionFactors()), "grid_g_per_kwh": 30}
     capsys.readouterr()
-    assert main(["report", str(out), "--show-params"]) == 3
-    assert f"error: {message}" in capsys.readouterr().err
+    assert main(["report", str(out), "--show-params"]) == 0
+    text = capsys.readouterr().out
+    assert text.split("resolved parameters\n")[1].splitlines() == [
+        f"  {section}.{name} = {value}" for section in ("costs", "emissions", "analysis")
+        for name, value in sorted(recorded[section].items())]
+    assert "  costs.fare = 4.5\n" in text and "  costs.vehicle_price = 41050\n" in text
+    assert "  emissions.grid_g_per_kwh = 30\n" in text
 
 
 @pytest.mark.parametrize("key", ["config", "costs", "emissions", "analysis"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from odt_lab.demand import RideRequest
@@ -52,11 +54,11 @@ def test_blend_is_linear_across_ladder():
 
 
 def test_factor_overrides():
-    f = EmissionFactors().replace(grid_g_per_kwh=500.0)  # coal-heavy grid
+    f = replace(EmissionFactors(), grid_g_per_kwh=500.0)  # coal-heavy grid
     dirty = electric_yearly_ghg(1000.0, f)
     assert dirty == pytest.approx(1.6425 * 20)
-    with pytest.raises(ValueError):
-        EmissionFactors().replace(nope=1.0)
+    with pytest.raises(TypeError):
+        replace(EmissionFactors(), nope=1.0)
 
 
 def test_private_baseline_uses_direct_paths():

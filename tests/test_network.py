@@ -139,7 +139,8 @@ def test_trees_equal_the_edge_object_reference_bit_for_bit():
     # 2 -> 1 -> 0 ties 2 -> 0 exactly.
     legs = [(3, 1, 0.2), (1, 0, 0.1), (3, 0, 0.3), (2, 1, 0.2), (2, 0, 0.1 + 0.2)]
     rounding = Network([Node(i, 0.0, 0.0) for i in range(4)],
-                       [Edge(k, a, b, m, 10.0, m / 10.0) for k, (a, b, m) in enumerate(legs)])
+                       [Edge(k, a, b, m, 10.0, m / 10.0) for k, (a, b, m) in enumerate(legs)],
+                       area_km2=1.0)
     assert list(rounding._distances_to(0)) == [0.0, 0.1, 0.30000000000000004, 0.3]
     huge = 0
     for net in nets + [rounding]:
@@ -284,6 +285,21 @@ def test_a_service_area_that_is_not_positive_and_finite_is_refused(nodes, area_k
     assert str(err.value) == f"service area {area} is not positive and finite"
 
 
+@pytest.mark.parametrize("nodes", [
+    [Node(0, 0.0, 0.0), Node(1, 100.0, 0.0)],
+    [Node(0, 5.0, 0.0), Node(1, 5.0, 300.0)],
+    [Node(0, 7.0, 7.0), Node(1, 7.0, 7.0)],
+], ids=["along-x", "along-y", "one-point"])
+def test_nodes_that_span_no_area_need_a_given_area(nodes):
+    # their bounding box used to read as 1 km^2, an area no input gave
+    edges = [_make_edge(0, 0, 1, 100.0, 10.0), _make_edge(1, 1, 0, 100.0, 10.0)]
+    with pytest.raises(NetworkValidationError) as err:
+        Network(nodes, edges)
+    assert str(err.value) == ("the nodes span no area; give area_km2 "
+                              "(network.area_km2 in a scenario)")
+    assert Network(nodes, edges, area_km2=2.0).area_km2 == 2.0
+
+
 def test_a_repeated_zone_id_is_refused():
     nodes = [Node(0, 0.0, 0.0, "A"), Node(1, 100.0, 0.0, "A")]
     edges = [_make_edge(0, 0, 1, 100.0, 10.0), _make_edge(1, 1, 0, 100.0, 10.0)]
@@ -295,7 +311,8 @@ def test_queries_refuse_an_unknown_node_and_a_step_from_the_destination():
     net = generate_grid(2, 2, 500.0, 10.0)
     for query in (lambda: net._distances_to(9), lambda: net.distance_m(9, 0),
                   lambda: net.distance_m(0, 9), lambda: net.shortest_path(9, 9),
-                  lambda: net.shortest_path(0, 9), lambda: net.next_edge(0, 9)):
+                  lambda: net.shortest_path(0, 9), lambda: net.next_edge(0, 9),
+                  lambda: net.next_edge(9, 0)):
         with pytest.raises(KeyError, match="unknown node 9"):
             query()
     with pytest.raises(ValueError, match="already at destination"):
@@ -307,7 +324,7 @@ def line_of_three(length_m: float, speed_mps: float) -> Network:
     nodes = [Node(i, 1000.0 * i, 0.0) for i in range(3)]
     legs = [(0, 1), (1, 0), (1, 2), (2, 1)]
     return Network(nodes, [_make_edge(k, a, b, length_m, speed_mps)
-                           for k, (a, b) in enumerate(legs)])
+                           for k, (a, b) in enumerate(legs)], area_km2=1.0)
 
 
 def test_edges_whose_total_overflows_are_rejected():
@@ -326,7 +343,7 @@ def test_geometry_warning_for_too_short_edge(caplog):
     n = [Node(0, 0.0, 0.0), Node(1, 1000.0, 0.0)]
     edges = [Edge(0, 0, 1, 100.0, 10.0, 10.0), Edge(1, 1, 0, 1000.0, 10.0, 100.0)]
     with caplog.at_level("WARNING"):
-        Network(n, edges)
+        Network(n, edges, area_km2=1.0)
     assert any("straight-line" in r.message for r in caplog.records)
 
 
@@ -334,7 +351,7 @@ def test_disconnected_network_names_the_nodes_outside_the_first_component():
     n = [Node(i, float(i), 0.0) for i in range(4)]
     edges = [Edge(0, 0, 1, 10.0, 10.0, 1.0), Edge(1, 1, 0, 10.0, 10.0, 1.0),
              Edge(2, 2, 3, 10.0, 10.0, 1.0), Edge(3, 3, 2, 10.0, 10.0, 1.0)]
-    net = Network(n, edges)
+    net = Network(n, edges, area_km2=1.0)
     assert net.outside_component == (2, 3)  # 2 components of 2
     with pytest.raises(NoPathError):
         net.distance_m(0, 3)
