@@ -8,12 +8,13 @@ the two linearly by the share of electrified distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Annotated
 
 from .costing import DAYS_PER_YEAR, PRICEABLE
 from .demand import RideRequest
-from .network import Network, NoPathError
+from .network import Network
 
 GRAMS_PER_TON = 1e6
 
@@ -64,30 +65,44 @@ def ghg_at_electrification(level: float, km_per_day: float,
     return (1.0 - level) * gas + level * ev
 
 
-def private_vehicle_baseline(requests: list[RideRequest], net: Network,
-                             factors: EmissionFactors = EmissionFactors()) -> EmissionsReport:
-    """Footprint if every request drove itself: one car, origin to destination.
+def private_vehicle_baseline(days: dict[int, list[RideRequest]], net: Network,
+                             factors: EmissionFactors = EmissionFactors()
+                             ) -> dict[int, EmissionsReport]:
+    """Footprint of each level's day if every request drove itself: one
+    car, origin to destination, by level.
 
-    No deadheading and no detours, just the shortest path per request.
-    Requests without a network route are excluded and counted; the caller
-    reports them.
+    No deadheading and no detours, just the shortest path per request, its
+    metres summed in request order. Each destination of the sweep is
+    searched once, only as far as its farthest origin. Requests without a
+    network route are excluded and counted; the caller reports them.
     """
-    total_m = 0.0
-    excluded = 0
-    for r in requests:
-        try:
-            total_m += net.distance_m(r.origin, r.destination)
-        except NoPathError:
-            excluded += 1
-    km_per_day = total_m / 1000.0
-    served = len(requests) - excluded
-    ghg_t = yearly_ghg(factors.ghg_km_private, km_per_day)
-    if served == 0:
-        return EmissionsReport(ghg_t, None, None, excluded)
-    vkm_per_pax = km_per_day / served
-    yearly_pax_km = km_per_day * DAYS_PER_YEAR  # every on-board km equals a driven km here
-    g_per_pax_km = ghg_t * GRAMS_PER_TON / yearly_pax_km if yearly_pax_km > 0 else None
-    return EmissionsReport(ghg_t, vkm_per_pax, g_per_pax_km, excluded)
+    origins: dict[int, dict[int, None]] = {}  # dest -> its origins, in first-seen order
+    for day in days.values():
+        for r in day:
+            origins.setdefault(r.destination, {})[r.origin] = None
+    metres = {}  # (origin, dest) -> metres, inf where there is no route
+    for dest, starts in origins.items():
+        metres.update(zip([(o, dest) for o in starts], net.distances_into(dest, starts)))
+    reports = {}
+    for level, day in days.items():
+        total_m = 0.0
+        excluded = 0
+        for r in day:
+            d = metres[r.origin, r.destination]
+            if d == math.inf:
+                excluded += 1
+            else:
+                total_m += d
+        km_per_day = total_m / 1000.0
+        served = len(day) - excluded
+        ghg_t = yearly_ghg(factors.ghg_km_private, km_per_day)
+        if served == 0:
+            reports[level] = EmissionsReport(ghg_t, None, None, excluded)
+            continue
+        yearly_pax_km = km_per_day * DAYS_PER_YEAR  # every on-board km equals a driven km here
+        g_per_pax_km = ghg_t * GRAMS_PER_TON / yearly_pax_km if yearly_pax_km > 0 else None
+        reports[level] = EmissionsReport(ghg_t, km_per_day / served, g_per_pax_km, excluded)
+    return reports
 
 
 def per_passenger_metrics(total_km_day: float, served_per_day: int,

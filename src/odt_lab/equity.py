@@ -65,21 +65,33 @@ def zonal_outcomes(trips, zones: dict[str, Zone], metric: str,
     """
     if metric not in EQUITY_METRICS:
         raise ValueError(f"unknown metric '{metric}'")
-    per_zone: dict[str, list] = {z: [] for z in zones}
+    return _weighted(_zone_outcomes(_served_by_zone(trips, zones), metric), zones, attribute)
+
+
+def _served_by_zone(trips, zones: dict[str, Zone]) -> dict[str, list]:
+    """Each zone's served trips in trip order, keyed by zone id in sorted
+    order; trips that start outside every zone are left out."""
+    per_zone: dict[str, list] = {z: [] for z in sorted(zones)}
     for t in trips:
         if t.served and t.origin_zone in per_zone:
             per_zone[t.origin_zone].append(t)
-    out = []
-    for zone_id in sorted(zones):
-        trips_here = per_zone[zone_id]
-        weight = group_weight(zones[zone_id], attribute)
-        if metric == "usage":
-            out.append(ZonalOutcome(zone_id, float(len(trips_here)), weight))
-        elif trips_here:
-            vals = [t.wait_min if metric == "wait" else t.ivtt_min for t in trips_here]
-            out.append(ZonalOutcome(zone_id, fmean(vals), weight))
-        # zones with no served trips drop out of the time metrics
-    return out
+    return per_zone
+
+
+def _zone_outcomes(per_zone: dict[str, list], metric: str) -> dict[str, float]:
+    """Each zone's outcome for one metric, from `_served_by_zone`."""
+    if metric == "usage":
+        return {z: float(len(here)) for z, here in per_zone.items()}
+    minutes = "wait_min" if metric == "wait" else "ivtt_min"
+    # zones with no served trips drop out of the time metrics
+    return {z: fmean([getattr(t, minutes) for t in here])
+            for z, here in per_zone.items() if here}
+
+
+def _weighted(outcomes: dict[str, float], zones: dict[str, Zone],
+              attribute: str) -> list[ZonalOutcome]:
+    return [ZonalOutcome(z, outcome, group_weight(zones[z], attribute))
+            for z, outcome in outcomes.items()]
 
 
 def lorenz(outcomes: list[ZonalOutcome]) -> LorenzCurve:
@@ -135,15 +147,19 @@ def gini(curve: LorenzCurve) -> float:
 
 
 def equity_report(trips, zones: dict[str, Zone]) -> list[GiniResult]:
-    """Gini index for every attribute and metric combination.
+    """Gini index for every attribute and metric combination, each as
+    `zonal_outcomes`, `lorenz` and `gini` give it; the trips are grouped by
+    zone, and each metric's zonal outcomes taken, once.
 
     Combinations without enough data (no zones with served trips, or all
     outcomes zero) are skipped rather than reported as spurious zeros.
     """
+    per_zone = _served_by_zone(trips, zones)
+    by_metric = {metric: _zone_outcomes(per_zone, metric) for metric in EQUITY_METRICS}
     out = []
     for attribute in ZONE_ATTRIBUTES:
         for metric in EQUITY_METRICS:
-            outcomes = zonal_outcomes(trips, zones, metric, attribute)
+            outcomes = _weighted(by_metric[metric], zones, attribute)
             try:
                 curve = lorenz(outcomes)
                 g = gini(curve)

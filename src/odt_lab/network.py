@@ -13,7 +13,7 @@ import io
 import logging
 import math
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Annotated
@@ -159,7 +159,10 @@ class Network:
     in-adjacency, `_in_slots`, built once with the network: for each slot,
     the (tail slot, metres) of every edge into it. Each cached tree is an
     array('d') of metres into its destination, indexed by slot, with
-    math.inf where there is no route: 8 bytes a node. Each node's nearest
+    math.inf where there is no route: 8 bytes a node. `distances_into`
+    answers a few origins into one destination from that destination's
+    tree if it is cached, else by the same search stopped once those
+    origins' metres are final, and caches nothing. Each node's nearest
     stop of a route is cached next to the trees. A sweep builds one
     instance and shares it, caches included, across all of its runs.
     """
@@ -309,6 +312,30 @@ class Network:
         s = self._slot.get(dest)
         if s is None:
             raise KeyError(f"unknown node {dest}")
+        tree = self._dist_to[dest] = array("d", self._search(s))
+        return tree
+
+    def distances_into(self, dest: int, origins: Iterable[int]) -> list[float]:
+        """Metres from each origin into dest, math.inf where there is no
+        route: dest's cached tree if there is one, else a search that stops
+        once every origin's metres are final. It caches nothing."""
+        slot = self._slot
+        try:
+            wanted = [slot[o] for o in origins]
+        except KeyError as exc:
+            raise KeyError(f"unknown node {exc.args[0]}") from None
+        s = slot.get(dest)
+        if s is None:
+            raise KeyError(f"unknown node {dest}")
+        tree = self._dist_to.get(dest)
+        if tree is None:
+            tree = self._search(s, wanted)
+        return [tree[k] for k in wanted]
+
+    def _search(self, s: int, targets: list[int] | None = None) -> list[float]:
+        """Metres into slot s from every slot, by slot; with targets, the
+        search may stop once the targets' metres are final, and only
+        theirs are then exact."""
         # Delta-stepping: a slot waits in the bucket of its tentative metres,
         # buckets being delta wide. Bucket b is `cur`, b + 1 is `nxt`, and
         # later ones sit in `far` under their index, which `far_keys` heaps.
@@ -345,6 +372,16 @@ class Network:
                             else:
                                 far[k] = [v]
                                 heappush(far_keys, k)
+            # Once per finished bucket: the targets' metres are final when
+            # no slot waiting to be expanded holds fewer, as expanding it
+            # can only lower a slot to its own metres or more. A waiting slot
+            # can sit below the bucket's bound (a far index rounds down), so
+            # the bound only decides when to look at them.
+            if targets is not None:
+                most = max((dist[t] for t in targets), default=0.0)
+                if most < top and all(most <= dist[v] for part in (nxt, *far.values())
+                                      for v in part if dist[v] < expanded[v]):
+                    break
             if nxt:
                 b += 1.0
                 cur = nxt
@@ -356,8 +393,7 @@ class Network:
             else:
                 break
             nxt = far.pop(b + 1.0, [])
-        tree = self._dist_to[dest] = array("d", dist)
-        return tree
+        return dist
 
     def distance_m(self, origin: int, dest: int) -> float:
         """Shortest driven distance, metres. Raises NoPathError when unreachable."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import shutil
@@ -369,11 +370,19 @@ FLEET_HEADER = ["run_id", "vehicle_id", "service_hours", "km", "avg_occupancy",
                 "start_s", "end_s", "passenger_seconds"]
 
 
-def trip_rows(run: RunOutput) -> list[list]:
-    return [[run.run_id, t.request_id, t.mode, int(t.served),
-             _fmt(t.walk_min), _fmt(t.wait_min), _fmt(t.ivtt_min),
-             _fmt(t.length_km), t.origin_zone or "", t.dest_zone or "",
-             t.reject_reason or ""] for t in run.combined.trips]
+def _csv_text(rows: list[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def trip_rows(run: RunOutput) -> str:
+    """The run's trip rows as CSV text, header excluded."""
+    run_id = run.run_id
+    return _csv_text([[run_id, t.request_id, t.mode, int(t.served),
+                       _fmt(t.walk_min), _fmt(t.wait_min), _fmt(t.ivtt_min),
+                       _fmt(t.length_km), t.origin_zone or "", t.dest_zone or "",
+                       t.reject_reason or ""] for t in run.combined.trips])
 
 
 def fleet_rows(run: RunOutput) -> list[list]:
@@ -468,24 +477,26 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
            runs: list[RunOutput]) -> dict:
     """Every output file of a sweep but the manifest, by relative path.
 
-    A CSV file maps to its (header, rows), a JSON file to its text. One pass
-    over the runs renders each run's trip rows, which runs/<id>/trips.csv
-    holds and the top-level trips.csv concatenates, and adds the run's fleet
-    rows, rejections, emissions, Gini indices and Lorenz curve points; the
-    car baseline follows from the day at each level, `days`, and the cost,
-    curve and crossing tables from `cost_curves`.
+    A trips file and a JSON file map to their text, any other CSV file to
+    its (header, rows). One pass over the runs encodes each run's trip rows
+    once, the text runs/<id>/trips.csv holds and the top-level trips.csv
+    concatenates, and adds the run's fleet rows, rejections, emissions, Gini
+    indices and Lorenz curve points; the car baseline follows from the day
+    at each level, `days`, and the cost, curve and crossing tables from
+    `cost_curves`.
     """
     ana = cfg.analysis
     files: dict[str, tuple[list[str], list[list]] | str] = {}
+    trips_header = _csv_text([TRIPS_HEADER])
     all_trips, all_fleet, emis_rows, gini_rows, lorenz_rows = [], [], [], [], []
     rejections = {}  # run id -> its rejection snapshots, for runs that refused anyone
     unzoned = {}  # run id -> served trips the equity analysis skipped
     for run in runs:
         c = run.combined
         trips = trip_rows(run)
-        all_trips += trips
+        all_trips.append(trips)
         all_fleet += fleet_rows(run)
-        files[f"runs/{run.run_id}/trips.csv"] = (TRIPS_HEADER, trips)
+        files[f"runs/{run.run_id}/trips.csv"] = trips_header + trips
         if c.rejections:
             rejections[run.run_id] = [asdict(r) for r in c.rejections]
 
@@ -513,8 +524,7 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
     # the everyone-drives baseline per demand level
     if ana.include_baseline:
         excluded = {}  # level -> requests the baseline could not route
-        for lvl, day in days.items():
-            rep = private_vehicle_baseline(day, net, cfg.emissions)
+        for lvl, rep in private_vehicle_baseline(days, net, cfg.emissions).items():
             emis_rows.append(_emission_row(f"baseline-L{lvl}", "private_baseline",
                                            lvl, 0.0, rep))
             if rep.excluded_requests:
@@ -529,7 +539,7 @@ def tables(cfg: ScenarioConfig, net: Network, days: dict[int, list[RideRequest]]
         ana.served_fraction_threshold)
 
     files.update({
-        "trips.csv": (TRIPS_HEADER, all_trips),
+        "trips.csv": trips_header + "".join(all_trips),
         "fleet.csv": (FLEET_HEADER, all_fleet),
         "costs.csv": (["run_id", "system", "demand_level_pct", "surge_pct",
                        "capital_cad", "operating_cad", "net_annual_cad"], cost_rows),
@@ -603,8 +613,8 @@ def _publish(out: Path, files: dict, manifest: dict) -> None:
         for rel, content in files.items():
             path = stage / rel
             path.parent.mkdir(parents=True, exist_ok=True)
-            if isinstance(content, str):
-                path.write_text(content)
+            if isinstance(content, str):  # written as is: a CSV's lines end in \r\n
+                path.write_text(content, newline="")
             else:
                 _write_csv(path, *content)
         manifest = {**manifest, "files": {rel: _sha256(stage / rel) for rel in sorted(files)}}

@@ -7,8 +7,8 @@ from random import Random
 import pytest
 
 from odt_lab.engine import TripRecord
-from odt_lab.equity import (LorenzCurve, ZonalOutcome, equity_report, gini,
-                            group_weight, lorenz, zonal_outcomes)
+from odt_lab.equity import (EQUITY_METRICS, GiniResult, LorenzCurve, ZonalOutcome,
+                            equity_report, gini, group_weight, lorenz, zonal_outcomes)
 from odt_lab.network import Zone, ZONE_ATTRIBUTES
 
 from oracles import gini_mean_difference
@@ -193,6 +193,24 @@ def test_zones_without_trips_stay_in_usage_but_not_times():
 def test_zonal_outcomes_refuses_an_unknown_metric():
     with pytest.raises(ValueError, match="unknown metric 'fare'"):
         zonal_outcomes([_trip(0, "A")], {"A": _zone("A", 100.0)}, "fare", "income")
+
+
+def test_equity_report_equals_the_per_pair_chain_exactly():
+    # zone E has no trip; one served trip starts outside any zone and one
+    # rider was not served
+    rng = Random(11)
+    zones = {z: Zone(z, pop, {a: rng.random() for a in ZONE_ATTRIBUTES})
+             for z, pop in (("C", 250.0), ("A", 1200.0), ("E", 80.0), ("B", 640.0))}
+    trips = [_trip(k, z, wait=rng.uniform(0.5, 20.0), ivtt=rng.uniform(2.0, 40.0))
+             for k, z in enumerate("ABCABAACBA")]
+    trips += [_trip(10, None), _trip(11, "B", served=False)]
+    expected = []
+    for attribute in ZONE_ATTRIBUTES:
+        for metric in EQUITY_METRICS:
+            curve = lorenz(zonal_outcomes(trips, zones, metric, attribute))
+            expected.append(GiniResult(attribute, metric, gini(curve), curve))
+    assert equity_report(trips, zones) == expected
+    assert len(expected) == 21
 
 
 def test_equity_report_skips_degenerate_combinations():

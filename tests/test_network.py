@@ -152,6 +152,57 @@ def test_trees_equal_the_edge_object_reference_bit_for_bit():
     assert huge > 0
 
 
+def test_a_bounded_search_gives_the_full_trees_metres_bit_for_bit():
+    # each destination is searched for each origin alone and for random
+    # sets of origins before its full tree is built, and caches nothing
+    nets = [net for seed in range(10)
+            for net in (irregular_network(seed), relabelled(irregular_network(seed)))]
+    nets += [random_directed_network(seed, length=draw) for seed in range(3)
+             for draw in (lambda rng: 10 ** rng.uniform(-2, 4),
+                          lambda rng: rng.choice((0.5, 0.5, 500.0, 1e306)),
+                          lambda rng: rng.choice((5e-324, 5e-324, 500.0, 1e306)))]
+    nets.append(line_of_three(4e307, 10.0))  # 8e307 m end to end
+    # The bucket width is 0.2 m, and 1.2 // 0.2 is 5.0 though 6 * 0.2 >
+    # 1.2, so node 2's 1.2 m is filed under a bucket the search has left.
+    # Node 4 first reads 1.3 m, through node 3, below the bound of the
+    # bucket then finished; its 1.2 m, through node 2, is still waiting.
+    legs = [(1, 0, 1.0), (2, 1, 0.2), (3, 1, 1e-300), (4, 3, 0.3), (4, 2, 1e-300)]
+    waiting = Network([Node(i, 0.0, 0.0) for i in range(5)],
+                      [Edge(k, a, b, m, 10.0, m / 10.0) for k, (a, b, m) in enumerate(legs)],
+                      area_km2=1.0)
+    assert waiting._delta == 0.2 and waiting.distances_into(0, [4]) == [1.2]
+    nets.append(waiting)
+    rng = Random(5)
+    excluded = 0
+    for net in nets:
+        ids = sorted(net.nodes)
+        for dest in ids:
+            asked = [[o] for o in ids] + [rng.sample(ids, rng.randint(2, 3)) for _ in range(4)]
+            got = [net.distances_into(dest, origins) for origins in asked]
+            assert dest not in net._dist_to
+            tree = net._distances_to(dest)
+            for origins, metres in zip(asked, got):
+                assert metres == [tree[net._slot[o]] for o in origins]
+            excluded += sum(m == math.inf for m, in got[:len(ids)])
+            assert net.distances_into(dest, ids) == list(tree)  # read off the cached tree
+    # every node but node 5 of each relabelled copy, toward node 5, and the
+    # random networks' dead ends
+    assert excluded > 10 * 16
+    assert line_of_three(4e307, 10.0).distances_into(2, [0, 1, 2]) == [8e307, 4e307, 0.0]
+
+
+def test_a_search_for_a_near_origin_stops_early_and_caches_nothing():
+    net = generate_grid(10, 10, 500.0, 10.0)
+    assert net.distances_into(55, [56, 55]) == [500.0, 0.0]
+    assert net._dist_to == {}
+    near = net._search(net._slot[55], [net._slot[56]])
+    assert near[net._slot[56]] == 500.0 and near.count(math.inf) > 80
+    with pytest.raises(KeyError, match="unknown node 900"):
+        net.distances_into(900, [0])
+    with pytest.raises(KeyError, match="unknown node 900"):
+        net.distances_into(0, [1, 900])
+
+
 def test_triangle_inequality_holds():
     net = irregular_network(3)
     rng = Random(99)
